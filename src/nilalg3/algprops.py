@@ -94,14 +94,6 @@ def nilpotency_class(vec: StructureVector) -> int:
     raise NotNilpotentError("power chain still nonzero after five factors")
 
 
-def is_nilpotent(vec: StructureVector) -> bool:
-    try:
-        nilpotency_class(vec)
-    except NotNilpotentError:
-        return False
-    return True
-
-
 def square_basis(vec: StructureVector) -> list:
     """Echelon basis (coordinate triples) of the span of all products."""
     e = _unit_triples(vec.parent)

@@ -16,6 +16,7 @@ fields with a t-adic valuation test.
 
 from __future__ import annotations
 
+import itertools
 import random
 import time
 from dataclasses import dataclass
@@ -206,6 +207,21 @@ class IdentityReport:
 _LEMMA_VERIFIED: set = set()
 
 
+def _pin_down(prefix: str, cleared, expected: dict) -> list:
+    """Pin all 27 cleared coefficients: one entry per expected coefficient
+    (in index order), then one saying that every other coefficient vanishes."""
+    entries = []
+    vanish = True
+    for i, j, k in itertools.product((1, 2, 3), repeat=3):
+        got = cleared[i, j, k]
+        if (i, j, k) in expected:
+            entries.append((f"{prefix}-{i}{j}{k}", got == expected[i, j, k]))
+        elif not got.is_zero():
+            vanish = False
+    entries.append((f"{prefix}-vanishing", vanish))
+    return entries
+
+
 def verify_lemma_identities(characteristic: int, mutate=None) -> IdentityReport:
     """Re-derive the family/quarter separation identities symbolically.
 
@@ -269,18 +285,7 @@ def verify_lemma_identities(characteristic: int, mutate=None) -> IdentityReport:
         (3, 2, 1): be * m * m,
         (3, 3, 1): (oneb + be) * bv["b22"] * bv["b23"] * bv["b33"] * bv["b33"],
     }
-    named = {(2, 3, 1): "triangular-231", (3, 2, 1): "triangular-321",
-             (3, 3, 1): "triangular-331"}
-    vanish_ok = True
-    for i in (1, 2, 3):
-        for j in (1, 2, 3):
-            for k in (1, 2, 3):
-                got = clb[i, j, k]
-                if (i, j, k) in expected_b:
-                    entries.append((named[(i, j, k)], got == expected_b[(i, j, k)]))
-                elif not got.is_zero():
-                    vanish_ok = False
-    entries.append(("triangular-vanishing", vanish_ok))
+    entries += _pin_down("triangular", clb, expected_b)
 
     # alternating representative under the same triangular matrices
     nu = StructureVector.from_terms(
@@ -292,18 +297,7 @@ def verify_lemma_identities(characteristic: int, mutate=None) -> IdentityReport:
         (3, 2, 1): m * m,
         (3, 3, 1): bv["b22"] * bv["b33"] * bv["b33"] * bv["b33"],
     }
-    named_n = {(2, 3, 1): "alternating-231", (3, 2, 1): "alternating-321",
-               (3, 3, 1): "alternating-331"}
-    vanish_n = True
-    for i in (1, 2, 3):
-        for j in (1, 2, 3):
-            for k in (1, 2, 3):
-                got = cln[i, j, k]
-                if (i, j, k) in expected_n:
-                    entries.append((named_n[(i, j, k)], got == expected_n[(i, j, k)]))
-                elif not got.is_zero():
-                    vanish_n = False
-    entries.append(("alternating-vanishing", vanish_n))
+    entries += _pin_down("alternating", cln, expected_n)
 
     # the alternating representative really sits in the parameter-2 orbit
     rho_vec = structure_of(AlgebraId("rho"), base)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from math import isqrt
+from math import gcd, isqrt
 
 
 class FieldError(ArithmeticError):
@@ -65,9 +65,6 @@ class Field:
         """Iterate every element (finite fields only), in a fixed order."""
         raise FieldError(f"cannot enumerate the elements of {self!r}")
 
-    def random_element(self, rng) -> "FieldElement":
-        raise NotImplementedError
-
     # -- representation hooks ------------------------------------------------
 
     def _coerce(self, value):
@@ -95,7 +92,67 @@ class Field:
         raise NotImplementedError
 
 
-class FieldElement:
+class ScalarOps:
+    """The derived operators of the scalar types, defined once.
+
+    ``FieldElement``, ``MultiPoly`` and ``RationalFunction`` each supply
+    ``_peer`` (the other operand in their own type, or None when it has no
+    place there), ``__add__``, ``__neg__``, ``__mul__`` and ``_one``, and
+    the two field types ``inverse``; the operators below use nothing else.
+    A ring without division (``MultiPoly``) has no ``inverse``, which
+    ``Matrix3.inverse`` tests for, and names its error type in
+    ``_no_division``: ``/`` is then unsupported, and a power must be a
+    nonnegative integer.
+    """
+
+    __slots__ = ()
+    _no_division = None
+
+    def __sub__(self, other):
+        o = self._peer(other)
+        if o is None:
+            return NotImplemented
+        return self + (-o)
+
+    def __rsub__(self, other):
+        o = self._peer(other)
+        if o is None:
+            return NotImplemented
+        return o + (-self)
+
+    def __truediv__(self, other):
+        if self._no_division is not None:
+            return NotImplemented
+        o = self._peer(other)
+        if o is None:
+            return NotImplemented
+        return self * o.inverse()
+
+    def __rtruediv__(self, other):
+        if self._no_division is not None:
+            return NotImplemented
+        o = self._peer(other)
+        if o is None:
+            return NotImplemented
+        return o * self.inverse()
+
+    def __pow__(self, n: int):
+        if self._no_division is not None and not (isinstance(n, int) and n >= 0):
+            raise self._no_division("powers must be nonnegative integers")
+        if not isinstance(n, int):
+            return NotImplemented
+        base = self if n >= 0 else self.inverse()
+        n = abs(n)
+        out = self._one()
+        while n:
+            if n & 1:
+                out = out * base
+            base = base * base
+            n >>= 1
+        return out
+
+
+class FieldElement(ScalarOps):
     """A value of one field of the tower, stored in canonical form."""
 
     __slots__ = ("field", "rep")
@@ -127,18 +184,6 @@ class FieldElement:
     def __neg__(self):
         return FieldElement(self.field, self.field._neg(self.rep))
 
-    def __sub__(self, other):
-        o = self._peer(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
-
-    def __rsub__(self, other):
-        o = self._peer(other)
-        if o is None:
-            return NotImplemented
-        return o + (-self)
-
     def __mul__(self, other):
         o = self._peer(other)
         if o is None:
@@ -152,30 +197,8 @@ class FieldElement:
             raise ZeroDivisionError("inverse of zero")
         return FieldElement(self.field, self.field._inv(self.rep))
 
-    def __truediv__(self, other):
-        o = self._peer(other)
-        if o is None:
-            return NotImplemented
-        return self * o.inverse()
-
-    def __rtruediv__(self, other):
-        o = self._peer(other)
-        if o is None:
-            return NotImplemented
-        return o * self.inverse()
-
-    def __pow__(self, n: int):
-        if not isinstance(n, int):
-            return NotImplemented
-        base = self if n >= 0 else self.inverse()
-        n = abs(n)
-        out = self.field.one()
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
+    def _one(self) -> "FieldElement":
+        return self.field.one()
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -231,9 +254,6 @@ class Rationals(Field):
 
     def _render(self, a):
         return str(a)
-
-    def random_element(self, rng):
-        return self.element(Fraction(rng.randint(-9, 9), rng.randint(1, 9)))
 
     def __eq__(self, other):
         return isinstance(other, Rationals)
@@ -310,9 +330,6 @@ class PrimeField(Field):
     def _render(self, a):
         return str(a)
 
-    def random_element(self, rng):
-        return FieldElement(self, rng.randrange(self.p))
-
     def __eq__(self, other):
         return isinstance(other, PrimeField) and other.p == self.p
 
@@ -360,6 +377,11 @@ def _pmul(a, b, zero):
 
 
 def _pdivmod(a, b, zero):
+    """(quotient, remainder) of dense polynomials; the one univariate division.
+
+    Each step cancels the leading term of a exactly, so d falls strictly and
+    every quotient slot is written once.
+    """
     if not b:
         raise ZeroDivisionError("polynomial division by zero")
     a = list(a)
@@ -368,7 +390,7 @@ def _pdivmod(a, b, zero):
     while len(a) >= len(b):
         c = a[-1] * inv_lead
         d = len(a) - len(b)
-        q[d] = q[d] + c
+        q[d] = c
         for i, y in enumerate(b):
             a[d + i] = a[d + i] - c * y
         _ptrim(a)
@@ -519,10 +541,6 @@ class SimpleExtension(Field):
             out += part if part.startswith("-") else "+" + part
         return out
 
-    def random_element(self, rng):
-        rep = tuple(self.base.random_element(rng) for _ in range(self.degree))
-        return FieldElement(self, rep)
-
     def __eq__(self, other):
         return (isinstance(other, SimpleExtension) and other.base == self.base
                 and other.minpoly == self.minpoly and other.name == self.name)
@@ -538,7 +556,7 @@ def _rational_root(base: Rationals, coeffs):
     """A rational root of the integer-cleared polynomial, or None."""
     denom = 1
     for c in coeffs:
-        denom = denom * c.rep.denominator // _gcd(denom, c.rep.denominator)
+        denom = denom * c.rep.denominator // gcd(denom, c.rep.denominator)
     ints = [int(c.rep * denom) for c in coeffs]
     if ints[0] == 0:
         return base.zero()
@@ -550,12 +568,6 @@ def _rational_root(base: Rationals, coeffs):
                 if _peval(coeffs, x, base.zero()).is_zero():
                     return x
     return None
-
-
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def _divisors(n):

@@ -47,19 +47,12 @@ def _default_field(characteristic: int) -> Field:
     raise HasseError(f"no diagram is defined for characteristic {characteristic}")
 
 
-def _family_samples(field: Field, count: int):
+def _family_samples(field: Field):
+    """The ten sampled parameters of the a(*) family; none is 1/4, whose
+    algebra is a node of its own (and 1/4 does not exist in GF(16))."""
     if field.char == 0:
-        values = [0, 1, 2, 3, 5, 7, 11, 13, 17, 19]
-        return [field.from_int(v) for v in values[:count]]
-    out = []
-    q = quarter(field) if field.char != 2 else None
-    for x in field.elements():
-        if q is not None and x == q:
-            continue
-        out.append(x)
-        if len(out) == count:
-            return out
-    raise HasseError(f"{field!r} is too small for {count} family samples")
+        return [field.from_int(v) for v in (0, 1, 2, 3, 5, 7, 11, 13, 17, 19)]
+    return list(field.elements())[:10]
 
 
 def _node_members(label: str, field: Field, samples):
@@ -76,17 +69,12 @@ def _annotation(fact) -> str:
     return "+".join(w.note for w in fact.chain)
 
 
-def build_graph(characteristic: int, field: Field | None = None,
-                samples: int = 10) -> HasseDiagram:
+def build_graph(characteristic: int) -> HasseDiagram:
     """Decide all node pairs and reduce; raises HasseError on any cycle."""
-    field = _default_field(characteristic) if field is None else field
-    if field.char != characteristic:
-        raise HasseError(
-            f"field {field!r} has characteristic {field.char}, "
-            f"not {characteristic}")
+    field = _default_field(characteristic)
     nodes = tuple(n for n in NODE_ORDER
                   if n != "a(1/4)" or characteristic != 2)
-    deltas = _family_samples(field, samples)
+    deltas = _family_samples(field)
     members = {label: _node_members(label, field, deltas) for label in nodes}
 
     relation = {}

@@ -69,18 +69,3 @@ def nullspace_basis(rows: list, field: Field, ncols: int) -> list:
             v[c] = -rref[r][j]
         basis.append(v)
     return basis
-
-
-def solve(rows: list, rhs: list, field: Field):
-    """One solution of A x = b, or None when the system is inconsistent."""
-    if not rows:
-        return None
-    n = len(rows[0])
-    aug = [list(r) + [b] for r, b in zip(rows, rhs)]
-    rref, pivots = row_reduce(aug)
-    if n in pivots:
-        return None
-    x = [field.zero()] * n
-    for r, c in enumerate(pivots):
-        x[c] = rref[r][n]
-    return x

@@ -4,14 +4,16 @@ Coefficients live in any field from the tower.  Multivariate division is
 deliberately absent: identity checks clear denominators first and then test
 for the zero polynomial.  Only the univariate case (curves in t) carries a
 fraction field, with gcd reduction and a monic denominator as the canonical
-form.
+form.  Univariate long division lives in ``fields._pdivmod``: ``poly_gcd``
+takes its remainder and the canonical form its quotient.  The derived
+operators (``-``, ``/``, ``**``) come from ``fields.ScalarOps``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .fields import Field, FieldElement, FieldError
+from .fields import Field, FieldElement, ScalarOps, _pdivmod
 
 
 class PolyRingError(ArithmeticError):
@@ -79,10 +81,11 @@ class PolyRing:
         return f"{self.field!r}[{', '.join(self.vars)}]"
 
 
-class MultiPoly:
+class MultiPoly(ScalarOps):
     """A sparse polynomial: a map from exponent tuples to nonzero coefficients."""
 
     __slots__ = ("ring", "terms")
+    _no_division = PolyRingError
 
     def __init__(self, ring: PolyRing, terms: dict):
         self.ring = ring
@@ -112,18 +115,6 @@ class MultiPoly:
     def __neg__(self):
         return MultiPoly(self.ring, {e: -c for e, c in self.terms.items()})
 
-    def __sub__(self, other):
-        o = self._peer(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
-
-    def __rsub__(self, other):
-        o = self._peer(other)
-        if o is None:
-            return NotImplemented
-        return o + (-self)
-
     def __mul__(self, other):
         o = self._peer(other)
         if o is None:
@@ -139,17 +130,8 @@ class MultiPoly:
 
     __rmul__ = __mul__
 
-    def __pow__(self, n: int):
-        if not isinstance(n, int) or n < 0:
-            raise PolyRingError("polynomial powers must be nonnegative integers")
-        out = self.ring.one()
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
+    def _one(self) -> "MultiPoly":
+        return self.ring.one()
 
     def __eq__(self, other):
         o = self._peer(other)
@@ -189,9 +171,6 @@ class MultiPoly:
                     term = term * x
             out = out + term
         return out
-
-    def map_coefficients(self, fn, new_ring: PolyRing) -> "MultiPoly":
-        return MultiPoly(new_ring, {e: fn(c) for e, c in self.terms.items()})
 
     def __str__(self):
         if not self.terms:
@@ -257,47 +236,11 @@ def poly_gcd(a: MultiPoly, b: MultiPoly) -> MultiPoly:
     ra, rb = dense_coefficients(a), dense_coefficients(b)
     zero = a.ring.field.zero()
     while rb:
-        ra, rb = rb, _dense_mod(ra, rb, zero)
+        ra, rb = rb, _pdivmod(ra, rb, zero)[1]
     if not ra:
         return a.ring.zero()
     lead = ra[-1].inverse()
     return from_dense(a.ring, [c * lead for c in ra])
-
-
-def _dense_mod(a, b, zero):
-    a = list(a)
-    inv_lead = b[-1].inverse()
-    while len(a) >= len(b):
-        c = a[-1] * inv_lead
-        d = len(a) - len(b)
-        for i, y in enumerate(b):
-            a[d + i] = a[d + i] - c * y
-        while a and a[-1].is_zero():
-            a.pop()
-        if not a:
-            break
-    return a
-
-
-def _dense_exact_div(a, b, zero):
-    """Quotient of univariate dense lists assuming the division is exact."""
-    q = []
-    a = list(a)
-    inv_lead = b[-1].inverse()
-    while len(a) >= len(b):
-        c = a[-1] * inv_lead
-        d = len(a) - len(b)
-        q.append((d, c))
-        for i, y in enumerate(b):
-            a[d + i] = a[d + i] - c * y
-        while a and a[-1].is_zero():
-            a.pop()
-    if a:
-        raise PolyRingError("division was not exact")
-    out = [zero] * (1 + max(d for d, _ in q)) if q else []
-    for d, c in q:
-        out[d] = out[d] + c
-    return out
 
 
 def t_valuation(p: MultiPoly):
@@ -361,7 +304,7 @@ class RationalFunctionField:
         return f"{self.field!r}({self.varname})"
 
 
-class RationalFunction:
+class RationalFunction(ScalarOps):
     """num/den in canonical form: gcd-reduced with a monic denominator."""
 
     __slots__ = ("parent", "num", "den")
@@ -378,11 +321,14 @@ class RationalFunction:
         if num.is_zero():
             return cls(parent, parent.ring.zero(), parent.ring.one())
         g = poly_gcd(num, den)
-        zero = parent.field.zero()
         if g.degree() > 0:
             gn = dense_coefficients(g)
-            num = from_dense(parent.ring, _dense_exact_div(dense_coefficients(num), gn, zero))
-            den = from_dense(parent.ring, _dense_exact_div(dense_coefficients(den), gn, zero))
+            zero = parent.field.zero()
+            (qn, rn), (qd, rd) = (_pdivmod(dense_coefficients(p), gn, zero)
+                                  for p in (num, den))
+            if rn or rd:
+                raise PolyRingError("division was not exact")
+            num, den = from_dense(parent.ring, qn), from_dense(parent.ring, qd)
         dl = dense_coefficients(den)[-1]
         if dl != parent.field.one():
             inv = dl.inverse()
@@ -413,18 +359,6 @@ class RationalFunction:
     def __neg__(self):
         return RationalFunction(self.parent, -self.num, self.den)
 
-    def __sub__(self, other):
-        o = self._peer(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
-
-    def __rsub__(self, other):
-        o = self._peer(other)
-        if o is None:
-            return NotImplemented
-        return o + (-self)
-
     def __mul__(self, other):
         o = self._peer(other)
         if o is None:
@@ -438,30 +372,8 @@ class RationalFunction:
             raise ZeroDivisionError("inverse of the zero function")
         return RationalFunction._make(self.parent, self.den, self.num)
 
-    def __truediv__(self, other):
-        o = self._peer(other)
-        if o is None:
-            return NotImplemented
-        return self * o.inverse()
-
-    def __rtruediv__(self, other):
-        o = self._peer(other)
-        if o is None:
-            return NotImplemented
-        return o * self.inverse()
-
-    def __pow__(self, n: int):
-        if not isinstance(n, int):
-            return NotImplemented
-        base = self if n >= 0 else self.inverse()
-        n = abs(n)
-        out = self.parent.one()
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
+    def _one(self) -> "RationalFunction":
+        return self.parent.one()
 
     def __eq__(self, other):
         o = self._peer(other)

@@ -224,11 +224,6 @@ class Matrix3:
     def column(self, j: int) -> list:
         return [self.entry(i, j) for i in (1, 2, 3)]
 
-    def transpose(self) -> "Matrix3":
-        e = self.entries
-        return Matrix3(self.parent,
-                       (e[0], e[3], e[6], e[1], e[4], e[7], e[2], e[5], e[8]))
-
     def det(self):
         a, b, c, d, e, f, g, h, i = self.entries
         return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)

@@ -8,6 +8,7 @@ import pytest
 from nilalg3.fields import (FieldError, NeedsFieldExtension, PrimeField,
                             RATIONALS, SimpleExtension, extend_with_root,
                             gf4, gf16, quadratic_roots, square_roots)
+from nilalg3.polyring import PolyRing, PolyRingError, RationalFunctionField
 
 
 def test_prime_field_arithmetic():
@@ -154,3 +155,76 @@ def test_extend_with_root_rejects_reducible():
 
 def test_needs_field_extension_is_a_field_error():
     assert issubclass(NeedsFieldExtension, FieldError)
+
+
+# -- derived operators shared by FieldElement, MultiPoly and RationalFunction --
+
+DERIVED = {
+    "a - b": lambda a, b: a - b,
+    "2 - a": lambda a, b: 2 - a,
+    "a / b": lambda a, b: a / b,
+    "1 / a": lambda a, b: 1 / a,
+    "a ** 3": lambda a, b: a ** 3,
+    "a ** 0": lambda a, b: a ** 0,
+    "a ** -2": lambda a, b: a ** -2,
+}
+
+# one row per operand kind, in the order of DERIVED; a class is the error raised
+DERIVED_RESULTS = {
+    "Q": ("13/2", "1/2", "-3/10", "2/3", "27/8", "1", "4/9"),
+    "GF4": ("1", "w", "1+w", "1+w", "1", "1", "w"),
+    "MultiPoly": ("-x*y+x+3", "-x", TypeError, TypeError, "x^3+6*x^2+12*x+8",
+                  "1", PolyRingError),
+    "RationalFunction": ("(-t^3+4*t+1)/(t)", "(t-1)/(t)", "(t+1)/(t^3-3*t)",
+                         "(t)/(t+1)", "(t^3+3*t^2+3*t+1)/(t^3)", "1",
+                         "(t^2)/(t^2+2*t+1)"),
+}
+
+
+def _operands(kind):
+    if kind == "Q":
+        return RATIONALS.element(Fraction(3, 2)), RATIONALS.element(-5)
+    if kind == "GF4":
+        w = gf4().generator()
+        return w, w + 1
+    if kind == "MultiPoly":
+        x, y = PolyRing(RATIONALS, ("x", "y")).gens()
+        return x + 2, x * y - 1
+    t = RationalFunctionField(RATIONALS).gen()
+    return (t + 1) / t, t * t - 3
+
+
+@pytest.mark.parametrize("kind", sorted(DERIVED_RESULTS))
+def test_derived_operators(kind):
+    a, b = _operands(kind)
+    for (label, op), want in zip(DERIVED.items(), DERIVED_RESULTS[kind]):
+        if isinstance(want, str):
+            assert str(op(a, b)) == want, label
+        else:
+            with pytest.raises(want):
+                op(a, b)
+
+
+def test_derived_operator_errors():
+    x, y = PolyRing(RATIONALS, ("x", "y")).gens()
+    q = RATIONALS.element(3)
+    K = RationalFunctionField(RATIONALS)
+    t = K.gen()
+    for bad in (-1, 1.5):
+        with pytest.raises(PolyRingError):
+            x ** bad
+    for op in (lambda: x / y, lambda: x / 2, lambda: 2 / x, lambda: q / x,
+               lambda: x / q):
+        with pytest.raises(TypeError):
+            op()
+    # a polynomial in t divides by a rational function in t, and the reverse
+    u = K.ring.var("t")
+    assert str(u / (t + 1)) == "(t)/(t+1)"
+    assert str((t + 1) / u) == "(t+1)/(t)"
+    for r in (q, t):
+        with pytest.raises(TypeError):
+            r ** 1.5
+    for zero in (RATIONALS.zero(), gf4().zero(), K.zero()):
+        for op in (lambda: 1 / zero, lambda: zero ** -1, lambda: zero / 0):
+            with pytest.raises(ZeroDivisionError):
+                op()
