@@ -425,7 +425,7 @@ def identify(vec: StructureVector) -> AlgebraId:
     """
     field = vec.parent
     if not algprops.is_associative(vec):
-        raise ValueError("structure is not associative")
+        raise CatalogueError("structure is not associative")
     ncls = algprops.nilpotency_class(vec)
     if ncls == 0:
         return AlgebraId("a0")

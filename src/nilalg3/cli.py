@@ -194,6 +194,10 @@ def _cmd_search_witness(args) -> int:
         field, lift = gf4(), False
     else:
         field, lift = PrimeField(args.char), False
+    if args.degree < 0:
+        raise FormatError(f"--degree must be at least 0, got {args.degree}")
+    if args.budget < 1:
+        raise FormatError(f"--budget must be at least 1, got {args.budget}")
     src = parse_algebra_id(args.src, field)
     dst = parse_algebra_id(args.dst, field)
     result = search_witness(src, dst, field, degree_bound=args.degree,

@@ -6,8 +6,8 @@ structure (or to something identify() recognises as the target class).  A
 non-degeneration is certified by an Obstruction: either a semicontinuous
 invariant that would have to jump, a separation fact about the pinched-product
 family whose polynomial identities verify_lemma_identities() re-derives from
-scratch, or a contradiction assembled from already-certified facts by
-transitivity.
+scratch, or one transitivity step: a base obstruction y -/-> z carried to
+src -/-> dst along library curves y -> src and dst -> z.
 
 degenerates() combines the two directions into a total decision procedure for
 catalogue pairs; search_witness() hunts for new curves over small finite
@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from . import algprops
 from .catalogue import (AlgebraId, adelta, canonicalize, identify,
                         identify_with_witness, quarter, structure_of)
-from .fields import Field, PrimeField, RATIONALS
+from .fields import Field, FieldElement, PrimeField, RATIONALS
 from .polyring import (MultiPoly, PoleAtZero, PolyRing, RationalFunction,
                        RationalFunctionField, limit_at_zero)
 from .structspace import Matrix3, StructureVector, act, act_cleared
@@ -390,114 +390,96 @@ def _mediator_pool(src, dst, field):
     return pool
 
 
-def _positive_closure(pool, field):
-    """Reflexive-transitive closure of the verified library curves on pool."""
-    idx = {ident: n for n, ident in enumerate(pool)}
-    n = len(pool)
-    reach = [[u == v for v in range(n)] for u in range(n)]
-    for u, su in enumerate(pool):
-        for v, sv in enumerate(pool):
-            if u != v and known_witness(su, sv, field) is not None:
-                reach[u][v] = True
-    for w in range(n):
-        for u in range(n):
-            if reach[u][w]:
-                row_u, row_w = reach[u], reach[w]
-                for v in range(n):
-                    if row_w[v]:
-                        row_u[v] = True
-    return idx, reach
+def _walk(start: int, size: int, lookup):
+    """Breadth-first walk of library curves from pool index start.
+
+    Yields (index, chain of curves from start) in discovery order, start
+    first: neighbours are tried in pool order and each node keeps the first
+    chain found.  ``lookup(u, v)`` is the memoised library curve between
+    pool indices u and v, or None.
+    """
+    chains = {start: ()}
+    yield start, ()
+    frontier = [start]
+    for u in frontier:
+        for v in range(size):
+            if v in chains:
+                continue
+            w = lookup(u, v)
+            if w is not None:
+                chains[v] = chains[u] + (w,)
+                frontier.append(v)
+                yield v, chains[v]
+
+
+def _decide(src: AlgebraId, dst: AlgebraId, field: Field):
+    """(chain, obstruction) for canonical ids; both None when undecided.
+
+    Tries the library curve src -> dst, a chain of library curves, the
+    direct base obstruction, and then one derivation step: a base
+    obstruction y -/-> z proves src -/-> dst exactly when y reaches src and
+    dst reaches z.  One step suffices, by induction over what transitivity
+    derives: u -/-> b from a -/-> b and a -> u, or a -/-> v from a -/-> b
+    and v -> b.  If a -/-> b rests on y -> a, b -> z and y -/-> z, then
+    y -> a -> u and v -> b -> z, so the derived fact rests on the same
+    base; reachability is transitively closed, so iterating adds nothing.
+    """
+    pool = _mediator_pool(src, dst, field)
+    n, s, d = len(pool), pool.index(src), pool.index(dst)
+    memo: dict = {}
+
+    def lookup(u, v):
+        if (u, v) not in memo:
+            memo[u, v] = known_witness(pool[u], pool[v], field)
+        return memo[u, v]
+
+    w = lookup(s, d)
+    if w is not None:
+        return (w,), None
+    for v, chain in _walk(s, n, lookup):
+        if v == d:
+            return chain, None
+    direct = _base_obstruction(src, dst, field)
+    if direct is not None:
+        return None, direct
+    reach = [{v for v, _ in _walk(u, n, lookup)} for u in range(n)]
+    for y, z in itertools.product(range(n), repeat=2):
+        if s in reach[y] and z in reach[d] and z not in reach[y]:
+            base = _base_obstruction(pool[y], pool[z], field)
+            if base is not None:
+                return None, Obstruction(
+                    "transitivity-derived",
+                    f"{pool[y]} degenerates to {src} and {dst} to {pool[z]}, "
+                    f"but {pool[y]} cannot degenerate to {pool[z]} ({base.tag})")
+    return None, None
 
 
 def check_obstruction(src: AlgebraId, dst: AlgebraId, field: Field):
     """A certified reason src cannot degenerate to dst, or None.
 
-    Machine-checkable invariants are tried first, then the family/quarter
-    separation facts (gated on the symbolic identity suite), then a fixpoint
-    that derives new impossibilities from verified degenerations by
-    transitivity.
+    None whenever library curves carry src to dst.  Otherwise the
+    machine-checkable invariants are tried first, then the family/quarter
+    separation facts (gated on the symbolic identity suite), then one
+    derivation step that carries a base obstruction y -/-> z to
+    src -/-> dst along verified curves y -> src and dst -> z.
     """
     if not (src.is_canonical() and dst.is_canonical()):
         raise DegenerationError("check_obstruction expects canonical ids")
-    direct = _base_obstruction(src, dst, field)
-    if direct is not None:
-        return direct
-
-    pool = _mediator_pool(src, dst, field)
-    idx, reach = _positive_closure(pool, field)
-    no: dict = {}
-    for u, su in enumerate(pool):
-        for v, sv in enumerate(pool):
-            if u == v or reach[u][v]:
-                continue
-            base = _base_obstruction(su, sv, field)
-            if base is not None:
-                no[(u, v)] = base
-    changed = True
-    while changed:
-        changed = False
-        for u, su in enumerate(pool):
-            for v, sv in enumerate(pool):
-                if u == v or reach[u][v] or (u, v) in no:
-                    continue
-                hit = None
-                for y in range(len(pool)):
-                    if reach[y][u] and (y, v) in no:
-                        hit = Obstruction(
-                            "transitivity-derived",
-                            f"{pool[y]} degenerates to {su} but not to "
-                            f"{sv} ({no[(y, v)].tag})")
-                        break
-                    if reach[v][y] and (u, y) in no:
-                        hit = Obstruction(
-                            "transitivity-derived",
-                            f"{sv} degenerates to {pool[y]} but {su} does "
-                            f"not ({no[(u, y)].tag})")
-                        break
-                if hit is not None:
-                    no[(u, v)] = hit
-                    changed = True
-    return no.get((idx[src], idx[dst]))
+    return _decide(src, dst, field)[1]
 
 
 # -- the total decision procedure ---------------------------------------------
-
-
-def _witness_chain(src: AlgebraId, dst: AlgebraId, field: Field):
-    """Breadth-first chain of library curves from src to dst, if any."""
-    pool = _mediator_pool(src, dst, field)
-    frontier = [(src, ())]
-    seen = {src}
-    while frontier:
-        node, path = frontier.pop(0)
-        for nxt in pool:
-            if nxt in seen or nxt == node:
-                continue
-            w = known_witness(node, nxt, field)
-            if w is None:
-                continue
-            chain = path + (w,)
-            if nxt == dst:
-                return chain
-            seen.add(nxt)
-            frontier.append((nxt, chain))
-    return None
 
 
 def degenerates(src: AlgebraId, dst: AlgebraId, field: Field) -> DegenerationFact:
     """Decide src -> dst over ``field``, with a certificate either way."""
     csrc, _ = canonicalize(src, field)
     cdst, _ = canonicalize(dst, field)
-    if csrc == cdst:
-        return DegenerationFact(csrc, cdst, True,
-                                witness=known_witness(csrc, cdst, field))
-    w = known_witness(csrc, cdst, field)
-    if w is not None:
-        return DegenerationFact(csrc, cdst, True, witness=w)
-    chain = _witness_chain(csrc, cdst, field)
+    chain, obs = _decide(csrc, cdst, field)
     if chain is not None:
+        if len(chain) == 1:
+            return DegenerationFact(csrc, cdst, True, witness=chain[0])
         return DegenerationFact(csrc, cdst, True, chain=chain)
-    obs = check_obstruction(csrc, cdst, field)
     if obs is not None:
         return DegenerationFact(csrc, cdst, False, obstruction=obs)
     raise DegenerationError(
@@ -507,22 +489,13 @@ def degenerates(src: AlgebraId, dst: AlgebraId, field: Field) -> DegenerationFac
 # -- composing curves ----------------------------------------------------------
 
 
-def _rf_power_substitute(rf: RationalFunction, n: int) -> RationalFunction:
-    """t -> t**n in a rational function."""
-    rff = rf.parent
-
+def _rf_map(rf: RationalFunction, rff: RationalFunctionField, term):
+    """rf rebuilt over rff, each (exponent, coefficient) of num and den sent
+    through ``term``."""
     def sub(poly: MultiPoly) -> MultiPoly:
-        return MultiPoly(poly.ring, {(e[0] * n,): c for e, c in poly.terms.items()})
+        return MultiPoly(rff.ring, dict(term(e, c) for e, c in poly.terms.items()))
 
     return rff.element(sub(rf.num), sub(rf.den))
-
-
-def _rf_lift(rf: RationalFunction, new_rff: RationalFunctionField, embed):
-    def sub(poly: MultiPoly) -> MultiPoly:
-        return MultiPoly(new_rff.ring,
-                         {e: embed(c) for e, c in poly.terms.items()})
-
-    return new_rff.element(sub(rf.num), sub(rf.den))
 
 
 def compose_curves(first: CurveWitness, second: CurveWitness) -> CurveWitness:
@@ -544,20 +517,20 @@ def compose_curves(first: CurveWitness, second: CurveWitness) -> CurveWitness:
 
     target_field = bridge.parent if bridge is not None else base
     rff = _rff(target_field)
-    if target_field == base:
-        def embed(c):
-            return c
-    else:
-        embed = target_field.embed
-    m1 = first.matrix.map_scalars(lambda rf: _rf_lift(rf, rff, embed), rff)
-    m2 = second.matrix.map_scalars(lambda rf: _rf_lift(rf, rff, embed), rff)
+
+    def lift(rf):
+        return _rf_map(rf, rff, lambda e, c: (e, target_field.embed(c)))
+
+    m1 = first.matrix.map_scalars(lift, rff)
+    m2 = second.matrix.map_scalars(lift, rff)
     bridge_m = None
     if bridge is not None:
         bridge_m = bridge.map_scalars(rff.const, rff)
 
     note = f"{first.note}+{second.note}" if first.note or second.note else ""
     for n in (1, 2, 4, 8):
-        fast = m1.map_scalars(lambda rf: _rf_power_substitute(rf, n), rff)
+        fast = m1.map_scalars(
+            lambda rf: _rf_map(rf, rff, lambda e, c: ((e[0] * n,), c)), rff)
         total = fast @ bridge_m @ m2 if bridge_m is not None else fast @ m2
         candidate = CurveWitness(first.src, second.dst, total,
                                  up_to_iso=second.up_to_iso, note=note)
@@ -783,24 +756,17 @@ def lift_witness_to_rationals(witness: CurveWitness) -> CurveWitness:
     p = base.p
     rff_q = _rff(RATIONALS)
 
+    def centred(c: FieldElement) -> FieldElement:
+        r = c.rep
+        return RATIONALS.from_int(r if r <= p // 2 else r - p)
+
     def lift_id(ident: AlgebraId) -> AlgebraId:
         if ident.param is None:
             return ident
-        r = ident.param.rep
-        return AlgebraId(ident.tag,
-                         RATIONALS.from_int(r if r <= p // 2 else r - p))
+        return AlgebraId(ident.tag, centred(ident.param))
 
-    def lift_rf(rf: RationalFunction):
-        def lift_poly(poly: MultiPoly) -> MultiPoly:
-            terms = {}
-            for e, c in poly.terms.items():
-                r = c.rep
-                terms[e] = RATIONALS.from_int(r if r <= p // 2 else r - p)
-            return MultiPoly(rff_q.ring, terms)
-
-        return rff_q.element(lift_poly(rf.num), lift_poly(rf.den))
-
-    lifted = witness.matrix.map_scalars(lift_rf, rff_q)
+    lifted = witness.matrix.map_scalars(
+        lambda rf: _rf_map(rf, rff_q, lambda e, c: (e, centred(c))), rff_q)
     out = CurveWitness(lift_id(witness.src), lift_id(witness.dst), lifted,
                        up_to_iso=witness.up_to_iso,
                        note=f"{witness.note}-lifted")

@@ -340,6 +340,25 @@ class PrimeField(Field):
         return f"GF({self.p})"
 
 
+def signed_sum(terms, sep: str = "", wrap=None) -> str:
+    """Render (coefficient text, monomial) pairs as a sum; "0" when empty.
+
+    Before a monomial a coefficient "1" or "-1" is elided to its sign;
+    any other coefficient goes through ``wrap`` (when given) and is joined
+    to the monomial by ``sep``.  Later terms keep their own "-" sign and
+    are joined with "+" otherwise.
+    """
+    out = ""
+    for text, mono in terms:
+        if mono and text in ("1", "-1"):
+            text = text[:-1] + mono
+        else:
+            text = wrap(text) if wrap else text
+            text = text + sep + mono if mono else text
+        out += text if not out or text.startswith("-") else "+" + text
+    return out or "0"
+
+
 # -- dense polynomial helpers over a base field (ascending coefficients) ----
 
 
@@ -411,8 +430,10 @@ class SimpleExtension(Field):
 
     Elements are coefficient tuples of length deg(m) in the powers of the
     generator.  For degree at most 3 the constructor verifies that m has no
-    root in F (which for those degrees is full irreducibility); higher
-    degrees are trusted to the caller.
+    root in F (which for those degrees is full irreducibility); over a
+    finite F higher degrees get trial division by every monic polynomial of
+    degree at most deg(m)/2, over an infinite F they are trusted to the
+    caller.
     """
 
     def __init__(self, base: Field, minpoly, name: str):
@@ -434,6 +455,15 @@ class SimpleExtension(Field):
             if root is not None:
                 raise FieldError(
                     f"minimal polynomial has root {root!r} in {base!r}")
+        elif base.is_finite():
+            zero, elems = base.zero(), list(base.elements())
+            for d in range(1, self.degree // 2 + 1):
+                for low in itertools.product(elems, repeat=d):
+                    factor = [*low, base.one()]
+                    if not _pdivmod(self.minpoly, factor, zero)[1]:
+                        raise FieldError(
+                            f"minimal polynomial has the factor {factor} "
+                            f"(constant first) over {base!r}")
 
     def generator(self) -> FieldElement:
         rep = [self.base.zero()] * self.degree
@@ -520,26 +550,10 @@ class SimpleExtension(Field):
         return tuple(self.base._sort_key(c.rep) for c in a)
 
     def _render(self, a):
-        parts = []
-        for i, c in enumerate(a):
-            if c.is_zero():
-                continue
-            mono = "" if i == 0 else (self.name if i == 1 else f"{self.name}^{i}")
-            text = self.base._render(c.rep)
-            if mono:
-                if text == "1":
-                    text = mono
-                elif text == "-1":
-                    text = "-" + mono
-                else:
-                    text = text + mono
-            parts.append(text)
-        if not parts:
-            return "0"
-        out = parts[0]
-        for part in parts[1:]:
-            out += part if part.startswith("-") else "+" + part
-        return out
+        return signed_sum((self.base._render(c.rep),
+                           "" if i == 0 else self.name if i == 1
+                           else f"{self.name}^{i}")
+                          for i, c in enumerate(a) if not c.is_zero())
 
     def __eq__(self, other):
         return (isinstance(other, SimpleExtension) and other.base == self.base

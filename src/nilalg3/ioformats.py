@@ -27,7 +27,7 @@ from fractions import Fraction
 from .catalogue import AlgebraId, CatalogueError
 from .degeneration import CurveWitness
 from .fields import (Field, FieldElement, PrimeField, RATIONALS,
-                     SimpleExtension)
+                     SimpleExtension, signed_sum)
 from .polyring import RationalFunctionField
 from .structspace import Matrix3, StructureVector
 
@@ -66,9 +66,13 @@ def parse_field(desc) -> Field:
         raise FormatError("'min_poly' must be a constant-first list of "
                           "integers of degree >= 2")
     try:
-        return SimpleExtension(base, minpoly, str(ext["name"]))
+        field = SimpleExtension(base, minpoly, str(ext["name"]))
     except Exception as exc:
         raise FormatError(f"bad extension: {exc}") from exc
+    if char == 0 and field.degree > 3:
+        raise FormatError("irreducibility over Q is only decided up to "
+                          "degree 3")
+    return field
 
 
 def describe_field(field: Field) -> dict:
@@ -137,6 +141,13 @@ def _split_signed_terms(text: str):
     return out
 
 
+def _fraction(text: str) -> Fraction:
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise FormatError(f"zero denominator in {text!r}") from None
+
+
 def parse_scalar(text: str, field: Field) -> FieldElement:
     if isinstance(text, int):
         return field.from_int(text)
@@ -148,7 +159,7 @@ def parse_scalar(text: str, field: Field) -> FieldElement:
         m = _TERM_RE.match(term)
         if not m or (m.group("num") is None and m.group("name") is None):
             raise FormatError(f"bad scalar term {term!r} in {text!r}")
-        value = field.element(Fraction(m.group("num"))) if m.group("num") \
+        value = field.element(_fraction(m.group("num"))) if m.group("num") \
             else field.one()
         name = m.group("name")
         if name is not None:
@@ -190,11 +201,26 @@ def parse_poly_in_t(text: str, rff: RationalFunctionField):
         elif m.group("paren") is not None:
             value = rff.const(parse_scalar(m.group("paren"), rff.field))
         else:
-            value = rff.const(rff.field.element(Fraction(coef)))
+            value = rff.const(rff.field.element(_fraction(coef)))
         if m.group("t"):
             value = value * t ** int(m.group("exp") or 1)
         total = total + (value if sign > 0 else -value)
     return total
+
+
+_PLAIN_RE = re.compile(r"-?\d+(?:/\d+)?")
+
+
+def _render_poly_in_t(rf) -> str:
+    """A polynomial entry of a curve matrix in the syntax parse_poly_in_t
+    reads: every coefficient but a plain integer or fraction in parentheses."""
+    if rf.den != rf.parent.ring.one():
+        raise FormatError(f"curve entry {rf} is not a polynomial in t")
+    terms = rf.num.terms
+    return signed_sum(
+        ((repr(terms[e]), "" if e[0] == 0 else "t" if e[0] == 1 else f"t^{e[0]}")
+         for e in sorted(terms, reverse=True)), "*",
+        lambda text: text if _PLAIN_RE.fullmatch(text) else f"({text})")
 
 
 # -- algebra ids ---------------------------------------------------------------
@@ -302,8 +328,8 @@ def render_witness(witness: CurveWitness) -> dict:
         "src": render_algebra_id(witness.src),
         "dst": render_algebra_id(witness.dst),
         "field": describe_field(field),
-        "matrix": [[str(witness.matrix.entry(i, j)) for j in (1, 2, 3)]
-                   for i in (1, 2, 3)],
+        "matrix": [[_render_poly_in_t(witness.matrix.entry(i, j))
+                    for j in (1, 2, 3)] for i in (1, 2, 3)],
     }
     if witness.up_to_iso:
         payload["up_to_iso"] = True

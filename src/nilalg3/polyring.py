@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .fields import Field, FieldElement, ScalarOps, _pdivmod
+from .fields import Field, FieldElement, ScalarOps, _pdivmod, signed_sum
 
 
 class PolyRingError(ArithmeticError):
@@ -173,31 +173,11 @@ class MultiPoly(ScalarOps):
         return out
 
     def __str__(self):
-        if not self.terms:
-            return "0"
-        parts = []
-        for e in sorted(self.terms, reverse=True):
-            c = self.terms[e]
-            text = repr(c)
-            monos = []
-            for v, k in zip(self.ring.vars, e):
-                if k == 1:
-                    monos.append(v)
-                elif k > 1:
-                    monos.append(f"{v}^{k}")
-            if monos:
-                mono = "*".join(monos)
-                if text == "1":
-                    text = mono
-                elif text == "-1":
-                    text = "-" + mono
-                else:
-                    text = text + "*" + mono
-            parts.append(text)
-        out = parts[0]
-        for p in parts[1:]:
-            out += p if p.startswith("-") else "+" + p
-        return out
+        return signed_sum(
+            ((repr(self.terms[e]),
+              "*".join(v if k == 1 else f"{v}^{k}"
+                       for v, k in zip(self.ring.vars, e) if k))
+             for e in sorted(self.terms, reverse=True)), "*")
 
     __repr__ = __str__
 

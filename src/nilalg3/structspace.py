@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .fields import FieldElement
+from .fields import FieldElement, signed_sum
 
 
 class StructureError(ValueError):
@@ -138,30 +138,21 @@ class StructureVector:
         return StructureVector(new_parent, tuple(fn(c) for c in self.coeffs))
 
     def __str__(self):
-        parts = []
-        for i, j, k, c in self.terms():
-            sym = f"{i}{j}{k}"
-            text = _render_scalar(c)
-            if text == "1":
-                parts.append(sym)
-            elif text == "-1":
-                parts.append("-" + sym)
-            else:
-                if any(ch in text[1:] for ch in "+-") or "/" in text:
-                    text = f"({text})"
-                parts.append(f"{text}*{sym}")
-        if not parts:
-            return "0"
-        out = parts[0]
-        for p in parts[1:]:
-            out += p if p.startswith("-") else "+" + p
-        return out
+        return signed_sum(((_render_scalar(c), f"{i}{j}{k}")
+                           for i, j, k, c in self.terms()), "*", _bracket)
 
     __repr__ = __str__
 
 
 def _render_scalar(c) -> str:
     return repr(c) if isinstance(c, FieldElement) else str(c)
+
+
+def _bracket(text: str) -> str:
+    """Parenthesize a coefficient that is a sum or a fraction."""
+    if any(ch in text[1:] for ch in "+-") or "/" in text:
+        return f"({text})"
+    return text
 
 
 def basis_vector(parent, i: int, j: int, k: int) -> StructureVector:

@@ -167,3 +167,52 @@ def test_search_char0_lifts(capsys):
     tail = out.split("lifted to the rationals:\n", 1)[1]
     payload = json.loads(tail)
     assert payload["field"] == {"char": 0}
+
+
+def _vector(field, entries=((2, 3, 1, "1"),)):
+    return {"field": field,
+            "entries": [{"i": i, "j": j, "k": k, "c": c}
+                        for i, j, k, c in entries]}
+
+
+_WITNESS = {"src": "c3", "dst": "c1", "char": 0,
+            "matrix": [["1", "0", "0"], ["0", "1/0t", "0"], ["0", "0", "1"]]}
+
+# name, command line, payload written to the file named by "{file}"
+MALFORMED = [
+    ("negative-degree", ("search-witness", "c3", "c1", "--degree", "-1"),
+     None),
+    ("negative-budget", ("search-witness", "c3", "c1", "--budget", "-5"),
+     None),
+    ("zero-budget", ("search-witness", "c3", "c1", "--budget", "0"), None),
+    ("zero-denominator-id", ("invariants", "a(1/0)"), None),
+    ("zero-denominator-entry", ("verify-witness", "{file}"), _WITNESS),
+    # e1 e1 = e2, e2 e1 = e3: (e1 e1) e1 = e3 but e1 (e1 e1) = 0
+    ("non-associative", ("identify", "{file}"),
+     _vector({"char": 0}, ((1, 1, 2, "1"), (2, 1, 3, "1")))),
+    ("reducible-x4+1-gf3", ("identify", "{file}"), _vector(
+        {"char": 3, "ext": {"name": "w", "min_poly": [1, 0, 0, 0, 1]}})),
+    ("reducible-x4+x2+1-gf2", ("identify", "{file}"), _vector(
+        {"char": 2, "ext": {"name": "w", "min_poly": [1, 0, 1, 0, 1]}})),
+    ("quartic-over-q", ("identify", "{file}"), _vector(
+        {"char": 0, "ext": {"name": "w", "min_poly": [4, 0, 0, 0, 1]}})),
+]
+
+
+@pytest.mark.parametrize("argv, payload", [c[1:] for c in MALFORMED],
+                         ids=[c[0] for c in MALFORMED])
+def test_malformed_input_exits_2(capsys, tmp_path, argv, payload):
+    path = tmp_path / "payload.json"
+    if payload is not None:
+        path.write_text(json.dumps(payload))
+    code, _, err = run(capsys, *(a.format(file=path) for a in argv))
+    assert code == 2
+    assert err.startswith("error: ")
+
+
+def test_irreducible_quartic_still_accepted(capsys, tmp_path):
+    path = tmp_path / "vec.json"
+    path.write_text(json.dumps(_vector(
+        {"char": 2, "ext": {"name": "w", "min_poly": [1, 1, 0, 0, 1]}})))
+    code, out, _ = run(capsys, "identify", str(path))
+    assert code == 0

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from nilalg3.catalogue import AlgebraId, adelta
-from nilalg3.degeneration import verify_witness
+from nilalg3.degeneration import CurveWitness, search_witness, verify_witness
 from nilalg3.fields import PrimeField, RATIONALS, gf4
 from nilalg3.ioformats import (FormatError, describe_field, parse_algebra_id,
                                parse_field, parse_matrix, parse_poly_in_t,
@@ -14,7 +14,7 @@ from nilalg3.ioformats import (FormatError, describe_field, parse_algebra_id,
                                render_algebra_id, render_vector,
                                render_witness)
 from nilalg3.polyring import RationalFunctionField
-from nilalg3.structspace import basis_vector
+from nilalg3.structspace import Matrix3, basis_vector
 
 
 def test_parse_field():
@@ -161,6 +161,31 @@ def test_witness_round_trip_and_verify():
     clone = parse_witness(render_witness(w))
     assert clone.matrix == w.matrix
     assert clone.src == w.src and clone.dst == w.dst
+
+
+def test_witness_round_trip_over_gf4():
+    F = gf4()
+    rff = RationalFunctionField(F, "t")
+    t, w = rff.gen(), rff.const(F.generator())
+    one = rff.one()
+    rows = [[w * t, 0, 0], [0, (one + w) * t * t + w * t + one, 0],
+            [one + w, w, t]]
+    witness = CurveWitness(AlgebraId("c1"), AlgebraId("a0"),
+                           Matrix3.from_rows(rff, rows), note="gf4")
+    payload = render_witness(witness)
+    assert payload["matrix"] == [["(w)*t", "0", "0"],
+                                 ["0", "(1+w)*t^2+(w)*t+1", "0"],
+                                 ["(1+w)", "(w)", "t"]]
+    clone = parse_witness(json.dumps(payload))
+    assert clone.matrix == witness.matrix
+
+
+def test_search_hit_over_gf4_round_trips():
+    hit = search_witness(AlgebraId("c5"), AlgebraId("c3"), gf4(),
+                         budget=20000, seed=4).witness
+    clone = parse_witness(json.dumps(render_witness(hit)))
+    assert clone.matrix == hit.matrix
+    assert verify_witness(clone) == verify_witness(hit)
 
 
 def test_witness_field_key_and_up_to_iso():
