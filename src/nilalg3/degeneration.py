@@ -17,6 +17,7 @@ fields with a t-adic valuation test.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 import time
 from dataclasses import dataclass
@@ -25,8 +26,8 @@ from . import algprops
 from .catalogue import (AlgebraId, adelta, canonicalize, identify,
                         identify_with_witness, quarter, structure_of)
 from .fields import Field, FieldElement, PrimeField, RATIONALS
-from .polyring import (MultiPoly, PoleAtZero, PolyRing, RationalFunction,
-                       RationalFunctionField, limit_at_zero)
+from .polyring import (MultiPoly, PolyRing, RationalFunction,
+                       RationalFunctionField, t_valuation)
 from .structspace import Matrix3, StructureVector, act, act_cleared
 
 OBSTRUCTION_TAGS = ("nilpotency-class", "commutativity", "m-star-star-closure",
@@ -42,10 +43,12 @@ class DegenerationError(Exception):
 class CurveWitness:
     """A curve g(t) claimed to carry src down to dst as t -> 0.
 
-    ``matrix`` lives over a RationalFunctionField; nothing is checked at
-    construction, verify_witness() is the judge.  ``up_to_iso`` permits the
-    limit to be any structure identify() assigns to dst's class rather than
-    the canonical structure on the nose.
+    ``matrix`` lives over a RationalFunctionField (its entries are
+    polynomials for every curve this package builds); nothing is checked at
+    construction, verify_witness() is the judge, through curve_limit()'s
+    division-free check over F[t].  ``up_to_iso`` permits the limit to be
+    any structure identify() assigns to dst's class rather than the
+    canonical structure on the nose.
     """
 
     src: AlgebraId
@@ -85,18 +88,38 @@ class DegenerationFact:
 
 
 def curve_limit(witness: CurveWitness) -> StructureVector:
-    """The coefficientwise limit at t = 0, raising on a pole or singularity."""
+    """The coefficientwise limit at t = 0, raising on a pole or singularity.
+
+    Exact and division-free over F[t].  The matrix is written as g = P/L,
+    with P polynomial and L the product of the distinct entry
+    denominators (1 for every curve built from polynomials).  Since
+    act(vec, λg) = λ act(vec, g), the moved structure is cleared / (L det)
+    where (cleared, det) = act_cleared(vec, P).  A coefficient has a limit
+    exactly when its t-valuation is at least v = v_t(L det); the limit is
+    its t^v coefficient over that of L det.
+    """
     rff = witness.matrix.parent
     if not isinstance(rff, RationalFunctionField):
         raise DegenerationError("curve matrix must live over rational functions")
     base = rff.field
-    if witness.matrix.det().is_zero():
+    dens = list(dict.fromkeys(rf.den for rf in witness.matrix.entries))
+    poly = witness.matrix.map_scalars(
+        lambda rf: math.prod((d for d in dens if d != rf.den), start=rf.num),
+        rff.ring)
+    cleared, det = act_cleared(structure_of(witness.src, base), poly)
+    if det.is_zero():
         raise DegenerationError("curve matrix is singular as a matrix of functions")
-    moved = act(structure_of(witness.src, base).lift(rff), witness.matrix)
-    try:
-        return moved.map_scalars(limit_at_zero, base)
-    except PoleAtZero as exc:
-        raise DegenerationError(f"coefficient has a pole at t = 0: {exc}") from exc
+    scale = math.prod(dens, start=det)
+    v = t_valuation(scale)
+    lead_inv = scale.terms[(v,)].inverse()
+    zero = base.zero()
+    limit = []
+    for c in cleared.coeffs:
+        if c.terms and t_valuation(c) < v:
+            raise DegenerationError(
+                f"coefficient has a pole at t = 0: {c} over t^{v}")
+        limit.append(c.terms[(v,)] * lead_inv if (v,) in c.terms else zero)
+    return StructureVector(base, limit)
 
 
 def verify_witness(witness: CurveWitness) -> StructureVector:
@@ -602,8 +625,8 @@ def search_witness(src: AlgebraId, dst: AlgebraId, field: Field,
     Samples sparse matrices of t-monomials, keeps those with nonzero
     determinant, and accepts a candidate when every coefficient of the moved
     structure has a limit at t = 0 matching the target structure exactly.
-    Deterministic for a fixed seed.  A hit is re-verified through the exact
-    rational-function pipeline before being returned.
+    Deterministic for a fixed seed.  A hit is re-verified by
+    verify_witness() before being returned.
     """
     started = time.monotonic()
     ops = _FiniteOps(field)

@@ -550,7 +550,12 @@ class SimpleExtension(Field):
         return tuple(self.base._sort_key(c.rep) for c in a)
 
     def _render(self, a):
-        return signed_sum((self.base._render(c.rep),
+        def coefficient(i, c):
+            # a base sum before the generator is bracketed: (1+w)s, not 1+ws
+            text = self.base._render(c.rep)
+            return f"({text})" if i and any(ch in text[1:] for ch in "+-") else text
+
+        return signed_sum((coefficient(i, c),
                            "" if i == 0 else self.name if i == 1
                            else f"{self.name}^{i}")
                           for i, c in enumerate(a) if not c.is_zero())

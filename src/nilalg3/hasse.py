@@ -14,7 +14,7 @@ import json
 from dataclasses import dataclass
 
 from .catalogue import AlgebraId, adelta, quarter
-from .degeneration import DegenerationError, degenerates
+from .degeneration import degenerates
 from .fields import Field, RATIONALS, gf16
 
 NODE_ORDER = ("a0", "c1", "l1", "c3", "a(*)", "a(1/4)", "c5")

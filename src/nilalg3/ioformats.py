@@ -26,7 +26,7 @@ from fractions import Fraction
 
 from .catalogue import AlgebraId, CatalogueError
 from .degeneration import CurveWitness
-from .fields import (Field, FieldElement, PrimeField, RATIONALS,
+from .fields import (Field, FieldElement, FieldError, PrimeField, RATIONALS,
                      SimpleExtension, signed_sum)
 from .polyring import RationalFunctionField
 from .structspace import Matrix3, StructureVector
@@ -141,11 +141,22 @@ def _split_signed_terms(text: str):
     return out
 
 
-def _fraction(text: str) -> Fraction:
+def _fraction(text: str, field: Field) -> FieldElement:
+    """The element of ``field`` that a decimal fraction names."""
     try:
-        return Fraction(text)
+        return field.element(Fraction(text))
     except ZeroDivisionError:
         raise FormatError(f"zero denominator in {text!r}") from None
+    except (FieldError, ValueError) as exc:
+        raise FormatError(f"bad fraction {text!r}: {exc}") from None
+
+
+def _exponent(text) -> int:
+    """The exponent after a "^"; 1 when there is none."""
+    try:
+        return int(text or 1)
+    except ValueError as exc:   # more digits than int() converts
+        raise FormatError(f"bad exponent: {exc}") from None
 
 
 def parse_scalar(text: str, field: Field) -> FieldElement:
@@ -159,14 +170,14 @@ def parse_scalar(text: str, field: Field) -> FieldElement:
         m = _TERM_RE.match(term)
         if not m or (m.group("num") is None and m.group("name") is None):
             raise FormatError(f"bad scalar term {term!r} in {text!r}")
-        value = field.element(_fraction(m.group("num"))) if m.group("num") \
+        value = _fraction(m.group("num"), field) if m.group("num") \
             else field.one()
         name = m.group("name")
         if name is not None:
             if name not in gens:
                 raise FormatError(
                     f"unknown generator {name!r} over {field!r}")
-            value = value * gens[name] ** int(m.group("exp") or 1)
+            value = value * gens[name] ** _exponent(m.group("exp"))
         total = total + (value if sign > 0 else -value)
     return total
 
@@ -201,9 +212,9 @@ def parse_poly_in_t(text: str, rff: RationalFunctionField):
         elif m.group("paren") is not None:
             value = rff.const(parse_scalar(m.group("paren"), rff.field))
         else:
-            value = rff.const(rff.field.element(_fraction(coef)))
+            value = rff.const(_fraction(coef, rff.field))
         if m.group("t"):
-            value = value * t ** int(m.group("exp") or 1)
+            value = value * t ** _exponent(m.group("exp"))
         total = total + (value if sign > 0 else -value)
     return total
 
@@ -265,6 +276,8 @@ def parse_vector(payload) -> StructureVector:
     if not isinstance(payload, dict) or "entries" not in payload:
         raise FormatError("vector payload must be an object with 'entries'")
     field = parse_field(payload.get("field", {"char": 0}))
+    if not isinstance(payload["entries"], list):
+        raise FormatError("vector 'entries' must be a list")
     terms = []
     for entry in payload["entries"]:
         if not isinstance(entry, dict) or not {"i", "j", "k", "c"} <= set(entry):

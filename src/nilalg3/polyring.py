@@ -4,9 +4,12 @@ Coefficients live in any field from the tower.  Multivariate division is
 deliberately absent: identity checks clear denominators first and then test
 for the zero polynomial.  Only the univariate case (curves in t) carries a
 fraction field, with gcd reduction and a monic denominator as the canonical
-form.  Univariate long division lives in ``fields._pdivmod``: ``poly_gcd``
-takes its remainder and the canonical form its quotient.  The derived
-operators (``-``, ``/``, ``**``) come from ``fields.ScalarOps``.
+form; a constant denominator needs no gcd, so polynomials in t stay cheap.
+Univariate long division lives in ``fields._pdivmod``: ``poly_gcd`` takes
+its remainder and the canonical form its quotient.  The derived operators
+(``-``, ``/``, ``**``) come from ``fields.ScalarOps``.  Curve limits are
+checked over F[t] by ``t_valuation`` (``degeneration.curve_limit``);
+``limit_at_zero`` is the rational-function route that cross-checks it.
 """
 
 from __future__ import annotations
@@ -300,15 +303,16 @@ class RationalFunction(ScalarOps):
             raise ZeroDivisionError("rational function with zero denominator")
         if num.is_zero():
             return cls(parent, parent.ring.zero(), parent.ring.one())
-        g = poly_gcd(num, den)
-        if g.degree() > 0:
-            gn = dense_coefficients(g)
-            zero = parent.field.zero()
-            (qn, rn), (qd, rd) = (_pdivmod(dense_coefficients(p), gn, zero)
-                                  for p in (num, den))
-            if rn or rd:
-                raise PolyRingError("division was not exact")
-            num, den = from_dense(parent.ring, qn), from_dense(parent.ring, qd)
+        if den.degree() > 0:    # the gcd with a nonzero constant is 1
+            g = poly_gcd(num, den)
+            if g.degree() > 0:
+                gn = dense_coefficients(g)
+                zero = parent.field.zero()
+                (qn, rn), (qd, rd) = (_pdivmod(dense_coefficients(p), gn, zero)
+                                      for p in (num, den))
+                if rn or rd:
+                    raise PolyRingError("division was not exact")
+                num, den = from_dense(parent.ring, qn), from_dense(parent.ring, qd)
         dl = dense_coefficients(den)[-1]
         if dl != parent.field.one():
             inv = dl.inverse()

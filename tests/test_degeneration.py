@@ -6,6 +6,8 @@ reason (a semicontinuous invariant, a verified polynomial identity, or
 transitivity through an already-settled pair).
 """
 
+import random
+
 import pytest
 
 from nilalg3.catalogue import (AlgebraId, adelta, a3kappa, identify, quarter,
@@ -17,7 +19,7 @@ from nilalg3.degeneration import (CurveWitness, DegenerationError,
                                   search_witness, verify_lemma_identities,
                                   verify_witness)
 from nilalg3.fields import PrimeField, RATIONALS, gf4
-from nilalg3.polyring import RationalFunctionField
+from nilalg3.polyring import PoleAtZero, RationalFunctionField, limit_at_zero
 from nilalg3.structspace import Matrix3, act, basis_vector
 
 Q = RATIONALS
@@ -155,6 +157,61 @@ def test_verify_rejects_singular_curve():
     g = Matrix3.from_rows(rff, [[1, 0, 0], [1, 0, 0], [0, 0, 1]])
     with pytest.raises(DegenerationError):
         curve_limit(CurveWitness(C3, C3, g))
+
+
+def _oracle_limit(witness):
+    """The rational-function route: act over F(t), then limit_at_zero."""
+    rff = witness.matrix.parent
+    if witness.matrix.det().is_zero():
+        return "singular"
+    moved = act(structure_of(witness.src, rff.field).lift(rff), witness.matrix)
+    try:
+        return moved.map_scalars(limit_at_zero, rff.field)
+    except PoleAtZero:
+        return "pole"
+
+
+def _random_entry(rng, rff, elems):
+    """0 half the time; otherwise a polynomial of degree <= 2, over a
+    nonconstant denominator a third of the time."""
+    if rng.random() < 0.5:
+        return rff.zero()
+    t = rff.gen()
+
+    def poly(lo):
+        return sum((rff.const(rng.choice(elems)) * t ** e for e in range(lo, 3)),
+                   rff.zero())
+
+    num = poly(rng.randrange(3))
+    if rng.random() < 1 / 3:
+        den = poly(0)
+        if den.num.degree() > 0:
+            return num / den
+    return num
+
+
+@pytest.mark.parametrize("field", [Q, GF7, GF2, gf4()],
+                         ids=["Q", "GF7", "GF2", "GF4"])
+def test_curve_limit_agrees_with_rational_function_route(field):
+    rng = random.Random(20260)
+    rff = RationalFunctionField(field, "t")
+    elems = ([field.element(c) for c in range(-3, 4)] if field.char == 0
+             else list(field.elements()))
+    sources = (C1, C3, L1, C5, adelta(field, 1))
+    seen = {"limit": 0, "pole": 0, "singular": 0}
+    for _ in range(40):
+        g = Matrix3.from_rows(rff, [[_random_entry(rng, rff, elems)
+                                     for _ in range(3)] for _ in range(3)])
+        w = CurveWitness(rng.choice(sources), A0, g)
+        expect = _oracle_limit(w)
+        if isinstance(expect, str):
+            seen[expect] += 1
+            with pytest.raises(DegenerationError, match=expect):
+                curve_limit(w)
+        else:
+            seen["limit"] += 1
+            assert curve_limit(w) == expect
+    assert all(seen.values()), seen
 
 
 # -- the polynomial identity suite ---------------------------------------------

@@ -87,6 +87,27 @@ def test_gf16_structure():
     assert g ** 5 != F.one() or g ** 3 != F.one()
 
 
+def test_extension_reprs_are_injective():
+    # a compound GF(4) coefficient of s is bracketed, so no two of the
+    # sixteen elements of GF(16) = GF(4)(s) print alike
+    reprs = [repr(x) for x in gf16().elements()]
+    assert len(set(reprs)) == 16
+    assert {"(1+w)s", "1+(1+w)s", "1+ws", "1+w+ws"} <= set(reprs)
+    # one level over Q or GF(p) renders as it always has
+    assert [repr(x) for x in gf4().elements()] == ["0", "w", "1", "1+w"]
+    Qi = SimpleExtension(RATIONALS, [1, 0, 1], "i")
+    Q5 = SimpleExtension(RATIONALS, [-5, 0, 1], "r")
+    samples = {(Qi, (0, Fraction(3, 2))): "3/2i",
+               (Qi, (Fraction(-3, 2), -2)): "-3/2-2i",
+               (Qi, (1, Fraction(3, 2))): "1+3/2i",
+               (Qi, (0, -1)): "-i",
+               (Q5, (Fraction(4, 3), -1)): "4/3-r",
+               (Q5, (5, Fraction(-1, 2))): "5-1/2r",
+               (Q5, (2, 3)): "2+3r"}
+    for (field, rep), text in samples.items():
+        assert repr(field.element(list(rep))) == text
+
+
 def test_extension_embed_chain():
     F = gf16()
     base = F.base if isinstance(F, SimpleExtension) else F

@@ -1,11 +1,13 @@
 """Text and JSON grammars for scalars, polynomials, ids, vectors, witnesses."""
 
 import json
+import random
 from fractions import Fraction
 
 import pytest
 
 from nilalg3.catalogue import AlgebraId, adelta
+from nilalg3.cli import main
 from nilalg3.degeneration import CurveWitness, search_witness, verify_witness
 from nilalg3.fields import PrimeField, RATIONALS, gf4
 from nilalg3.ioformats import (FormatError, describe_field, parse_algebra_id,
@@ -143,6 +145,23 @@ def test_vector_errors():
         parse_vector("not json")
 
 
+def test_vector_entries_must_be_a_list():
+    for entries in (5, None, "231"):
+        with pytest.raises(FormatError):
+            parse_vector({"entries": entries})
+
+
+def test_overlong_numbers_are_format_errors():
+    digits = "1" * 5000     # more than int() converts from text
+    rff = RationalFunctionField(RATIONALS, "t")
+    with pytest.raises(FormatError):
+        parse_scalar(digits, RATIONALS)
+    with pytest.raises(FormatError):
+        parse_scalar("w^" + digits, gf4())
+    with pytest.raises(FormatError):
+        parse_poly_in_t("t^" + digits, rff)
+
+
 def test_parse_matrix():
     F = PrimeField(5)
     m = parse_matrix('[[1,0,0],[0,"1/2",0],[0,0,"4"]]', F)
@@ -204,3 +223,75 @@ def test_witness_errors():
         parse_witness({"src": "c3", "matrix": [["1"] * 3] * 3})
     with pytest.raises(FormatError):
         parse_witness({"src": "c3", "dst": "c1", "matrix": [["1"] * 2] * 3})
+
+
+# -- seeded fuzzing of the text grammars ------------------------------------------
+
+
+_FUZZ_ALPHABET = "0123456789/+-*^()tw " + "x.,;:$[]{}\"'\\\t\u00e9"
+_FUZZ_FIELDS = {
+    "Q": (RATIONALS, {"char": 0}),
+    "GF7": (PrimeField(7), {"char": 7}),
+    "GF4": (gf4(), {"char": 2, "ext": {"name": "w", "min_poly": [1, 1, 1]}}),
+}
+_FUZZ_SCALARS = ("0", "3", "-1/2", "5/3", "2+3w", "w^2-1", "1+w")
+_FUZZ_POLYS = ("t", "1/2t", "3t^2-1", "-t^3+2", "(2)*t", "(1+w)*t^2+(w)*t+1")
+
+
+def _mutate(rng, text):
+    """One to four random insertions, deletions or replacements."""
+    chars = list(text)
+    for _ in range(rng.randint(1, 4)):
+        op, ch = rng.randrange(3), rng.choice(_FUZZ_ALPHABET)
+        if op == 0 or not chars:
+            chars.insert(rng.randrange(len(chars) + 1), ch)
+        elif op == 1:
+            del chars[rng.randrange(len(chars))]
+        else:
+            chars[rng.randrange(len(chars))] = ch
+    return "".join(chars)
+
+
+def _fuzz_rejects(parse, texts):
+    """Feed every text to parse; return those it refuses with FormatError.
+    Any other exception propagates and fails the calling test."""
+    rejected = []
+    for text in texts:
+        try:
+            parse(text)
+        except FormatError:
+            rejected.append(text)
+    return rejected
+
+
+@pytest.mark.parametrize("name", sorted(_FUZZ_FIELDS))
+def test_fuzzed_texts_parse_or_raise_format_error(name, capsys, tmp_path):
+    field, desc = _FUZZ_FIELDS[name]
+    rff = RationalFunctionField(field, "t")
+    rng = random.Random(4242)
+    vector = json.dumps({"field": desc, "entries": [
+        {"i": 2, "j": 3, "k": 1, "c": "1"}, {"i": 3, "j": 3, "k": 1, "c": "2"}]})
+    scalars = [_mutate(rng, s) for s in _FUZZ_SCALARS for _ in range(100)]
+    polys = [_mutate(rng, p) for p in _FUZZ_POLYS for _ in range(100)]
+    vectors = [_mutate(rng, vector) for _ in range(400)]
+    bad_scalars = _fuzz_rejects(lambda s: parse_scalar(s, field), scalars)
+    bad_polys = _fuzz_rejects(lambda s: parse_poly_in_t(s, rff), polys)
+    bad_vectors = _fuzz_rejects(parse_vector, vectors)
+    assert bad_scalars and bad_polys and bad_vectors
+
+    # a handful of the refused texts through the command line: exit 2
+    cases = [(("invariants", f"a({text})", "--char", str(field.char)), None)
+             for text in bad_scalars[:3]]
+    cases += [(("verify-witness", "{file}"), json.dumps({
+        "src": "c3", "dst": "c1", "field": desc,
+        "matrix": [[text, "0", "0"], ["0", "t", "0"], ["0", "0", "1"]]}))
+        for text in bad_polys[:3]]
+    cases += [(("identify", "{file}"), text) for text in bad_vectors[:3]]
+    path = tmp_path / "payload.json"
+    for argv, payload in cases:
+        if payload is not None:
+            path.write_text(payload)
+        code = main([a.replace("{file}", str(path)) for a in argv])
+        err = capsys.readouterr().err
+        assert code == 2, (argv, payload, err)
+        assert err.startswith("error: ") and "Traceback" not in err

@@ -6,12 +6,14 @@ after substituting random points.
 """
 
 import random
+from fractions import Fraction
 
 import pytest
 
 from nilalg3.fields import PrimeField, RATIONALS, gf4
-from nilalg3.polyring import (PoleAtZero, PolyRing, RationalFunctionField,
-                              limit_at_zero, t_valuation)
+from nilalg3 import polyring
+from nilalg3.polyring import (PoleAtZero, PolyRing, RationalFunction,
+                              RationalFunctionField, limit_at_zero, t_valuation)
 
 
 def _random_poly(ring, rng, nterms=4, deg=3):
@@ -73,6 +75,28 @@ def test_rational_function_cancellation():
     r = (t * t - 1) / (t - 1)
     assert r == t + 1
     assert ((t + 2) / (t + 2)) == K.one()
+
+
+def test_constant_denominator_needs_no_gcd(monkeypatch):
+    # num/c with a constant c != 1 keeps its canonical form, (num/c, 1),
+    # without a gcd: the gcd with a nonzero constant is 1
+    def no_gcd(a, b):
+        raise AssertionError("poly_gcd called for a constant denominator")
+
+    monkeypatch.setattr(polyring, "poly_gcd", no_gcd)
+    F4 = gf4()
+    w = F4.generator()
+    for field, c, lin, const, want_lin, want_const in (
+            (RATIONALS, 2, 3, 1, Fraction(3, 2), Fraction(1, 2)),
+            (PrimeField(7), 3, 3, 1, 1, 5),
+            (F4, w, w, 1, 1, w + 1)):
+        K = RationalFunctionField(field, "t")
+        t = K.ring.var("t")
+        num = t * field.element(lin) + field.element(const)
+        r = RationalFunction._make(K, num, K.ring.const(c))
+        assert r.num.terms == {(1,): field.element(want_lin),
+                               (0,): field.element(want_const)}
+        assert r.den == K.ring.one()
 
 
 def test_rational_function_field_ops():
