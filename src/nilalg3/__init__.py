@@ -24,8 +24,8 @@ from .degeneration import (CurveWitness, DegenerationError, DegenerationFact,
                            degenerates, known_witness,
                            lift_witness_to_rationals, search_witness,
                            verify_lemma_identities, verify_witness)
-from .fields import (Field, FieldElement, FieldError, NeedsFieldExtension,
-                     PrimeField, RATIONALS, Rationals, SimpleExtension,
+from .fields import (Field, FieldElement, FieldError, FiniteField,
+                     NeedsFieldExtension, PrimeField, RATIONALS, Rationals, SimpleExtension,
                      extend_with_root, gf4, gf16)
 from .hasse import (HasseDiagram, HasseError, NODE_ORDER, build_graph,
                     compare_expected, emit)
@@ -38,7 +38,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AlgebraId", "CatalogueError", "CurveWitness", "DegenerationError",
-    "DegenerationFact", "Field", "FieldElement", "FieldError",
+    "DegenerationFact", "Field", "FieldElement", "FieldError", "FiniteField",
     "HasseDiagram", "HasseError", "InvariantProfile", "IsoWitness",
     "Matrix3", "MultiPoly", "NODE_ORDER", "NeedsFieldExtension",
     "NotNilpotentError", "OBSTRUCTION_TAGS", "Obstruction", "PoleAtZero",

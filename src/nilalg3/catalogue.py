@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from .fields import (Field, FieldElement, NeedsFieldExtension,
                      extend_with_root, square_roots, quadratic_roots)
 from . import algprops
-from .structspace import Matrix3, StructureVector, act, basis_vector
+from .structspace import Matrix3, StructureVector, act
 
 CANONICAL_TAGS = ("a0", "c1", "c3", "l1", "c5", "a")
 AUXILIARY_TAGS = ("h", "a3", "rho", "chat3", "a2")
@@ -86,35 +86,30 @@ def _param_in(ident: AlgebraId, field: Field) -> FieldElement:
     return field.element(p)
 
 
+# (i, j, k, c): e_i e_j = c e_k, with c None for the family parameter
+_STRUCTURES = {
+    "a0": (),
+    "c1": ((3, 3, 1, 1),),
+    "c3": ((2, 2, 1, 1), (3, 3, 1, 1)),
+    "l1": ((2, 3, 1, 1), (3, 2, 1, -1)),
+    "c5": ((1, 1, 2, 1), (1, 2, 3, 1), (2, 1, 3, 1)),
+    "a": ((2, 2, 1, 1), (2, 3, 1, 1), (3, 3, 1, None)),
+    "h": ((2, 3, 1, 1), (3, 2, 1, None)),
+    "a3": ((2, 2, 1, 1), (3, 2, 1, None), (3, 3, 1, 1)),
+    "rho": ((2, 2, 1, 1), (3, 2, 1, 2), (3, 3, 1, 1)),
+    "chat3": ((2, 3, 1, 1), (3, 2, 1, 1)),
+    "a2": ((2, 3, 1, 1),),
+}
+
+
 def structure_of(ident: AlgebraId, field: Field) -> StructureVector:
     """The defining structure vector of a catalogue algebra over ``field``."""
-    def bv(i, j, k):
-        return basis_vector(field, i, j, k)
-
     t = ident.tag
-    if t == "a0":
-        return StructureVector.zero(field)
-    if t == "c1":
-        return bv(3, 3, 1)
-    if t == "c3":
-        return bv(2, 2, 1) + bv(3, 3, 1)
-    if t == "l1":
-        return bv(2, 3, 1) - bv(3, 2, 1)
-    if t == "c5":
-        return bv(1, 1, 2) + bv(1, 2, 3) + bv(2, 1, 3)
-    if t == "a":
-        return bv(2, 2, 1) + bv(2, 3, 1) + bv(3, 3, 1).scale(_param_in(ident, field))
-    if t == "h":
-        return bv(2, 3, 1) + bv(3, 2, 1).scale(_param_in(ident, field))
-    if t == "a3":
-        return bv(2, 2, 1) + bv(3, 2, 1).scale(_param_in(ident, field)) + bv(3, 3, 1)
-    if t == "rho":
-        return bv(2, 2, 1) + bv(3, 2, 1).scale(field.from_int(2)) + bv(3, 3, 1)
-    if t == "chat3":
-        return bv(2, 3, 1) + bv(3, 2, 1)
-    if t == "a2":
-        return bv(2, 3, 1)
-    raise CatalogueError(f"unknown algebra tag {t!r}")
+    if t not in _STRUCTURES:
+        raise CatalogueError(f"unknown algebra tag {t!r}")
+    param = _param_in(ident, field) if t in PARAMETRIC_TAGS else None
+    return StructureVector.from_terms(field, [
+        (i, j, k, param if c is None else c) for i, j, k, c in _STRUCTURES[t]])
 
 
 @dataclass(frozen=True)

@@ -583,27 +583,6 @@ class SearchResult:
         return self.witness is not None
 
 
-class _FiniteOps:
-    """Integer-coded arithmetic tables for a small finite field."""
-
-    def __init__(self, field: Field):
-        if not field.is_finite():
-            raise DegenerationError("search kernel needs a finite field")
-        elems = list(field.elements())
-        self.field = field
-        self.elems = elems
-        self.q = len(elems)
-        index = {e: i for i, e in enumerate(elems)}
-        if not elems[0].is_zero():
-            raise DegenerationError("element enumeration must start at zero")
-        self.index = index
-        self.add = [[index[a + b] for b in elems] for a in elems]
-        self.mul = [[index[a * b] for b in elems] for a in elems]
-        self.neg = [index[-a] for a in elems]
-        self.inv = [None] + [index[elems[i].inverse()] for i in range(1, self.q)]
-        self.nonzero = list(range(1, self.q))
-
-
 _PERM3 = (((0, 1, 2), 1), ((1, 2, 0), 1), ((2, 0, 1), 1),
           ((0, 2, 1), -1), ((1, 0, 2), -1), ((2, 1, 0), -1))
 
@@ -611,10 +590,6 @@ _PERM3 = (((0, 1, 2), 1), ((1, 2, 0), 1), ((2, 0, 1), 1),
 _ADJ_INDEX = [[((s + 1) % 3, (r + 1) % 3, (s + 2) % 3, (r + 2) % 3,
                 (s + 1) % 3, (r + 2) % 3, (s + 2) % 3, (r + 1) % 3)
                for s in range(3)] for r in range(3)]
-
-
-def _encode_vector(vec: StructureVector, ops: _FiniteOps):
-    return [(i - 1, j - 1, k - 1, ops.index[c]) for i, j, k, c in vec.terms()]
 
 
 def search_witness(src: AlgebraId, dst: AlgebraId, field: Field,
@@ -629,22 +604,27 @@ def search_witness(src: AlgebraId, dst: AlgebraId, field: Field,
     verify_witness() before being returned.
     """
     started = time.monotonic()
-    ops = _FiniteOps(field)
-    src_vec = structure_of(src, field)
-    dst_vec = structure_of(dst, field)
-    support = _encode_vector(src_vec, ops)
+    if not field.is_finite():
+        raise DegenerationError("search kernel needs a finite field")
+    support = [(i - 1, j - 1, k - 1, c.rep)
+               for i, j, k, c in structure_of(src, field).terms()]
     target = {}
     for a in range(3):
         for b in range(3):
             for c in range(3):
                 target[(a, b, c)] = 0
-    for i, j, k, cf in dst_vec.terms():
-        target[(i - 1, j - 1, k - 1)] = ops.index[cf]
+    for i, j, k, cf in structure_of(dst, field).terms():
+        target[(i - 1, j - 1, k - 1)] = cf.rep
     positions = sorted(target)
 
+    # element reps are the codes range(q), zero first
+    codes = range(field.order())
+    add = [[field._add(a, b) for b in codes] for a in codes]
+    mul = [[field._mul(a, b) for b in codes] for a in codes]
+    neg = [field._neg(a) for a in codes]
+    inv = [None] + [field._inv(a) for a in codes[1:]]
+    nonzero = codes[1:]
     rng = random.Random(seed)
-    add, mul, neg, inv = ops.add, ops.mul, ops.neg, ops.inv
-    nonzero = ops.nonzero
     dmax = degree_bound
 
     hit = None
@@ -756,7 +736,7 @@ def search_witness(src: AlgebraId, dst: AlgebraId, field: Field,
                 if cell is None:
                     row.append(rff.zero())
                 else:
-                    row.append(rff.const(ops.elems[cell[1]]) * t ** cell[0])
+                    row.append(rff.const(FieldElement(field, cell[1])) * t ** cell[0])
             rows.append(row)
         witness = CurveWitness(src, dst, Matrix3.from_rows(rff, rows),
                                note=f"search-seed{seed}")

@@ -2,8 +2,12 @@
 
 The tower starts at the rationals or at a prime field GF(p) and grows by
 simple algebraic extensions F[x]/(m(x)) whenever a computation needs a root
-the current field lacks.  Elements are always held in canonical form
-(reduced fractions, least nonnegative residues, remainders modulo a monic
+the current field lacks.  Over a finite base the extension is a
+:class:`FiniteField`, whose elements are integer codes with log/antilog
+tables built once per field (GF(16) is GF(4)(s) and GF(4) is GF(2)(w), both
+finite fields); over characteristic 0 it is a :class:`SimpleExtension` of
+coefficient tuples.  Elements are always held in canonical form (reduced
+fractions, least nonnegative residues, codes, remainders modulo a monic
 minimal polynomial), so equality is structural comparison and every value
 is immutable and hashable.
 """
@@ -11,6 +15,7 @@ is immutable and hashable.
 from __future__ import annotations
 
 import itertools
+import operator
 from fractions import Fraction
 from math import gcd, isqrt
 
@@ -425,15 +430,16 @@ def _peval(coeffs, x, zero):
     return out
 
 
-class SimpleExtension(Field):
+class _Extension(Field):
     """F(g) = F[x]/(m(x)) for a monic minimal polynomial m over the base F.
 
-    Elements are coefficient tuples of length deg(m) in the powers of the
-    generator.  For degree at most 3 the constructor verifies that m has no
-    root in F (which for those degrees is full irreducibility); over a
-    finite F higher degrees get trial division by every monic polynomial of
-    degree at most deg(m)/2, over an infinite F they are trusted to the
-    caller.
+    The part shared by :class:`SimpleExtension` (characteristic 0) and
+    :class:`FiniteField`: the normalised minimal polynomial, the refusal of
+    reducible ones, embedding, coercion, rendering and equality.  Each
+    subclass supplies its representation through ``_lift`` (the rep of a
+    base rep), ``_from_coefficients`` (the rep of a coefficient list in the
+    powers of the generator, reduced modulo m) and ``_coefficients`` (the
+    base reps of the coefficients of a rep, constant first).
     """
 
     def __init__(self, base: Field, minpoly, name: str):
@@ -450,6 +456,18 @@ class SimpleExtension(Field):
         self.minpoly = tuple(coeffs)
         self.degree = len(coeffs) - 1
         self.char = base.char
+        self._key = (base, self.minpoly, name)
+        self._hash = hash(("ext", *self._key))
+
+    def _refuse_factors(self):
+        """Raise FieldError when m visibly factors over the base.
+
+        For degree at most 3 that means a root in the base, which for those
+        degrees is full irreducibility; over a finite base higher degrees
+        get trial division by every monic polynomial of degree at most
+        deg(m)/2, over an infinite base they are trusted to the caller.
+        """
+        base = self.base
         if self.degree <= 3:
             root = _find_root(base, self.minpoly)
             if root is not None:
@@ -466,27 +484,13 @@ class SimpleExtension(Field):
                             f"(constant first) over {base!r}")
 
     def generator(self) -> FieldElement:
-        rep = [self.base.zero()] * self.degree
-        rep[1] = self.base.one()
-        return FieldElement(self, tuple(rep))
+        return self.element([0, 1])
 
     def embed(self, x: FieldElement) -> FieldElement:
         if isinstance(x, FieldElement) and x.field == self:
             return x
         bx = x if x.field == self.base else self.base.embed(x)
-        rep = [bx] + [self.base.zero()] * (self.degree - 1)
-        return FieldElement(self, tuple(rep))
-
-    def is_finite(self) -> bool:
-        return self.base.is_finite()
-
-    def order(self) -> int:
-        return self.base.order() ** self.degree
-
-    def elements(self):
-        base_elems = list(self.base.elements())
-        for combo in itertools.product(base_elems, repeat=self.degree):
-            yield FieldElement(self, tuple(combo))
+        return FieldElement(self, self._lift(bx.rep))
 
     def _coerce(self, value):
         if isinstance(value, FieldElement):
@@ -494,16 +498,59 @@ class SimpleExtension(Field):
                 return value.rep
             return self.embed(value).rep
         if isinstance(value, (int, Fraction)):
-            rep = [self.base.element(value)] + [self.base.zero()] * (self.degree - 1)
-            return tuple(rep)
+            return self._lift(self.base.element(value).rep)
         if isinstance(value, (tuple, list)):
-            coeffs = [self.base.element(c) if not isinstance(c, FieldElement) else c
-                      for c in value]
-            if any(c.field != self.base for c in coeffs):
-                raise FieldError("coefficients must live in the base field")
-            coeffs = self._reduce(coeffs)
-            return tuple(coeffs)
+            return self._from_coefficients([self.base.element(c) for c in value])
         raise FieldError(f"cannot build an element of {self!r} from {value!r}")
+
+    def _render(self, a):
+        base = self.base
+
+        def coefficient(i, c):
+            # a base sum before the generator is bracketed: (1+w)s, not 1+ws
+            text = base._render(c)
+            return f"({text})" if i and any(ch in text[1:] for ch in "+-") else text
+
+        return signed_sum((coefficient(i, c),
+                           "" if i == 0 else self.name if i == 1
+                           else f"{self.name}^{i}")
+                          for i, c in enumerate(self._coefficients(a))
+                          if not base._is_zero(c))
+
+    def __eq__(self, other):
+        return self is other or (type(other) is type(self) and other._key == self._key)
+
+    def __hash__(self):
+        return self._hash
+
+    def __repr__(self):
+        return f"{self.base!r}({self.name})"
+
+
+class SimpleExtension(_Extension):
+    """A number field F(g) over Q or over another characteristic-0 extension.
+
+    Elements are coefficient tuples of length deg(m) in the powers of the
+    generator.  Finite bases get a :class:`FiniteField` instead.
+    """
+
+    def __init__(self, base: Field, minpoly, name: str):
+        if base.is_finite():
+            raise FieldError(f"extensions of {base!r} are FiniteFields")
+        super().__init__(base, minpoly, name)
+        self._refuse_factors()
+
+    def is_finite(self) -> bool:
+        return False
+
+    def _lift(self, r):
+        return (FieldElement(self.base, r),) + (self.base.zero(),) * (self.degree - 1)
+
+    def _from_coefficients(self, coeffs):
+        return tuple(self._reduce(coeffs))
+
+    def _coefficients(self, a):
+        return [c.rep for c in a]
 
     def _reduce(self, coeffs):
         coeffs = list(coeffs)
@@ -549,26 +596,152 @@ class SimpleExtension(Field):
     def _sort_key(self, a):
         return tuple(self.base._sort_key(c.rep) for c in a)
 
-    def _render(self, a):
-        def coefficient(i, c):
-            # a base sum before the generator is bracketed: (1+w)s, not 1+ws
-            text = self.base._render(c.rep)
-            return f"({text})" if i and any(ch in text[1:] for ch in "+-") else text
 
-        return signed_sum((coefficient(i, c),
-                           "" if i == 0 else self.name if i == 1
-                           else f"{self.name}^{i}")
-                          for i, c in enumerate(a) if not c.is_zero())
+MAX_FINITE_ORDER = 1 << 16
 
-    def __eq__(self, other):
-        return (isinstance(other, SimpleExtension) and other.base == self.base
-                and other.minpoly == self.minpoly and other.name == self.name)
 
-    def __hash__(self):
-        return hash(("ext", self.base, self.minpoly, self.name))
+class FiniteField(_Extension):
+    """GF(q) = F[x]/(m(x)) over a finite F, which is GF(p) or a FiniteField.
 
-    def __repr__(self):
-        return f"{self.base!r}({self.name})"
+    An element's rep is an integer code in range(q): the coefficients
+    c_0, ..., c_{d-1} of 1, g, ..., g^(d-1), as codes of F, are the digits
+    of a base-|F| number with c_0 the most significant.  ``elements()`` is
+    range(q) in that order and a code is its own sort key.  Products and
+    inverses are lookups in log/antilog tables, built once here from a
+    primitive element; sums are XOR of codes in characteristic 2 and go
+    through a Zech-logarithm table otherwise.  A field of more than
+    MAX_FINITE_ORDER elements is refused before any other work, since every
+    table has q entries.
+    """
+
+    def __init__(self, base: Field, minpoly, name: str):
+        if not isinstance(base, (PrimeField, FiniteField)):
+            raise FieldError(f"{base!r} is not a finite field")
+        super().__init__(base, minpoly, name)
+        b, d = base.order(), self.degree
+        if b ** d > MAX_FINITE_ORDER:
+            raise FieldError(f"{self!r} would have {b}^{d} elements, more "
+                             f"than {MAX_FINITE_ORDER}")
+        self._refuse_factors()
+        self._b, self._q = b, b ** d
+        self._shift = b ** (d - 1)          # the code of c is c * shift
+        self._x = base.one().rep * b ** (d - 2)
+        self._build_tables()
+
+    def _build_tables(self):
+        base, b, d, q = self.base, self._b, self.degree, self._q
+        low = [c.rep for c in self.minpoly[:-1]]
+
+        def mulmod(u, v):       # coefficient lists of base reps, constant first
+            prod = [0] * (2 * d - 1)
+            for i, x in enumerate(u):
+                if x:
+                    for j, y in enumerate(v):
+                        prod[i + j] = base._add(prod[i + j], base._mul(x, y))
+            for k in range(2 * d - 2, d - 1, -1):
+                if prod[k]:
+                    for j, m in enumerate(low):
+                        prod[k - d + j] = base._add(
+                            prod[k - d + j], base._neg(base._mul(prod[k], m)))
+            return prod[:d]
+
+        def power(u, e):
+            out = one
+            while e:
+                if e & 1:
+                    out = mulmod(out, u)
+                u = mulmod(u, u)
+                e >>= 1
+            return out
+
+        def code(coeffs):
+            out = 0
+            for c in coeffs:
+                out = out * b + c
+            return out
+
+        # the generator if it is primitive, else the first primitive code
+        one = [base.one().rep] + [0] * (d - 1)
+        proper = _divisors(q - 1)[:-1]
+        for g in itertools.chain((self._x,), range(1, q)):
+            gv = self._coefficients(g)
+            if all(power(gv, e) != one for e in proper):
+                break
+        # v -> v * g is additive: a sum of one lookup per digit of v
+        rows = [[mulmod([0] * i + [c], gv) for c in range(b)] for i in range(d)]
+        vadd = operator.xor if self.char == 2 else base._add
+        exp, sums, v = [], [], one      # sums[n] is the code of 1 + g^n
+        for _ in range(q - 1):
+            exp.append(code(v))
+            sums.append(code(map(vadd, one, v)))
+            w = [0] * d
+            for row, c in zip(rows, v):
+                if c:
+                    w = list(map(vadd, w, row[c]))
+            v = w
+        log = [0] * q
+        for i, v in enumerate(exp):
+            log[v] = i
+        self._exp, self._log = exp + exp, log
+        # zech[n] = log(1 + g^n), None where 1 + g^n = 0
+        self._zech = [log[s] if s else None for s in sums]
+        minus_one = log[self._lift(base._neg(base.one().rep))]
+        self._negs = [0] + [self._exp[log[a] + minus_one] for a in range(1, q)]
+        self._invs = [0] + [exp[-log[a]] for a in range(1, q)]
+        if self.char == 2:
+            self._add = operator.xor    # the same sums as _add, faster
+
+    def is_finite(self) -> bool:
+        return True
+
+    def order(self) -> int:
+        return self._q
+
+    def elements(self):
+        for c in range(self._q):
+            yield FieldElement(self, c)
+
+    def _lift(self, r):
+        return r * self._shift
+
+    def _from_coefficients(self, coeffs):
+        out = 0
+        for c in reversed(coeffs):
+            out = self._add(self._mul(out, self._x), self._lift(c.rep))
+        return out
+
+    def _coefficients(self, a):
+        out = []
+        for _ in range(self.degree):
+            a, c = divmod(a, self._b)
+            out.append(c)
+        return out[::-1]
+
+    def _add(self, a, b):
+        if not a:
+            return b
+        if not b:
+            return a
+        la = self._log[a]
+        z = self._zech[self._log[b] - la]
+        return 0 if z is None else self._exp[la + z]
+
+    def _neg(self, a):
+        return self._negs[a]
+
+    def _mul(self, a, b):
+        if a and b:
+            return self._exp[self._log[a] + self._log[b]]
+        return 0
+
+    def _inv(self, a):
+        return self._invs[a]
+
+    def _is_zero(self, a):
+        return a == 0
+
+    def _sort_key(self, a):
+        return a
 
 
 def _rational_root(base: Rationals, coeffs):
@@ -713,20 +886,20 @@ def extend_with_root(field: Field, minpoly, name: str):
     extension.  Degree 2 and 3 polynomials are refused if they already have a
     root in ``field``.
     """
-    ext = SimpleExtension(field, minpoly, name)
+    ext = (FiniteField if field.is_finite() else SimpleExtension)(field, minpoly, name)
     return ext, ext.embed
 
 
 RATIONALS = Rationals()
 
 
-def gf4(name: str = "w") -> SimpleExtension:
+def gf4(name: str = "w") -> FiniteField:
     """GF(4) as GF(2)(w) with w**2 + w + 1 = 0."""
-    return SimpleExtension(PrimeField(2), [1, 1, 1], name)
+    return FiniteField(PrimeField(2), [1, 1, 1], name)
 
 
-def gf16() -> SimpleExtension:
+def gf16() -> FiniteField:
     """GF(16) as a quadratic extension of GF(4): s**2 + s + w = 0."""
     base = gf4()
     w = base.generator()
-    return SimpleExtension(base, [w, base.one(), base.one()], "s")
+    return FiniteField(base, [w, base.one(), base.one()], "s")

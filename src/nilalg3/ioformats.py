@@ -27,7 +27,7 @@ from fractions import Fraction
 from .catalogue import AlgebraId, CatalogueError
 from .degeneration import CurveWitness
 from .fields import (Field, FieldElement, FieldError, PrimeField, RATIONALS,
-                     SimpleExtension, signed_sum)
+                     _Extension, extend_with_root, signed_sum)
 from .polyring import RationalFunctionField
 from .structspace import Matrix3, StructureVector
 
@@ -66,7 +66,7 @@ def parse_field(desc) -> Field:
         raise FormatError("'min_poly' must be a constant-first list of "
                           "integers of degree >= 2")
     try:
-        field = SimpleExtension(base, minpoly, str(ext["name"]))
+        field, _ = extend_with_root(base, minpoly, str(ext["name"]))
     except Exception as exc:
         raise FormatError(f"bad extension: {exc}") from exc
     if char == 0 and field.degree > 3:
@@ -76,7 +76,7 @@ def parse_field(desc) -> Field:
 
 
 def describe_field(field: Field) -> dict:
-    if isinstance(field, SimpleExtension):
+    if isinstance(field, _Extension):
         inner = describe_field(field.base)
         if "ext" in inner:
             raise FormatError("nested extensions have no JSON form")
@@ -105,7 +105,7 @@ _TERM_RE = re.compile(
 def _generator_table(field: Field) -> dict:
     names = {}
     level = field
-    while isinstance(level, SimpleExtension):
+    while isinstance(level, _Extension):
         names[level.name] = field.embed(level.generator())
         level = level.base
     return names

@@ -14,7 +14,7 @@ from nilalg3.catalogue import (AlgebraId, CatalogueError, IsoWitness,
                                identify_with_witness, iso_witness, quarter,
                                same_r_class, structure_of)
 from nilalg3.fields import (NeedsFieldExtension, PrimeField, RATIONALS,
-                            SimpleExtension, gf4)
+                            SimpleExtension, gf4, gf16)
 from nilalg3.polyring import RationalFunctionField
 from nilalg3.structspace import Matrix3, act, basis_vector
 
@@ -284,3 +284,18 @@ def test_identify_with_witness_extension_case():
     assert got == AlgebraId("c3")
     assert isinstance(m.parent, SimpleExtension)
     assert act(vec.lift(m.parent), m) == structure_of(got, m.parent)
+
+
+def test_structure_of_parametric_families_match_basis_vector_sums():
+    # structure_of builds each vector from its terms at once; the sums of
+    # scaled basis vectors are the oracle, the zero parameter included
+    F4, F16 = gf4(), gf16()
+    for field, extra in ((RATIONALS, -5), (PrimeField(2), 1), (PrimeField(7), 5),
+                         (F4, F4.generator()), (F16, F16.generator())):
+        for tag in ("a", "h", "a3"):
+            for p in (field.zero(), field.one(), field.from_int(3),
+                      field.element(extra)):
+                assert structure_of(AlgebraId(tag, p), field) \
+                    == _sym_family(field, tag, p), (tag, p, field)
+    F = PrimeField(7)
+    assert structure_of(AlgebraId("rho"), F) == _sym_family(F, "a3", F.from_int(2))

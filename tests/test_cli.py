@@ -4,6 +4,7 @@ import json
 import pathlib
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -216,3 +217,16 @@ def test_irreducible_quartic_still_accepted(capsys, tmp_path):
         {"char": 2, "ext": {"name": "w", "min_poly": [1, 1, 0, 0, 1]}})))
     code, out, _ = run(capsys, "identify", str(path))
     assert code == 0
+
+
+def test_oversized_field_exits_2_promptly(capsys, tmp_path):
+    # GF(13^12) has far more elements than a table-backed field may hold;
+    # the descriptor is refused before any trial division
+    path = tmp_path / "vec.json"
+    path.write_text(json.dumps(_vector(
+        {"char": 13, "ext": {"name": "w", "min_poly": [2] + [0] * 11 + [1]}})))
+    started = time.monotonic()
+    code, _, err = run(capsys, "identify", str(path))
+    assert code == 2
+    assert err.startswith("error: ")
+    assert time.monotonic() - started < 5

@@ -1,13 +1,15 @@
 """Exact scalar domains: primes, rationals, quadratic and quartic extensions."""
 
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
-from nilalg3.fields import (FieldError, NeedsFieldExtension, PrimeField,
-                            RATIONALS, SimpleExtension, extend_with_root,
-                            gf4, gf16, quadratic_roots, square_roots)
+from nilalg3.fields import (MAX_FINITE_ORDER, FieldError, FiniteField,
+                            NeedsFieldExtension, PrimeField, RATIONALS,
+                            SimpleExtension, extend_with_root, gf4, gf16,
+                            quadratic_roots, square_roots)
 from nilalg3.polyring import PolyRing, PolyRingError, RationalFunctionField
 
 
@@ -249,3 +251,104 @@ def test_derived_operator_errors():
         for op in (lambda: 1 / zero, lambda: zero ** -1, lambda: zero / 0):
             with pytest.raises(ZeroDivisionError):
                 op()
+
+
+# -- the table-backed finite fields --------------------------------------------
+
+
+FINITE = {"GF4": gf4(),
+          "GF8": FiniteField(PrimeField(2), [1, 1, 0, 1], "x"),
+          "GF9": FiniteField(PrimeField(3), [1, 0, 1], "i"),
+          "GF16": gf16(),
+          "GF49": FiniteField(PrimeField(7), [-3, 0, 1], "r")}
+
+
+def _triples(F):
+    elems = list(F.elements())
+    if F.order() <= 16:
+        return itertools.product(elems, repeat=3)
+    rng = random.Random(49)
+    return [(rng.choice(elems), rng.choice(elems), rng.choice(elems))
+            for _ in range(3000)]
+
+
+@pytest.mark.parametrize("name", sorted(FINITE))
+def test_finite_field_ring_axioms(name):
+    F = FINITE[name]
+    for a, b, c in _triples(F):
+        assert (a + b) + c == a + (b + c)
+        assert (a * b) * c == a * (b * c)
+        assert a + b == b + a and a * b == b * a
+        assert a * (b + c) == a * b + a * c
+
+
+@pytest.mark.parametrize("name", sorted(FINITE))
+def test_finite_field_inverses_and_negatives(name):
+    F = FINITE[name]
+    elems = list(F.elements())
+    assert len(set(elems)) == F.order() == len(elems)
+    assert elems[0] == F.zero()
+    for a in elems:
+        assert a + (-a) == F.zero()
+        if not a.is_zero():
+            assert a * a.inverse() == F.one()
+
+
+@pytest.mark.parametrize("name", sorted(FINITE))
+def test_finite_field_generator_is_a_root(name):
+    F = FINITE[name]
+    g = F.generator()
+    value = F.zero()
+    for i, c in enumerate(F.minpoly):
+        value = value + F.embed(c) * g ** i
+    assert value.is_zero()
+    assert len({g ** i for i in range(F.degree)}) == F.degree
+
+
+@pytest.mark.parametrize("name", sorted(FINITE))
+def test_finite_field_element_is_the_image_of_an_integer(name):
+    F = FINITE[name]
+    total = F.zero()
+    for m in range(3 * F.char + 2):
+        assert F.element(m) == F.from_int(m) == total
+        assert F.element(-m) == -total
+        total = total + F.one()
+    if F.char != 2:
+        assert F.element(Fraction(1, 2)) * 2 == F.one()
+
+
+@pytest.mark.parametrize("name", sorted(FINITE))
+def test_finite_field_embedding_preserves_sums_and_products(name):
+    F = FINITE[name]
+    base = list(F.base.elements())
+    for a, b in itertools.product(base, repeat=2):
+        assert F.embed(a + b) == F.embed(a) + F.embed(b)
+        assert F.embed(a * b) == F.embed(a) * F.embed(b)
+    assert F.embed(F.base.one()) == F.one()
+    assert len({F.embed(a) for a in base}) == len(base)
+
+
+def test_gf16_elements_keep_their_order():
+    # hasse._family_samples takes the first ten elements in this order
+    assert [repr(x) for x in gf16().elements()] == [
+        "0", "ws", "s", "(1+w)s", "w", "w+ws", "w+s", "w+(1+w)s",
+        "1", "1+ws", "1+s", "1+(1+w)s", "1+w", "1+w+ws", "1+w+s",
+        "1+w+(1+w)s"]
+
+
+def test_finite_field_order_is_bounded():
+    # 13^12 elements: refused before any irreducibility or table work
+    with pytest.raises(FieldError):
+        FiniteField(PrimeField(13), [2] + [0] * 11 + [1], "x")
+    with pytest.raises(FieldError):
+        FiniteField(PrimeField(2), [1] + [0] * 16 + [1], "x")
+    big = FiniteField(PrimeField(2), [1] + [0] * 10 + [1, 0, 1, 0, 1, 1], "x")
+    assert big.order() == MAX_FINITE_ORDER == 1 << 16
+
+
+def test_finite_bases_extend_to_finite_fields():
+    ext, emb = extend_with_root(PrimeField(7), [-3, 0, 1], "r")
+    assert isinstance(ext, FiniteField) and ext == FINITE["GF49"]
+    assert emb(PrimeField(7).element(3)) == ext.generator() ** 2
+    with pytest.raises(FieldError):
+        SimpleExtension(PrimeField(7), [-3, 0, 1], "r")

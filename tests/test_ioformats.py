@@ -295,3 +295,25 @@ def test_fuzzed_texts_parse_or_raise_format_error(name, capsys, tmp_path):
         err = capsys.readouterr().err
         assert code == 2, (argv, payload, err)
         assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_seeded_search_hits_are_pinned():
+    # a search hit's coefficients are the codes the kernel drew, so the
+    # witness and the candidate count depend on the order of elements()
+    hit = search_witness(AlgebraId("c5"), AlgebraId("c3"), gf4(),
+                         budget=20000, seed=4)
+    assert hit.tried == 8865
+    assert render_witness(hit.witness) == {
+        "src": "c5", "dst": "c3",
+        "field": {"char": 2, "ext": {"name": "w", "min_poly": [1, 1, 1]}},
+        "matrix": [["0", "(1+w)*t", "(1+w)*t"], ["0", "(w)*t", "(1+w)*t"],
+                   ["(1+w)*t^2", "(1+w)*t^2", "(w)*t"]],
+        "note": "search-seed4"}
+    F = PrimeField(7)
+    hit = search_witness(AlgebraId("a3", F.element(2)), AlgebraId("l1"), F,
+                         budget=100000, seed=1729)
+    assert hit.tried == 22628
+    assert render_witness(hit.witness) == {
+        "src": "a3(2)", "dst": "l1", "field": {"char": 7},
+        "matrix": [["t", "0", "0"], ["0", "6*t", "6"], ["0", "0", "1"]],
+        "note": "search-seed1729"}
