@@ -1,10 +1,18 @@
 """Invariants of a 3-dimensional algebra given by its structure vector.
 
 Everything here is exact linear algebra over the scalar domain of the
-vector: associativity and commutativity checks, the power chain and the
-nilpotency class, dimensions of the square, the two-sided annihilator and
-the derivation algebra, and membership in the closed set of structures
-whose generic square stays on the line of its argument.
+vector, computed from its nonzero terms c[i,j,k] only.  Associativity is
+the structure-constant identity
+
+    sum_m c[i,j,m] c[m,k,l]  =  sum_m c[j,k,m] c[i,m,l]    (all i, j, k, l),
+
+the coefficients of (e_i e_j) e_k and e_i (e_j e_k) on e_l, with each side
+summed over the pairs of nonzero terms that meet in m.  The power chain
+(the square, the cube, ...) is built once per call and gives both the
+nilpotency class and the square.  The annihilator and the derivation
+algebra are nullspaces of rows read off the nonzero terms.  Also here:
+commutativity, and membership in the closed set of structures whose
+generic square stays on the line of its argument.
 """
 
 from __future__ import annotations
@@ -25,31 +33,47 @@ def _unit_triples(parent) -> list:
     return [[o, z, z], [z, o, z], [z, z, o]]
 
 
+def _sums(pairs) -> dict:
+    out = {}
+    for key, v in pairs:
+        s = out.get(key)
+        out[key] = v if s is None else s + v
+    return out
+
+
 def is_associative(vec: StructureVector) -> bool:
-    e = _unit_triples(vec.parent)
-    for x in e:
-        for y in e:
-            xy = vec.product(x, y)
-            for z in e:
-                left = vec.product(xy, z)
-                right = vec.product(x, vec.product(y, z))
-                if any(not (a - b).is_zero() for a, b in zip(left, right)):
-                    return False
-    return True
+    terms = vec.terms()
+    by_first, by_second = {}, {}
+    for t in terms:
+        by_first.setdefault(t[0], []).append(t)
+        by_second.setdefault(t[1], []).append(t)
+    # (e_i e_j) e_k: c[i,j,m] c[m,k,l]; e_i (e_j e_k): c[j,k,m] c[i,m,l]
+    left = _sums(((i, j, k, l), a * b) for i, j, m, a in terms
+                 for _, k, l, b in by_first.get(m, ()))
+    right = _sums(((i, j, k, l), a * b) for j, k, m, a in terms
+                  for i, _, l, b in by_second.get(m, ()))
+    zero = vec.parent.zero()
+    return all(left.get(key, zero) == right.get(key, zero)
+               for key in left.keys() | right.keys())
 
 
 def is_commutative(vec: StructureVector) -> bool:
-    for i in (1, 2, 3):
-        for j in (1, 2, 3):
-            for k in (1, 2, 3):
-                if not (vec[i, j, k] - vec[j, i, k]).is_zero():
-                    return False
-    return True
+    return all(vec[j, i, k] == c for i, j, k, c in vec.terms())
 
 
 def _echelon_basis(rows: list) -> list:
     rref, pivots = linalg.row_reduce(rows)
     return [rref[r] for r in range(len(pivots))]
+
+
+def square_basis(vec: StructureVector) -> list:
+    """Echelon basis (coordinate triples) of the span of all products.
+
+    e_i e_j has the coordinates c[i,j,1..3], so the rows are read off the
+    vector.
+    """
+    c = vec.coeffs
+    return _echelon_basis([list(c[n:n + 3]) for n in range(0, 27, 3)])
 
 
 def power_chain(vec: StructureVector, limit: int = 5) -> list:
@@ -61,7 +85,7 @@ def power_chain(vec: StructureVector, limit: int = 5) -> list:
     """
     e = _unit_triples(vec.parent)
     chain = []
-    current = _echelon_basis([vec.product(x, y) for x in e for y in e])
+    current = square_basis(vec)
     for _ in range(2, limit + 1):
         chain.append(current)
         if not current:
@@ -72,16 +96,16 @@ def power_chain(vec: StructureVector, limit: int = 5) -> list:
     return chain
 
 
-def nilpotency_class(vec: StructureVector) -> int:
-    """Largest number of factors with a nonzero product (0 for the zero vector).
+def chain_class(chain: list) -> int:
+    """The nilpotency class read off a :func:`power_chain`.
 
-    Raises :class:`NotNilpotentError` when the power chain stops shrinking at
-    a nonzero subspace (in dimension 3 that verdict is reached by the fifth
-    power at the latest).
+    The square is zero only for the zero vector, whose class is 0.  Raises
+    :class:`NotNilpotentError` when the chain stops shrinking at a nonzero
+    subspace (in dimension 3 that verdict is reached by the fifth power at
+    the latest).
     """
-    if vec.is_zero():
+    if not chain[0]:
         return 0
-    chain = power_chain(vec)
     prev_dim = 3
     for n, basis in enumerate(chain, start=2):
         d = len(basis)
@@ -94,10 +118,12 @@ def nilpotency_class(vec: StructureVector) -> int:
     raise NotNilpotentError("power chain still nonzero after five factors")
 
 
-def square_basis(vec: StructureVector) -> list:
-    """Echelon basis (coordinate triples) of the span of all products."""
-    e = _unit_triples(vec.parent)
-    return _echelon_basis([vec.product(x, y) for x in e for y in e])
+def nilpotency_class(vec: StructureVector) -> int:
+    """Largest number of factors with a nonzero product (0 for the zero vector).
+
+    Raises :class:`NotNilpotentError` as :func:`chain_class` does.
+    """
+    return chain_class(power_chain(vec))
 
 
 def square_dimension(vec: StructureVector) -> int:
@@ -105,14 +131,19 @@ def square_dimension(vec: StructureVector) -> int:
 
 
 def annihilator_basis(vec: StructureVector) -> list:
-    """Basis of {u : u*x = 0 = x*u for all x}."""
+    """Basis of {u : u*x = 0 = x*u for all x}.
+
+    The k-th coordinate of u*e_j is sum_i u_i c[i,j,k] and that of e_i*u is
+    sum_j u_j c[i,j,k], so a nonzero c[i,j,k] is entry i of the row
+    (u*e_j)_k and entry j of the row (e_i*u)_k.
+    """
     parent = vec.parent
-    rows = []
-    for j in (1, 2, 3):
-        for k in (1, 2, 3):
-            rows.append([vec[i, j, k] for i in (1, 2, 3)])
-            rows.append([vec[j, i, k] for i in (1, 2, 3)])
-    return linalg.nullspace_basis(rows, parent, 3)
+    zero = parent.zero()
+    rows = {}
+    for i, j, k, c in vec.terms():
+        rows.setdefault(("left", j, k), [zero] * 3)[i - 1] = c
+        rows.setdefault(("right", i, k), [zero] * 3)[j - 1] = c
+    return linalg.nullspace_basis(list(rows.values()), parent, 3)
 
 
 def annihilator_dimension(vec: StructureVector) -> int:
@@ -123,26 +154,28 @@ def derivation_dimension(vec: StructureVector) -> int:
     """Dimension of the space of derivations d(xy) = d(x)y + x d(y).
 
     The unknown is the matrix D with d(e_k) = sum_m D[m,k] e_m, flattened
-    row-major into nine columns; each basis triple (i, j, m) contributes one
-    linear equation.
+    row-major into nine columns; each basis triple (i, j, m) contributes the
+    linear equation
+
+        sum_k c[i,j,k] D[m,k] - sum_p c[p,j,m] D[p,i] - sum_p c[i,p,m] D[p,j] = 0,
+
+    so a nonzero c[a,b,k] enters the first sum of the equations (a, b, n),
+    the second of (n, b, k) and the third of (a, n, k), for n = 1, 2, 3.
     """
-    parent = vec.parent
-    zero = parent.zero()
-    rows = []
-    for i in (1, 2, 3):
-        for j in (1, 2, 3):
-            for m in (1, 2, 3):
-                row = [zero] * 9
-                for k in (1, 2, 3):
-                    n = 3 * (m - 1) + (k - 1)
-                    row[n] = row[n] + vec[i, j, k]
-                for p in (1, 2, 3):
-                    n = 3 * (p - 1) + (i - 1)
-                    row[n] = row[n] - vec[p, j, m]
-                    n = 3 * (p - 1) + (j - 1)
-                    row[n] = row[n] - vec[i, p, m]
-                rows.append(row)
-    return linalg.nullity(rows, 9)
+    entries = []
+    for a, b, k, c in vec.terms():
+        minus = -c
+        for n in (1, 2, 3):
+            entries += [((a, b, n), 3 * n + k - 4, c),
+                        ((n, b, k), 3 * a + n - 4, minus),
+                        ((a, n, k), 3 * b + n - 4, minus)]
+    rows = {}
+    for row, col, v in entries:
+        r = rows.setdefault(row, [None] * 9)
+        r[col] = v if r[col] is None else r[col] + v
+    zero = vec.parent.zero()
+    return linalg.nullity([[zero if v is None else v for v in r]
+                           for r in rows.values()], 9)
 
 
 def in_m_star_star(vec: StructureVector) -> bool:
@@ -191,8 +224,9 @@ class InvariantProfile:
 
 
 def invariant_profile(vec: StructureVector) -> InvariantProfile:
+    chain = power_chain(vec)
     try:
-        ncls = nilpotency_class(vec)
+        ncls = chain_class(chain)
         nilp = True
     except NotNilpotentError:
         ncls = None
@@ -203,7 +237,7 @@ def invariant_profile(vec: StructureVector) -> InvariantProfile:
         nilpotent=nilp,
         nilpotency_class=ncls,
         commutative=is_commutative(vec),
-        square_dim=square_dimension(vec),
+        square_dim=len(chain[0]),
         annihilator_dim=annihilator_dimension(vec),
         derivation_dim=derivation_dimension(vec),
         square_on_own_line=in_m_star_star(vec),

@@ -396,9 +396,11 @@ def _pairing(vec: StructureVector, f1: list, w2: list, w3: list):
     return out
 
 
-def _delta_invariant(vec: StructureVector, field: Field):
-    """det(pairing) / (skew part)^2 -- the exact family parameter."""
-    basis = algprops.square_basis(vec)
+def _delta_invariant(vec: StructureVector, field: Field, basis: list):
+    """det(pairing) / (skew part)^2 -- the exact family parameter.
+
+    ``basis`` is the echelon basis of the square of vec.
+    """
     if len(basis) != 1:
         raise UnclassifiableError("square is not a line")
     f1 = basis[0]
@@ -421,7 +423,8 @@ def identify(vec: StructureVector) -> AlgebraId:
     field = vec.parent
     if not algprops.is_associative(vec):
         raise CatalogueError("structure is not associative")
-    ncls = algprops.nilpotency_class(vec)
+    chain = algprops.power_chain(vec)
+    ncls = algprops.chain_class(chain)
     if ncls == 0:
         return AlgebraId("a0")
     if ncls == 3:
@@ -442,7 +445,7 @@ def identify(vec: StructureVector) -> AlgebraId:
         raise UnclassifiableError(f"annihilator dimension {ann} unexpected")
     if algprops.in_m_star_star(vec):
         return AlgebraId("l1")
-    return AlgebraId("a", _delta_invariant(vec, field))
+    return AlgebraId("a", _delta_invariant(vec, field, chain[0]))
 
 
 def identify_with_witness(vec: StructureVector, allow_extension: bool = False):

@@ -41,6 +41,8 @@ class Field:
     # -- element factories -------------------------------------------------
 
     def element(self, value) -> "FieldElement":
+        if isinstance(value, FieldElement) and value.field is self:
+            return value        # elements are immutable: nothing to coerce
         return FieldElement(self, self._coerce(value))
 
     def zero(self) -> "FieldElement":
@@ -171,7 +173,7 @@ class FieldElement(ScalarOps):
 
     def _peer(self, other):
         if isinstance(other, FieldElement):
-            if other.field != self.field:
+            if other.field is not self.field and other.field != self.field:
                 raise FieldError("elements belong to different fields")
             return other
         if isinstance(other, (int, Fraction)):
@@ -629,7 +631,7 @@ class FiniteField(_Extension):
         self._build_tables()
 
     def _build_tables(self):
-        base, b, d, q = self.base, self._b, self.degree, self._q
+        base, b, d, q, p = self.base, self._b, self.degree, self._q, self.char
         low = [c.rep for c in self.minpoly[:-1]]
 
         def mulmod(u, v):       # coefficient lists of base reps, constant first
@@ -662,28 +664,65 @@ class FiniteField(_Extension):
 
         # the generator if it is primitive, else the first primitive code
         one = [base.one().rep] + [0] * (d - 1)
-        proper = _divisors(q - 1)[:-1]
+        tests = [(q - 1) // r for r in _divisors(q - 1)[1:] if _is_prime(r)]
         for g in itertools.chain((self._x,), range(1, q)):
             gv = self._coefficients(g)
-            if all(power(gv, e) != one for e in proper):
+            if all(power(gv, e) != one for e in tests):
                 break
-        # v -> v * g is additive: a sum of one lookup per digit of v
-        rows = [[mulmod([0] * i + [c], gv) for c in range(b)] for i in range(d)]
-        vadd = operator.xor if self.char == 2 else base._add
-        exp, sums, v = [], [], one      # sums[n] is the code of 1 + g^n
-        for _ in range(q - 1):
-            exp.append(code(v))
-            sums.append(code(map(vadd, one, v)))
-            w = [0] * d
-            for row, c in zip(rows, v):
-                if c:
-                    w = list(map(vadd, w, row[c]))
-            v = w
+        # A code is also a base-p number whose digits are the coefficients
+        # over GF(p), and a sum of elements adds those digits mod p.  So
+        # v -> v * g is linear in the base-p digits of v: one lookup for
+        # the low half of the digits, one for the high half, added up.
+        n_digits, r = 0, 1
+        while r < q:
+            n_digits, r = n_digits + 1, r * p
+
+        def images(positions):  # digit lists of u * g, u = 0, 1, ... having
+            out = [[0] * n_digits]      # digits only at these positions
+            for s in positions:
+                img = code(mulmod(self._coefficients(p ** s), gv))
+                img = [img // p ** t % p for t in range(n_digits)]
+                out = [[(a + c * m) % p for a, m in zip(row, img)]
+                       for c in range(p) for row in out]
+            return out
+
+        def pack(rows, width):  # digit t of a row at bit width * t
+            return [sum(x << width * t for t, x in enumerate(row)) for row in rows]
+
+        half = n_digits // 2
+        split = p ** half
+        low_img, high_img = images(range(half)), images(range(half, n_digits))
+        unit = self._lift(base.one().rep)
+        exp, v = [], unit
+        if p == 2:              # digits are bits and their sum is XOR
+            low_img, high_img = pack(low_img, 1), pack(high_img, 1)
+            for _ in range(q - 1):
+                exp.append(v)
+                v = low_img[v & (split - 1)] ^ high_img[v >> half]
+        else:
+            # digits sit in slots of `width` bits, wide enough for the sum of
+            # two digits, so two images add as integers; `narrow` takes a
+            # group of slots mod p back to base-p digits
+            width = (2 * p - 2).bit_length()
+            group = max(1, 12 // width)
+            low_img, high_img = pack(low_img, width), pack(high_img, width)
+            slot, mask = (1 << width) - 1, (1 << width * group) - 1
+            narrow = [sum((x >> width * t & slot) % p * p ** t for t in range(group))
+                      for x in range(mask + 1)]
+            groups = [(width * t, p ** t) for t in range(0, n_digits, group)]
+            for _ in range(q - 1):
+                exp.append(v)
+                high, low = divmod(v, split)
+                wide = low_img[low] + high_img[high]
+                v = sum(narrow[wide >> s & mask] * m for s, m in groups)
         log = [0] * q
         for i, v in enumerate(exp):
             log[v] = i
         self._exp, self._log = exp + exp, log
-        # zech[n] = log(1 + g^n), None where 1 + g^n = 0
+        # zech[n] = log(1 + g^n), None where 1 + g^n = 0; adding 1 adds one
+        # to the top base-p digit of a code, which is that of `unit`
+        wrap = (p - 1) * unit
+        sums = (v - wrap if v >= wrap else v + unit for v in exp)
         self._zech = [log[s] if s else None for s in sums]
         minus_one = log[self._lift(base._neg(base.one().rep))]
         self._negs = [0] + [self._exp[log[a] + minus_one] for a in range(1, q)]

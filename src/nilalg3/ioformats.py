@@ -20,6 +20,7 @@ c5, a(C), h(C), a3(C), rho, chat3, a2 with C a scalar.
 
 from __future__ import annotations
 
+import functools
 import json
 import re
 from fractions import Fraction
@@ -42,6 +43,12 @@ class FormatError(ValueError):
 
 
 def parse_field(desc) -> Field:
+    """The field of a JSON descriptor.
+
+    Equal descriptors give the same field object: fields are built by
+    ``_field``, which keeps the last few.  A malformed descriptor raises
+    FormatError on every call, since failures are not kept.
+    """
     if isinstance(desc, str):
         desc = _load_json(desc)
     if not isinstance(desc, dict) or "char" not in desc:
@@ -49,15 +56,11 @@ def parse_field(desc) -> Field:
     char = desc["char"]
     if not isinstance(char, int) or char < 0:
         raise FormatError(f"bad characteristic {char!r}")
-    if char == 0:
-        base = RATIONALS
-    elif char in _PRIMES_OK:
-        base = PrimeField(char)
-    else:
+    if char != 0 and char not in _PRIMES_OK:
         raise FormatError(f"characteristic {char} is not supported")
     ext = desc.get("ext")
     if ext is None:
-        return base
+        return _field(char, None, None)
     if not isinstance(ext, dict) or "name" not in ext or "min_poly" not in ext:
         raise FormatError("'ext' needs 'name' and 'min_poly'")
     minpoly = ext["min_poly"]
@@ -65,8 +68,18 @@ def parse_field(desc) -> Field:
             or not all(isinstance(c, int) for c in minpoly)):
         raise FormatError("'min_poly' must be a constant-first list of "
                           "integers of degree >= 2")
+    return _field(char, str(ext["name"]), tuple(minpoly))
+
+
+@functools.lru_cache(maxsize=32)
+def _field(char: int, name, minpoly) -> Field:
+    """The field of a normalised descriptor; a GF(2^16) holds megabytes of
+    tables, so only a few are kept."""
+    base = RATIONALS if char == 0 else PrimeField(char)
+    if name is None:
+        return base
     try:
-        field, _ = extend_with_root(base, minpoly, str(ext["name"]))
+        field, _ = extend_with_root(base, list(minpoly), name)
     except Exception as exc:
         raise FormatError(f"bad extension: {exc}") from exc
     if char == 0 and field.degree > 3:

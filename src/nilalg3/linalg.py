@@ -8,7 +8,9 @@ from .fields import Field, FieldElement
 def row_reduce(rows: list) -> tuple:
     """Gauss-Jordan over a field.  Returns (rref rows, pivot column list).
 
-    The input is a list of lists of FieldElements and is not modified.
+    The input is a list of lists of FieldElements and is not modified.  A
+    pivot row is zero left of its pivot, so scaling it and clearing its
+    column from the other rows touch only the columns where it is nonzero.
     """
     m = [list(r) for r in rows]
     if not m:
@@ -25,12 +27,16 @@ def row_reduce(rows: list) -> tuple:
         if pivot is None:
             continue
         m[r], m[pivot] = m[pivot], m[r]
-        inv = m[r][c].inverse()
-        m[r] = [v * inv for v in m[r]]
-        for i in range(len(m)):
-            if i != r and not m[i][c].is_zero():
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+        row = m[r]
+        inv = row[c].inverse()
+        cols = [j for j in range(c, ncols) if not row[j].is_zero()]
+        for j in cols:
+            row[j] = row[j] * inv
+        for i, other in enumerate(m):
+            f = other[c]
+            if i != r and not f.is_zero():
+                for j in cols:
+                    other[j] = other[j] - f * row[j]
         pivots.append(c)
         r += 1
         if r == len(m):

@@ -41,9 +41,13 @@ _SCALARS = (int, Fraction, FieldElement)
 
 
 class StructureVector:
-    """The 27 structure coefficients of one bilinear product on k^3."""
+    """The 27 structure coefficients of one bilinear product on k^3.
 
-    __slots__ = ("parent", "coeffs")
+    The nonzero terms are found once, on first use, and kept in a slot that
+    equality, hashing and the public attributes never look at.
+    """
+
+    __slots__ = ("parent", "coeffs", "_terms")
 
     def __init__(self, parent, coeffs):
         coeffs = tuple(coeffs)
@@ -74,18 +78,21 @@ class StructureVector:
         i, j, k = ijk
         return self.coeffs[_flat(i, j, k)]
 
-    def terms(self):
-        """Yield (i, j, k, coefficient) over the nonzero coefficients."""
-        for n, c in enumerate(self.coeffs):
-            if not c.is_zero():
-                i, j, k = _unflat(n)
-                yield i, j, k, c
+    def terms(self) -> tuple:
+        """(i, j, k, coefficient) for each nonzero coefficient, in index order."""
+        try:
+            return self._terms
+        except AttributeError:
+            out = tuple((*_unflat(n), c) for n, c in enumerate(self.coeffs)
+                        if not c.is_zero())
+            object.__setattr__(self, "_terms", out)
+            return out
 
     def support(self) -> tuple:
         return tuple((i, j, k) for i, j, k, _ in self.terms())
 
     def is_zero(self) -> bool:
-        return all(c.is_zero() for c in self.coeffs)
+        return not self.terms()
 
     def _peer(self, other):
         if not isinstance(other, StructureVector):
@@ -120,14 +127,21 @@ class StructureVector:
         return hash((self.parent, self.coeffs))
 
     def product(self, x, y) -> list:
-        """Coordinates of x * y for coordinate triples x and y."""
-        parent = self.parent
-        x = [parent.element(v) for v in x]
-        y = [parent.element(v) for v in y]
-        out = [parent.zero()] * 3
+        """Coordinates of x * y for coordinate triples x and y.
+
+        A sum over the nonzero terms c[i,j,k] x_i y_j, skipping those whose
+        x_i or y_j is zero.
+        """
+        element = self.parent.element
+        x = [None if v.is_zero() else v for v in map(element, x)]
+        y = [None if v.is_zero() else v for v in map(element, y)]
+        out = [None] * 3
         for i, j, k, c in self.terms():
-            out[k - 1] = out[k - 1] + c * x[i - 1] * y[j - 1]
-        return out
+            xi, yj = x[i - 1], y[j - 1]
+            if xi is not None and yj is not None:
+                t = c * xi * yj
+                out[k - 1] = t if out[k - 1] is None else out[k - 1] + t
+        return [self.parent.zero() if v is None else v for v in out]
 
     def lift(self, new_parent) -> "StructureVector":
         """Reinterpret the coefficients inside a larger scalar domain."""

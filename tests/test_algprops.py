@@ -8,6 +8,7 @@ space over GF(q) has exactly q^d points.
 
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -17,7 +18,7 @@ from nilalg3.algprops import (NotNilpotentError, annihilator_dimension,
                               is_commutative, nilpotency_class,
                               square_dimension)
 from nilalg3.catalogue import AlgebraId, adelta, hbeta, structure_of
-from nilalg3.fields import PrimeField, RATIONALS
+from nilalg3.fields import PrimeField, RATIONALS, gf4, gf16
 from nilalg3.structspace import Matrix3, StructureVector, act, basis_vector
 
 
@@ -90,6 +91,82 @@ def test_non_associative_detected():
     F = RATIONALS
     vec = basis_vector(F, 1, 1, 2) + basis_vector(F, 2, 2, 3)
     assert not is_associative(vec)
+
+
+def _associative_by_products(vec):
+    """The definition: (xy)z = x(yz) on the 27 unit triples, 90 products,
+    each product the sum of c[i,j,k] x_i y_j over the nonzero coefficients."""
+    field = vec.parent
+    coeff = {(i, j, k): vec[i, j, k] for i, j, k in
+             itertools.product((1, 2, 3), repeat=3)
+             if not vec[i, j, k].is_zero()}
+
+    def product(x, y):
+        out = [zero] * 3
+        for (i, j, k), c in coeff.items():
+            if not (x[i - 1].is_zero() or y[j - 1].is_zero()):
+                out[k - 1] = out[k - 1] + c * x[i - 1] * y[j - 1]
+        return out
+
+    zero = field.zero()
+    units = [[field.one() if m == n else zero for m in range(3)]
+             for n in range(3)]
+    for x in units:
+        for y in units:
+            xy = product(x, y)
+            for z in units:
+                if product(xy, z) != product(x, product(y, z)):
+                    return False
+    return True
+
+
+def _random_structures(field, rng):
+    """2000 structures: 1500 with 1-6 random terms, 400 with every
+    coefficient drawn at random, 100 moved catalogue classes, half of them
+    with one coefficient changed afterwards."""
+    if field == RATIONALS:
+        pool = [field.zero()] + [field.element(Fraction(n, d))
+                                 for n in range(-4, 5) if n for d in (1, 2, 3)]
+    else:
+        pool = list(field.elements())       # zero first
+
+    def scalar(nonzero=True):
+        return pool[rng.randrange(1 if nonzero else 0, len(pool))]
+
+    cells = list(itertools.product((1, 2, 3), repeat=3))
+    for _ in range(1500):
+        yield StructureVector.from_terms(field, [
+            (*rng.choice(cells), scalar()) for _ in range(rng.randint(1, 6))])
+    for _ in range(400):
+        yield StructureVector(field, [scalar(nonzero=False) for _ in cells])
+    classes = ["a0", "c1", "c3", "l1", "c5", "rho", "chat3", "a2"]
+    for n in range(100):
+        vec = _rep(rng.choice(classes), field)
+        while True:
+            g = Matrix3.from_rows(field, [
+                [scalar(nonzero=False) for _ in range(3)] for _ in range(3)])
+            if not g.det().is_zero():
+                break
+        vec = act(vec, g)
+        if n % 2:
+            coeffs = list(vec.coeffs)
+            cell = rng.randrange(27)
+            coeffs[cell] = coeffs[cell] + scalar()
+            vec = StructureVector(field, coeffs)
+        yield vec
+
+
+@pytest.mark.parametrize("field", [PrimeField(2), PrimeField(3), gf4(), gf16(),
+                                   RATIONALS], ids=repr)
+def test_associativity_identity_matches_the_product_definition(field):
+    rng = random.Random(f"assoc-{field!r}")
+    verdicts = []
+    for vec in _random_structures(field, rng):
+        verdict = is_associative(vec)
+        assert verdict == _associative_by_products(vec), str(vec)
+        verdicts.append(verdict)
+    assert len(verdicts) == 2000
+    assert True in verdicts and False in verdicts
 
 
 def test_commutativity():

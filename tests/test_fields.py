@@ -1,5 +1,7 @@
 """Exact scalar domains: primes, rationals, quadratic and quartic extensions."""
 
+import functools
+import hashlib
 import itertools
 import random
 from fractions import Fraction
@@ -352,3 +354,90 @@ def test_finite_bases_extend_to_finite_fields():
     assert emb(PrimeField(7).element(3)) == ext.generator() ** 2
     with pytest.raises(FieldError):
         SimpleExtension(PrimeField(7), [-3, 0, 1], "r")
+
+
+# -- table construction at the largest allowed orders ---------------------------
+
+# (p, min_poly constant first, sha256 of the tables).  The digests were taken
+# from the earlier construction, which walked the powers one coefficient
+# list at a time; the integer walk must give the same codes and tables.
+LARGE = {
+    "GF(2^16)": (2, [1, 1, 0, 1] + [0] * 8 + [1, 0, 0, 0, 1],
+                 "00fff44d49e6a6e513b3c44b4531f0286606bb84c4f6980ee3406d4df8436036"),
+    "GF(2^16) x not primitive": (
+        2, [1, 1, 1, 0, 1, 1, 1, 1, 0, 1, 0, 0, 1, 0, 1, 0, 1],
+        "babe858f5eb113063834be20493d107ea40031a49f101fa8d630adc80889191c"),
+    "GF(3^10)": (3, [2, 1, 2, 1, 2, 2, 2, 2, 0, 1, 1],
+                 "e01a4afa5ed47edc284257757dd051a6636a67a75528af44f5c41f15b764274d"),
+    "GF(3^10) x not primitive": (
+        3, [1, 1, 0, 2, 2, 1, 1, 0, 1, 0, 1],
+        "1a3ffca7b79ceaf0dc9cff41a61d66baebfede18c52aa32147441f71dbb8bee4"),
+}
+
+
+@functools.lru_cache(maxsize=None)
+def _large(name):
+    p, minpoly, _ = LARGE[name]
+    return FiniteField(PrimeField(p), minpoly, "x")
+
+
+def _table_digest(F):
+    h = hashlib.sha256()
+    for table in (F._exp, F._log, F._zech, F._negs, F._invs):
+        h.update(repr(table).encode())
+    return h.hexdigest()
+
+
+def test_tables_are_those_of_the_coefficient_walk():
+    for name, (_, _, digest) in LARGE.items():
+        assert _table_digest(_large(name)) == digest, name
+    g9 = FINITE["GF9"]
+    i = g9.generator()
+    towers = {   # GF(81) as GF(9)(y): neither generator y is primitive
+        (i, 1, 1): "b52b8232a5f8fd6496c7e22be795a83627ce5c3d3d6379261733a3f12d6c9590",
+        (i, 1, 0, 1): "002fdf6a3e753b0816f9e0ed312cc8099b8ee2e35b2cbd6f282decd16fb4ea09",
+    }
+    for minpoly, digest in towers.items():
+        assert _table_digest(FiniteField(g9, list(minpoly), "y")) == digest
+    assert _table_digest(gf4()) == (
+        "2b06a0dfa7011c12bad88d76ee43257bf3eec509ae136737458247f5b17f2ac9")
+    assert _table_digest(gf16()) == (
+        "b835f1615d7b5e8f4cc5ed0b35f70fb0d9923585812a9c89e888c3c0f6257884")
+
+
+@pytest.mark.parametrize("name", sorted(LARGE))
+def test_large_field_exp_and_log_are_inverse_bijections(name):
+    F = _large(name)
+    q = F.order()
+    exp, log = F._exp[:q - 1], F._log
+    assert sorted(exp) == list(range(1, q))
+    assert all(log[v] == n for n, v in enumerate(exp))
+
+
+@pytest.mark.parametrize("name", sorted(LARGE))
+def test_large_field_products_are_polynomial_products(name):
+    p, minpoly, _ = LARGE[name]
+    F = _large(name)
+    d = len(minpoly) - 1
+
+    def code(coeffs):   # c_0 is the most significant base-p digit
+        return sum(c * p ** (d - 1 - i) for i, c in enumerate(coeffs))
+
+    def mulmod(u, v):
+        prod = [0] * (2 * d - 1)
+        for i, a in enumerate(u):
+            for j, b in enumerate(v):
+                prod[i + j] = (prod[i + j] + a * b) % p
+        for k in range(2 * d - 2, d - 1, -1):     # minpoly is monic
+            c = prod[k]
+            for j in range(d + 1):
+                prod[k - d + j] = (prod[k - d + j] - c * minpoly[j]) % p
+        return prod[:d]
+
+    rng = random.Random(f"products-{name}")
+    for _ in range(1000):
+        u = [rng.randrange(p) for _ in range(d)]
+        v = [rng.randrange(p) for _ in range(d)]
+        a, b = F.element(u), F.element(v)
+        assert (a.rep, b.rep) == (code(u), code(v))
+        assert (a * b).rep == code(mulmod(u, v))

@@ -39,6 +39,32 @@ def test_parse_field_errors():
         parse_field({"char": 2, "ext": {"name": "w", "min_poly": [1, 1]}})
 
 
+def test_parse_field_gives_one_field_per_descriptor():
+    gf4_desc = {"char": 2, "ext": {"name": "w", "min_poly": [1, 1, 1]}}
+    first = parse_field(gf4_desc)
+    again = parse_field(json.dumps(gf4_desc))
+    assert first == again and first is again
+    assert parse_field({"char": 7}) == parse_field({"char": 7})
+    others = [{"char": 2, "ext": {"name": "v", "min_poly": [1, 1, 1]}},
+              {"char": 2, "ext": {"name": "w", "min_poly": [1, 1, 0, 1]}},
+              {"char": 3, "ext": {"name": "w", "min_poly": [1, 0, 1]}},
+              {"char": 2}]
+    fields = [first] + [parse_field(d) for d in others]
+    assert all(a != b for n, a in enumerate(fields) for b in fields[n + 1:])
+
+
+@pytest.mark.parametrize("desc", [
+    {"char": 2, "ext": {"name": "w", "min_poly": [1, 0, 1]}},          # (x+1)^2
+    {"char": 3, "ext": {"name": "w", "min_poly": [1, 0, 0, 0, 1]}},    # reducible
+    {"char": 13, "ext": {"name": "w", "min_poly": [2] + [0] * 11 + [1]}},
+    {"char": 0, "ext": {"name": "w", "min_poly": [4, 0, 0, 0, 1]}},
+], ids=["reducible-gf2", "reducible-gf3", "oversized-gf13", "quartic-over-q"])
+def test_bad_descriptors_fail_on_every_call(desc):
+    for _ in range(3):
+        with pytest.raises(FormatError):
+            parse_field(desc)
+
+
 def test_parse_scalar_rationals():
     assert parse_scalar("-3", RATIONALS) == RATIONALS.element(-3)
     assert parse_scalar("3/2", RATIONALS).rep == Fraction(3, 2)

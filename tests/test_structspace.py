@@ -6,9 +6,14 @@ written out as loops), and the defining change-of-basis property for the
 bilinear product.
 """
 
+import itertools
 import random
+from fractions import Fraction
 
-from nilalg3.fields import PrimeField, RATIONALS, gf4
+import pytest
+
+from nilalg3.fields import PrimeField, RATIONALS, gf4, gf16
+from nilalg3.polyring import PolyRing
 from nilalg3.structspace import (Matrix3, StructureVector, act, act_cleared,
                                  basis_vector)
 
@@ -147,3 +152,65 @@ def test_str_rendering():
     v = basis_vector(F, 2, 3, 1) - basis_vector(F, 3, 2, 1)
     assert str(v) == "231-321"
     assert str(StructureVector.zero(F)) == "0"
+
+
+def _dense_product(vec, x, y):
+    """x * y as the sum of c[i,j,k] x_i y_j over all 27 coefficients."""
+    parent = vec.parent
+    x = [parent.element(v) for v in x]
+    y = [parent.element(v) for v in y]
+    out = [parent.zero()] * 3
+    for i, j, k in itertools.product((1, 2, 3), repeat=3):
+        out[k - 1] = out[k - 1] + vec[i, j, k] * x[i - 1] * y[j - 1]
+    return out
+
+
+def test_product_matches_the_dense_sum():
+    rng = random.Random(61)
+    F7, K = PrimeField(7), gf16()
+    small = list(gf4().elements())
+    for _ in range(40):
+        vec = _random_vector(F7, rng)
+        x = [rng.randrange(-9, 9) for _ in range(3)]            # ints
+        y = [Fraction(rng.randrange(-9, 9), rng.choice((1, 2, 3, 4)))
+             for _ in range(3)]                                 # Fractions
+        assert vec.product(x, y) == _dense_product(vec, x, y)
+        assert vec.product(y, [0, 0, 0]) == [F7.zero()] * 3
+        q = vec.map_scalars(lambda c: RATIONALS.element(
+            Fraction(c.rep, rng.randrange(1, 5))), RATIONALS)
+        assert q.product(y, x) == _dense_product(q, y, x)
+        # GF(4) operands against a GF(16) vector: embedded, not refused
+        w = _random_vector(K, rng)
+        u = [rng.choice(small) for _ in range(3)]
+        v = [rng.choice(list(K.elements())) for _ in range(3)]
+        assert w.product(u, v) == _dense_product(w, u, v)
+        assert w.product(v, v) == _dense_product(w, v, v)
+
+
+def test_product_over_a_polynomial_ring():
+    rng = random.Random(62)
+    F = PrimeField(5)
+    ring = PolyRing(F, ("x1", "x2", "x3"))
+    gens = list(ring.gens())
+    for _ in range(10):
+        vec = _random_vector(F, rng).lift(ring)
+        y = [gens[0] + 2, 0, gens[1] * gens[2]]
+        assert vec.product(gens, gens) == _dense_product(vec, gens, gens)
+        assert vec.product(gens, y) == _dense_product(vec, gens, y)
+
+
+def test_cached_terms_leave_equality_and_hash_alone():
+    rng = random.Random(63)
+    for field in (PrimeField(7), gf4(), gf16()):
+        for _ in range(10):
+            vec = _random_vector(field, rng)
+            vec.product([1, 1, 1], [1, 0, 1])       # fills the cached terms
+            fresh = StructureVector(field, vec.coeffs)
+            assert vec == fresh and fresh == vec
+            assert hash(vec) == hash(fresh)
+            assert vec.terms() == fresh.terms()
+            assert len({vec, fresh}) == 1
+            with pytest.raises(AttributeError):
+                vec.coeffs = fresh.coeffs
+            with pytest.raises(AttributeError):
+                vec._terms = ()
