@@ -162,20 +162,19 @@ def derivation_dimension(vec: StructureVector) -> int:
     so a nonzero c[a,b,k] enters the first sum of the equations (a, b, n),
     the second of (n, b, k) and the third of (a, n, k), for n = 1, 2, 3.
     """
-    entries = []
-    for a, b, k, c in vec.terms():
-        minus = -c
-        for n in (1, 2, 3):
-            entries += [((a, b, n), 3 * n + k - 4, c),
-                        ((n, b, k), 3 * a + n - 4, minus),
-                        ((a, n, k), 3 * b + n - 4, minus)]
-    rows = {}
-    for row, col, v in entries:
-        r = rows.setdefault(row, [None] * 9)
-        r[col] = v if r[col] is None else r[col] + v
+    def entries():      # ((equation, column), value)
+        for a, b, k, c in vec.terms():
+            minus = -c
+            for n in (1, 2, 3):
+                yield ((a, b, n), 3 * n + k - 4), c
+                yield ((n, b, k), 3 * a + n - 4), minus
+                yield ((a, n, k), 3 * b + n - 4), minus
+
     zero = vec.parent.zero()
-    return linalg.nullity([[zero if v is None else v for v in r]
-                           for r in rows.values()], 9)
+    rows = {}
+    for (row, col), v in _sums(entries()).items():
+        rows.setdefault(row, [zero] * 9)[col] = v
+    return linalg.nullity(list(rows.values()), 9)
 
 
 def in_m_star_star(vec: StructureVector) -> bool:

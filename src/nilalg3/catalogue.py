@@ -420,10 +420,19 @@ def identify(vec: StructureVector) -> AlgebraId:
     annihilator dimension, and on whether all squares stay on their own
     line, with the family parameter recovered from the induced pairing.
     """
-    field = vec.parent
+    return _identify(vec, _power_chain(vec))
+
+
+def _power_chain(vec: StructureVector) -> list:
+    """The power chain of vec, whose entry 0 is its square; refuses a
+    non-associative vec."""
     if not algprops.is_associative(vec):
         raise CatalogueError("structure is not associative")
-    chain = algprops.power_chain(vec)
+    return algprops.power_chain(vec)
+
+
+def _identify(vec: StructureVector, chain: list) -> AlgebraId:
+    field = vec.parent
     ncls = algprops.chain_class(chain)
     if ncls == 0:
         return AlgebraId("a0")
@@ -456,9 +465,10 @@ def identify_with_witness(vec: StructureVector, allow_extension: bool = False):
     commutative ann-1 case can need a square root; refused when
     allow_extension is false).
     """
-    ident = identify(vec)
+    chain = _power_chain(vec)
+    ident = _identify(vec, chain)
     field = vec.parent
-    g = _reduction_matrix(vec, ident, field, allow_extension)
+    g = _reduction_matrix(vec, ident, field, chain[0], allow_extension)
     target = structure_of(ident, g.parent)
     moved = act(vec.lift(g.parent) if g.parent != field else vec, g)
     if moved != target:
@@ -466,7 +476,8 @@ def identify_with_witness(vec: StructureVector, allow_extension: bool = False):
     return ident, g
 
 
-def _reduction_matrix(vec, ident, field, allow_extension) -> Matrix3:
+def _reduction_matrix(vec, ident, field, basis, allow_extension) -> Matrix3:
+    """``basis`` is the echelon basis of the square of vec."""
     t = ident.tag
     if t == "a0":
         return Matrix3.identity(field)
@@ -485,7 +496,6 @@ def _reduction_matrix(vec, ident, field, allow_extension) -> Matrix3:
                 return m
         raise UnclassifiableError("no generator found for the class-3 algebra")
 
-    basis = algprops.square_basis(vec)
     if len(basis) != 1:
         raise UnclassifiableError("square is not a line")
     f1 = basis[0]

@@ -693,28 +693,23 @@ class FiniteField(_Extension):
         split = p ** half
         low_img, high_img = images(range(half)), images(range(half, n_digits))
         unit = self._lift(base.one().rep)
+        # digits sit in slots of `width` bits, wide enough for the sum of
+        # two digits, so two images add as integers; `narrow` takes a group
+        # of slots mod p back to base-p digits
+        width = (2 * p - 2).bit_length()
+        group = min(n_digits, max(1, 12 // width))
+        low_img, high_img = pack(low_img, width), pack(high_img, width)
+        slot, mask = (1 << width) - 1, (1 << width * group) - 1
+        narrow = [0]
+        for t in range(group):      # slot t is the high part of the index
+            narrow = [v + s % p * p ** t for s in range(slot + 1) for v in narrow]
+        groups = [(width * t, p ** t) for t in range(0, n_digits, group)]
         exp, v = [], unit
-        if p == 2:              # digits are bits and their sum is XOR
-            low_img, high_img = pack(low_img, 1), pack(high_img, 1)
-            for _ in range(q - 1):
-                exp.append(v)
-                v = low_img[v & (split - 1)] ^ high_img[v >> half]
-        else:
-            # digits sit in slots of `width` bits, wide enough for the sum of
-            # two digits, so two images add as integers; `narrow` takes a
-            # group of slots mod p back to base-p digits
-            width = (2 * p - 2).bit_length()
-            group = max(1, 12 // width)
-            low_img, high_img = pack(low_img, width), pack(high_img, width)
-            slot, mask = (1 << width) - 1, (1 << width * group) - 1
-            narrow = [sum((x >> width * t & slot) % p * p ** t for t in range(group))
-                      for x in range(mask + 1)]
-            groups = [(width * t, p ** t) for t in range(0, n_digits, group)]
-            for _ in range(q - 1):
-                exp.append(v)
-                high, low = divmod(v, split)
-                wide = low_img[low] + high_img[high]
-                v = sum(narrow[wide >> s & mask] * m for s, m in groups)
+        for _ in range(q - 1):
+            exp.append(v)
+            high, low = divmod(v, split)
+            wide = low_img[low] + high_img[high]
+            v = sum(narrow[wide >> s & mask] * m for s, m in groups)
         log = [0] * q
         for i, v in enumerate(exp):
             log[v] = i

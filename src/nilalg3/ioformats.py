@@ -46,8 +46,9 @@ def parse_field(desc) -> Field:
     """The field of a JSON descriptor.
 
     Equal descriptors give the same field object: fields are built by
-    ``_field``, which keeps the last few.  A malformed descriptor raises
-    FormatError on every call, since failures are not kept.
+    ``_field``, which keeps the last few, so only a process that parses a
+    descriptor again gains.  A malformed descriptor raises FormatError on
+    every call, since failures are not kept.
     """
     if isinstance(desc, str):
         desc = _load_json(desc)
@@ -71,7 +72,7 @@ def parse_field(desc) -> Field:
     return _field(char, str(ext["name"]), tuple(minpoly))
 
 
-@functools.lru_cache(maxsize=32)
+@functools.lru_cache(maxsize=4)
 def _field(char: int, name, minpoly) -> Field:
     """The field of a normalised descriptor; a GF(2^16) holds megabytes of
     tables, so only a few are kept."""

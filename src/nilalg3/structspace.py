@@ -135,13 +135,12 @@ class StructureVector:
         element = self.parent.element
         x = [None if v.is_zero() else v for v in map(element, x)]
         y = [None if v.is_zero() else v for v in map(element, y)]
-        out = [None] * 3
+        out = [self.parent.zero()] * 3
         for i, j, k, c in self.terms():
             xi, yj = x[i - 1], y[j - 1]
             if xi is not None and yj is not None:
-                t = c * xi * yj
-                out[k - 1] = t if out[k - 1] is None else out[k - 1] + t
-        return [self.parent.zero() if v is None else v for v in out]
+                out[k - 1] = out[k - 1] + c * xi * yj
+        return out
 
     def lift(self, new_parent) -> "StructureVector":
         """Reinterpret the coefficients inside a larger scalar domain."""
