@@ -483,11 +483,8 @@ def _reduction_matrix(vec, ident, field, basis, allow_extension) -> Matrix3:
         return Matrix3.identity(field)
 
     if t == "c5":
-        e = Matrix3.identity(field).rows()
-        candidates = list(e)
-        candidates += [[a + b for a, b in zip(e[i], e[j])]
-                       for i in range(3) for j in range(i + 1, 3)]
-        candidates.append([e[0][n] + e[1][n] + e[2][n] for n in range(3)])
+        candidates = _unit_candidates(field)
+        candidates.append([field.one()] * 3)     # e1 + e2 + e3
         for v1 in candidates:
             v2 = vec.product(v1, v1)
             v3 = vec.product(v1, v2)
@@ -502,10 +499,7 @@ def _reduction_matrix(vec, ident, field, basis, allow_extension) -> Matrix3:
 
     if t == "c1":
         ann = algprops.annihilator_basis(vec)
-        e = Matrix3.identity(field).rows()
-        candidates = list(e) + [[a + b for a, b in zip(e[i], e[j])]
-                                for i in range(3) for j in range(i + 1, 3)]
-        for w3 in candidates:
+        for w3 in _unit_candidates(field):
             sq = vec.product(w3, w3)
             if all(c.is_zero() for c in sq):
                 continue
@@ -523,17 +517,7 @@ def _reduction_matrix(vec, ident, field, basis, allow_extension) -> Matrix3:
         return Matrix3.from_columns(field, [scaled, w2, w3])
 
     if t == "c3":
-        (p, q), (r, s) = _pairing(vec, f1, w2, w3)
-        if p.is_zero() and not s.is_zero():
-            w2, w3 = w3, w2
-            (p, q), (r, s) = _pairing(vec, f1, w2, w3)
-        if p.is_zero():
-            w2 = [a + b for a, b in zip(w2, w3)]
-            (p, q), (r, s) = _pairing(vec, f1, w2, w3)
-        if p.is_zero():
-            raise UnclassifiableError("no anisotropic vector for the pairing")
-        w3 = [a - (r / p) * b for a, b in zip(w3, w2)]
-        (p, q), (r, s) = _pairing(vec, f1, w2, w3)
+        w2, w3, ((p, q), (r, s)) = _orthogonal_frame(vec, f1, w2, w3)
         ratio = s / p
         roots = square_roots(ratio)
         f2 = field
@@ -554,19 +538,36 @@ def _reduction_matrix(vec, ident, field, basis, allow_extension) -> Matrix3:
         return Matrix3.from_columns(f2, [scaled, w2, w3])
 
     if t == "a":
-        (p, q), (r, s) = _pairing(vec, f1, w2, w3)
-        if p.is_zero():
-            if not s.is_zero():
-                w2, w3 = w3, w2
-            else:
-                w2 = [a + b for a, b in zip(w2, w3)]
-            (p, q), (r, s) = _pairing(vec, f1, w2, w3)
-        if p.is_zero():
-            raise UnclassifiableError("no anisotropic vector for the pairing")
-        w3 = [a - (r / p) * b for a, b in zip(w3, w2)]
-        (p, q), (r, s) = _pairing(vec, f1, w2, w3)
+        w2, w3, ((p, q), (r, s)) = _orthogonal_frame(vec, f1, w2, w3)
         w3 = [(p / q) * c for c in w3]
         scaled = [p * c for c in f1]
         return Matrix3.from_columns(field, [scaled, w2, w3])
 
     raise CatalogueError(f"no reduction routine for tag {t!r}")
+
+
+def _unit_candidates(field: Field) -> list:
+    """The unit vectors, then their pairwise sums e1+e2, e1+e3, e2+e3."""
+    e = Matrix3.identity(field).rows()
+    return e + [[a + b for a, b in zip(e[i], e[j])]
+                for i in range(3) for j in range(i + 1, 3)]
+
+
+def _orthogonal_frame(vec, f1, w2, w3):
+    """(w2, w3, pairing) with w2 anisotropic (its pairing entry p nonzero)
+    and w3 cleared against w2 so that the entry r vanishes.
+
+    An isotropic w2 is swapped with w3 when w3 is anisotropic, and
+    replaced by w2 + w3 otherwise.
+    """
+    (p, q), (r, s) = _pairing(vec, f1, w2, w3)
+    if p.is_zero():
+        if not s.is_zero():
+            w2, w3 = w3, w2
+        else:
+            w2 = [a + b for a, b in zip(w2, w3)]
+        (p, q), (r, s) = _pairing(vec, f1, w2, w3)
+    if p.is_zero():
+        raise UnclassifiableError("no anisotropic vector for the pairing")
+    w3 = [a - (r / p) * b for a, b in zip(w3, w2)]
+    return w2, w3, _pairing(vec, f1, w2, w3)

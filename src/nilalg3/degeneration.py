@@ -16,6 +16,7 @@ fields with a t-adic valuation test.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import random
@@ -139,17 +140,6 @@ def verify_witness(witness: CurveWitness) -> StructureVector:
         f"limit {limit} differs from the target structure {target}")
 
 
-_VERIFIED_WITNESSES: dict = {}
-
-
-def _verified(witness: CurveWitness) -> CurveWitness:
-    key = (witness.src, witness.dst, witness.base_field, witness.note)
-    if key not in _VERIFIED_WITNESSES:
-        verify_witness(witness)
-        _VERIFIED_WITNESSES[key] = witness
-    return _VERIFIED_WITNESSES[key]
-
-
 # -- the table of known curves ------------------------------------------------
 
 
@@ -166,48 +156,58 @@ def _curve(field: Field, rows, src, dst, up_to_iso=False, note="") -> CurveWitne
                         up_to_iso=up_to_iso, note=note)
 
 
+@functools.cache
 def known_witness(src: AlgebraId, dst: AlgebraId, field: Field):
-    """The library curve for a canonical pair, verified; None when absent."""
+    """The library curve for a canonical pair, verified; None when absent.
+
+    Cached per argument triple, so a curve is verified once and every later
+    call returns the same object; ``known_witness.cache_clear()`` forgets
+    them.  A refused id raises and so is never cached.
+    """
     if not (src.is_canonical() and dst.is_canonical()):
         raise DegenerationError("known_witness expects canonical ids")
+    witness = _library_curve(src, dst, field)
+    if witness is not None:
+        verify_witness(witness)
+    return witness
+
+
+def _library_curve(src: AlgebraId, dst: AlgebraId, field: Field):
+    """The unverified library curve for a canonical pair, or None."""
     char2 = field.char == 2
 
     if src == dst:
         rff = _rff(field)
-        return _verified(CurveWitness(src, dst, Matrix3.identity(rff),
-                                      note="identity"))
+        return CurveWitness(src, dst, Matrix3.identity(rff), note="identity")
 
     if dst.tag == "a0":
         rff = _rff(field)
         t = rff.gen()
-        return _verified(CurveWitness(src, dst, Matrix3.diagonal(rff, t, t, t),
-                                      note="scale-to-zero"))
+        return CurveWitness(src, dst, Matrix3.diagonal(rff, t, t, t),
+                            note="scale-to-zero")
 
     pair = (src.tag, dst.tag)
     if pair == ("a", "c1"):
-        return _verified(_curve(field, [[1, 0, 0], [0, 0, 1], [0, "t", 0]],
-                                src, dst, note="pinch-family"))
+        return _curve(field, [[1, 0, 0], [0, 0, 1], [0, "t", 0]],
+                      src, dst, note="pinch-family")
     if pair == ("c3", "c1"):
-        return _verified(_curve(field, [[1, 0, 0], [0, "t", 0], [0, 0, 1]],
-                                src, dst, note="squeeze-e2"))
+        return _curve(field, [[1, 0, 0], [0, "t", 0], [0, 0, 1]],
+                      src, dst, note="squeeze-e2")
     if pair == ("c5", "c1"):
-        return _verified(_curve(field, [[0, 0, "t"], ["t2", 0, 0], [0, "t2", 0]],
-                                src, dst, note="cube-collapse"))
+        return _curve(field, [[0, 0, "t"], ["t2", 0, 0], [0, "t2", 0]],
+                      src, dst, note="cube-collapse")
     if pair == ("c5", "c3"):
         if char2:
-            return _verified(_curve(field,
-                                    [[0, 0, "t"], [0, "t", 0], ["t2", "t", 0]],
-                                    src, dst, up_to_iso=True,
-                                    note="rep-collapse"))
-        return _verified(_curve(field, [["t", 0, 0], ["t", 1, 0], [0, 0, "t"]],
-                                src, dst, up_to_iso=True,
-                                note="triangle-collapse"))
+            return _curve(field, [[0, 0, "t"], [0, "t", 0], ["t2", "t", 0]],
+                          src, dst, up_to_iso=True, note="rep-collapse")
+        return _curve(field, [["t", 0, 0], ["t", 1, 0], [0, 0, "t"]],
+                      src, dst, up_to_iso=True, note="triangle-collapse")
     if pair == ("a", "l1") and not char2 and src.param == quarter(field):
-        return _verified(_curve(field, [["-t", 0, 0], [0, -1, "t"], [0, 2, 0]],
-                                src, dst, note="quarter-pinch"))
+        return _curve(field, [["-t", 0, 0], [0, -1, "t"], [0, 2, 0]],
+                      src, dst, note="quarter-pinch")
     if pair == ("c3", "l1") and char2:
-        return _verified(_curve(field, [["t", 0, 0], [0, 1, 0], [0, 1, "t"]],
-                                src, dst, note="shear-pinch"))
+        return _curve(field, [["t", 0, 0], [0, 1, 0], [0, 1, "t"]],
+                      src, dst, note="shear-pinch")
     return None
 
 
@@ -225,9 +225,6 @@ class IdentityReport:
 
     def failures(self) -> tuple:
         return tuple(name for name, flag in self.entries if not flag)
-
-
-_LEMMA_VERIFIED: set = set()
 
 
 def _pin_down(prefix: str, cleared, expected: dict) -> list:
@@ -330,34 +327,26 @@ def verify_lemma_identities(characteristic: int, mutate=None) -> IdentityReport:
                (3, 3, 1, base.one())])
     entries.append(("alternating-in-orbit", act(rho_vec, shear) == nu_num))
 
-    report = IdentityReport(characteristic, tuple(entries))
-    if report.ok and mutate is None:
-        _LEMMA_VERIFIED.add(characteristic)
-    return report
+    return IdentityReport(characteristic, tuple(entries))
 
 
+@functools.cache
 def _require_lemma(characteristic: int):
-    if characteristic not in _LEMMA_VERIFIED:
-        report = verify_lemma_identities(characteristic)
-        if not report.ok:
-            raise DegenerationError(
-                f"identity suite failed: {report.failures()}")
+    """Run the identity suite once per characteristic; a failing suite
+    raises, and so is run again on the next call."""
+    report = verify_lemma_identities(characteristic)
+    if not report.ok:
+        raise DegenerationError(f"identity suite failed: {report.failures()}")
 
 
 # -- obstructions -------------------------------------------------------------
 
 
-_PROFILE_CACHE: dict = {}
-
-
+@functools.cache
 def _node_profile(ident: AlgebraId, field: Field):
-    key = (ident, field)
-    if key not in _PROFILE_CACHE:
-        vec = structure_of(ident, field)
-        _PROFILE_CACHE[key] = (algprops.nilpotency_class(vec),
-                               algprops.is_commutative(vec),
-                               algprops.in_m_star_star(vec))
-    return _PROFILE_CACHE[key]
+    vec = structure_of(ident, field)
+    return (algprops.nilpotency_class(vec), algprops.is_commutative(vec),
+            algprops.in_m_star_star(vec))
 
 
 def _in_family(ident: AlgebraId, field: Field) -> bool:
@@ -413,22 +402,21 @@ def _mediator_pool(src, dst, field):
     return pool
 
 
-def _walk(start: int, size: int, lookup):
+def _walk(start: int, pool: list, field: Field):
     """Breadth-first walk of library curves from pool index start.
 
     Yields (index, chain of curves from start) in discovery order, start
     first: neighbours are tried in pool order and each node keeps the first
-    chain found.  ``lookup(u, v)`` is the memoised library curve between
-    pool indices u and v, or None.
+    chain found.
     """
     chains = {start: ()}
     yield start, ()
     frontier = [start]
     for u in frontier:
-        for v in range(size):
+        for v in range(len(pool)):
             if v in chains:
                 continue
-            w = lookup(u, v)
+            w = known_witness(pool[u], pool[v], field)
             if w is not None:
                 chains[v] = chains[u] + (w,)
                 frontier.append(v)
@@ -449,23 +437,16 @@ def _decide(src: AlgebraId, dst: AlgebraId, field: Field):
     """
     pool = _mediator_pool(src, dst, field)
     n, s, d = len(pool), pool.index(src), pool.index(dst)
-    memo: dict = {}
-
-    def lookup(u, v):
-        if (u, v) not in memo:
-            memo[u, v] = known_witness(pool[u], pool[v], field)
-        return memo[u, v]
-
-    w = lookup(s, d)
+    w = known_witness(src, dst, field)
     if w is not None:
         return (w,), None
-    for v, chain in _walk(s, n, lookup):
+    for v, chain in _walk(s, pool, field):
         if v == d:
             return chain, None
     direct = _base_obstruction(src, dst, field)
     if direct is not None:
         return None, direct
-    reach = [{v for v, _ in _walk(u, n, lookup)} for u in range(n)]
+    reach = [{v for v, _ in _walk(u, pool, field)} for u in range(n)]
     for y, z in itertools.product(range(n), repeat=2):
         if s in reach[y] and z in reach[d] and z not in reach[y]:
             base = _base_obstruction(pool[y], pool[z], field)

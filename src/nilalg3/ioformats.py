@@ -116,7 +116,9 @@ _TERM_RE = re.compile(
     r"^(?P<num>\d+(?:/\d+)?)?(?:(?P<name>[A-Za-z]\w*)(?:\^(?P<exp>\d+))?)?$")
 
 
+@functools.lru_cache(maxsize=4)
 def _generator_table(field: Field) -> dict:
+    """Each generator name of the extension tower, embedded in ``field``."""
     names = {}
     level = field
     while isinstance(level, _Extension):

@@ -88,9 +88,6 @@ class StructureVector:
             object.__setattr__(self, "_terms", out)
             return out
 
-    def support(self) -> tuple:
-        return tuple((i, j, k) for i, j, k, _ in self.terms())
-
     def is_zero(self) -> bool:
         return not self.terms()
 
@@ -224,9 +221,6 @@ class Matrix3:
 
     def rows(self) -> list:
         return [list(self.entries[3 * r:3 * r + 3]) for r in range(3)]
-
-    def column(self, j: int) -> list:
-        return [self.entry(i, j) for i in (1, 2, 3)]
 
     def det(self):
         a, b, c, d, e, f, g, h, i = self.entries

@@ -10,6 +10,7 @@ import random
 
 import pytest
 
+from nilalg3 import degeneration
 from nilalg3.catalogue import (AlgebraId, adelta, a3kappa, identify, quarter,
                                structure_of)
 from nilalg3.degeneration import (CurveWitness, DegenerationError,
@@ -18,7 +19,7 @@ from nilalg3.degeneration import (CurveWitness, DegenerationError,
                                   known_witness, lift_witness_to_rationals,
                                   search_witness, verify_lemma_identities,
                                   verify_witness)
-from nilalg3.fields import PrimeField, RATIONALS, gf4
+from nilalg3.fields import PrimeField, RATIONALS, gf4, gf16
 from nilalg3.polyring import PoleAtZero, RationalFunctionField, limit_at_zero
 from nilalg3.structspace import Matrix3, act, basis_vector
 
@@ -321,6 +322,68 @@ def test_degenerates_canonicalizes_input():
 def test_degenerates_reflexive():
     fact = degenerates(adelta(Q, 5), adelta(Q, 5), Q)
     assert fact.holds
+
+
+# -- memoisation -----------------------------------------------------------------
+
+
+_CACHES = (degeneration.known_witness, degeneration._node_profile,
+           degeneration._require_lemma)
+
+
+def _fact_key(fact):
+    """What a fact states: direction, obstruction tag and reason, curve notes."""
+    obs = fact.obstruction
+    curves = (fact.witness,) if fact.witness is not None else fact.chain
+    return (fact.src, fact.dst, fact.holds,
+            None if obs is None else (obs.tag, obs.reason),
+            tuple(w.note for w in curves))
+
+
+@pytest.mark.parametrize("field", [Q, gf16()], ids=["Q", "GF16"])
+def test_cleared_caches_give_the_same_facts(field):
+    nodes = [A0, C1, L1, C3, C5, adelta(field, 0), adelta(field, 2 if field.char == 0
+                                                            else field.generator())]
+    if field.char != 2:
+        nodes.append(adelta(field, quarter(field)))
+
+    def facts():
+        return [_fact_key(degenerates(s, d, field)) for s in nodes for d in nodes]
+
+    warm = facts()
+    for cache in _CACHES:
+        cache.cache_clear()
+    cold = facts()
+    assert cold == warm
+    assert facts() == cold
+    assert {f[3][0] for f in cold if f[3]} >= {"family-separation",
+                                               "transitivity-derived"}
+
+
+def test_known_witness_refuses_non_canonical_ids_on_every_call():
+    before = known_witness.cache_info()
+    for _ in range(3):
+        with pytest.raises(DegenerationError, match="canonical"):
+            known_witness(AlgebraId("rho"), C1, Q)
+    after = known_witness.cache_info()
+    assert after.currsize == before.currsize
+    assert after.hits == before.hits
+
+
+def test_identity_suite_leaves_the_lemma_cache_alone():
+    before = degeneration._require_lemma.cache_info()
+    assert verify_lemma_identities(0).ok
+    assert not verify_lemma_identities(0, mutate=(2, 2, 1)).ok
+    assert degeneration._require_lemma.cache_info() == before
+
+
+def test_known_witness_returns_the_cached_curve():
+    first = known_witness(C3, C1, GF5)
+    before = known_witness.cache_info()
+    second = known_witness(C3, C1, GF5)
+    after = known_witness.cache_info()
+    assert second is first
+    assert (after.hits, after.misses) == (before.hits + 1, before.misses)
 
 
 # -- composition -----------------------------------------------------------------
