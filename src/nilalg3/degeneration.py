@@ -147,11 +147,16 @@ def _rff(field: Field) -> RationalFunctionField:
     return RationalFunctionField(field, "t")
 
 
+# the library curves' monomial cells as {exponent: integer coefficient};
+# every other cell is an integer constant
+_CELLS = {"t": {1: 1}, "t2": {2: 1}, "-t": {1: -1}}
+
+
 def _curve(field: Field, rows, src, dst, up_to_iso=False, note="") -> CurveWitness:
     rff = _rff(field)
-    t = rff.gen()
-    resolved = [[t if c == "t" else t * t if c == "t2" else -t if c == "-t"
-                 else rff.from_int(c) for c in row] for row in rows]
+    resolved = [[rff.polynomial({e: field.from_int(n) for e, n in
+                                 _CELLS.get(c, {0: c}).items()})
+                 for c in row] for row in rows]
     return CurveWitness(src, dst, Matrix3.from_rows(rff, resolved),
                         up_to_iso=up_to_iso, note=note)
 
@@ -181,10 +186,8 @@ def _library_curve(src: AlgebraId, dst: AlgebraId, field: Field):
         return CurveWitness(src, dst, Matrix3.identity(rff), note="identity")
 
     if dst.tag == "a0":
-        rff = _rff(field)
-        t = rff.gen()
-        return CurveWitness(src, dst, Matrix3.diagonal(rff, t, t, t),
-                            note="scale-to-zero")
+        return _curve(field, [["t", 0, 0], [0, "t", 0], [0, 0, "t"]],
+                      src, dst, note="scale-to-zero")
 
     pair = (src.tag, dst.tag)
     if pair == ("a", "c1"):
@@ -708,17 +711,9 @@ def search_witness(src: AlgebraId, dst: AlgebraId, field: Field,
     witness = None
     if hit is not None:
         rff = _rff(field)
-        t = rff.gen()
-        rows = []
-        for r in range(3):
-            row = []
-            for s in range(3):
-                cell = hit[3 * r + s]
-                if cell is None:
-                    row.append(rff.zero())
-                else:
-                    row.append(rff.const(FieldElement(field, cell[1])) * t ** cell[0])
-            rows.append(row)
+        rows = [[rff.polynomial({} if cell is None
+                                else {cell[0]: FieldElement(field, cell[1])})
+                 for cell in hit[3 * r:3 * r + 3]] for r in range(3)]
         witness = CurveWitness(src, dst, Matrix3.from_rows(rff, rows),
                                note=f"search-seed{seed}")
         verify_witness(witness)

@@ -465,9 +465,13 @@ class _Extension(Field):
         """Raise FieldError when m visibly factors over the base.
 
         For degree at most 3 that means a root in the base, which for those
-        degrees is full irreducibility; over a finite base higher degrees
-        get trial division by every monic polynomial of degree at most
-        deg(m)/2, over an infinite base they are trusted to the caller.
+        degrees is full irreducibility.  Over a finite base of order b
+        higher degrees get the distinct-degree test: gcd(m, x^(b^d) - x) is
+        the product of the irreducible factors of m whose degree divides d,
+        so the first d <= deg(m)/2 where it is not 1 is the least degree of
+        a factor, and the error names the first monic polynomial of that
+        degree dividing the gcd.  Over an infinite base higher degrees are
+        trusted to the caller.
         """
         base = self.base
         if self.degree <= 3:
@@ -476,11 +480,32 @@ class _Extension(Field):
                 raise FieldError(
                     f"minimal polynomial has root {root!r} in {base!r}")
         elif base.is_finite():
-            zero, elems = base.zero(), list(base.elements())
+            zero, one, m = base.zero(), base.one(), list(self.minpoly)
+            x = [zero, one]
+
+            def mulmod(u, v):
+                return _pdivmod(_pmul(u, v, zero), m, zero)[1]
+
+            def to_the_b(u):            # u^b mod m
+                out, e = [one], base.order()
+                while e:
+                    if e & 1:
+                        out = mulmod(out, u)
+                    u = mulmod(u, u)
+                    e >>= 1
+                return out
+
+            frob = x                    # x^(b^d) mod m
             for d in range(1, self.degree // 2 + 1):
-                for low in itertools.product(elems, repeat=d):
-                    factor = [*low, base.one()]
-                    if not _pdivmod(self.minpoly, factor, zero)[1]:
+                frob = to_the_b(frob)
+                g, r = m, _psub(frob, x)
+                while r:
+                    g, r = r, _pdivmod(g, r, zero)[1]
+                if len(g) == 1:
+                    continue
+                for low in itertools.product(base.elements(), repeat=d):
+                    factor = [*low, one]
+                    if not _pdivmod(g, factor, zero)[1]:
                         raise FieldError(
                             f"minimal polynomial has the factor {factor} "
                             f"(constant first) over {base!r}")

@@ -211,28 +211,34 @@ _POLY_TERM_RE = re.compile(
 
 
 def parse_poly_in_t(text: str, rff: RationalFunctionField):
-    """A polynomial entry of a curve matrix, as a rational function."""
+    """A polynomial entry of a curve matrix, as a rational function.
+
+    The signed terms are collected into one {exponent: coefficient} map,
+    coefficients of a repeated exponent added, and the polynomial is built
+    once from it.
+    """
     if isinstance(text, int):
         return rff.from_int(text)
     if not isinstance(text, str):
         raise FormatError(f"polynomial must be text, got {text!r}")
-    t = rff.gen()
-    total = rff.zero()
+    field = rff.field
+    coeffs = {}
     for sign, term in _split_signed_terms(text):
         m = _POLY_TERM_RE.match(term)
         if not m or (m.group("coef") is None and m.group("t") is None):
             raise FormatError(f"bad polynomial term {term!r} in {text!r}")
         coef = m.group("coef")
         if coef is None:
-            value = rff.one()
+            value = field.one()
         elif m.group("paren") is not None:
-            value = rff.const(parse_scalar(m.group("paren"), rff.field))
+            value = parse_scalar(m.group("paren"), field)
         else:
-            value = rff.const(_fraction(coef, rff.field))
-        if m.group("t"):
-            value = value * t ** _exponent(m.group("exp"))
-        total = total + (value if sign > 0 else -value)
-    return total
+            value = _fraction(coef, field)
+        e = _exponent(m.group("exp")) if m.group("t") else 0
+        if sign < 0:
+            value = -value
+        coeffs[e] = coeffs[e] + value if e in coeffs else value
+    return rff.polynomial(coeffs)
 
 
 _PLAIN_RE = re.compile(r"-?\d+(?:/\d+)?")
@@ -345,10 +351,13 @@ def parse_witness(payload) -> CurveWitness:
     if (not isinstance(mat, list) or len(mat) != 3
             or any(not isinstance(r, list) or len(r) != 3 for r in mat)):
         raise FormatError("witness matrix must be a 3x3 array")
+    up_to_iso = payload.get("up_to_iso", False)
+    if not isinstance(up_to_iso, bool):
+        raise FormatError(
+            f"'up_to_iso' must be true or false, got {up_to_iso!r}")
     rows = [[parse_poly_in_t(c, rff) for c in row] for row in mat]
     return CurveWitness(src, dst, Matrix3.from_rows(rff, rows),
-                        up_to_iso=bool(payload.get("up_to_iso", False)),
-                        note=str(payload.get("note", "")))
+                        up_to_iso=up_to_iso, note=str(payload.get("note", "")))
 
 
 def render_witness(witness: CurveWitness) -> dict:

@@ -14,6 +14,7 @@ checked over F[t] by ``t_valuation`` (``degeneration.curve_limit``);
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 
 from .fields import Field, FieldElement, ScalarOps, _pdivmod, signed_sum
@@ -96,7 +97,7 @@ class MultiPoly(ScalarOps):
 
     def _peer(self, other):
         if isinstance(other, MultiPoly):
-            if other.ring != self.ring:
+            if other.ring is not self.ring and other.ring != self.ring:
                 raise PolyRingError("polynomials from different rings")
             return other
         if isinstance(other, (int, Fraction, FieldElement)):
@@ -125,7 +126,7 @@ class MultiPoly(ScalarOps):
         terms: dict = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in o.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
+                e = tuple(map(operator.add, e1, e2))
                 c = c1 * c2
                 s = terms.get(e)
                 terms[e] = c if s is None else s + c
@@ -249,17 +250,24 @@ class RationalFunctionField:
                 raise PolyRingError("rational function from a different field")
             return num
         num = self._as_poly(num)
-        den = self.ring.one() if den is None else self._as_poly(den)
-        return RationalFunction._make(self, num, den)
+        if den is None:     # over 1 a polynomial is already canonical
+            return RationalFunction(self, num, self.ring.one())
+        return RationalFunction._make(self, num, self._as_poly(den))
 
     def _as_poly(self, v) -> MultiPoly:
         if isinstance(v, RationalFunction):
             raise PolyRingError("got a rational function where a polynomial fits")
         if isinstance(v, MultiPoly):
-            if v.ring != self.ring:
+            if v.ring is not self.ring and v.ring != self.ring:
                 raise PolyRingError("polynomial from a different ring")
             return v
         return self.ring.const(v)
+
+    def polynomial(self, coeffs: dict) -> "RationalFunction":
+        """The polynomial sum of c t^e over a map {e: c} from exponents to
+        elements of the field; zero coefficients drop out."""
+        return self.element(
+            MultiPoly(self.ring, {(e,): c for e, c in coeffs.items()}))
 
     def const(self, c) -> "RationalFunction":
         return self.element(self.ring.const(c))
@@ -313,7 +321,7 @@ class RationalFunction(ScalarOps):
                 if rn or rd:
                     raise PolyRingError("division was not exact")
                 num, den = from_dense(parent.ring, qn), from_dense(parent.ring, qd)
-        dl = dense_coefficients(den)[-1]
+        dl = den.terms[max(den.terms)]
         if dl != parent.field.one():
             inv = dl.inverse()
             num = num * inv

@@ -1,6 +1,7 @@
 """The command line interface: output shapes, exit codes, determinism."""
 
 import json
+import os
 import pathlib
 import subprocess
 import sys
@@ -8,6 +9,7 @@ import time
 
 import pytest
 
+import nilalg3
 from nilalg3.cli import main
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
@@ -153,8 +155,13 @@ def test_search_seed_env_override(capsys, monkeypatch):
 
 
 def test_console_script_entry_point():
+    # the child imports the same nilalg3 as this process, however pytest
+    # found it (an installed package, PYTHONPATH, or pyproject's pythonpath)
+    package_dir = pathlib.Path(nilalg3.__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (str(package_dir), os.environ.get("PYTHONPATH")))))
     proc = subprocess.run([sys.executable, "-m", "nilalg3.cli", "catalog"],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert proc.stdout.startswith("characteristic 0")
 
@@ -197,6 +204,10 @@ MALFORMED = [
         {"char": 2, "ext": {"name": "w", "min_poly": [1, 0, 1, 0, 1]}})),
     ("quartic-over-q", ("identify", "{file}"), _vector(
         {"char": 0, "ext": {"name": "w", "min_poly": [4, 0, 0, 0, 1]}})),
+    ("up-to-iso-string", ("verify-witness", "{file}"), {
+        "src": "c5", "dst": "c3", "char": 0,
+        "matrix": [["t", "0", "0"], ["t", "1", "0"], ["0", "0", "t"]],
+        "up_to_iso": "false"}),
 ]
 
 

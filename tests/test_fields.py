@@ -178,6 +178,40 @@ def test_extend_with_root_rejects_reducible():
         extend_with_root(PrimeField(7), [-2, 0, 1], "s")  # 2 = 3^2 mod 7
 
 
+def _first_factor_by_trial_division(p, minpoly):
+    """The first monic factor of degree at most deg/2, in the order of
+    itertools.product over the lower coefficients, or None."""
+    n = len(minpoly) - 1
+    for d in range(1, n // 2 + 1):
+        for low in itertools.product(range(p), repeat=d):
+            factor, rem = [*low, 1], list(minpoly)
+            for k in range(n - d, -1, -1):      # factor is monic
+                c = rem[k + d]
+                for j in range(d + 1):
+                    rem[k + j] = (rem[k + j] - c * factor[j]) % p
+            if not any(rem):
+                return factor
+    return None
+
+
+@pytest.mark.parametrize("p, degrees", [(2, (4, 5, 6)), (3, (4,))])
+def test_refused_minimal_polynomials_are_those_with_a_factor(p, degrees):
+    refused = 0
+    for n in degrees:
+        for low in itertools.product(range(p), repeat=n):
+            minpoly = [*low, 1]
+            factor = _first_factor_by_trial_division(p, minpoly)
+            if factor is None:
+                FiniteField(PrimeField(p), minpoly, "x")
+                continue
+            with pytest.raises(FieldError) as info:
+                FiniteField(PrimeField(p), minpoly, "x")
+            assert f"has the factor {factor} (constant first)" in str(info.value)
+            refused += 1
+    # GF(2): 16 - 3, 32 - 6 and 64 - 9 reducible; GF(3): 81 - 18
+    assert refused == {2: 13 + 26 + 55, 3: 63}[p]
+
+
 def test_needs_field_extension_is_a_field_error():
     assert issubclass(NeedsFieldExtension, FieldError)
 

@@ -2,13 +2,16 @@
 
 import json
 import random
+import re
 from fractions import Fraction
 
 import pytest
 
-from nilalg3.catalogue import AlgebraId, adelta
+from nilalg3.catalogue import AlgebraId, adelta, quarter
 from nilalg3.cli import main
-from nilalg3.degeneration import CurveWitness, search_witness, verify_witness
+from nilalg3.degeneration import (CurveWitness, compose_curves, known_witness,
+                                  lift_witness_to_rationals, search_witness,
+                                  verify_witness)
 from nilalg3.fields import PrimeField, RATIONALS, gf4
 from nilalg3.ioformats import (FormatError, describe_field, parse_algebra_id,
                                parse_field, parse_matrix, parse_poly_in_t,
@@ -116,6 +119,76 @@ def test_parse_poly_parenthesized_coefficient():
     w = gf4().generator()
     assert parse_poly_in_t("(1+w)t^2", K) == K.const(gf4().one() + w) * t * t
     assert parse_poly_in_t("(w)t+1", K) == K.const(w) * t + 1
+
+
+_GF16_DESC = {"char": 2, "ext": {"name": "s", "min_poly": [1, 1, 0, 0, 1]}}
+# coefficient texts per field: plain, fractional and generator sums
+_POLY_FIELDS = {
+    "Q": ({"char": 0}, ("1", "2", "1/2", "-3/4", "5")),
+    "GF7": ({"char": 7}, ("1", "3", "1/2", "6", "2/3")),
+    "GF4": ({"char": 2, "ext": {"name": "w", "min_poly": [1, 1, 1]}},
+            ("1", "w", "1+w", "w^2")),
+    "GF16": (_GF16_DESC, ("1", "s", "1+s^3", "s^2+s", "s+s^2+s^3")),
+}
+
+
+def _poly_by_arithmetic(terms, rff):
+    """The old definition of an entry: sum of const(c) * t**e over the terms."""
+    t = rff.gen()
+    total = rff.zero()
+    for sign, coef, e in terms:
+        value = rff.const(parse_scalar(coef, rff.field)) * t ** e
+        total = total + (value if sign > 0 else -value)
+    return total
+
+
+def _poly_term_text(rng, sign, coef, e):
+    """One signed term in any of the spellings the grammar allows: a plain
+    or parenthesised coefficient (implicit when it is 1), t, t^1 or t^e,
+    and t^0 or nothing for a constant."""
+    text = "+" if sign > 0 else "-"
+    if coef != "1" or not e or rng.random() < 0.5:
+        plain = re.fullmatch(r"\d+(/\d+)?", coef) and rng.random() < 0.5
+        text += coef if plain else f"({coef})"
+        if e and rng.random() < 0.3:
+            text += "*"
+    if e == 0:
+        return text + ("t^0" if rng.random() < 0.5 else "")
+    return text + ("t" if e == 1 and rng.random() < 0.5 else f"t^{e}")
+
+
+@pytest.mark.parametrize("name", sorted(_POLY_FIELDS))
+def test_parse_poly_matches_the_arithmetic_definition(name):
+    desc, coefs = _POLY_FIELDS[name]
+    rff = RationalFunctionField(parse_field(desc), "t")
+    rng = random.Random(808)
+    for _ in range(60):
+        terms = [(rng.choice((1, -1)), rng.choice(coefs), rng.randrange(5))
+                 for _ in range(rng.randint(1, 6))]
+        if rng.random() < 0.3:          # a term and its negation cancel
+            sign, coef, e = terms[0]
+            terms.append((-sign, coef, e))
+        text = "".join(_poly_term_text(rng, *term) for term in terms)
+        got = parse_poly_in_t(text, rff)
+        want = _poly_by_arithmetic(terms, rff)
+        assert got == want, text
+        assert got.den == rff.ring.one() and got.num.terms == want.num.terms
+
+
+def test_parse_poly_repeated_and_cancelling_exponents():
+    K = RationalFunctionField(RATIONALS, "t")
+    t = K.gen()
+    assert parse_poly_in_t("t+2t-3t", K).is_zero()
+    assert parse_poly_in_t("t+2t-3t", K).num.terms == {}
+    assert parse_poly_in_t("t^0+1", K) == K.from_int(2)
+    assert parse_poly_in_t("t^2+t-t^2+3t^2", K) == 3 * t * t + t
+    assert parse_poly_in_t("1/2t-1/2*t+5", K) == K.from_int(5)
+    F = gf4()
+    K4 = RationalFunctionField(F, "t")
+    w = K4.const(F.generator())
+    # in characteristic 2 a repeated term cancels
+    assert parse_poly_in_t("(1+w)t^2+(1+w)t^2+(w)t", K4) == w * K4.gen()
+    assert parse_poly_in_t("(w)t^0+(w^2)", K4) == K4.one()
 
 
 def test_parse_poly_errors():
@@ -249,6 +322,67 @@ def test_witness_errors():
         parse_witness({"src": "c3", "matrix": [["1"] * 3] * 3})
     with pytest.raises(FormatError):
         parse_witness({"src": "c3", "dst": "c1", "matrix": [["1"] * 2] * 3})
+
+
+@pytest.mark.parametrize("flag", ["false", "true", 0, 1, None, [], {}])
+def test_witness_up_to_iso_must_be_a_bool(flag):
+    payload = {"src": "c5", "dst": "c3", "char": 0, "up_to_iso": flag,
+               "matrix": [["t", "0", "0"], ["t", "1", "0"], ["0", "0", "t"]]}
+    with pytest.raises(FormatError):
+        parse_witness(payload)
+    for flag in (True, False):
+        assert parse_witness(dict(payload, up_to_iso=flag)).up_to_iso is flag
+
+
+def _library_curves(field):
+    """Every library curve between distinct catalogue nodes over field."""
+    pool = [AlgebraId(tag) for tag in ("a0", "c1", "c3", "l1", "c5")]
+    pool += [adelta(field, 0), adelta(field, field.from_int(3))]
+    if field.char != 2:
+        pool.append(adelta(field, quarter(field)))
+    return [w for src in pool for dst in pool if src != dst
+            and (w := known_witness(src, dst, field)) is not None]
+
+
+def _assert_round_trip(witness):
+    clone = parse_witness(json.dumps(render_witness(witness)))
+    assert clone.matrix == witness.matrix
+    assert (clone.src, clone.dst) == (witness.src, witness.dst)
+    assert clone.up_to_iso == witness.up_to_iso and clone.note == witness.note
+
+
+@pytest.mark.parametrize("name", sorted(_POLY_FIELDS))
+def test_library_and_composed_curves_round_trip(name):
+    field = parse_field(_POLY_FIELDS[name][0])
+    library = _library_curves(field)
+    composed = [compose_curves(first, second) for first in library
+                for second in library
+                if first.dst == second.src and first.src != second.dst]
+    assert len(library) >= 12 and len(composed) >= 8
+    for witness in library:
+        _assert_round_trip(witness)
+    described = 0
+    for witness in composed:
+        try:
+            describe_field(witness.base_field)
+        except FormatError:
+            # an iso bridge over Q adjoins a root whose minimal polynomial
+            # has fractional coefficients, which descriptors cannot carry
+            assert field == RATIONALS and witness.base_field.base == RATIONALS
+            continue
+        _assert_round_trip(witness)
+        described += 1
+    assert described >= 6
+
+
+def test_lifted_search_hit_round_trips():
+    F = PrimeField(7)
+    hit = search_witness(AlgebraId("a3", F.element(2)), AlgebraId("l1"), F,
+                         budget=100000, seed=1729).witness
+    lifted = lift_witness_to_rationals(hit)
+    _assert_round_trip(lifted)
+    assert verify_witness(parse_witness(render_witness(lifted))) == \
+        verify_witness(lifted)
 
 
 # -- seeded fuzzing of the text grammars ------------------------------------------

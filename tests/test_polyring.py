@@ -12,8 +12,9 @@ import pytest
 
 from nilalg3.fields import PrimeField, RATIONALS, gf4
 from nilalg3 import polyring
-from nilalg3.polyring import (PoleAtZero, PolyRing, RationalFunction,
-                              RationalFunctionField, limit_at_zero, t_valuation)
+from nilalg3.polyring import (PoleAtZero, PolyRing, PolyRingError,
+                              RationalFunction, RationalFunctionField,
+                              limit_at_zero, t_valuation)
 
 
 def _random_poly(ring, rng, nterms=4, deg=3):
@@ -58,6 +59,29 @@ def test_poly_over_gf4():
     q = (u + R.const(w)) ** 2
     assert q == u * u + R.const(w * w)
     assert p != q
+
+
+def test_equal_rings_mix_and_different_rings_refuse():
+    F = PrimeField(7)
+    R1, R2 = PolyRing(F, ("x", "y")), PolyRing(F, ("x", "y"))
+    assert R1 == R2 and R1 is not R2
+    x1, y1 = R1.gens()
+    x2, y2 = R2.gens()
+    assert (x1 + y1) * (x2 - y2) == x1 * x1 - y2 * y2
+    assert x2 * y1 == y1 * x2 and (x1 * y2).ring is R1
+    K1, K2 = (RationalFunctionField(RATIONALS, "t") for _ in range(2))
+    assert K1.gen() * K2.gen() == K1.gen() ** 2
+    assert K1.element(K2.ring.var("t")) == K2.gen()
+    for other in (PolyRing(PrimeField(5), ("x", "y")), PolyRing(F, ("y", "x")),
+                  PolyRing(F, ("x",))):
+        with pytest.raises(PolyRingError):
+            x1 * other.var("x")
+        with pytest.raises(PolyRingError):
+            other.var("x") * x1
+    with pytest.raises(PolyRingError):
+        K1.gen() * RationalFunctionField(RATIONALS, "u").gen()
+    with pytest.raises(PolyRingError):
+        K1.element(PolyRing(RATIONALS, ("u",)).var("u"))
 
 
 def test_poly_str_and_degree():
