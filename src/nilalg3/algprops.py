@@ -17,7 +17,7 @@ generic square stays on the line of its argument.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from . import linalg
 from .polyring import PolyRing
@@ -209,17 +209,7 @@ class InvariantProfile:
     square_on_own_line: bool
 
     def to_dict(self) -> dict:
-        return {
-            "characteristic": self.characteristic,
-            "associative": self.associative,
-            "nilpotent": self.nilpotent,
-            "nilpotency_class": self.nilpotency_class,
-            "commutative": self.commutative,
-            "square_dim": self.square_dim,
-            "annihilator_dim": self.annihilator_dim,
-            "derivation_dim": self.derivation_dim,
-            "square_on_own_line": self.square_on_own_line,
-        }
+        return asdict(self)
 
 
 def invariant_profile(vec: StructureVector) -> InvariantProfile:

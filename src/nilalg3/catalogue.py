@@ -19,14 +19,15 @@ Every isomorphism this module hands out is wrapped in an IsoWitness whose
 matrix is re-checked by the action at construction time, so no unverified
 claim can circulate.  identify() classifies an arbitrary structure vector by
 invariants alone; identify_with_witness() additionally builds the explicit
-basis change onto the canonical representative.
+basis change onto the canonical representative, and canonicalize() reduces
+every auxiliary id through it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .fields import (Field, FieldElement, NeedsFieldExtension,
+from .fields import (Field, FieldElement, NeedsFieldExtension, ScalarOps,
                      extend_with_root, square_roots, quadratic_roots)
 from . import algprops
 from .structspace import Matrix3, StructureVector, act
@@ -51,18 +52,23 @@ class UnclassifiableError(ValueError):
 
 @dataclass(frozen=True)
 class AlgebraId:
-    """A catalogue name, with its exact field-element parameter if it has one."""
+    """A catalogue name, with its exact parameter if it has one.
+
+    The parameter is a scalar of any domain (``fields.ScalarOps``): a field
+    element, or a polynomial or rational function standing for a generic
+    member of the family.
+    """
 
     tag: str
-    param: FieldElement | None = None
+    param: ScalarOps | None = None
 
     def __post_init__(self):
         if self.tag not in CANONICAL_TAGS + AUXILIARY_TAGS:
             raise CatalogueError(f"unknown algebra tag {self.tag!r}")
         if self.tag in PARAMETRIC_TAGS:
-            if not isinstance(self.param, FieldElement):
+            if not isinstance(self.param, ScalarOps):
                 raise CatalogueError(
-                    f"tag {self.tag!r} needs a field-element parameter")
+                    f"tag {self.tag!r} needs a scalar parameter")
         elif self.param is not None:
             raise CatalogueError(f"tag {self.tag!r} takes no parameter")
 
@@ -75,15 +81,6 @@ class AlgebraId:
         return f"{self.tag}({self.param!r})"
 
     __repr__ = __str__
-
-
-def _param_in(ident: AlgebraId, field: Field) -> FieldElement:
-    p = ident.param
-    if isinstance(p, FieldElement):
-        if p.field == field:
-            return p
-        return field.embed(p)
-    return field.element(p)
 
 
 # (i, j, k, c): e_i e_j = c e_k, with c None for the family parameter
@@ -102,12 +99,13 @@ _STRUCTURES = {
 }
 
 
-def structure_of(ident: AlgebraId, field: Field) -> StructureVector:
-    """The defining structure vector of a catalogue algebra over ``field``."""
+def structure_of(ident: AlgebraId, field) -> StructureVector:
+    """The defining structure vector of a catalogue algebra over ``field``,
+    which may be any scalar domain holding the parameter."""
     t = ident.tag
     if t not in _STRUCTURES:
         raise CatalogueError(f"unknown algebra tag {t!r}")
-    param = _param_in(ident, field) if t in PARAMETRIC_TAGS else None
+    param = field.element(ident.param) if t in PARAMETRIC_TAGS else None
     return StructureVector.from_terms(field, [
         (i, j, k, param if c is None else c) for i, j, k, c in _STRUCTURES[t]])
 
@@ -163,16 +161,16 @@ def c5() -> AlgebraId:
     return AlgebraId("c5")
 
 
-def adelta(field: Field, d) -> AlgebraId:
-    return AlgebraId("a", field.element(d) if not isinstance(d, FieldElement) else d)
+def adelta(field, d) -> AlgebraId:
+    return AlgebraId("a", d if isinstance(d, ScalarOps) else field.element(d))
 
 
-def hbeta(field: Field, b) -> AlgebraId:
-    return AlgebraId("h", field.element(b) if not isinstance(b, FieldElement) else b)
+def hbeta(field, b) -> AlgebraId:
+    return AlgebraId("h", b if isinstance(b, ScalarOps) else field.element(b))
 
 
-def a3kappa(field: Field, k) -> AlgebraId:
-    return AlgebraId("a3", field.element(k) if not isinstance(k, FieldElement) else k)
+def a3kappa(field, k) -> AlgebraId:
+    return AlgebraId("a3", k if isinstance(k, ScalarOps) else field.element(k))
 
 
 def quarter(field: Field) -> FieldElement:
@@ -231,7 +229,7 @@ def iso_witness(src: AlgebraId, dst: AlgebraId, field: Field,
     pair = (src.tag, dst.tag)
 
     if pair == ("h", "h"):
-        b1, b2 = _param_in(src, field), _param_in(dst, field)
+        b1, b2 = field.element(src.param), field.element(dst.param)
         if b1 == b2:
             return IsoWitness(src, dst, Matrix3.identity(field))
         if b1 * b2 == one:
@@ -240,19 +238,19 @@ def iso_witness(src: AlgebraId, dst: AlgebraId, field: Field,
         return None
 
     if pair == ("a", "a3"):
-        d, k = _param_in(src, field), _param_in(dst, field)
+        d, k = field.element(src.param), field.element(dst.param)
         if d.is_zero() or k * k * d != one:
             return None
         return IsoWitness(src, dst, _g_kappa(field, k))
 
     if pair == ("a3", "a"):
-        k, d = _param_in(src, field), _param_in(dst, field)
+        k, d = field.element(src.param), field.element(dst.param)
         if k.is_zero() or k * k * d != one:
             return None
         return IsoWitness(src, dst, _g_kappa(field, k).inverse())
 
     if pair == ("a3", "a3"):
-        k1, k2 = _param_in(src, field), _param_in(dst, field)
+        k1, k2 = field.element(src.param), field.element(dst.param)
         if k1 == k2:
             return IsoWitness(src, dst, Matrix3.identity(field))
         if k1 == -k2:
@@ -260,7 +258,7 @@ def iso_witness(src: AlgebraId, dst: AlgebraId, field: Field,
         return None
 
     if pair == ("a3", "h"):
-        k, b = _param_in(src, field), _param_in(dst, field)
+        k, b = field.element(src.param), field.element(dst.param)
         root, f2 = _root_of(field, [1, k, 1], "al", allow_extension)
         for alpha in (root, root.inverse()):
             if -(alpha * alpha) == f2.embed(b) and not (alpha * alpha - 1).is_zero():
@@ -268,7 +266,7 @@ def iso_witness(src: AlgebraId, dst: AlgebraId, field: Field,
         return None
 
     if pair == ("h", "a3"):
-        b, k = _param_in(src, field), _param_in(dst, field)
+        b, k = field.element(src.param), field.element(dst.param)
         root, f2 = _root_of(field, [b, 0, 1], "al", allow_extension)
         for alpha in (root, -root):
             if alpha.is_zero() or (alpha * alpha - 1).is_zero():
@@ -288,7 +286,7 @@ def iso_witness(src: AlgebraId, dst: AlgebraId, field: Field,
 
     if pair in (("a2", "a"), ("a", "a2")):
         other = dst if pair[0] == "a2" else src
-        if not _param_in(other, field).is_zero():
+        if not field.element(other.param).is_zero():
             return None
         m = Matrix3.from_rows(field, _SHEAR_DOWN)
         if pair == ("a", "a2"):
@@ -303,69 +301,18 @@ def iso_witness(src: AlgebraId, dst: AlgebraId, field: Field,
 def canonicalize(ident: AlgebraId, field: Field, allow_extension: bool = True):
     """Reduce any catalogue id to its Table representative.
 
-    Returns (canonical id, witness chain); composing the chain's matrices
-    carries structure_of(ident) onto structure_of(canonical id).  Witnesses
-    may live over a quadratic extension of ``field`` when the reduction needs
-    a root the field lacks (refused if allow_extension is false).  The
-    canonical id's parameter always lies in the original field.
+    Returns (canonical id, witness chain).  A canonical id comes back as it
+    is, with an empty chain.  Any other id is reduced by
+    identify_with_witness, and the chain is the one IsoWitness of that basis
+    change, carrying structure_of(ident) onto structure_of(canonical id).
+    The witness may live over a quadratic extension of ``field`` when the
+    reduction needs a root the field lacks (refused if allow_extension is
+    false).  The canonical id's parameter always lies in ``field``.
     """
-    t = ident.tag
-    if t in CANONICAL_TAGS:
+    if ident.is_canonical():
         return ident, []
-
-    if t == "a2":
-        target = adelta(field, 0)
-        return target, [iso_witness(ident, target, field)]
-
-    if t == "chat3":
-        if field.char == 2:
-            return AlgebraId("l1"), [iso_witness(ident, AlgebraId("l1"), field)]
-        target = AlgebraId("c3")
-        return target, [iso_witness(ident, target, field, allow_extension)]
-
-    if t == "rho":
-        if field.char == 2:
-            return AlgebraId("c3"), [iso_witness(ident, AlgebraId("c3"), field)]
-        step1 = iso_witness(ident, a3kappa(field, 2), field)
-        target = adelta(field, quarter(field))
-        step2 = iso_witness(a3kappa(field, 2), target, field)
-        return target, [step1, step2]
-
-    if t == "a3":
-        k = _param_in(ident, field)
-        if k.is_zero():
-            return AlgebraId("c3"), [iso_witness(ident, AlgebraId("c3"), field)]
-        target = adelta(field, (k * k).inverse())
-        return target, [iso_witness(ident, target, field)]
-
-    if t == "h":
-        b = _param_in(ident, field)
-        one = field.one()
-        if b == -one:
-            target = AlgebraId("l1")
-            return target, [iso_witness(ident, target, field)]
-        if b == one:
-            mid = AlgebraId("chat3")
-            step1 = iso_witness(ident, mid, field)
-            target, rest = canonicalize(mid, field, allow_extension)
-            return target, [step1] + rest
-        if b.is_zero():
-            mid = AlgebraId("a2")
-            step1 = iso_witness(ident, mid, field)
-            target, rest = canonicalize(mid, field, allow_extension)
-            return target, [step1] + rest
-        # general parameter: pass through a3(k) with k = -(alpha + 1/alpha),
-        # alpha^2 = -b; delta = 1/k^2 = -b/(1-b)^2 stays in the base field
-        delta = -b / ((one - b) * (one - b))
-        alpha, f2 = _root_of(field, [b, 0, 1], "al", allow_extension)
-        k2 = -(alpha + alpha.inverse())
-        mid = AlgebraId("a3", k2)
-        step1 = iso_witness(AlgebraId("h", f2.embed(b)), mid, f2)
-        step2 = iso_witness(mid, AlgebraId("a", f2.embed(delta)), f2)
-        assert (k2 * k2).inverse() == f2.embed(delta)
-        return adelta(field, delta), [step1, step2]
-
-    raise CatalogueError(f"unknown algebra tag {t!r}")
+    target, g = identify_with_witness(structure_of(ident, field), allow_extension)
+    return target, [IsoWitness(ident, target, g)]
 
 
 # -- classification of arbitrary structure vectors ---------------------------

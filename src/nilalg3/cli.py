@@ -28,7 +28,7 @@ from .ioformats import (FormatError, parse_algebra_id, parse_matrix,
                         parse_vector, parse_witness, render_vector,
                         render_witness)
 from .polyring import RationalFunctionField
-from .structspace import StructureVector, act, basis_vector
+from .structspace import StructureVector, act
 
 _DEFAULT_SEED = 1729
 _CHAR_CHOICES = (0, 2, 3, 5, 7, 11, 13)
@@ -82,8 +82,7 @@ def _cmd_catalog(args) -> int:
         vec = structure_of(AlgebraId(tag), field)
         rows.append((tag, str(vec), _profile_cells(vec)))
     generic = RationalFunctionField(field, "d")
-    family = (basis_vector(generic, 2, 2, 1) + basis_vector(generic, 2, 3, 1)
-              + basis_vector(generic, 3, 3, 1).scale(generic.gen()))
+    family = structure_of(adelta(generic, generic.gen()), generic)
     rows.append(("a(d)", str(family), _profile_cells(family)))
     if args.char != 2:
         vec = structure_of(adelta(field, quarter(field)), field)

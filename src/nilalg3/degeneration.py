@@ -24,7 +24,7 @@ import time
 from dataclasses import dataclass
 
 from . import algprops
-from .catalogue import (AlgebraId, adelta, canonicalize, identify,
+from .catalogue import (AlgebraId, adelta, canonicalize, hbeta, identify,
                         identify_with_witness, quarter, structure_of)
 from .fields import Field, FieldElement, PrimeField, RATIONALS
 from .polyring import (MultiPoly, PolyRing, RationalFunction,
@@ -268,8 +268,7 @@ def verify_lemma_identities(characteristic: int, mutate=None) -> IdentityReport:
                              "g31", "g32", "g33"))
     xi = ring_g.var("xi")
     gv = {(i, j): ring_g.var(f"g{i}{j}") for i in (1, 2, 3) for j in (1, 2, 3)}
-    sigma = StructureVector.from_terms(
-        ring_g, [(2, 3, 1, ring_g.one()), (3, 2, 1, xi)])
+    sigma = structure_of(hbeta(ring_g, xi), ring_g)
     if mutate is not None:
         sigma = sigma + StructureVector.from_terms(ring_g, [(*mutate, ring_g.one())])
     g = Matrix3.from_rows(ring_g, [[gv[(i, j)] for j in (1, 2, 3)] for i in (1, 2, 3)])
@@ -290,8 +289,7 @@ def verify_lemma_identities(characteristic: int, mutate=None) -> IdentityReport:
     be = ring_b.var("be")
     bv = {k: ring_b.var(k) for k in ("b11", "b12", "b13", "b22", "b23", "b33")}
     zero_b = ring_b.zero()
-    sigma_b = StructureVector.from_terms(
-        ring_b, [(2, 3, 1, ring_b.one()), (3, 2, 1, be)])
+    sigma_b = structure_of(hbeta(ring_b, be), ring_b)
     if mutate is not None:
         sigma_b = sigma_b + StructureVector.from_terms(ring_b, [(*mutate, ring_b.one())])
     b = Matrix3.from_rows(ring_b, [

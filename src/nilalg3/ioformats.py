@@ -14,14 +14,17 @@ Field descriptors, structure vectors, and curve witnesses travel as JSON:
               "matrix": [["-t", "0", "0"], ["0", "1", "0"], ["0", "-1", "t"]],
               "up_to_iso": false}
 
-min_poly lists are constant-first.  Algebra ids are written a0, c1, c3, l1,
-c5, a(C), h(C), a3(C), rho, chat3, a2 with C a scalar.
+min_poly lists are constant-first integers; a monic polynomial over Q with
+fractions is written as its integer multiple, [1, 0, 4] for r^2 + 1/4.
+Algebra ids are written a0, c1, c3, l1, c5, a(C), h(C), a3(C), rho, chat3,
+a2 with C a scalar.
 """
 
 from __future__ import annotations
 
 import functools
 import json
+import math
 import re
 from fractions import Fraction
 
@@ -95,18 +98,18 @@ def describe_field(field: Field) -> dict:
         if "ext" in inner:
             raise FormatError("nested extensions have no JSON form")
         inner["ext"] = {"name": field.name,
-                        "min_poly": [_as_int(c) for c in field.minpoly]}
+                        "min_poly": _cleared(field.minpoly)}
         return inner
     return {"char": field.char}
 
 
-def _as_int(c) -> int:
-    rep = c.rep if isinstance(c, FieldElement) else c
-    if isinstance(rep, Fraction) and rep.denominator == 1:
-        return int(rep)
-    if isinstance(rep, int):
-        return rep
-    raise FormatError(f"coefficient {c!r} has no integer form")
+def _cleared(coeffs) -> list:
+    """Integer coefficients of the same polynomial: a monic one over Q is
+    multiplied by its common denominator, which parse_field divides out
+    again; residues mod p are integers already."""
+    reps = [Fraction(c.rep) for c in coeffs]
+    den = math.lcm(*(r.denominator for r in reps))
+    return [int(r * den) for r in reps]
 
 
 # -- scalars ------------------------------------------------------------------
@@ -176,7 +179,7 @@ def _exponent(text) -> int:
 
 
 def parse_scalar(text: str, field: Field) -> FieldElement:
-    if isinstance(text, int):
+    if isinstance(text, int) and not isinstance(text, bool):
         return field.from_int(text)
     if not isinstance(text, str):
         raise FormatError(f"scalar must be text, got {text!r}")
@@ -217,7 +220,7 @@ def parse_poly_in_t(text: str, rff: RationalFunctionField):
     coefficients of a repeated exponent added, and the polynomial is built
     once from it.
     """
-    if isinstance(text, int):
+    if isinstance(text, int) and not isinstance(text, bool):
         return rff.from_int(text)
     if not isinstance(text, str):
         raise FormatError(f"polynomial must be text, got {text!r}")

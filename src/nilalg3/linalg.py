@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from .fields import Field, FieldElement
+from .fields import Field
 
 
 def row_reduce(rows: list) -> tuple:

@@ -6,6 +6,7 @@ at once; individual witnesses are then spot-checked over concrete fields.
 """
 
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -15,7 +16,7 @@ from nilalg3.catalogue import (AlgebraId, CatalogueError, IsoWitness,
                                same_r_class, structure_of)
 from nilalg3.fields import (NeedsFieldExtension, PrimeField, RATIONALS,
                             SimpleExtension, gf4, gf16)
-from nilalg3.polyring import RationalFunctionField
+from nilalg3.polyring import PolyRing, RationalFunctionField
 from nilalg3.structspace import Matrix3, act, basis_vector
 
 
@@ -39,7 +40,11 @@ def test_algebra_id_validation():
         AlgebraId("a")            # missing parameter
     with pytest.raises(CatalogueError):
         AlgebraId("c3", RATIONALS.one())
+    with pytest.raises(CatalogueError):
+        AlgebraId("h", 2)         # a plain int is no scalar of any domain
     assert str(AlgebraId("a", RATIONALS.element(2))) == "a(2)"
+    xi = PolyRing(PrimeField(7), ("xi",)).var("xi")
+    assert str(AlgebraId("h", xi)) == "h(xi)"
     assert AlgebraId("rho").is_canonical() is False
     assert AlgebraId("c5").is_canonical() is True
 
@@ -113,19 +118,54 @@ def _compose_chain(chain):
     return g, top
 
 
-@pytest.mark.parametrize("char", [0, 7])
-def test_canonicalize_h_family_generic(char):
-    field = RATIONALS if char == 0 else PrimeField(char)
-    beta = field.element(3)
-    target, chain = canonicalize(hbeta(field, beta), field)
-    assert target.tag == "a"
-    # delta = -beta / (1 - beta)^2 away from characteristic 2
-    expect = -beta / ((field.one() - beta) ** 2)
-    assert target.param == expect
+# the fields every reduction is checked over, keyed by their order (0 for Q):
+# both sides of the characteristic-2 split, prime and non-prime
+_FIELDS = {0: RATIONALS, 2: PrimeField(2), 3: PrimeField(3), 5: PrimeField(5),
+           7: PrimeField(7), 11: PrimeField(11), 13: PrimeField(13), 4: gf4(),
+           16: gf16()}
+_Q_PARAMS = (2, -2, 3, -3, 5, 7, -7, Fraction(1, 2), Fraction(-1, 3),
+             Fraction(2, 3), Fraction(5, 4))
+
+
+def _params(field):
+    """Every element of a finite field; a spread of rationals over Q."""
+    if field.is_finite():
+        return list(field.elements())
+    return [field.element(v) for v in (0, 1, -1) + _Q_PARAMS]
+
+
+def _reduce(ident, field, allow_extension=True):
+    """canonicalize, with its chain checked to carry ident onto the target."""
+    target, chain = canonicalize(ident, field, allow_extension)
+    assert target.is_canonical()
+    if target.param is not None:
+        assert target.param.field == field
     g, top = _compose_chain(chain)
-    src = structure_of(hbeta(field, beta), top)
-    dst = structure_of(target, top)
-    assert act(src, g) == dst
+    assert act(structure_of(ident, top), g) == structure_of(target, top)
+    return target
+
+
+@pytest.mark.parametrize("char", [0, 7, 2, 3, 5, 11, 13, 4, 16])
+def test_canonicalize_h_family_generic(char):
+    # char names the field by its order, 0 for Q
+    field = _FIELDS[char]
+    one = field.one()
+    beta = field.element(3)
+    if beta not in (field.zero(), one, -one):
+        target, chain = canonicalize(hbeta(field, beta), field)
+        assert target.tag == "a"
+        # delta = -beta / (1 - beta)^2 away from characteristic 2
+        expect = -beta / ((field.one() - beta) ** 2)
+        assert target.param == expect
+        g, top = _compose_chain(chain)
+        src = structure_of(hbeta(field, beta), top)
+        dst = structure_of(target, top)
+        assert act(src, g) == dst
+    for b in _params(field):
+        if b in (field.zero(), one, -one):
+            continue
+        expect = b / (one + b) ** 2 if field.char == 2 else -b / (one - b) ** 2
+        assert _reduce(hbeta(field, b), field) == adelta(field, expect), b
 
 
 def test_canonicalize_h_family_char2():
@@ -136,6 +176,23 @@ def test_canonicalize_h_family_char2():
     assert target.param == w / ((F.one() + w) ** 2)
     g, top = _compose_chain(chain)
     assert act(structure_of(hbeta(F, w), top), g) == structure_of(target, top)
+
+
+def _table_targets(field):
+    """The Table representative of each special auxiliary id."""
+    if field.char == 2:
+        special = {hbeta(field, 1): AlgebraId("l1"),
+                   AlgebraId("rho"): AlgebraId("c3"),
+                   AlgebraId("chat3"): AlgebraId("l1")}
+    else:
+        special = {hbeta(field, 1): AlgebraId("c3"),
+                   hbeta(field, -1): AlgebraId("l1"),
+                   AlgebraId("rho"): adelta(field, quarter(field)),
+                   AlgebraId("chat3"): AlgebraId("c3")}
+    special.update({hbeta(field, 0): adelta(field, 0),
+                    AlgebraId("a2"): adelta(field, 0),
+                    a3kappa(field, 0): AlgebraId("c3")})
+    return special
 
 
 def test_canonicalize_special_h_values():
@@ -149,6 +206,11 @@ def test_canonicalize_special_h_values():
 
     G = gf4()
     assert canonicalize(hbeta(G, 1), G)[0] == AlgebraId("l1")
+
+    for field in _FIELDS.values():
+        for ident, target in _table_targets(field).items():
+            if ident.tag == "h":
+                assert _reduce(ident, field) == target, (ident, field)
 
 
 def test_canonicalize_auxiliary_tags():
@@ -164,6 +226,11 @@ def test_canonicalize_auxiliary_tags():
     assert canonicalize(AlgebraId("rho"), G)[0] == AlgebraId("c3")
     assert canonicalize(AlgebraId("chat3"), G)[0] == AlgebraId("l1")
 
+    for field in _FIELDS.values():
+        for ident, target in _table_targets(field).items():
+            if ident.tag != "h":
+                assert _reduce(ident, field) == target, (ident, field)
+
 
 def test_canonicalize_a3_generic():
     F = PrimeField(7)
@@ -175,11 +242,26 @@ def test_canonicalize_a3_generic():
         g, top = _compose_chain(chain)
         src = structure_of(a3kappa(F, kappa), top)
         assert act(src, g) == structure_of(target, top)
+    for field in _FIELDS.values():
+        for k in _params(field):
+            if not k.is_zero():
+                assert _reduce(a3kappa(field, k), field) \
+                    == adelta(field, (k * k).inverse()), (k, field)
 
 
 def test_canonicalize_refuses_extension_when_disallowed():
     with pytest.raises(NeedsFieldExtension):
         canonicalize(AlgebraId("chat3"), RATIONALS, allow_extension=False)
+
+
+def test_canonicalize_needs_no_extension_for_the_h_family():
+    # the reduction of h(b) goes straight onto a(delta) over the base field;
+    # no root of x^2 + b is adjoined on the way, so extensions may be refused
+    F = RATIONALS
+    target, chain = canonicalize(hbeta(F, 2), F, allow_extension=False)
+    assert target == adelta(F, -2)
+    assert [w.field for w in chain] == [F]
+    assert _reduce(hbeta(F, 2), F, allow_extension=False) == target
 
 
 def test_quarter():
@@ -299,3 +381,11 @@ def test_structure_of_parametric_families_match_basis_vector_sums():
                     == _sym_family(field, tag, p), (tag, p, field)
     F = PrimeField(7)
     assert structure_of(AlgebraId("rho"), F) == _sym_family(F, "a3", F.from_int(2))
+    # a parameter from any scalar domain: the generic point of F(d), and a
+    # variable of a polynomial ring
+    K = RationalFunctionField(F, "d")
+    R = PolyRing(RATIONALS, ("xi", "g11"))
+    for domain, p in ((K, K.gen()), (K, 1 / (K.gen() + 1)), (R, R.var("xi"))):
+        for tag in ("a", "h", "a3"):
+            assert structure_of(AlgebraId(tag, p), domain) \
+                == _sym_family(domain, tag, p), (tag, p, domain)

@@ -208,6 +208,12 @@ MALFORMED = [
         "src": "c5", "dst": "c3", "char": 0,
         "matrix": [["t", "0", "0"], ["t", "1", "0"], ["0", "0", "t"]],
         "up_to_iso": "false"}),
+    # JSON true is no number, though Python's bool is an int
+    ("bool-matrix-entry", ("verify-witness", "{file}"), {
+        "src": "c3", "dst": "c1", "char": 0,
+        "matrix": [[True, 0, 0], [0, "t", 0], [0, 0, True]]}),
+    ("bool-vector-coefficient", ("identify", "{file}"),
+     _vector({"char": 0}, ((2, 3, 1, True),))),
 ]
 
 

@@ -375,6 +375,24 @@ def test_library_and_composed_curves_round_trip(name):
     assert described >= 6
 
 
+@pytest.mark.parametrize("last", ["a0", "c1"])
+def test_composite_over_fractional_extension_round_trips(last):
+    # the triangle collapse lands on c3 only up to isomorphism, and over Q
+    # the bridge adjoins r with r^2 + 1/4 = 0; the descriptor carries that
+    # minimal polynomial as the integer multiple 4r^2 + 1
+    F = RATIONALS
+    first = known_witness(AlgebraId("c5"), AlgebraId("c3"), F)
+    second = known_witness(AlgebraId("c3"), AlgebraId(last), F)
+    witness = compose_curves(first, second)
+    assert [repr(c) for c in witness.base_field.minpoly] == ["1/4", "0", "1"]
+    payload = render_witness(witness)
+    assert payload["field"]["ext"]["min_poly"] == [1, 0, 4]
+    _assert_round_trip(witness)
+    clone = parse_witness(json.dumps(payload))
+    assert clone.base_field == witness.base_field
+    assert verify_witness(clone) == verify_witness(witness)
+
+
 def test_lifted_search_hit_round_trips():
     F = PrimeField(7)
     hit = search_witness(AlgebraId("a3", F.element(2)), AlgebraId("l1"), F,

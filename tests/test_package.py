@@ -1,4 +1,8 @@
-"""The package surface: every exported name resolves."""
+"""The package surface: every exported name resolves, no module imports a
+name it never uses."""
+
+import ast
+import pathlib
 
 import nilalg3
 
@@ -7,3 +11,24 @@ def test_every_export_imports():
     assert len(set(nilalg3.__all__)) == len(nilalg3.__all__)
     for name in nilalg3.__all__:
         exec(f"from nilalg3 import {name}", {})
+
+
+def test_no_unused_imports():
+    # __init__.py imports in order to re-export, so it is left out
+    unused = []
+    for path in sorted(pathlib.Path(nilalg3.__file__).parent.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        imported = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    name = alias.asname or alias.name.split(".")[0]
+                    imported[name] = node.lineno
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [f"{path.name}:{line} {name}"
+                   for name, line in imported.items() if name not in used]
+    assert not unused, unused
