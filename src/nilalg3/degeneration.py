@@ -710,7 +710,7 @@ def search_witness(src: AlgebraId, dst: AlgebraId, field: Field,
     if hit is not None:
         rff = _rff(field)
         rows = [[rff.polynomial({} if cell is None
-                                else {cell[0]: FieldElement(field, cell[1])})
+                                else {cell[0]: field._elem(cell[1])})
                  for cell in hit[3 * r:3 * r + 3]] for r in range(3)]
         witness = CurveWitness(src, dst, Matrix3.from_rows(rff, rows),
                                note=f"search-seed{seed}")

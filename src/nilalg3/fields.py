@@ -10,6 +10,13 @@ coefficient tuples.  Elements are always held in canonical form (reduced
 fractions, least nonnegative residues, codes, remainders modulo a monic
 minimal polynomial), so equality is structural comparison and every value
 is immutable and hashable.
+
+A finite field (GF(p) with p <= MAX_FINITE_ORDER, or a :class:`FiniteField`)
+hands out one element object per code: ``field._elem`` looks the rep up in a
+per-field map, so a sum or product of two elements of the same field object
+is a table lookup and a dict lookup, with no allocation.  The map is filled
+on first use of each code, which is why building a field costs what it did
+before; the rationals and number fields build a new element per result.
 """
 
 from __future__ import annotations
@@ -41,9 +48,9 @@ class Field:
     # -- element factories -------------------------------------------------
 
     def element(self, value) -> "FieldElement":
-        if isinstance(value, FieldElement) and value.field is self:
+        if value.__class__ is FieldElement and value.field is self:
             return value        # elements are immutable: nothing to coerce
-        return FieldElement(self, self._coerce(value))
+        return self._elem(self._coerce(value))
 
     def zero(self) -> "FieldElement":
         return self.element(0)
@@ -160,15 +167,27 @@ class ScalarOps:
 
 
 class FieldElement(ScalarOps):
-    """A value of one field of the tower, stored in canonical form."""
+    """A value of one field of the tower, stored in canonical form.
+
+    Every operator first tests whether the other operand is an element of
+    the very same field object, and then needs no coercion: the result is
+    ``field._elem`` of the hook's rep, a table lookup in a finite field.
+    Ints, Fractions and elements of an equal field that is another object
+    go through ``_peer``.  ``FieldElement(field, rep)`` builds a new object;
+    the library builds through ``field.element`` and ``field._elem``, so
+    that a finite field only hands out its interned elements.
+    """
 
     __slots__ = ("field", "rep")
 
     def __init__(self, field: Field, rep):
-        object.__setattr__(self, "field", field)
-        object.__setattr__(self, "rep", rep)
+        _set_field(self, field)
+        _set_rep(self, rep)
 
     def __setattr__(self, name, value):
+        raise AttributeError("FieldElement is immutable")
+
+    def __delattr__(self, name):
         raise AttributeError("FieldElement is immutable")
 
     def _peer(self, other):
@@ -181,33 +200,49 @@ class FieldElement(ScalarOps):
         return None
 
     def __add__(self, other):
+        f = self.field
+        if other.__class__ is FieldElement and other.field is f:
+            return f._elem(f._add(self.rep, other.rep))
         o = self._peer(other)
         if o is None:
             return NotImplemented
-        return FieldElement(self.field, self.field._add(self.rep, o.rep))
+        return f._elem(f._add(self.rep, o.rep))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return FieldElement(self.field, self.field._neg(self.rep))
+        f = self.field
+        return f._elem(f._neg(self.rep))
+
+    def __sub__(self, other):
+        f = self.field
+        if other.__class__ is FieldElement and other.field is f:
+            return f._elem(f._add(self.rep, f._neg(other.rep)))
+        return ScalarOps.__sub__(self, other)
 
     def __mul__(self, other):
+        f = self.field
+        if other.__class__ is FieldElement and other.field is f:
+            return f._elem(f._mul(self.rep, other.rep))
         o = self._peer(other)
         if o is None:
             return NotImplemented
-        return FieldElement(self.field, self.field._mul(self.rep, o.rep))
+        return f._elem(f._mul(self.rep, o.rep))
 
     __rmul__ = __mul__
 
     def inverse(self) -> "FieldElement":
-        if self.is_zero():
+        f = self.field
+        if f._is_zero(self.rep):
             raise ZeroDivisionError("inverse of zero")
-        return FieldElement(self.field, self.field._inv(self.rep))
+        return f._elem(f._inv(self.rep))
 
     def _one(self) -> "FieldElement":
         return self.field.one()
 
     def __eq__(self, other):
+        if other.__class__ is FieldElement and other.field is self.field:
+            return self.rep == other.rep
         if isinstance(other, (int, Fraction)):
             other = self.field.element(other)
         if not isinstance(other, FieldElement):
@@ -222,6 +257,44 @@ class FieldElement(ScalarOps):
 
     def __repr__(self):
         return self.field._render(self.rep)
+
+
+_new = object.__new__
+_set_field = FieldElement.field.__set__
+_set_rep = FieldElement.rep.__set__
+
+
+def _make(field: Field, rep) -> FieldElement:
+    """A new element: the slot descriptors set directly, past the refusing
+    ``__setattr__``, and no ``__init__`` call."""
+    x = _new(FieldElement)
+    _set_field(x, field)
+    _set_rep(x, rep)
+    return x
+
+
+# the default hook: Q and number fields build a new element per result
+Field._elem = _make
+
+
+class _Interned(dict):
+    """rep -> the one element of a finite field with that rep.
+
+    ``field._elem`` is this map's ``__getitem__``, so a result that was seen
+    before is a dict lookup and no allocation.  Entries are made on first
+    use, so building a field costs what it did before interning: an eager
+    list of all q elements would add about 50 ms and 4 MB to GF(2^16), for
+    codes that most uses never meet.
+    """
+
+    __slots__ = ("field",)
+
+    def __init__(self, field: Field):
+        self.field = field
+
+    def __missing__(self, rep):
+        x = self[rep] = _make(self.field, rep)
+        return x
 
 
 class Rationals(Field):
@@ -291,6 +364,8 @@ class PrimeField(Field):
             raise FieldError(f"{p} is not prime")
         self.p = p
         self.char = p
+        if p <= MAX_FINITE_ORDER:
+            self._elem = _Interned(self).__getitem__
 
     def is_finite(self) -> bool:
         return True
@@ -300,7 +375,7 @@ class PrimeField(Field):
 
     def elements(self):
         for r in range(self.p):
-            yield FieldElement(self, r)
+            yield self._elem(r)
 
     def _coerce(self, value):
         if isinstance(value, FieldElement):
@@ -517,7 +592,7 @@ class _Extension(Field):
         if isinstance(x, FieldElement) and x.field == self:
             return x
         bx = x if x.field == self.base else self.base.embed(x)
-        return FieldElement(self, self._lift(bx.rep))
+        return self._elem(self._lift(bx.rep))
 
     def _coerce(self, value):
         if isinstance(value, FieldElement):
@@ -571,7 +646,7 @@ class SimpleExtension(_Extension):
         return False
 
     def _lift(self, r):
-        return (FieldElement(self.base, r),) + (self.base.zero(),) * (self.degree - 1)
+        return (self.base._elem(r),) + (self.base.zero(),) * (self.degree - 1)
 
     def _from_coefficients(self, coeffs):
         return tuple(self._reduce(coeffs))
@@ -650,6 +725,7 @@ class FiniteField(_Extension):
             raise FieldError(f"{self!r} would have {b}^{d} elements, more "
                              f"than {MAX_FINITE_ORDER}")
         self._refuse_factors()
+        self._elem = _Interned(self).__getitem__
         self._b, self._q = b, b ** d
         self._shift = b ** (d - 1)          # the code of c is c * shift
         self._x = base.one().rep * b ** (d - 2)
@@ -758,7 +834,7 @@ class FiniteField(_Extension):
 
     def elements(self):
         for c in range(self._q):
-            yield FieldElement(self, c)
+            yield self._elem(c)
 
     def _lift(self, r):
         return r * self._shift
@@ -894,7 +970,7 @@ def _ext2_square_roots(field: SimpleExtension, x: FieldElement):
             out.append(field.embed(a))
         if not e.is_zero():
             for b in square_roots(u / e):
-                out.append(FieldElement(field, (base.zero(), b)))
+                out.append(field._elem((base.zero(), b)))
     else:
         # b != 0; eliminate a = (v - f*b**2) / (2b), leaving a quadratic in b**2.
         A = f * f + 4 * e
@@ -905,7 +981,7 @@ def _ext2_square_roots(field: SimpleExtension, x: FieldElement):
                 if b.is_zero():
                     continue
                 a = (v - f * b * b) / (2 * b)
-                cand = FieldElement(field, (a, b))
+                cand = field._elem((a, b))
                 if cand * cand == x:
                     out.append(cand)
     return out

@@ -42,6 +42,11 @@ class FormatError(ValueError):
     """Malformed field descriptor, scalar, polynomial, id, or JSON payload."""
 
 
+def _is_int(x) -> bool:
+    """A JSON integer: Python's bool is an int, but JSON's true is no number."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 # -- fields -------------------------------------------------------------------
 
 
@@ -58,7 +63,7 @@ def parse_field(desc) -> Field:
     if not isinstance(desc, dict) or "char" not in desc:
         raise FormatError("field descriptor must be an object with 'char'")
     char = desc["char"]
-    if not isinstance(char, int) or char < 0:
+    if not _is_int(char) or char < 0:
         raise FormatError(f"bad characteristic {char!r}")
     if char != 0 and char not in _PRIMES_OK:
         raise FormatError(f"characteristic {char} is not supported")
@@ -69,7 +74,7 @@ def parse_field(desc) -> Field:
         raise FormatError("'ext' needs 'name' and 'min_poly'")
     minpoly = ext["min_poly"]
     if (not isinstance(minpoly, list) or len(minpoly) < 3
-            or not all(isinstance(c, int) for c in minpoly)):
+            or not all(_is_int(c) for c in minpoly)):
         raise FormatError("'min_poly' must be a constant-first list of "
                           "integers of degree >= 2")
     return _field(char, str(ext["name"]), tuple(minpoly))
@@ -179,7 +184,7 @@ def _exponent(text) -> int:
 
 
 def parse_scalar(text: str, field: Field) -> FieldElement:
-    if isinstance(text, int) and not isinstance(text, bool):
+    if _is_int(text):
         return field.from_int(text)
     if not isinstance(text, str):
         raise FormatError(f"scalar must be text, got {text!r}")
@@ -220,7 +225,7 @@ def parse_poly_in_t(text: str, rff: RationalFunctionField):
     coefficients of a repeated exponent added, and the polynomial is built
     once from it.
     """
-    if isinstance(text, int) and not isinstance(text, bool):
+    if _is_int(text):
         return rff.from_int(text)
     if not isinstance(text, str):
         raise FormatError(f"polynomial must be text, got {text!r}")
@@ -308,7 +313,7 @@ def parse_vector(payload) -> StructureVector:
         if not isinstance(entry, dict) or not {"i", "j", "k", "c"} <= set(entry):
             raise FormatError(f"bad vector entry {entry!r}")
         i, j, k = entry["i"], entry["j"], entry["k"]
-        if not all(isinstance(n, int) and 1 <= n <= 3 for n in (i, j, k)):
+        if not all(_is_int(n) and 1 <= n <= 3 for n in (i, j, k)):
             raise FormatError(f"indices out of range in {entry!r}")
         terms.append((i, j, k, parse_scalar(entry["c"], field)))
     return StructureVector.from_terms(field, terms)

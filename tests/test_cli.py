@@ -214,6 +214,11 @@ MALFORMED = [
         "matrix": [[True, 0, 0], [0, "t", 0], [0, 0, True]]}),
     ("bool-vector-coefficient", ("identify", "{file}"),
      _vector({"char": 0}, ((2, 3, 1, True),))),
+    ("bool-vector-index", ("identify", "{file}"),
+     _vector({"char": 0}, ((True, 1, 2, "1"),))),
+    ("bool-characteristic", ("identify", "{file}"), _vector({"char": False})),
+    ("bool-min-poly-coefficient", ("identify", "{file}"), _vector(
+        {"char": 2, "ext": {"name": "w", "min_poly": [True, 1, 1]}})),
 ]
 
 

@@ -475,3 +475,54 @@ def test_large_field_products_are_polynomial_products(name):
         a, b = F.element(u), F.element(v)
         assert (a.rep, b.rep) == (code(u), code(v))
         assert (a * b).rep == code(mulmod(u, v))
+
+
+# -- interned elements of finite fields ----------------------------------------
+
+
+INTERNED = {"GF7": PrimeField(7), "GF4": gf4(), "GF16": gf16()}
+
+
+@pytest.mark.parametrize("name", sorted(INTERNED))
+def test_finite_field_hands_out_one_element_per_code(name):
+    F = INTERNED[name]
+    elems = list(F.elements())
+    assert all(x is y for x, y in zip(elems, F.elements()))
+    by_rep = {x.rep: x for x in elems}
+    assert all(F.element(x) is x for x in elems)
+    assert all(F.element(n) is F.element(n) for n in range(-3, 10))
+    assert F.zero() is by_rep[0] and F.one() is F.element(1)
+    for a, b in itertools.product(elems[:8], elems[-8:]):
+        for r in (a + b, a - b, a * b, -a):
+            assert r is by_rep[r.rep]
+        if not b.is_zero():
+            assert a / b is by_rep[(a / b).rep]
+            assert b.inverse() is by_rep[b.inverse().rep]
+
+
+@pytest.mark.parametrize("x", [gf16().generator(), PrimeField(7).element(3),
+                               RATIONALS.element(Fraction(1, 2))],
+                         ids=["GF16", "GF7", "Q"])
+def test_elements_are_immutable(x):
+    rep, field = x.rep, x.field
+    for attr, value in (("rep", 0), ("field", RATIONALS), ("other", 1)):
+        with pytest.raises(AttributeError):
+            setattr(x, attr, value)
+    for attr in ("rep", "field"):
+        with pytest.raises(AttributeError):
+            delattr(x, attr)
+    assert (x.rep, x.field) == (rep, field)
+
+
+@pytest.mark.parametrize("make", [lambda: PrimeField(7), gf16],
+                         ids=["GF7", "GF16"])
+def test_equal_fields_built_apart_mix(make):
+    F, G = make(), make()
+    assert F == G and F is not G
+    for x, y in zip(F.elements(), G.elements()):
+        assert x == y and y == x and hash(x) == hash(y)
+        assert x is not y
+        assert x + y == 2 * x and x * y == y * x
+        assert (x - y).is_zero()
+    with pytest.raises(FieldError):
+        PrimeField(5).one() + PrimeField(7).one()
