@@ -10,8 +10,8 @@ scratch, or one transitivity step: a base obstruction y -/-> z carried to
 src -/-> dst along library curves y -> src and dst -> z.
 
 degenerates() combines the two directions into a total decision procedure for
-catalogue pairs; search_witness() hunts for new curves over small finite
-fields with a t-adic valuation test.
+catalogue pairs; search_witness() hunts for new curves over finite fields
+with the t-adic valuation test that judges every certificate.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 import random
 import time
 from dataclasses import dataclass
@@ -28,7 +29,7 @@ from .catalogue import (AlgebraId, adelta, canonicalize, hbeta, identify,
                         identify_with_witness, quarter, structure_of)
 from .fields import Field, FieldElement, PrimeField, RATIONALS
 from .polyring import (MultiPoly, PolyRing, RationalFunction,
-                       RationalFunctionField, t_valuation)
+                       RationalFunctionField)
 from .structspace import Matrix3, StructureVector, act, act_cleared
 
 OBSTRUCTION_TAGS = ("nilpotency-class", "commutativity", "m-star-star-closure",
@@ -46,10 +47,10 @@ class CurveWitness:
 
     ``matrix`` lives over a RationalFunctionField (its entries are
     polynomials for every curve this package builds); nothing is checked at
-    construction, verify_witness() is the judge, through curve_limit()'s
-    division-free check over F[t].  ``up_to_iso`` permits the limit to be
-    any structure identify() assigns to dst's class rather than the
-    canonical structure on the nose.
+    construction, verify_witness() is the judge, through curve_limit() and
+    the one limit kernel _moved_limit, which search_witness() runs too.
+    ``up_to_iso`` permits the limit to be any structure identify() assigns
+    to dst's class rather than the canonical structure on the nose.
     """
 
     src: AlgebraId
@@ -88,39 +89,147 @@ class DegenerationFact:
 # -- witness verification -----------------------------------------------------
 
 
+_POLE = object()     # what _moved_limit yields for a coefficient without a limit
+
+
+def _adjugate_column(cells, s, ops) -> list:
+    """Column s of adj(P): the cross product of rows s + 1 and s + 2 of P,
+    entry r being p[r+1] q[r+2] - p[r+2] q[r+1]."""
+    add, mul, neg, _, _ = ops
+    o, w = 3 * ((s + 1) % 3), 3 * ((s + 2) % 3)
+    p, q = cells[o:o + 3], cells[w:w + 3]
+    column = []
+    for x, y in ((1, 2), (2, 0), (0, 1)):
+        out = {}
+        for ep, cp in p[x]:
+            for eq, cq in q[y]:
+                e, c = ep + eq, mul(cp, cq)
+                out[e] = add(out[e], c) if e in out else c
+        for ep, cp in p[y]:
+            for eq, cq in q[x]:
+                e, c = ep + eq, neg(mul(cp, cq))
+                out[e] = add(out[e], c) if e in out else c
+        column.append(out)
+    return column
+
+
+def _moved_limit(support, cells, scale, ops):
+    """The limit at t = 0 of a structure moved by g = P/L; None when P is
+    singular.
+
+    ``support`` holds the source's nonzero terms (i, j, k, s), 0-based;
+    ``cells`` the nine entries of P row by row and ``scale`` the polynomial
+    L, each as (exponent, value) pairs with nonzero values; ``ops`` is the
+    arithmetic (add, mul, neg, is_zero, inverse) on those values.  Since
+    act(vec, λg) = λ act(vec, g), coefficient (a, b, c) of the moved
+    structure is the sum of s P[i,a] P[j,b] adj(P)[c,k] over L det P.  It
+    has a limit exactly when its t-valuation is at least v = v_t(L det P),
+    and the limit is its t^v coefficient over that of L det P; so the sums
+    make no term above t^v, and adj(P) is built only in the columns k that
+    the support uses.  Returns an iterator over the 27 positions in index
+    order, each the limit (None when zero) or _POLE, so that a caller can
+    stop at the first one it does not want.
+    """
+    add, mul, _, is_zero, inverse = ops
+    p0, p1, p2, p3, p4, p5, p6, p7, p8 = cells
+    if not (p0 and (p4 and p8 or p5 and p7) or p1 and (p3 and p8 or p5 and p6)
+            or p2 and (p3 and p7 or p4 and p6)):
+        return None     # every term of det P meets a zero cell: cheap, and
+                        # that is how half of search's candidates end
+    columns = {0: _adjugate_column(cells, 0, ops)}
+    det = {}
+    for p, q in zip(cells[:3], columns[0]):     # expansion along the first row
+        for ep, cp in p:
+            for eq, cq in q.items():
+                n, x = ep + eq, mul(cp, cq)
+                det[n] = add(det[n], x) if n in det else x
+    low = [n for n, x in det.items() if not is_zero(x)]
+    if not low:
+        return None
+    # the lowest term of L det is the product of the two lowest terms
+    es, cs = min(scale)
+    v = min(low)
+    lead_inv = inverse(mul(det[v], cs))
+    v += es
+    for _, _, k, _ in support:
+        if k not in columns:
+            columns[k] = _adjugate_column(cells, k, ops)
+
+    def limits():
+        for a in range(3):
+            for b in range(3):
+                # s P[i,a] P[j,b] does not depend on c: make it once
+                heads = []
+                for i, j, k, coef in support:
+                    ga = cells[3 * i + a]
+                    gb = cells[3 * j + b]
+                    if ga and gb:
+                        for ea, ca in ga:
+                            for eb, cb in gb:
+                                e0 = ea + eb
+                                if e0 <= v:
+                                    heads.append((e0, mul(coef, mul(ca, cb)),
+                                                  columns[k]))
+                if not heads:       # the three coefficients (a, b, *) vanish
+                    yield from (None, None, None)
+                    continue
+                for c in range(3):
+                    acc = {}
+                    for e0, head, column in heads:
+                        for eh, ch in column[c].items():
+                            n = e0 + eh
+                            if n <= v:
+                                x = mul(head, ch)
+                                acc[n] = add(acc[n], x) if n in acc else x
+                    got = None
+                    for n, x in acc.items():
+                        if not is_zero(x):
+                            if n < v:
+                                got = _POLE
+                                break
+                            got = mul(x, lead_inv)
+                    yield got
+
+    return limits()
+
+
+_ELEMENT_OPS = (operator.add, operator.mul, operator.neg,
+                operator.methodcaller("is_zero"), operator.methodcaller("inverse"))
+
+
+def _pairs(poly: MultiPoly) -> list:
+    return [(e, c) for (e,), c in poly.terms.items()]
+
+
 def curve_limit(witness: CurveWitness) -> StructureVector:
     """The coefficientwise limit at t = 0, raising on a pole or singularity.
 
     Exact and division-free over F[t].  The matrix is written as g = P/L,
-    with P polynomial and L the product of the distinct entry
-    denominators (1 for every curve built from polynomials).  Since
-    act(vec, λg) = λ act(vec, g), the moved structure is cleared / (L det)
-    where (cleared, det) = act_cleared(vec, P).  A coefficient has a limit
-    exactly when its t-valuation is at least v = v_t(L det); the limit is
-    its t^v coefficient over that of L det.
+    with P polynomial and L the product of the distinct entry denominators
+    (1 for every curve built from polynomials), and _moved_limit judges P
+    and L with the scalars' own operators, so every scalar domain works,
+    F(d) included.
     """
     rff = witness.matrix.parent
     if not isinstance(rff, RationalFunctionField):
         raise DegenerationError("curve matrix must live over rational functions")
     base = rff.field
     dens = list(dict.fromkeys(rf.den for rf in witness.matrix.entries))
-    poly = witness.matrix.map_scalars(
-        lambda rf: math.prod((d for d in dens if d != rf.den), start=rf.num),
-        rff.ring)
-    cleared, det = act_cleared(structure_of(witness.src, base), poly)
-    if det.is_zero():
+    cells = [_pairs(math.prod((d for d in dens if d != rf.den), start=rf.num))
+             for rf in witness.matrix.entries]
+    support = [(i - 1, j - 1, k - 1, c)
+               for i, j, k, c in structure_of(witness.src, base).terms()]
+    limits = _moved_limit(support, cells, _pairs(math.prod(dens[1:], start=dens[0])),
+                          _ELEMENT_OPS)
+    if limits is None:
         raise DegenerationError("curve matrix is singular as a matrix of functions")
-    scale = math.prod(dens, start=det)
-    v = t_valuation(scale)
-    lead_inv = scale.terms[(v,)].inverse()
     zero = base.zero()
-    limit = []
-    for c in cleared.coeffs:
-        if c.terms and t_valuation(c) < v:
-            raise DegenerationError(
-                f"coefficient has a pole at t = 0: {c} over t^{v}")
-        limit.append(c.terms[(v,)] * lead_inv if (v,) in c.terms else zero)
-    return StructureVector(base, limit)
+    out = []
+    for (i, j, k), x in zip(itertools.product((1, 2, 3), repeat=3), limits):
+        if x is _POLE:
+            raise DegenerationError(f"coefficient {i}{j}{k} has a pole at t = 0")
+        out.append(zero if x is None else x)
+    return StructureVector(base, out)
 
 
 def verify_witness(witness: CurveWitness) -> StructureVector:
@@ -565,47 +674,28 @@ class SearchResult:
         return self.witness is not None
 
 
-_PERM3 = (((0, 1, 2), 1), ((1, 2, 0), 1), ((2, 0, 1), 1),
-          ((0, 2, 1), -1), ((1, 0, 2), -1), ((2, 1, 0), -1))
-
-# adjugate of a 3x3 matrix, 0-based: entry (r, s) from the cyclic 2x2 minor
-_ADJ_INDEX = [[((s + 1) % 3, (r + 1) % 3, (s + 2) % 3, (r + 2) % 3,
-                (s + 1) % 3, (r + 2) % 3, (s + 2) % 3, (r + 1) % 3)
-               for s in range(3)] for r in range(3)]
-
-
 def search_witness(src: AlgebraId, dst: AlgebraId, field: Field,
                    degree_bound: int = 2, budget: int = 100000,
                    seed: int = 1729) -> SearchResult:
     """Randomized hunt for a curve with monomial entries c * t**e.
 
-    Samples sparse matrices of t-monomials, keeps those with nonzero
-    determinant, and accepts a candidate when every coefficient of the moved
-    structure has a limit at t = 0 matching the target structure exactly.
-    Deterministic for a fixed seed.  A hit is re-verified by
-    verify_witness() before being returned.
+    Samples sparse matrices of t-monomials and judges each on element
+    codes with _moved_limit and the field's own rep hooks: a candidate is
+    accepted when the moved structure has a limit at t = 0 equal to the
+    target structure exactly.  Deterministic for a fixed seed.  A hit is
+    re-verified by verify_witness() before being returned.
     """
     started = time.monotonic()
     if not field.is_finite():
         raise DegenerationError("search kernel needs a finite field")
     support = [(i - 1, j - 1, k - 1, c.rep)
                for i, j, k, c in structure_of(src, field).terms()]
-    target = {}
-    for a in range(3):
-        for b in range(3):
-            for c in range(3):
-                target[(a, b, c)] = 0
+    target = [None] * 27
     for i, j, k, cf in structure_of(dst, field).terms():
-        target[(i - 1, j - 1, k - 1)] = cf.rep
-    positions = sorted(target)
-
-    # element reps are the codes range(q), zero first
-    codes = range(field.order())
-    add = [[field._add(a, b) for b in codes] for a in codes]
-    mul = [[field._mul(a, b) for b in codes] for a in codes]
-    neg = [field._neg(a) for a in codes]
-    inv = [None] + [field._inv(a) for a in codes[1:]]
-    nonzero = codes[1:]
+        target[9 * (i - 1) + 3 * (j - 1) + (k - 1)] = cf.rep
+    ops = (field._add, field._mul, field._neg, field._is_zero, field._inv)
+    unit = [(0, field.one().rep)]
+    nonzero = range(1, field.order())     # element reps are the codes range(q)
     rng = random.Random(seed)
     dmax = degree_bound
 
@@ -615,102 +705,23 @@ def search_witness(src: AlgebraId, dst: AlgebraId, field: Field,
         cells = []
         for _ in range(9):
             if rng.random() < 0.5:
-                cells.append(None)
+                cells.append(())
             else:
-                cells.append((rng.randrange(dmax + 1), rng.choice(nonzero)))
-
-        det: dict = {}
-        for (p0, p1, p2), sign in _PERM3:
-            m0 = cells[p0]
-            if m0 is None:
-                continue
-            m1 = cells[3 + p1]
-            if m1 is None:
-                continue
-            m2 = cells[6 + p2]
-            if m2 is None:
-                continue
-            e = m0[0] + m1[0] + m2[0]
-            c = mul[mul[m0[1]][m1[1]]][m2[1]]
-            if sign < 0:
-                c = neg[c]
-            prev = det.get(e, 0)
-            c = add[prev][c]
-            if c:
-                det[e] = c
-            elif e in det:
-                del det[e]
-        if not det:
+                cells.append(((rng.randrange(dmax + 1), rng.choice(nonzero)),))
+        limits = _moved_limit(support, cells, unit, ops)
+        if limits is None:
             continue
-        vd = min(det)
-        lead_inv = inv[det[vd]]
-
-        adj = [[None] * 3 for _ in range(3)]
-        for r in range(3):
-            for s in range(3):
-                i0, j0, i1, j1, i2, j2, i3, j3 = _ADJ_INDEX[r][s]
-                first = cells[3 * i0 + j0]
-                other = cells[3 * i1 + j1]
-                entry = {}
-                if first is not None and other is not None:
-                    entry[first[0] + other[0]] = mul[first[1]][other[1]]
-                first = cells[3 * i2 + j2]
-                other = cells[3 * i3 + j3]
-                if first is not None and other is not None:
-                    e = first[0] + other[0]
-                    c = neg[mul[first[1]][other[1]]]
-                    prev = entry.get(e, 0)
-                    c = add[prev][c]
-                    if c:
-                        entry[e] = c
-                    elif e in entry:
-                        del entry[e]
-                adj[r][s] = entry
-
-        ok = True
-        for (a, b, c) in positions:
-            acc: dict = {}
-            for (i, j, k, coef) in support:
-                ga = cells[3 * i + a]
-                if ga is None:
-                    continue
-                gb = cells[3 * j + b]
-                if gb is None:
-                    continue
-                head = mul[coef][mul[ga[1]][gb[1]]]
-                ebase = ga[0] + gb[0]
-                for e2, c2 in adj[c][k].items():
-                    e = ebase + e2
-                    cc = mul[head][c2]
-                    prev = acc.get(e, 0)
-                    cc = add[prev][cc]
-                    if cc:
-                        acc[e] = cc
-                    elif e in acc:
-                        del acc[e]
-            want = target[(a, b, c)]
-            if not acc:
-                if want:
-                    ok = False
-                    break
-                continue
-            vp = min(acc)
-            if vp < vd:
-                ok = False
-                break
-            got = mul[acc[vd]][lead_inv] if vd in acc else 0
+        for got, want in zip(limits, target):
             if got != want:
-                ok = False
                 break
-        if ok:
-            hit = list(cells)
+        else:
+            hit = cells
             break
 
     witness = None
     if hit is not None:
         rff = _rff(field)
-        rows = [[rff.polynomial({} if cell is None
-                                else {cell[0]: field._elem(cell[1])})
+        rows = [[rff.polynomial({e: field._elem(c) for e, c in cell})
                  for cell in hit[3 * r:3 * r + 3]] for r in range(3)]
         witness = CurveWitness(src, dst, Matrix3.from_rows(rff, rows),
                                note=f"search-seed{seed}")

@@ -8,8 +8,10 @@ form; a constant denominator needs no gcd, so polynomials in t stay cheap.
 Univariate long division lives in ``fields._pdivmod``: ``poly_gcd`` takes
 its remainder and the canonical form its quotient.  The derived operators
 (``-``, ``/``, ``**``) come from ``fields.ScalarOps``.  Curve limits are
-checked over F[t] by ``t_valuation`` (``degeneration.curve_limit``);
-``limit_at_zero`` is the rational-function route that cross-checks it.
+checked over F[t] by ``degeneration.curve_limit``, which reads the terms of
+the entries' numerators and denominators and leaves the arithmetic to its
+own kernel; ``limit_at_zero`` is the rational-function route that
+cross-checks it.
 """
 
 from __future__ import annotations

@@ -248,20 +248,22 @@ class Matrix3:
     def __matmul__(self, other):
         if not isinstance(other, Matrix3) or other.parent != self.parent:
             raise StructureError("matrix product needs matching scalar domains")
+        a, b = self.entries, other.entries
         out = []
-        for i in (1, 2, 3):
-            for j in (1, 2, 3):
+        for i in range(3):
+            for j in range(3):
                 s = self.parent.zero()
-                for k in (1, 2, 3):
-                    s = s + self.entry(i, k) * other.entry(k, j)
+                for k in range(3):
+                    s = s + a[3 * i + k] * b[3 * k + j]
                 out.append(s)
         return Matrix3(self.parent, out)
 
     def apply(self, v) -> list:
         """Matrix times coordinate column."""
         v = [self.parent.element(x) for x in v]
-        return [sum((self.entry(i, j + 1) * v[j] for j in range(3)),
-                    self.parent.zero()) for i in (1, 2, 3)]
+        g = self.entries
+        return [sum((g[3 * i + j] * v[j] for j in range(3)), self.parent.zero())
+                for i in range(3)]
 
     def scale(self, c) -> "Matrix3":
         c = self.parent.element(c)
@@ -295,23 +297,24 @@ def _act_with(vec: StructureVector, g: Matrix3, h: Matrix3) -> StructureVector:
         sum over (i, j, k) of  c[i,j,k] * g[i,a] * g[j,b] * h[c,k] .
     """
     parent = vec.parent
+    ge, he = g.entries, h.entries       # i, j, k from terms() are 1-based
     out = [parent.zero()] * 27
     for i, j, k, coef in vec.terms():
-        for a in (1, 2, 3):
-            gia = g.entry(i, a)
+        for a in range(3):
+            gia = ge[3 * i - 3 + a]
             if gia.is_zero():
                 continue
             ca = coef * gia
-            for b in (1, 2, 3):
-                gjb = g.entry(j, b)
+            for b in range(3):
+                gjb = ge[3 * j - 3 + b]
                 if gjb.is_zero():
                     continue
                 cab = ca * gjb
-                for c in (1, 2, 3):
-                    hck = h.entry(c, k)
+                for c in range(3):
+                    hck = he[3 * c + k - 1]
                     if hck.is_zero():
                         continue
-                    n = _flat(a, b, c)
+                    n = 9 * a + 3 * b + c
                     out[n] = out[n] + cab * hck
     return StructureVector(parent, out)
 

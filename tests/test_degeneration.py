@@ -129,6 +129,18 @@ def test_cube_collapse():
         assert verify_witness(w) == structure_of(C1, field)
 
 
+@pytest.mark.parametrize("base", [Q, gf16()], ids=["Q", "GF16"])
+def test_library_curves_at_the_generic_point(base):
+    # a(d) over F(d): the curve entries lie in F(d)[t], and every scalar of
+    # the limit computation is a rational function in d
+    field = RationalFunctionField(base, "d")
+    src = adelta(field, field.gen())
+    for dst, note in ((C1, "pinch-family"), (A0, "scale-to-zero")):
+        w = degeneration._library_curve(src, dst, field)
+        assert w.note == note
+        assert verify_witness(w) == structure_of(dst, field)
+
+
 def test_known_witness_returns_none_off_table():
     assert known_witness(L1, C1, Q) is None
     assert known_witness(C1, C3, Q) is None
@@ -191,8 +203,8 @@ def _random_entry(rng, rff, elems):
     return num
 
 
-@pytest.mark.parametrize("field", [Q, GF7, GF2, gf4()],
-                         ids=["Q", "GF7", "GF2", "GF4"])
+@pytest.mark.parametrize("field", [Q, GF7, GF2, gf4(), gf16()],
+                         ids=["Q", "GF7", "GF2", "GF4", "GF16"])
 def test_curve_limit_agrees_with_rational_function_route(field):
     rng = random.Random(20260)
     rff = RationalFunctionField(field, "t")
@@ -398,15 +410,17 @@ def test_compose_scale_chain():
 
 
 def test_compose_through_iso_bridge():
-    first = known_witness(C5, C3, GF7)      # limit is only isomorphic to c3
-    second = known_witness(C3, C1, GF7)
-    combined = compose_curves(first, second)
-    assert combined.src == C5 and combined.dst == C1
-    # the bridge turns 123+213 into 221+331, which costs a square root of -1,
-    # so the composed curve lives over a quadratic extension of GF(7)
-    base = combined.base_field
-    assert base.char == 7
-    assert verify_witness(combined) == structure_of(C1, base)
+    for field in (GF7, Q):
+        first = known_witness(C5, C3, field)    # limit is only isomorphic to c3
+        second = known_witness(C3, C1, field)
+        combined = compose_curves(first, second)
+        assert combined.src == C5 and combined.dst == C1
+        # the bridge turns 123+213 into 221+331, which costs a square root
+        # of -1, so the composed curve lives over a quadratic extension: of
+        # GF(7), or of Q, whose elements are tuples (zero is a truthy one)
+        base = combined.base_field
+        assert base.char == field.char and base != field
+        assert verify_witness(combined) == structure_of(C1, base)
 
 
 def test_compose_char2_chain():
@@ -439,6 +453,14 @@ def test_search_respects_budget_on_impossible_pair():
     assert not res.found
     assert res.tried == 3000
     assert res.witness is None
+
+
+def test_search_over_a_large_prime_field():
+    # the kernel works on the field's own rep hooks: nothing is tabulated
+    # per element pair, so the cost does not grow with q
+    res = search_witness(L1, C1, PrimeField(65521), budget=50)
+    assert not res.found
+    assert res.tried == 50
 
 
 def test_lift_search_hit_to_rationals():
