@@ -90,6 +90,7 @@ class DegenerationFact:
 
 
 _POLE = object()     # what _moved_limit yields for a coefficient without a limit
+_BLOCKS = tuple(itertools.product(range(3), repeat=2))     # (a, b) in index order
 
 
 def _adjugate_column(cells, s, ops) -> list:
@@ -113,7 +114,7 @@ def _adjugate_column(cells, s, ops) -> list:
     return column
 
 
-def _moved_limit(support, cells, scale, ops):
+def _moved_limit(support, cells, scale, ops, blocks):
     """The limit at t = 0 of a structure moved by g = P/L; None when P is
     singular.
 
@@ -126,9 +127,10 @@ def _moved_limit(support, cells, scale, ops):
     has a limit exactly when its t-valuation is at least v = v_t(L det P),
     and the limit is its t^v coefficient over that of L det P; so the sums
     make no term above t^v, and adj(P) is built only in the columns k that
-    the support uses.  Returns an iterator over the 27 positions in index
-    order, each the limit (None when zero) or _POLE, so that a caller can
-    stop at the first one it does not want.
+    the support uses.  Returns an iterator over the positions (a, b, c) of
+    the given ``blocks`` (a, b), c = 0, 1, 2 for each, each position's limit
+    (None when zero) or _POLE, so that a caller can ask for the positions it
+    is likeliest to reject first and stop at the first one it does not want.
     """
     add, mul, _, is_zero, inverse = ops
     p0, p1, p2, p3, p4, p5, p6, p7, p8 = cells
@@ -156,39 +158,38 @@ def _moved_limit(support, cells, scale, ops):
             columns[k] = _adjugate_column(cells, k, ops)
 
     def limits():
-        for a in range(3):
-            for b in range(3):
-                # s P[i,a] P[j,b] does not depend on c: make it once
-                heads = []
-                for i, j, k, coef in support:
-                    ga = cells[3 * i + a]
-                    gb = cells[3 * j + b]
-                    if ga and gb:
-                        for ea, ca in ga:
-                            for eb, cb in gb:
-                                e0 = ea + eb
-                                if e0 <= v:
-                                    heads.append((e0, mul(coef, mul(ca, cb)),
-                                                  columns[k]))
-                if not heads:       # the three coefficients (a, b, *) vanish
-                    yield from (None, None, None)
-                    continue
-                for c in range(3):
-                    acc = {}
-                    for e0, head, column in heads:
-                        for eh, ch in column[c].items():
-                            n = e0 + eh
-                            if n <= v:
-                                x = mul(head, ch)
-                                acc[n] = add(acc[n], x) if n in acc else x
-                    got = None
-                    for n, x in acc.items():
-                        if not is_zero(x):
-                            if n < v:
-                                got = _POLE
-                                break
-                            got = mul(x, lead_inv)
-                    yield got
+        for a, b in blocks:
+            # s P[i,a] P[j,b] does not depend on c: make it once
+            heads = []
+            for i, j, k, coef in support:
+                ga = cells[3 * i + a]
+                gb = cells[3 * j + b]
+                if ga and gb:
+                    for ea, ca in ga:
+                        for eb, cb in gb:
+                            e0 = ea + eb
+                            if e0 <= v:
+                                heads.append((e0, mul(coef, mul(ca, cb)),
+                                              columns[k]))
+            if not heads:       # the three coefficients (a, b, *) vanish
+                yield from (None, None, None)
+                continue
+            for c in range(3):
+                acc = {}
+                for e0, head, column in heads:
+                    for eh, ch in column[c].items():
+                        n = e0 + eh
+                        if n <= v:
+                            x = mul(head, ch)
+                            acc[n] = add(acc[n], x) if n in acc else x
+                got = None
+                for n, x in acc.items():
+                    if not is_zero(x):
+                        if n < v:
+                            got = _POLE
+                            break
+                        got = mul(x, lead_inv)
+                yield got
 
     return limits()
 
@@ -220,7 +221,7 @@ def curve_limit(witness: CurveWitness) -> StructureVector:
     support = [(i - 1, j - 1, k - 1, c)
                for i, j, k, c in structure_of(witness.src, base).terms()]
     limits = _moved_limit(support, cells, _pairs(math.prod(dens[1:], start=dens[0])),
-                          _ELEMENT_OPS)
+                          _ELEMENT_OPS, _BLOCKS)
     if limits is None:
         raise DegenerationError("curve matrix is singular as a matrix of functions")
     zero = base.zero()
@@ -674,44 +675,67 @@ class SearchResult:
         return self.witness is not None
 
 
+def _candidates(rng, degree_bound: int, q: int):
+    """Search's candidates: nine cells each, a cell empty when rng.random()
+    < 0.5 and else one term (e, code), code among the nonzero element codes
+    range(1, q).  e and code - 1 are drawn by rejection on getrandbits(),
+    below degree_bound + 1 and q - 1, which takes from the stream exactly
+    what randrange() and choice() take."""
+    rand, bits = rng.random, rng.getrandbits
+    ne, nc = degree_bound + 1, q - 1
+    ke, kc = ne.bit_length(), nc.bit_length()
+    while True:
+        cells = []
+        for _ in range(9):
+            if rand() < 0.5:
+                cells.append(())
+            else:
+                e = bits(ke)
+                while e >= ne:
+                    e = bits(ke)
+                r = bits(kc)
+                while r >= nc:
+                    r = bits(kc)
+                cells.append(((e, r + 1),))
+        yield cells
+
+
 def search_witness(src: AlgebraId, dst: AlgebraId, field: Field,
                    degree_bound: int = 2, budget: int = 100000,
                    seed: int = 1729) -> SearchResult:
     """Randomized hunt for a curve with monomial entries c * t**e.
 
-    Samples sparse matrices of t-monomials and judges each on element
-    codes with _moved_limit and the field's own rep hooks: a candidate is
-    accepted when the moved structure has a limit at t = 0 equal to the
-    target structure exactly.  Deterministic for a fixed seed.  A hit is
-    re-verified by verify_witness() before being returned.
+    Samples sparse matrices of t-monomials from _candidates(), a stream fixed
+    by the seed through random() and getrandbits() alone, and judges each on
+    element codes with _moved_limit and the field's own rep hooks: a
+    candidate is accepted when the moved structure has a limit at t = 0 equal
+    to the target structure exactly.  The target's nonzero blocks, where most
+    candidates fail, are judged first, and the check stops at the first
+    mismatch.  A hit is re-verified by verify_witness() before being returned.
     """
     started = time.monotonic()
+    for name, value in (("degree_bound", degree_bound), ("budget", budget)):
+        if type(value) is not int or value < 0:
+            raise DegenerationError(f"{name} must be an int >= 0, got {value!r}")
     if not field.is_finite():
         raise DegenerationError("search kernel needs a finite field")
     support = [(i - 1, j - 1, k - 1, c.rep)
                for i, j, k, c in structure_of(src, field).terms()]
-    target = [None] * 27
-    for i, j, k, cf in structure_of(dst, field).terms():
-        target[9 * (i - 1) + 3 * (j - 1) + (k - 1)] = cf.rep
+    target = {(i - 1, j - 1, k - 1): cf.rep
+              for i, j, k, cf in structure_of(dst, field).terms()}
+    blocks = sorted(_BLOCKS, key=lambda ab: all(ab + (c,) not in target for c in range(3)))
+    wanted = [target.get((a, b, c)) for a, b in blocks for c in range(3)]
     ops = (field._add, field._mul, field._neg, field._is_zero, field._inv)
     unit = [(0, field.one().rep)]
-    nonzero = range(1, field.order())     # element reps are the codes range(q)
-    rng = random.Random(seed)
-    dmax = degree_bound
+    candidates = _candidates(random.Random(seed), degree_bound, field.order())
 
     hit = None
     tried = 0
-    for tried in range(1, budget + 1):
-        cells = []
-        for _ in range(9):
-            if rng.random() < 0.5:
-                cells.append(())
-            else:
-                cells.append(((rng.randrange(dmax + 1), rng.choice(nonzero)),))
-        limits = _moved_limit(support, cells, unit, ops)
+    for tried, cells in zip(range(1, budget + 1), candidates):
+        limits = _moved_limit(support, cells, unit, ops, blocks)
         if limits is None:
             continue
-        for got, want in zip(limits, target):
+        for got, want in zip(limits, wanted):
             if got != want:
                 break
         else:

@@ -463,6 +463,86 @@ def test_search_over_a_large_prime_field():
     assert res.tried == 50
 
 
+@pytest.mark.parametrize("kwargs", [
+    {"degree_bound": -1}, {"degree_bound": True}, {"degree_bound": 2.0},
+    {"degree_bound": "2"}, {"budget": -1}, {"budget": False}])
+def test_search_refuses_bad_arguments(kwargs):
+    with pytest.raises(DegenerationError):
+        search_witness(L1, C1, GF5, **kwargs)
+
+
+def _reference_candidates(rng, degree_bound, q, count):
+    """The draw as randrange() and choice() spell it."""
+    out = []
+    for _ in range(count):
+        cells = []
+        for _ in range(9):
+            if rng.random() < 0.5:
+                cells.append(())
+            else:
+                cells.append(((rng.randrange(degree_bound + 1),
+                               rng.choice(range(1, q))),))
+        out.append(cells)
+    return out
+
+
+def test_candidate_draw_matches_randrange_and_choice():
+    for q in (2, 3, 4, 5, 7, 16, 65521):
+        for degree_bound in range(4):
+            for seed in (0, 1729, 424242):
+                drawn = degeneration._candidates(random.Random(seed), degree_bound, q)
+                got = [next(drawn) for _ in range(500)]
+                assert got == _reference_candidates(random.Random(seed),
+                                                    degree_bound, q, 500)
+
+
+def test_seeded_search_hits_at_other_degrees_and_fields():
+    res = search_witness(C3, C1, gf16(), degree_bound=1, budget=20000, seed=5)
+    assert res.tried == 491
+    assert [{e: c.rep for (e,), c in rf.num.terms.items()}
+            for rf in res.witness.matrix.entries] == [
+        {0: 4}, {0: 5}, {0: 10}, {}, {}, {0: 12}, {}, {1: 3}, {1: 5}]
+    res = search_witness(C5, C1, GF5, degree_bound=3, budget=20000, seed=11)
+    assert res.tried == 1848
+    assert str(res.witness.matrix) == \
+        "[[0, 0, t^2], [0, t, 3], [t^2, 2*t^2, 4*t^3]]"
+
+
+def test_block_order_changes_no_limit():
+    # search asks _moved_limit for the target's nonzero blocks first;
+    # each position must get the value that index order gives it
+    def positions(blocks):
+        return [(a, b, c) for a, b in blocks for c in range(3)]
+
+    seen = set()
+    for field in (GF7, gf16()):
+        ops = (field._add, field._mul, field._neg, field._is_zero, field._inv)
+        unit = [(0, field.one().rep)]
+        for src in (C3, C5, L1, adelta(field, 3)):
+            support = [(i - 1, j - 1, k - 1, c.rep)
+                       for i, j, k, c in structure_of(src, field).terms()]
+            for dst in (C1, L1):
+                live = {(i - 1, j - 1) for i, j, _, _ in structure_of(dst, field).terms()}
+                first = sorted(degeneration._BLOCKS, key=lambda ab: ab not in live)
+                assert first != list(degeneration._BLOCKS)
+                drawn = degeneration._candidates(random.Random(f"{src}-{dst}"), 2,
+                                                 field.order())
+                for _ in range(300):
+                    cells = next(drawn)
+                    moved = [degeneration._moved_limit(support, cells, unit, ops, blocks)
+                             for blocks in (degeneration._BLOCKS, first)]
+                    if moved[0] is None:
+                        assert moved[1] is None
+                        seen.add("singular")
+                        continue
+                    by_index = dict(zip(positions(degeneration._BLOCKS), moved[0]))
+                    assert dict(zip(positions(first), moved[1])) == by_index
+                    seen.update("pole" if x is degeneration._POLE else
+                                "zero" if x is None else "limit"
+                                for x in by_index.values())
+    assert seen == {"singular", "pole", "zero", "limit"}
+
+
 def test_lift_search_hit_to_rationals():
     res = search_witness(a3kappa(GF7, 2), L1, GF7, budget=50000)
     lifted = lift_witness_to_rationals(res.witness)
