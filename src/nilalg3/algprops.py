@@ -76,17 +76,17 @@ def square_basis(vec: StructureVector) -> list:
     return _echelon_basis([list(c[n:n + 3]) for n in range(0, 27, 3)])
 
 
-def power_chain(vec: StructureVector, limit: int = 5) -> list:
+def power_chain(vec: StructureVector) -> list:
     """Echelon bases of the subspaces spanned by products of 2, 3, ... factors.
 
     Entry 0 is a basis of the span of all two-factor products, entry 1 of the
     three-factor products, and so on; computation stops once the subspace
-    hits zero or ``limit`` powers were formed.
+    hits zero or the products of five factors were formed.
     """
     e = _unit_triples(vec.parent)
     chain = []
     current = square_basis(vec)
-    for _ in range(2, limit + 1):
+    for _ in range(4):
         chain.append(current)
         if not current:
             break

@@ -28,7 +28,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .fields import (Field, FieldElement, NeedsFieldExtension, ScalarOps,
-                     extend_with_root, square_roots, quadratic_roots)
+                     _tower_names, extend_with_root, square_roots,
+                     quadratic_roots)
 from . import algprops
 from .structspace import Matrix3, StructureVector, act
 
@@ -213,8 +214,16 @@ def _root_of(field: Field, minpoly: list, name: str, allow_extension: bool):
     if not allow_extension:
         raise NeedsFieldExtension(
             f"no root of {minpoly} (constant first) in {field!r}")
-    ext, _ = extend_with_root(field, minpoly, name)
+    ext, _ = _adjoin(field, minpoly, name)
     return ext.generator(), ext
+
+
+def _adjoin(field: Field, minpoly: list, stem: str):
+    """extend_with_root under the first of the names stem, stem1, stem2,
+    ... that the tower of ``field`` does not use yet."""
+    taken = _tower_names(field)
+    names = [stem] + [f"{stem}{i}" for i in range(1, len(taken) + 1)]
+    return extend_with_root(field, minpoly, next(n for n in names if n not in taken))
 
 
 def iso_witness(src: AlgebraId, dst: AlgebraId, field: Field,
@@ -474,7 +483,7 @@ def _reduction_matrix(vec, ident, field, basis, allow_extension) -> Matrix3:
             if not allow_extension:
                 raise NeedsFieldExtension(
                     f"square root of {ratio!r} needed to normalise the pairing")
-            f2, emb = extend_with_root(field, [-ratio, 0, 1], "r")
+            f2, emb = _adjoin(field, [-ratio, 0, 1], "r")
             d = f2.generator()
             f1 = [emb(c) for c in f1]
             w2 = [emb(c) for c in w2]

@@ -5,11 +5,15 @@ simple algebraic extensions F[x]/(m(x)) whenever a computation needs a root
 the current field lacks.  Over a finite base the extension is a
 :class:`FiniteField`, whose elements are integer codes with log/antilog
 tables built once per field (GF(16) is GF(4)(s) and GF(4) is GF(2)(w), both
-finite fields); over characteristic 0 it is a :class:`SimpleExtension` of
-coefficient tuples.  Elements are always held in canonical form (reduced
-fractions, least nonnegative residues, codes, remainders modulo a monic
-minimal polynomial), so equality is structural comparison and every value
-is immutable and hashable.
+finite fields); over characteristic 0 it is a :class:`SimpleExtension`,
+whose reps are tuples of base reps.  Elements are always held in canonical
+form (reduced fractions, least nonnegative residues, codes, remainders
+modulo a monic minimal polynomial), so equality is structural comparison
+and every value is immutable and hashable.
+
+One kernel of dense helpers on lists of a base field's reps (``_pmul``,
+``_pdivmod``, ``_pgcd``, ...) does all univariate polynomial arithmetic:
+extensions, table building, irreducibility tests and the gcds of F(t).
 
 A finite field (GF(p) with p <= MAX_FINITE_ORDER, or a :class:`FiniteField`)
 hands out one element object per code: ``field._elem`` looks the rep up in a
@@ -24,7 +28,7 @@ from __future__ import annotations
 import itertools
 import operator
 from fractions import Fraction
-from math import gcd, isqrt
+from math import isqrt, lcm
 
 
 class FieldError(ArithmeticError):
@@ -44,6 +48,10 @@ class Field:
     """
 
     char: int = 0
+    # the reps of 0 and 1, for the polynomial kernel below: plain attributes,
+    # set per class or in __init__, since reading an instance's __dict__ (as
+    # a cached_property does) slows every later attribute lookup on it
+    _zero_rep, _one_rep = 0, 1
 
     # -- element factories -------------------------------------------------
 
@@ -301,6 +309,7 @@ class Rationals(Field):
     """The field of rational numbers, backed by ``fractions.Fraction``."""
 
     char = 0
+    _zero_rep, _one_rep = Fraction(0), Fraction(1)
 
     def is_finite(self) -> bool:
         return False
@@ -441,70 +450,95 @@ def signed_sum(terms, sep: str = "", wrap=None) -> str:
     return out or "0"
 
 
-# -- dense polynomial helpers over a base field (ascending coefficients) ----
+# -- the univariate polynomial kernel ----------------------------------------
+# A polynomial over a base field F is a list of F's reps, constant term
+# first; results carry no trailing zero, so the zero polynomial is [].  Each
+# helper takes F for its hooks (_add, _mul, _neg, _inv, _is_zero) and its
+# reps of 0 and 1 (_zero_rep, _one_rep); anything that has those serves as F.
 
 
-def _ptrim(c):
-    while c and c[-1].is_zero():
-        c.pop()
-    return c
+def _ptrim(a, F):
+    while a and F._is_zero(a[-1]):
+        a.pop()
+    return a
 
 
-def _padd(a, b):
-    n = max(len(a), len(b))
-    zero = (a or b)[0].field.zero() if (a or b) else None
-    out = []
-    for i in range(n):
-        x = a[i] if i < len(a) else zero
-        y = b[i] if i < len(b) else zero
-        out.append(x + y)
-    return _ptrim(out)
+def _psub(a, b, F):
+    add, neg = F._add, F._neg
+    out = list(a) + [F._zero_rep] * (len(b) - len(a))
+    for i, y in enumerate(b):
+        out[i] = add(out[i], neg(y))
+    return _ptrim(out, F)
 
 
-def _psub(a, b):
-    return _padd(a, [-x for x in b])
-
-
-def _pmul(a, b, zero):
+def _pmul(a, b, F):
     if not a or not b:
         return []
-    out = [zero] * (len(a) + len(b) - 1)
+    add, mul, is_zero = F._add, F._mul, F._is_zero
+    out = [F._zero_rep] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
-        if x.is_zero():
-            continue
-        for j, y in enumerate(b):
-            out[i + j] = out[i + j] + x * y
-    return _ptrim(out)
+        if not is_zero(x):
+            for k, y in enumerate(b, i):
+                out[k] = add(out[k], mul(x, y))
+    return _ptrim(out, F)
 
 
-def _pdivmod(a, b, zero):
-    """(quotient, remainder) of dense polynomials; the one univariate division.
+def _pdivmod(a, b, F):
+    """(quotient, remainder) of a by b, whose top coefficient is nonzero.
 
-    Each step cancels the leading term of a exactly, so d falls strictly and
+    Each step cancels the top term of a, so its degree falls strictly and
     every quotient slot is written once.
     """
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    a = list(a)
-    q = [zero] * max(0, len(a) - len(b) + 1)
-    inv_lead = b[-1].inverse()
-    while len(a) >= len(b):
-        c = a[-1] * inv_lead
-        d = len(a) - len(b)
-        q[d] = c
-        for i, y in enumerate(b):
-            a[d + i] = a[d + i] - c * y
-        _ptrim(a)
-        if not a:
-            break
-    return _ptrim(q), a
+    add, mul, neg = F._add, F._mul, F._neg
+    a, n = list(a), len(b) - 1
+    q = [F._zero_rep] * max(0, len(a) - n)
+    inv_lead = F._inv(b[-1]) if q else None
+    while len(a) > n:
+        d = len(a) - 1 - n
+        c = q[d] = mul(a.pop(), inv_lead)
+        c = neg(c)
+        for i in range(n):
+            a[d + i] = add(a[d + i], mul(c, b[i]))
+    return _ptrim(q, F), _ptrim(a, F)
 
 
-def _peval(coeffs, x, zero):
-    out = zero
-    for c in reversed(coeffs):
-        out = out * x + c
+def _pgcd(a, b, F):
+    """(g, s): the monic gcd g of a and b and an s with s b = g modulo a;
+    both are [] when a = b = 0."""
+    mul = F._mul
+    s0, s1 = [], [F._one_rep]
+    while b:
+        q, r = _pdivmod(a, b, F)
+        a, b = b, r
+        s0, s1 = s1, _psub(s0, _pmul(q, s1, F), F)
+    if not a:
+        return [], []
+    inv_lead = F._inv(a[-1])
+    return [mul(c, inv_lead) for c in a], [mul(c, inv_lead) for c in s0]
+
+
+def _powmod(u, e, m, F):
+    """u^e modulo m, for e >= 1 and u of lower degree than m."""
+    out = u
+    for bit in bin(e)[3:]:
+        out = _pdivmod(_pmul(out, out, F), m, F)[1]
+        if bit == "1":
+            out = _pdivmod(_pmul(out, u, F), m, F)[1]
     return out
+
+
+def _peval(a, x, F):
+    add, mul = F._add, F._mul
+    out = F._zero_rep
+    for c in reversed(a):
+        out = add(mul(out, x), c)
+    return out
+
+
+def _bracket_sum(text: str) -> str:
+    """A coefficient's text before a monomial, bracketed when it is a sum:
+    (1+w)s, not 1+ws."""
+    return f"({text})" if any(ch in text[1:] for ch in "+-") else text
 
 
 class _Extension(Field):
@@ -512,26 +546,26 @@ class _Extension(Field):
 
     The part shared by :class:`SimpleExtension` (characteristic 0) and
     :class:`FiniteField`: the normalised minimal polynomial, the refusal of
-    reducible ones, embedding, coercion, rendering and equality.  Each
-    subclass supplies its representation through ``_lift`` (the rep of a
-    base rep), ``_from_coefficients`` (the rep of a coefficient list in the
-    powers of the generator, reduced modulo m) and ``_coefficients`` (the
-    base reps of the coefficients of a rep, constant first).
+    reducible ones and of a generator name the tower already uses,
+    embedding, coercion, rendering and equality.  Each subclass supplies its
+    representation through ``_lift`` (the rep of a base rep),
+    ``_from_coefficients`` (the rep of a list of base reps, the coefficients
+    of the powers of the generator, reduced modulo m) and ``_coefficients``
+    (the base reps of the coefficients of a rep, constant first).
     """
 
     def __init__(self, base: Field, minpoly, name: str):
-        coeffs = [base.element(c) if not isinstance(c, FieldElement) else base.embed(c)
-                  for c in minpoly]
-        while coeffs and coeffs[-1].is_zero():
-            coeffs.pop()
-        if len(coeffs) < 3:
+        if name in _tower_names(base):
+            raise FieldError(f"generator name {name!r} is taken in {base!r}")
+        m = _ptrim([base.element(c).rep for c in minpoly], base)
+        if len(m) < 3:
             raise FieldError("minimal polynomial must have degree at least 2")
-        lead = coeffs[-1]
-        coeffs = [c / lead for c in coeffs]
+        inv_lead = base._inv(m[-1])
+        self._m = [base._mul(c, inv_lead) for c in m]       # monic
         self.base = base
         self.name = name
-        self.minpoly = tuple(coeffs)
-        self.degree = len(coeffs) - 1
+        self.minpoly = tuple(map(base._elem, self._m))
+        self.degree = len(m) - 1
         self.char = base.char
         self._key = (base, self.minpoly, name)
         self._hash = hash(("ext", *self._key))
@@ -548,39 +582,23 @@ class _Extension(Field):
         degree dividing the gcd.  Over an infinite base higher degrees are
         trusted to the caller.
         """
-        base = self.base
+        base, m = self.base, self._m
         if self.degree <= 3:
             root = _find_root(base, self.minpoly)
             if root is not None:
                 raise FieldError(
                     f"minimal polynomial has root {root!r} in {base!r}")
         elif base.is_finite():
-            zero, one, m = base.zero(), base.one(), list(self.minpoly)
-            x = [zero, one]
-
-            def mulmod(u, v):
-                return _pdivmod(_pmul(u, v, zero), m, zero)[1]
-
-            def to_the_b(u):            # u^b mod m
-                out, e = [one], base.order()
-                while e:
-                    if e & 1:
-                        out = mulmod(out, u)
-                    u = mulmod(u, u)
-                    e >>= 1
-                return out
-
+            x = [base._zero_rep, base._one_rep]
             frob = x                    # x^(b^d) mod m
             for d in range(1, self.degree // 2 + 1):
-                frob = to_the_b(frob)
-                g, r = m, _psub(frob, x)
-                while r:
-                    g, r = r, _pdivmod(g, r, zero)[1]
+                frob = _powmod(frob, base.order(), m, base)
+                g = _pgcd(m, _psub(frob, x, base), base)[0]
                 if len(g) == 1:
                     continue
                 for low in itertools.product(base.elements(), repeat=d):
-                    factor = [*low, one]
-                    if not _pdivmod(g, factor, zero)[1]:
+                    factor = [*low, base.one()]
+                    if not _pdivmod(g, [c.rep for c in factor], base)[1]:
                         raise FieldError(
                             f"minimal polynomial has the factor {factor} "
                             f"(constant first) over {base!r}")
@@ -602,18 +620,12 @@ class _Extension(Field):
         if isinstance(value, (int, Fraction)):
             return self._lift(self.base.element(value).rep)
         if isinstance(value, (tuple, list)):
-            return self._from_coefficients([self.base.element(c) for c in value])
+            return self._from_coefficients([self.base.element(c).rep for c in value])
         raise FieldError(f"cannot build an element of {self!r} from {value!r}")
 
     def _render(self, a):
         base = self.base
-
-        def coefficient(i, c):
-            # a base sum before the generator is bracketed: (1+w)s, not 1+ws
-            text = base._render(c)
-            return f"({text})" if i and any(ch in text[1:] for ch in "+-") else text
-
-        return signed_sum((coefficient(i, c),
+        return signed_sum((_bracket_sum(base._render(c)) if i else base._render(c),
                            "" if i == 0 else self.name if i == 1
                            else f"{self.name}^{i}")
                           for i, c in enumerate(self._coefficients(a))
@@ -629,74 +641,62 @@ class _Extension(Field):
         return f"{self.base!r}({self.name})"
 
 
+def _tower_names(field: Field) -> set:
+    """The generator names of field and of every field below it."""
+    if isinstance(field, _Extension):
+        return {field.name} | _tower_names(field.base)
+    return set()
+
+
 class SimpleExtension(_Extension):
     """A number field F(g) over Q or over another characteristic-0 extension.
 
-    Elements are coefficient tuples of length deg(m) in the powers of the
-    generator.  Finite bases get a :class:`FiniteField` instead.
+    A rep is the tuple of the deg(m) base reps of the coefficients of
+    1, g, ..., g^(deg m - 1).  Finite bases get a :class:`FiniteField`
+    instead.
     """
 
     def __init__(self, base: Field, minpoly, name: str):
         if base.is_finite():
             raise FieldError(f"extensions of {base!r} are FiniteFields")
         super().__init__(base, minpoly, name)
+        self._zero_rep = self._lift(base._zero_rep)
+        self._one_rep = self._lift(base._one_rep)
         self._refuse_factors()
 
     def is_finite(self) -> bool:
         return False
 
     def _lift(self, r):
-        return (self.base._elem(r),) + (self.base.zero(),) * (self.degree - 1)
+        return (r,) + (self.base._zero_rep,) * (self.degree - 1)
 
     def _from_coefficients(self, coeffs):
-        return tuple(self._reduce(coeffs))
+        rem = _pdivmod(coeffs, self._m, self.base)[1]
+        return tuple(rem) + (self.base._zero_rep,) * (self.degree - len(rem))
 
     def _coefficients(self, a):
-        return [c.rep for c in a]
-
-    def _reduce(self, coeffs):
-        coeffs = list(coeffs)
-        d = self.degree
-        for i in range(len(coeffs) - 1, d - 1, -1):
-            c = coeffs[i]
-            if not c.is_zero():
-                for j in range(d):
-                    coeffs[i - d + j] = coeffs[i - d + j] - c * self.minpoly[j]
-            coeffs.pop()
-        while len(coeffs) < d:
-            coeffs.append(self.base.zero())
-        return coeffs
+        return a
 
     def _add(self, a, b):
-        return tuple(x + y for x, y in zip(a, b))
+        return tuple(map(self.base._add, a, b))
 
     def _neg(self, a):
-        return tuple(-x for x in a)
+        return tuple(map(self.base._neg, a))
 
     def _mul(self, a, b):
-        zero = self.base.zero()
-        prod = _pmul(list(a), list(b), zero)
-        return tuple(self._reduce(prod))
+        return self._from_coefficients(_pmul(a, b, self.base))
 
     def _inv(self, a):
-        zero, one = self.base.zero(), self.base.one()
-        r0, r1 = list(self.minpoly), _ptrim(list(a))
-        t0, t1 = [], [one]
-        while r1:
-            q, rem = _pdivmod(r0, r1, zero)
-            r0, r1 = r1, rem
-            t0, t1 = t1, _psub(t0, _pmul(q, t1, zero))
-        if len(r0) != 1:
+        g, s = _pgcd(self._m, _ptrim(list(a), self.base), self.base)
+        if len(g) != 1:
             raise FieldError("element is not invertible (reducible modulus?)")
-        scale = r0[0].inverse()
-        inv = [c * scale for c in t0]
-        return tuple(self._reduce(inv))
+        return self._from_coefficients(s)
 
     def _is_zero(self, a):
-        return all(c.is_zero() for c in a)
+        return all(map(self.base._is_zero, a))
 
     def _sort_key(self, a):
-        return tuple(self.base._sort_key(c.rep) for c in a)
+        return tuple(map(self.base._sort_key, a))
 
 
 MAX_FINITE_ORDER = 1 << 16
@@ -728,47 +728,17 @@ class FiniteField(_Extension):
         self._elem = _Interned(self).__getitem__
         self._b, self._q = b, b ** d
         self._shift = b ** (d - 1)          # the code of c is c * shift
-        self._x = base.one().rep * b ** (d - 2)
+        self._one_rep = self._lift(base._one_rep)
+        self._x = base._one_rep * b ** (d - 2)
         self._build_tables()
 
     def _build_tables(self):
         base, b, d, q, p = self.base, self._b, self.degree, self._q, self.char
-        low = [c.rep for c in self.minpoly[:-1]]
-
-        def mulmod(u, v):       # coefficient lists of base reps, constant first
-            prod = [0] * (2 * d - 1)
-            for i, x in enumerate(u):
-                if x:
-                    for j, y in enumerate(v):
-                        prod[i + j] = base._add(prod[i + j], base._mul(x, y))
-            for k in range(2 * d - 2, d - 1, -1):
-                if prod[k]:
-                    for j, m in enumerate(low):
-                        prod[k - d + j] = base._add(
-                            prod[k - d + j], base._neg(base._mul(prod[k], m)))
-            return prod[:d]
-
-        def power(u, e):
-            out = one
-            while e:
-                if e & 1:
-                    out = mulmod(out, u)
-                u = mulmod(u, u)
-                e >>= 1
-            return out
-
-        def code(coeffs):
-            out = 0
-            for c in coeffs:
-                out = out * b + c
-            return out
-
         # the generator if it is primitive, else the first primitive code
-        one = [base.one().rep] + [0] * (d - 1)
         tests = [(q - 1) // r for r in _divisors(q - 1)[1:] if _is_prime(r)]
         for g in itertools.chain((self._x,), range(1, q)):
-            gv = self._coefficients(g)
-            if all(power(gv, e) != one for e in tests):
+            gv = _ptrim(self._coefficients(g), base)
+            if all(_powmod(gv, e, self._m, base) != [base._one_rep] for e in tests):
                 break
         # A code is also a base-p number whose digits are the coefficients
         # over GF(p), and a sum of elements adds those digits mod p.  So
@@ -781,7 +751,9 @@ class FiniteField(_Extension):
         def images(positions):  # digit lists of u * g, u = 0, 1, ... having
             out = [[0] * n_digits]      # digits only at these positions
             for s in positions:
-                img = code(mulmod(self._coefficients(p ** s), gv))
+                rem = _pdivmod(_pmul(self._coefficients(p ** s), gv, base),
+                               self._m, base)[1]
+                img = sum(c * b ** (d - 1 - i) for i, c in enumerate(rem))
                 img = [img // p ** t % p for t in range(n_digits)]
                 out = [[(a + c * m) % p for a, m in zip(row, img)]
                        for c in range(p) for row in out]
@@ -793,7 +765,7 @@ class FiniteField(_Extension):
         half = n_digits // 2
         split = p ** half
         low_img, high_img = images(range(half)), images(range(half, n_digits))
-        unit = self._lift(base.one().rep)
+        unit = self._one_rep
         # digits sit in slots of `width` bits, wide enough for the sum of
         # two digits, so two images add as integers; `narrow` takes a group
         # of slots mod p back to base-p digits
@@ -820,7 +792,7 @@ class FiniteField(_Extension):
         wrap = (p - 1) * unit
         sums = (v - wrap if v >= wrap else v + unit for v in exp)
         self._zech = [log[s] if s else None for s in sums]
-        minus_one = log[self._lift(base._neg(base.one().rep))]
+        minus_one = log[self._lift(base._neg(base._one_rep))]
         self._negs = [0] + [self._exp[log[a] + minus_one] for a in range(1, q)]
         self._invs = [0] + [exp[-log[a]] for a in range(1, q)]
         if self.char == 2:
@@ -840,17 +812,10 @@ class FiniteField(_Extension):
         return r * self._shift
 
     def _from_coefficients(self, coeffs):
-        out = 0
-        for c in reversed(coeffs):
-            out = self._add(self._mul(out, self._x), self._lift(c.rep))
-        return out
+        return _peval([self._lift(c) for c in coeffs], self._x, self)
 
     def _coefficients(self, a):
-        out = []
-        for _ in range(self.degree):
-            a, c = divmod(a, self._b)
-            out.append(c)
-        return out[::-1]
+        return [a // self._b ** i % self._b for i in reversed(range(self.degree))]
 
     def _add(self, a, b):
         if not a:
@@ -881,9 +846,7 @@ class FiniteField(_Extension):
 
 def _rational_root(base: Rationals, coeffs):
     """A rational root of the integer-cleared polynomial, or None."""
-    denom = 1
-    for c in coeffs:
-        denom = denom * c.rep.denominator // gcd(denom, c.rep.denominator)
+    denom = lcm(*(c.rep.denominator for c in coeffs))
     ints = [int(c.rep * denom) for c in coeffs]
     if ints[0] == 0:
         return base.zero()
@@ -891,9 +854,8 @@ def _rational_root(base: Rationals, coeffs):
     for p in _divisors(abs(const)):
         for q in _divisors(abs(lead)):
             for cand in (Fraction(p, q), Fraction(-p, q)):
-                x = base.element(cand)
-                if _peval(coeffs, x, base.zero()).is_zero():
-                    return x
+                if _peval(ints, cand, base) == 0:
+                    return base.element(cand)
     return None
 
 
@@ -915,12 +877,10 @@ def _find_root(field: Field, coeffs):
     no root exists (or, for shapes this helper cannot decide, when none is
     found by the applicable method).
     """
-    zero = field.zero()
     if field.is_finite():
-        for x in field.elements():
-            if _peval(coeffs, x, zero).is_zero():
-                return x
-        return None
+        reps = [c.rep for c in coeffs]
+        return next((x for x in field.elements()
+                     if field._is_zero(_peval(reps, x.rep, field))), None)
     if isinstance(field, Rationals):
         return _rational_root(field, coeffs)
     if len(coeffs) == 3:
@@ -951,11 +911,7 @@ def square_roots(x: FieldElement) -> list:
         found = _ext2_square_roots(field, x)
     else:
         raise FieldError(f"square roots are not supported over {field!r}")
-    uniq = []
-    for r in found:
-        if r not in uniq:
-            uniq.append(r)
-    return sorted(uniq, key=lambda e: e.field._sort_key(e.rep))
+    return sorted(set(found), key=lambda e: e.field._sort_key(e.rep))
 
 
 def _ext2_square_roots(field: SimpleExtension, x: FieldElement):
@@ -963,14 +919,14 @@ def _ext2_square_roots(field: SimpleExtension, x: FieldElement):
     base = field.base
     e = -field.minpoly[0]
     f = -field.minpoly[1]
-    u, v = x.rep[0], x.rep[1]
+    u, v = (base._elem(c) for c in x.rep)
     out = []
     if v.is_zero():
         for a in square_roots(u):
             out.append(field.embed(a))
         if not e.is_zero():
             for b in square_roots(u / e):
-                out.append(field._elem((base.zero(), b)))
+                out.append(field.element([0, b]))
     else:
         # b != 0; eliminate a = (v - f*b**2) / (2b), leaving a quadratic in b**2.
         A = f * f + 4 * e
@@ -981,7 +937,7 @@ def _ext2_square_roots(field: SimpleExtension, x: FieldElement):
                 if b.is_zero():
                     continue
                 a = (v - f * b * b) / (2 * b)
-                cand = field._elem((a, b))
+                cand = field.element([a, b])
                 if cand * cand == x:
                     out.append(cand)
     return out
@@ -1004,11 +960,7 @@ def quadratic_roots(a: FieldElement, b: FieldElement, c: FieldElement) -> list:
     else:
         B, C = b / a, c / a
         disc = B * B - 4 * C
-        roots = []
-        for s in square_roots(disc):
-            r = (s - B) / 2
-            if r not in roots:
-                roots.append(r)
+        roots = [(s - B) / 2 for s in square_roots(disc)]
     for r in roots:
         assert ((a * r + b) * r + c).is_zero()
     return sorted(roots, key=lambda e: e.field._sort_key(e.rep))

@@ -5,8 +5,9 @@ deliberately absent: identity checks clear denominators first and then test
 for the zero polynomial.  Only the univariate case (curves in t) carries a
 fraction field, with gcd reduction and a monic denominator as the canonical
 form; a constant denominator needs no gcd, so polynomials in t stay cheap.
-Univariate long division lives in ``fields._pdivmod``: ``poly_gcd`` takes
-its remainder and the canonical form its quotient.  The derived operators
+The gcd and the division behind it are the polynomial kernel of
+``fields`` (``_pgcd``, ``_pdivmod``), run on the coefficients' reps; over
+F(d)(t) an element of F(d) is its own rep.  The derived operators
 (``-``, ``/``, ``**``) come from ``fields.ScalarOps``.  Curve limits are
 checked over F[t] by ``degeneration.curve_limit``, which reads the terms of
 the entries' numerators and denominators and leaves the arithmetic to its
@@ -19,7 +20,8 @@ from __future__ import annotations
 import operator
 from fractions import Fraction
 
-from .fields import Field, FieldElement, ScalarOps, _pdivmod, signed_sum
+from .fields import (Field, FieldElement, ScalarOps, _bracket_sum, _pdivmod,
+                     _pgcd, signed_sum)
 
 
 class PolyRingError(ArithmeticError):
@@ -180,10 +182,10 @@ class MultiPoly(ScalarOps):
 
     def __str__(self):
         return signed_sum(
-            ((repr(self.terms[e]),
+            ((_bracket_sum(repr(c)) if any(e) else repr(c),
               "*".join(v if k == 1 else f"{v}^{k}"
                        for v, k in zip(self.ring.vars, e) if k))
-             for e in sorted(self.terms, reverse=True)), "*")
+             for e, c in sorted(self.terms.items(), reverse=True)), "*")
 
     __repr__ = __str__
 
@@ -196,22 +198,17 @@ def _require_univariate(p: MultiPoly):
         raise PolyRingError("operation requires a univariate polynomial")
 
 
-def dense_coefficients(p: MultiPoly) -> list:
-    """Ascending coefficient list of a univariate polynomial."""
-    _require_univariate(p)
-    zero = p.ring.field.zero()
-    if not p.terms:
-        return []
-    n = max(e[0] for e in p.terms)
-    out = [zero] * (n + 1)
-    for e, c in p.terms.items():
-        out[e[0]] = c
+def _reps(p: MultiPoly) -> list:
+    """The coefficient reps of a univariate polynomial, constant first."""
+    out = [p.ring.field._zero_rep] * (max(p.terms)[0] + 1) if p.terms else []
+    for (e,), c in p.terms.items():
+        out[e] = getattr(c, "rep", c)       # an element of F(d) is its own rep
     return out
 
-def from_dense(ring: PolyRing, coeffs) -> MultiPoly:
-    if len(ring.vars) != 1:
-        raise PolyRingError("from_dense needs a univariate ring")
-    return MultiPoly(ring, {(i,): c for i, c in enumerate(coeffs)})
+
+def _poly(ring: PolyRing, reps) -> MultiPoly:
+    elem = ring.field._elem
+    return MultiPoly(ring, {(i,): elem(r) for i, r in enumerate(reps)})
 
 
 def poly_gcd(a: MultiPoly, b: MultiPoly) -> MultiPoly:
@@ -219,14 +216,7 @@ def poly_gcd(a: MultiPoly, b: MultiPoly) -> MultiPoly:
     _require_univariate(a)
     if a.ring != b.ring:
         raise PolyRingError("polynomials from different rings")
-    ra, rb = dense_coefficients(a), dense_coefficients(b)
-    zero = a.ring.field.zero()
-    while rb:
-        ra, rb = rb, _pdivmod(ra, rb, zero)[1]
-    if not ra:
-        return a.ring.zero()
-    lead = ra[-1].inverse()
-    return from_dense(a.ring, [c * lead for c in ra])
+    return _poly(a.ring, _pgcd(_reps(a), _reps(b), a.ring.field)[0])
 
 
 def t_valuation(p: MultiPoly):
@@ -255,6 +245,14 @@ class RationalFunctionField:
         if den is None:     # over 1 a polynomial is already canonical
             return RationalFunction(self, num, self.ring.one())
         return RationalFunction._make(self, num, self._as_poly(den))
+
+    # F(t) as the base of F(t)[s] for the polynomial kernel in fields, which
+    # RationalFunction._make runs over F(d)(t): an element is its own rep
+    _elem = element
+    _add, _mul, _neg = operator.add, operator.mul, operator.neg
+    _inv, _is_zero = operator.methodcaller("inverse"), operator.methodcaller("is_zero")
+    _zero_rep = property(lambda self: self.zero())
+    _one_rep = property(lambda self: self.one())
 
     def _as_poly(self, v) -> MultiPoly:
         if isinstance(v, RationalFunction):
@@ -314,20 +312,18 @@ class RationalFunction(ScalarOps):
         if num.is_zero():
             return cls(parent, parent.ring.zero(), parent.ring.one())
         if den.degree() > 0:    # the gcd with a nonzero constant is 1
-            g = poly_gcd(num, den)
-            if g.degree() > 0:
-                gn = dense_coefficients(g)
-                zero = parent.field.zero()
-                (qn, rn), (qd, rd) = (_pdivmod(dense_coefficients(p), gn, zero)
-                                      for p in (num, den))
+            F, n, d = parent.field, _reps(num), _reps(den)
+            g = _pgcd(n, d, F)[0]
+            if len(g) > 1:
+                (qn, rn), (qd, rd) = _pdivmod(n, g, F), _pdivmod(d, g, F)
                 if rn or rd:
                     raise PolyRingError("division was not exact")
-                num, den = from_dense(parent.ring, qn), from_dense(parent.ring, qd)
+                num, den = _poly(parent.ring, qn), _poly(parent.ring, qd)
         dl = den.terms[max(den.terms)]
         if dl != parent.field.one():
             inv = dl.inverse()
-            num = num * inv
-            den = den * inv
+            num, den = (MultiPoly(parent.ring, {e: c * inv for e, c in p.terms.items()})
+                        for p in (num, den))
         return cls(parent, num, den)
 
     def _peer(self, other):

@@ -103,6 +103,19 @@ def test_iso_witness_rationals_need_extension():
     assert w.field.char == 0
 
 
+def test_adjoined_roots_take_a_free_generator_name():
+    # over a field whose tower already has the stem's name, the root gets
+    # the next free one, so no two generators print alike
+    F = SimpleExtension(RATIONALS, [2, 0, 1], "w")      # w^2 = -2
+    w = iso_witness(AlgebraId("c3"), AlgebraId("chat3"), F, allow_extension=True)
+    assert repr(w.field) == "QQ(w)(w1)"
+    F = SimpleExtension(RATIONALS, [-5, 0, 1], "r")
+    vec = basis_vector(F, 2, 2, 1) + basis_vector(F, 3, 3, 1).scale(F.element(2))
+    got, m = identify_with_witness(vec, allow_extension=True)
+    assert repr(m.parent) == "QQ(r)(r1)"
+    assert act(vec.lift(m.parent), m) == structure_of(got, m.parent)
+
+
 def test_witness_construction_rejects_wrong_map():
     F = RATIONALS
     with pytest.raises(CatalogueError):

@@ -90,6 +90,22 @@ def test_identify_with_witness(capsys, tmp_path):
     assert len(json.loads(lines[1])) == 3
 
 
+def test_identify_with_witness_names_the_root_apart(capsys, tmp_path):
+    # over Q(r), r^2 = 5, the adjoined square root of 2 is r1: the entry
+    # must not read as a multiple of the input's r
+    vec = tmp_path / "vec.json"
+    vec.write_text(json.dumps({
+        "field": {"char": 0, "ext": {"name": "r", "min_poly": [-5, 0, 1]}},
+        "entries": [{"i": 2, "j": 2, "k": 1, "c": "1"},
+                    {"i": 3, "j": 3, "k": 1, "c": "2"}]}))
+    code, out, _ = run(capsys, "identify", str(vec), "--witness",
+                       "--allow-extension")
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[0] == "c3"
+    assert json.loads(lines[1])[2][2] == "1/2r1"
+
+
 def test_identify_missing_file(capsys):
     code, _, err = run(capsys, "identify", "does/not/exist.json")
     assert code == 2

@@ -178,6 +178,41 @@ def test_extend_with_root_rejects_reducible():
         extend_with_root(PrimeField(7), [-2, 0, 1], "s")  # 2 = 3^2 mod 7
 
 
+def test_square_roots_in_quadratic_number_fields():
+    # (a + b g)^2 = x over Q(g): b = 0 and a = 0 when x has no g term,
+    # else a quadratic in b^2
+    Qi = SimpleExtension(RATIONALS, [1, 0, 1], "i")
+    i = Qi.generator()
+    assert [repr(y) for y in square_roots(2 * i)] == ["-1-i", "1+i"]
+    assert square_roots(i) == []
+    assert [repr(y) for y in square_roots(Qi.from_int(-1))] == ["-i", "i"]
+    assert [repr(y) for y in square_roots(Qi.from_int(4))] == ["-2", "2"]
+    Q5 = SimpleExtension(RATIONALS, [-5, 0, 1], "r")
+    r = Q5.generator()
+    assert [repr(y) for y in square_roots(6 + 2 * r)] == ["-1-r", "1+r"]
+
+
+def test_number_field_extensions_refuse_a_root_in_the_base():
+    Qi = SimpleExtension(RATIONALS, [1, 0, 1], "i")
+    with pytest.raises(FieldError, match="has root -i"):
+        SimpleExtension(Qi, [1, 0, 1], "j")
+    Qij = SimpleExtension(Qi, [-2, 0, 1], "j")      # Q(i, sqrt 2)
+    i, j = Qij.embed(Qi.generator()), Qij.generator()
+    assert j * j == 2 and (i + j) ** 2 == 1 + 2 * i * j
+    assert (i + j) * (i + j).inverse() == 1
+    assert repr((i + j).inverse()) == "-1/3i+1/3j"
+
+
+def test_extensions_refuse_a_generator_name_of_their_tower():
+    # two generators of one name would print alike: r + r in Q(r)(r)
+    Q5 = SimpleExtension(RATIONALS, [-5, 0, 1], "r")
+    with pytest.raises(FieldError, match="name 'r'"):
+        SimpleExtension(Q5, [-2, 0, 1], "r")
+    with pytest.raises(FieldError, match="name 'w'"):
+        extend_with_root(gf16(), [gf16().element([0, 1]), 1, 1], "w")
+    assert repr(SimpleExtension(Q5, [-2, 0, 1], "r1")) == "QQ(r)(r1)"
+
+
 def _first_factor_by_trial_division(p, minpoly):
     """The first monic factor of degree at most deg/2, in the order of
     itertools.product over the lower coefficients, or None."""

@@ -1,8 +1,9 @@
 """The package surface: every exported name resolves, no module imports a
-name it never uses."""
+name it never uses, and every import is from the standard library."""
 
 import ast
 import pathlib
+import sys
 
 import nilalg3
 
@@ -32,3 +33,19 @@ def test_no_unused_imports():
         unused += [f"{path.name}:{line} {name}"
                    for name, line in imported.items() if name not in used]
     assert not unused, unused
+
+
+def test_imports_are_standard_library_only():
+    # nilalg3 runs on Python alone: every absolute import is a stdlib module
+    outside = []
+    for path in sorted(pathlib.Path(nilalg3.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            outside += [f"{path.name}:{node.lineno} {name}" for name in names
+                        if name.split(".")[0] not in sys.stdlib_module_names]
+    assert not outside, outside

@@ -93,6 +93,19 @@ def test_poly_str_and_degree():
     assert str(R.one()) == "1"
 
 
+def test_str_brackets_a_compound_coefficient():
+    # (1+w)t is not 1+wt; a constant term needs no bracket
+    F = gf4()
+    w = F.generator()
+    K = RationalFunctionField(F, "t")
+    assert str(K.polynomial({1: 1 + w})) == "(1+w)*t"
+    assert str(K.polynomial({2: w, 1: 1 + w, 0: 1 + w})) == "w*t^2+(1+w)*t+1+w"
+    assert str(K.one() / K.polynomial({1: 1 + w, 0: w})) == "(w)/(t+1+w)"
+    R = PolyRing(RATIONALS, ("x", "y"))
+    x, y = R.gens()
+    assert str(x * y * Fraction(-3, 2) + y - 1) == "-3/2*x*y+y-1"
+
+
 def test_rational_function_cancellation():
     K = RationalFunctionField(PrimeField(7), "t")
     t = K.gen()
@@ -101,13 +114,25 @@ def test_rational_function_cancellation():
     assert ((t + 2) / (t + 2)) == K.one()
 
 
+def test_rational_functions_over_a_function_field_reduce():
+    # F(d)(t): the coefficients of the gcd are themselves rational functions,
+    # and a leading coefficient d of the denominator is scaled away
+    K = RationalFunctionField(RATIONALS, "d")
+    L = RationalFunctionField(K, "t")
+    t, d = L.gen(), L.const(K.gen())
+    assert (t * t - d * d) / (t + d) == t - d
+    r = (t + d) / (d * t * t - d ** 3)
+    assert str(r) == "((1)/(d))/(t-d)" and r.den.terms[(0,)] == -K.gen()
+    assert r * (d * t - d * d) == L.one()
+
+
 def test_constant_denominator_needs_no_gcd(monkeypatch):
     # num/c with a constant c != 1 keeps its canonical form, (num/c, 1),
     # without a gcd: the gcd with a nonzero constant is 1
-    def no_gcd(a, b):
-        raise AssertionError("poly_gcd called for a constant denominator")
+    def no_gcd(a, b, F):
+        raise AssertionError("gcd called for a constant denominator")
 
-    monkeypatch.setattr(polyring, "poly_gcd", no_gcd)
+    monkeypatch.setattr(polyring, "_pgcd", no_gcd)
     F4 = gf4()
     w = F4.generator()
     for field, c, lin, const, want_lin, want_const in (
