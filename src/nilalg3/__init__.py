@@ -17,7 +17,7 @@ from .catalogue import (AlgebraId, CatalogueError, IsoWitness,
                         UnclassifiableError, a0, a3kappa, adelta,
                         c1, c3, c5, canonicalize, hbeta, identify,
                         identify_with_witness, iso_witness, l1, quarter,
-                        same_r_class, structure_of)
+                        structure_of)
 from .degeneration import (CurveWitness, DegenerationError, DegenerationFact,
                            Obstruction, OBSTRUCTION_TAGS, SearchResult,
                            check_obstruction, compose_curves, curve_limit,
@@ -52,7 +52,7 @@ __all__ = [
     "gf16", "hbeta", "identify", "identify_with_witness", "in_m_star_star",
     "invariant_profile", "is_associative", "is_commutative", "iso_witness",
     "known_witness", "l1", "lift_witness_to_rationals", "limit_at_zero",
-    "nilpotency_class", "quarter", "same_r_class", "search_witness",
+    "nilpotency_class", "quarter", "search_witness",
     "square_basis", "square_dimension", "structure_of", "t_valuation",
     "verify_lemma_identities", "verify_witness",
 ]

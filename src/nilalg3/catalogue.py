@@ -19,8 +19,11 @@ Every isomorphism this module hands out is wrapped in an IsoWitness whose
 matrix is re-checked by the action at construction time, so no unverified
 claim can circulate.  identify() classifies an arbitrary structure vector by
 invariants alone; identify_with_witness() additionally builds the explicit
-basis change onto the canonical representative, and canonicalize() reduces
-every auxiliary id through it.
+basis change onto the canonical representative.  That reduction is the one
+isomorphism path: canonicalize() reduces every auxiliary id through it, and
+iso_witness() composes two of them (src onto its representative, then back
+from the representative onto dst), so no per-pair table of isomorphisms is
+kept.
 """
 
 from __future__ import annotations
@@ -28,8 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .fields import (Field, FieldElement, NeedsFieldExtension, ScalarOps,
-                     _tower_names, extend_with_root, square_roots,
-                     quadratic_roots)
+                     _tower_names, extend_with_root, square_roots)
 from . import algprops
 from .structspace import Matrix3, StructureVector, act
 
@@ -39,7 +41,8 @@ PARAMETRIC_TAGS = ("a", "h", "a3")
 
 
 class CatalogueError(ValueError):
-    """Unknown tag, missing/superfluous parameter, or an uncatalogued pair."""
+    """Unknown tag, missing/superfluous parameter, a witness that fails its
+    check, or a structure that is not associative."""
 
 
 class UnclassifiableError(ValueError):
@@ -132,13 +135,6 @@ class IsoWitness:
         return self.matrix.parent
 
 
-def same_r_class(beta: FieldElement, beta2: FieldElement) -> bool:
-    """Are two h-family parameters equivalent (equal or reciprocal)?"""
-    if not isinstance(beta2, FieldElement):
-        beta2 = beta.field.element(beta2)
-    return beta == beta2 or beta * beta2 == beta.field.one()
-
-
 # -- named ids ---------------------------------------------------------------
 
 
@@ -182,42 +178,6 @@ def quarter(field: Field) -> FieldElement:
 # -- explicit isomorphism witnesses ------------------------------------------
 
 
-def _g_kappa(field: Field, kappa: FieldElement) -> Matrix3:
-    # columns e1, kappa*e3, e2: carries a(1/kappa^2) onto a3(kappa)
-    return Matrix3.from_rows(field, [[1, 0, 0], [0, 0, 1], [0, kappa, 0]])
-
-
-def _g_alpha(field: Field, alpha: FieldElement) -> Matrix3:
-    # carries a3(-(alpha + 1/alpha)) onto h(-alpha^2); singular at alpha^2 = 1
-    ai = alpha.inverse()
-    return Matrix3.from_rows(
-        field, [[alpha - ai, 0, 0], [0, alpha, 1], [0, 1, alpha]])
-
-
-def _omega_matrix(field: Field, omega: FieldElement) -> Matrix3:
-    # columns 2e1, e2 - omega*e3, e2 + omega*e3: carries c3 onto chat3
-    return Matrix3.from_rows(field, [[2, 0, 0], [0, 1, 1], [0, -omega, omega]])
-
-
-_SHEAR_DOWN = [[1, 0, 0], [0, 1, 0], [0, 1, 1]]    # columns e1, e2+e3, e3
-
-
-def _root_of(field: Field, minpoly: list, name: str, allow_extension: bool):
-    """A root in ``field`` if one exists, else adjoin one when permitted.
-
-    Returns (root, field); minpoly is constant-first and monic of degree 2.
-    """
-    roots = quadratic_roots(field.element(minpoly[2]), field.element(minpoly[1]),
-                            field.element(minpoly[0]))
-    if roots:
-        return roots[0], field
-    if not allow_extension:
-        raise NeedsFieldExtension(
-            f"no root of {minpoly} (constant first) in {field!r}")
-    ext, _ = _adjoin(field, minpoly, name)
-    return ext.generator(), ext
-
-
 def _adjoin(field: Field, minpoly: list, stem: str):
     """extend_with_root under the first of the names stem, stem1, stem2,
     ... that the tower of ``field`` does not use yet."""
@@ -228,83 +188,24 @@ def _adjoin(field: Field, minpoly: list, stem: str):
 
 def iso_witness(src: AlgebraId, dst: AlgebraId, field: Field,
                 allow_extension: bool = False) -> IsoWitness | None:
-    """The catalogue's explicit witness for a documented pair, or None.
+    """A verified basis change carrying src onto dst, or None.
 
-    Raises NeedsFieldExtension when the required root (a square root or a
-    root of x^2 + k*x + 1) is missing from ``field`` and extensions were not
-    allowed.
+    Equal structures get the identity.  Otherwise both ids are reduced by
+    identify_with_witness, src over ``field`` and dst over the field where
+    src's reduction ended, and the witness is the first reduction followed
+    by the inverse of the second.  So the answer is None exactly when the
+    two ids are not isomorphic.  The witness may live over an extension of
+    ``field``; NeedsFieldExtension is raised when a reduction needs a root
+    that ``field`` lacks and allow_extension is false.
     """
-    one = field.one()
-    pair = (src.tag, dst.tag)
-
-    if pair == ("h", "h"):
-        b1, b2 = field.element(src.param), field.element(dst.param)
-        if b1 == b2:
-            return IsoWitness(src, dst, Matrix3.identity(field))
-        if b1 * b2 == one:
-            m = Matrix3.from_rows(field, [[b1, 0, 0], [0, 0, 1], [0, 1, 0]])
-            return IsoWitness(src, dst, m)
-        return None
-
-    if pair == ("a", "a3"):
-        d, k = field.element(src.param), field.element(dst.param)
-        if d.is_zero() or k * k * d != one:
-            return None
-        return IsoWitness(src, dst, _g_kappa(field, k))
-
-    if pair == ("a3", "a"):
-        k, d = field.element(src.param), field.element(dst.param)
-        if k.is_zero() or k * k * d != one:
-            return None
-        return IsoWitness(src, dst, _g_kappa(field, k).inverse())
-
-    if pair == ("a3", "a3"):
-        k1, k2 = field.element(src.param), field.element(dst.param)
-        if k1 == k2:
-            return IsoWitness(src, dst, Matrix3.identity(field))
-        if k1 == -k2:
-            return IsoWitness(src, dst, Matrix3.diagonal(field, 1, -1, 1))
-        return None
-
-    if pair == ("a3", "h"):
-        k, b = field.element(src.param), field.element(dst.param)
-        root, f2 = _root_of(field, [1, k, 1], "al", allow_extension)
-        for alpha in (root, root.inverse()):
-            if -(alpha * alpha) == f2.embed(b) and not (alpha * alpha - 1).is_zero():
-                return IsoWitness(src, dst, _g_alpha(f2, alpha))
-        return None
-
-    if pair == ("h", "a3"):
-        b, k = field.element(src.param), field.element(dst.param)
-        root, f2 = _root_of(field, [b, 0, 1], "al", allow_extension)
-        for alpha in (root, -root):
-            if alpha.is_zero() or (alpha * alpha - 1).is_zero():
-                continue
-            if -(alpha + alpha.inverse()) == f2.embed(k):
-                return IsoWitness(src, dst, _g_alpha(f2, alpha).inverse())
-        return None
-
-    if pair in (("c3", "chat3"), ("chat3", "c3")):
-        if field.char == 2:
-            return None
-        omega, f2 = _root_of(field, [1, 0, 1], "w", allow_extension)
-        m = _omega_matrix(f2, omega)
-        if pair == ("chat3", "c3"):
-            m = m.inverse()
-        return IsoWitness(src, dst, m)
-
-    if pair in (("a2", "a"), ("a", "a2")):
-        other = dst if pair[0] == "a2" else src
-        if not field.element(other.param).is_zero():
-            return None
-        m = Matrix3.from_rows(field, _SHEAR_DOWN)
-        if pair == ("a", "a2"):
-            m = m.inverse()
-        return IsoWitness(src, dst, m)
-
-    if structure_of(src, field) == structure_of(dst, field):
+    u, v = structure_of(src, field), structure_of(dst, field)
+    if u == v:
         return IsoWitness(src, dst, Matrix3.identity(field))
-    return None
+    if identify(u) != identify(v):
+        return None
+    _, g = identify_with_witness(u, allow_extension)
+    _, h = identify_with_witness(structure_of(dst, g.parent), allow_extension)
+    return IsoWitness(src, dst, g.lift(h.parent) @ h.inverse())
 
 
 def canonicalize(ident: AlgebraId, field: Field, allow_extension: bool = True):

@@ -25,8 +25,8 @@ from .fields import (FieldError, NeedsFieldExtension, PrimeField, RATIONALS,
                      gf4)
 from .hasse import HasseError, build_graph, compare_expected, emit
 from .ioformats import (FormatError, parse_algebra_id, parse_matrix,
-                        parse_vector, parse_witness, render_vector,
-                        render_witness)
+                        parse_vector, parse_witness, render_scalar,
+                        render_vector, render_witness)
 from .polyring import RationalFunctionField
 from .structspace import StructureVector, act
 
@@ -142,7 +142,20 @@ def _cmd_identify(args) -> int:
     if args.witness:
         print(json.dumps([[repr(g.entry(i, j)) for j in (1, 2, 3)]
                           for i in (1, 2, 3)]))
+        if g.parent != vec.parent:
+            print(json.dumps(_adjoined(g.parent, vec.parent)))
     return 0
+
+
+def _adjoined(field, base) -> list:
+    """The generators of field's tower above base, lowest first, each with
+    its minimal polynomial (constant first) over the field below it."""
+    out = []
+    while field != base:
+        out.append({"name": field.name,
+                    "min_poly": [render_scalar(c) for c in field.minpoly]})
+        field = field.base
+    return out[::-1]
 
 
 def _cmd_verify_witness(args) -> int:
@@ -245,7 +258,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="also compute a basis change onto the canonical form")
     p.add_argument("--allow-extension", action="store_true",
                    help="permit the witness to live over a quadratic "
-                        "extension")
+                        "extension, listed on a third line")
     p.set_defaults(func=_cmd_identify)
 
     p = subs.add_parser("verify-witness", help="check a degeneration curve "

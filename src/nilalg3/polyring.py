@@ -106,6 +106,8 @@ class MultiPoly(ScalarOps):
             return other
         if isinstance(other, (int, Fraction, FieldElement)):
             return self.ring.const(other)
+        if isinstance(other, RationalFunction) and other.parent == self.ring.field:
+            return self.ring.const(other)       # a scalar of F(d)[t]
         return None
 
     def __add__(self, other):
@@ -332,6 +334,8 @@ class RationalFunction(ScalarOps):
                 raise PolyRingError("rational functions from different fields")
             return other
         if isinstance(other, MultiPoly):
+            if other.ring is not self.parent.ring and other.ring.field == self.parent:
+                return None     # self is the scalar: the polynomial's operator runs
             return self.parent.element(other)
         if isinstance(other, (int, Fraction, FieldElement)):
             return self.parent.const(other)

@@ -207,12 +207,6 @@ class Matrix3:
         z, o = parent.zero(), parent.one()
         return cls(parent, (o, z, z, z, o, z, z, z, o))
 
-    @classmethod
-    def diagonal(cls, parent, d1, d2, d3) -> "Matrix3":
-        z = parent.zero()
-        d1, d2, d3 = (parent.element(v) for v in (d1, d2, d3))
-        return cls(parent, (d1, z, z, z, d2, z, z, z, d3))
-
     def entry(self, i: int, j: int):
         """1-based access: row i, column j."""
         if not (1 <= i <= 3 and 1 <= j <= 3):

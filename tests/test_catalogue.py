@@ -13,7 +13,7 @@ import pytest
 from nilalg3.catalogue import (AlgebraId, CatalogueError, IsoWitness,
                                a3kappa, adelta, canonicalize, hbeta, identify,
                                identify_with_witness, iso_witness, quarter,
-                               same_r_class, structure_of)
+                               structure_of)
 from nilalg3.fields import (NeedsFieldExtension, PrimeField, RATIONALS,
                             SimpleExtension, gf4, gf16)
 from nilalg3.polyring import PolyRing, RationalFunctionField
@@ -71,13 +71,6 @@ def test_symbolic_alpha_matrix_carries_a3_onto_h():
     assert act(_sym_family(K, "a3", kappa), g) == _sym_family(K, "h", -al * al)
 
 
-def test_same_r_class():
-    F = PrimeField(7)
-    assert same_r_class(F.element(3), F.element(5))       # 5 = 3^-1 mod 7
-    assert same_r_class(F.element(3), F.element(3))
-    assert not same_r_class(F.element(3), F.element(4))
-
-
 def test_iso_witness_h_reciprocal():
     F = PrimeField(7)
     w = iso_witness(hbeta(F, 3), hbeta(F, 5), F)
@@ -103,12 +96,58 @@ def test_iso_witness_rationals_need_extension():
     assert w.field.char == 0
 
 
+def _sample_ids(F):
+    """The eight fixed ids and three members of each parametric family."""
+    if F.char == 2:
+        w = F.generator()
+        params = {"a": (0, 1, w), "h": (1, w, w + 1), "a3": (0, 1, w)}
+    else:
+        params = {"a": (0, quarter(F), 2), "h": (2, Fraction(1, 2), 3),
+                  "a3": (0, -2, 3)}
+    fixed = ("a0", "c1", "c3", "l1", "c5", "rho", "chat3", "a2")
+    return [AlgebraId(t) for t in fixed] + [
+        AlgebraId(t, F.element(p)) for t, ps in params.items() for p in ps]
+
+
+@pytest.mark.parametrize("F", [PrimeField(7), gf4(), RATIONALS],
+                         ids=["gf7", "gf4", "Q"])
+def test_iso_witness_answers_every_pair(F):
+    # with extensions allowed a witness comes back exactly for the pairs
+    # identify puts in one class; refusing extensions changes an answer only
+    # into NeedsFieldExtension, and only for an isomorphic pair
+    ids = _sample_ids(F)
+    cls = {s: identify(structure_of(s, F)) for s in ids}
+    for s in ids:
+        for d in ids:
+            iso = cls[s] == cls[d]
+            w = iso_witness(s, d, F, allow_extension=True)
+            assert (w is not None) == iso, (s, d)
+            assert w is None or (w.src, w.dst) == (s, d)
+            try:
+                w0 = iso_witness(s, d, F)
+            except NeedsFieldExtension:
+                assert iso and w.field != F, (s, d)
+                continue
+            assert (w0 is not None) == iso, (s, d)
+            assert w0 is None or w0.field == F, (s, d)
+
+
+def test_iso_witness_decides_a3_against_h_without_a_root():
+    # x^2 + 3x + 1 has no root in GF(7); the pair is still decided there:
+    # a3(3) is a(4) and h(2) is a(5), so no extension is asked for
+    F = PrimeField(7)
+    assert iso_witness(a3kappa(F, 3), hbeta(F, 2), F) is None
+    assert iso_witness(hbeta(F, 2), a3kappa(F, 3), F) is None
+    assert identify(structure_of(a3kappa(F, 3), F)) == adelta(F, 4)
+    assert identify(structure_of(hbeta(F, 2), F)) == adelta(F, 5)
+
+
 def test_adjoined_roots_take_a_free_generator_name():
     # over a field whose tower already has the stem's name, the root gets
     # the next free one, so no two generators print alike
-    F = SimpleExtension(RATIONALS, [2, 0, 1], "w")      # w^2 = -2
+    F = SimpleExtension(RATIONALS, [2, 0, 1], "r")      # r^2 = -2
     w = iso_witness(AlgebraId("c3"), AlgebraId("chat3"), F, allow_extension=True)
-    assert repr(w.field) == "QQ(w)(w1)"
+    assert repr(w.field) == "QQ(r)(r1)"
     F = SimpleExtension(RATIONALS, [-5, 0, 1], "r")
     vec = basis_vector(F, 2, 2, 1) + basis_vector(F, 3, 3, 1).scale(F.element(2))
     got, m = identify_with_witness(vec, allow_extension=True)

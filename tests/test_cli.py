@@ -104,6 +104,8 @@ def test_identify_with_witness_names_the_root_apart(capsys, tmp_path):
     lines = out.splitlines()
     assert lines[0] == "c3"
     assert json.loads(lines[1])[2][2] == "1/2r1"
+    # the third line names the adjoined root: r1^2 - 2 = 0
+    assert json.loads(lines[2]) == [{"name": "r1", "min_poly": ["-2", "0", "1"]}]
 
 
 def test_identify_missing_file(capsys):

@@ -1,7 +1,9 @@
 """The package surface: every exported name resolves, no module imports a
-name it never uses, and every import is from the standard library."""
+name it never uses, every import is from the standard library, and no
+private helper is left without a caller."""
 
 import ast
+import collections
 import pathlib
 import sys
 
@@ -49,3 +51,31 @@ def test_imports_are_standard_library_only():
             outside += [f"{path.name}:{node.lineno} {name}" for name in names
                         if name.split(".")[0] not in sys.stdlib_module_names]
     assert not outside, outside
+
+
+def _references(node) -> collections.Counter:
+    """Every name node refers to: plain names, attributes, imported names."""
+    refs = collections.Counter()
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name):
+            refs[n.id] += 1
+        elif isinstance(n, ast.Attribute):
+            refs[n.attr] += 1
+        elif isinstance(n, ast.ImportFrom):
+            refs.update(alias.name for alias in n.names)
+    return refs
+
+
+def test_no_dead_private_helpers():
+    # a private top-level def or class must be used somewhere in the package
+    # outside its own body, so a removed caller cannot leave its helper behind
+    trees = {path.name: ast.parse(path.read_text()) for path in
+             sorted(pathlib.Path(nilalg3.__file__).parent.glob("*.py"))}
+    refs = sum((_references(tree) for tree in trees.values()),
+               collections.Counter())
+    dead = [f"{name}:{node.lineno} {node.name}"
+            for name, tree in trees.items() for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+            and node.name.startswith("_") and not node.name.startswith("__")
+            and refs[node.name] == _references(node)[node.name]]
+    assert not dead, dead

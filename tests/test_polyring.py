@@ -126,6 +126,19 @@ def test_rational_functions_over_a_function_field_reduce():
     assert r * (d * t - d * d) == L.one()
 
 
+def test_function_field_scalars_meet_polynomials_over_it():
+    # an element of F(d) is a scalar of F(d)[t], on either side of the operator
+    K = RationalFunctionField(RATIONALS, "d")
+    P = PolyRing(K, ("t",))
+    t, d = P.var("t"), K.gen()
+    dt = P.const(d)
+    assert t * d == d * t == dt * t
+    assert t + d == d + t == t + dt
+    assert t - d == t - dt
+    assert d - t == dt - t
+    assert str(d * t) == "d*t"
+
+
 def test_constant_denominator_needs_no_gcd(monkeypatch):
     # num/c with a constant c != 1 keeps its canonical form, (num/c, 1),
     # without a gcd: the gcd with a nonzero constant is 1

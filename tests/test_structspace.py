@@ -75,7 +75,7 @@ def test_matrix_inverse_and_adjugate():
         d = g.det()
         adj = g.adjugate()
         prod = g @ adj
-        assert prod == Matrix3.diagonal(F, d, d, d)
+        assert prod == Matrix3.from_rows(F, [[d, 0, 0], [0, d, 0], [0, 0, d]])
 
 
 def test_det_by_permutation_formula():
