@@ -178,11 +178,11 @@ def quarter(field: Field) -> FieldElement:
 # -- explicit isomorphism witnesses ------------------------------------------
 
 
-def _adjoin(field: Field, minpoly: list, stem: str):
-    """extend_with_root under the first of the names stem, stem1, stem2,
-    ... that the tower of ``field`` does not use yet."""
+def _adjoin(field: Field, minpoly: list):
+    """extend_with_root under the first of the names r, r1, r2, ... that
+    the tower of ``field`` does not use yet."""
     taken = _tower_names(field)
-    names = [stem] + [f"{stem}{i}" for i in range(1, len(taken) + 1)]
+    names = ["r"] + [f"r{i}" for i in range(1, len(taken) + 1)]
     return extend_with_root(field, minpoly, next(n for n in names if n not in taken))
 
 
@@ -384,7 +384,7 @@ def _reduction_matrix(vec, ident, field, basis, allow_extension) -> Matrix3:
             if not allow_extension:
                 raise NeedsFieldExtension(
                     f"square root of {ratio!r} needed to normalise the pairing")
-            f2, emb = _adjoin(field, [-ratio, 0, 1], "r")
+            f2, emb = _adjoin(field, [-ratio, 0, 1])
             d = f2.generator()
             f1 = [emb(c) for c in f1]
             w2 = [emb(c) for c in w2]

@@ -14,6 +14,8 @@ and every value is immutable and hashable.
 One kernel of dense helpers on lists of a base field's reps (``_pmul``,
 ``_pdivmod``, ``_pgcd``, ...) does all univariate polynomial arithmetic:
 extensions, table building, irreducibility tests and the gcds of F(t).
+One root finder, ``_roots``, serves irreducibility tests below degree 4,
+``quadratic_roots`` and the finite case of ``square_roots``.
 
 A finite field (GF(p) with p <= MAX_FINITE_ORDER, or a :class:`FiniteField`)
 hands out one element object per code: ``field._elem`` looks the rep up in a
@@ -105,9 +107,6 @@ class Field:
         raise NotImplementedError
 
     def _is_zero(self, a) -> bool:
-        raise NotImplementedError
-
-    def _sort_key(self, a):
         raise NotImplementedError
 
     def _render(self, a) -> str:
@@ -338,9 +337,6 @@ class Rationals(Field):
     def _is_zero(self, a):
         return a == 0
 
-    def _sort_key(self, a):
-        return a
-
     def _render(self, a):
         return str(a)
 
@@ -414,9 +410,6 @@ class PrimeField(Field):
 
     def _is_zero(self, a):
         return a == 0
-
-    def _sort_key(self, a):
-        return a
 
     def _render(self, a):
         return str(a)
@@ -584,10 +577,10 @@ class _Extension(Field):
         """
         base, m = self.base, self._m
         if self.degree <= 3:
-            root = _find_root(base, self.minpoly)
-            if root is not None:
+            roots = _roots(base, self.minpoly)
+            if roots:
                 raise FieldError(
-                    f"minimal polynomial has root {root!r} in {base!r}")
+                    f"minimal polynomial has root {roots[0]!r} in {base!r}")
         elif base.is_finite():
             x = [base._zero_rep, base._one_rep]
             frob = x                    # x^(b^d) mod m
@@ -694,9 +687,6 @@ class SimpleExtension(_Extension):
 
     def _is_zero(self, a):
         return all(map(self.base._is_zero, a))
-
-    def _sort_key(self, a):
-        return tuple(map(self.base._sort_key, a))
 
 
 MAX_FINITE_ORDER = 1 << 16
@@ -840,24 +830,6 @@ class FiniteField(_Extension):
     def _is_zero(self, a):
         return a == 0
 
-    def _sort_key(self, a):
-        return a
-
-
-def _rational_root(base: Rationals, coeffs):
-    """A rational root of the integer-cleared polynomial, or None."""
-    denom = lcm(*(c.rep.denominator for c in coeffs))
-    ints = [int(c.rep * denom) for c in coeffs]
-    if ints[0] == 0:
-        return base.zero()
-    lead, const = ints[-1], ints[0]
-    for p in _divisors(abs(const)):
-        for q in _divisors(abs(lead)):
-            for cand in (Fraction(p, q), Fraction(-p, q)):
-                if _peval(ints, cand, base) == 0:
-                    return base.element(cand)
-    return None
-
 
 def _divisors(n):
     out = []
@@ -869,101 +841,113 @@ def _divisors(n):
     return sorted(out)
 
 
-def _find_root(field: Field, coeffs):
-    """A root in ``field`` of the polynomial with the given coefficients.
+_rep = operator.attrgetter("rep")
 
-    Exhaustive over finite fields; rational-root test over the rationals;
-    quadratic formula over characteristic-0 extensions.  Returns None when
-    no root exists (or, for shapes this helper cannot decide, when none is
-    found by the applicable method).
+
+def _roots(field: Field, coeffs) -> list:
+    """Every root in ``field`` of the polynomial of degree 2 or 3 with the
+    given coefficients (elements of ``field``, constant first), by rep.
+
+    A finite field is searched.  In characteristic 0 a quadratic goes
+    through the quadratic formula and a cubic over Q through
+    ``_rational_roots``; any other polynomial gets [], so a cubic over a
+    number field is trusted.  A root found other than by search is checked
+    by substitution, and a failed check raises.
     """
+    reps = [c.rep for c in coeffs]
     if field.is_finite():
-        reps = [c.rep for c in coeffs]
-        return next((x for x in field.elements()
-                     if field._is_zero(_peval(reps, x.rep, field))), None)
-    if isinstance(field, Rationals):
-        return _rational_root(field, coeffs)
+        return [x for x in field.elements()
+                if field._is_zero(_peval(reps, x.rep, field))]
     if len(coeffs) == 3:
-        roots = quadratic_roots(coeffs[2], coeffs[1], coeffs[0])
-        return roots[0] if roots else None
-    return None
+        c, b, a = coeffs
+        b, c = b / a, c / a
+        found = [(s - b) / 2 for s in square_roots(b * b - 4 * c)]
+    elif isinstance(field, Rationals):
+        found = [field.element(x) for x in _rational_roots(reps)]
+    else:
+        return []
+    for x in found:
+        if not field._is_zero(_peval(reps, x.rep, field)):
+            raise AssertionError(f"{x!r} is no root of {list(coeffs)}")
+    return sorted(found, key=_rep)
+
+
+def _rational_roots(coeffs) -> list:
+    """The rational roots of a x^3 + b x^2 + c x + d, given its Fraction
+    coefficients constant first.
+
+    With y = a x they are y / a for the integer roots y of the monic
+    g(y) = y^3 + b y^2 + a c y + a^2 d, which lie in [-B, B] for
+    B = 1 + max(|b|, |a c|, |a^2 d|).  g is monotone between the roots of
+    g' = 3y^2 + 2b y + a c, each within one of (-b -+ isqrt(b^2 - 3ac))/3;
+    the cuts k, ..., k + 3 around each hold its floor and ceiling, so
+    between two cuts g is monotone and bisection finds its integer root.
+    """
+    den = lcm(*(q.denominator for q in coeffs))
+    d, c, b, a = (int(q * den) for q in coeffs)
+    c, d = a * c, a * a * d
+
+    def g(y):
+        return ((y + b) * y + c) * y + d
+
+    bound = 1 + max(abs(b), abs(c), abs(d))
+    r = isqrt(max(b * b - 3 * c, 0))
+    cuts = {-bound, bound}
+    for k in ((-b - r - 1) // 3, (-b + r - 1) // 3):
+        cuts.update(y for y in range(k, k + 4) if -bound < y < bound)
+    cuts = sorted(cuts)
+    ys = [y for y in cuts if g(y) == 0]
+    for lo, hi in zip(cuts, cuts[1:]):
+        rising = g(lo) < 0
+        while g(lo) * g(hi) < 0 and hi - lo > 1:
+            mid = (lo + hi) // 2
+            if g(mid) == 0:
+                ys.append(mid)
+            lo, hi = (mid, hi) if (g(mid) < 0) == rising else (lo, mid)
+    return [Fraction(y, a) for y in ys]
 
 
 def square_roots(x: FieldElement) -> list:
-    """All square roots of x in its own field, sorted canonically."""
+    """All square roots of x in its own field, by rep.
+
+    Over a quadratic number field F(g), g^2 = e + f g, they come from the
+    norm N and trace T over F: a root y has N(y)^2 = N(x),
+    T(y)^2 = T(x) + 2 N(y) and y T(y) = x + N(y).  So y = (x + n) / s for
+    each n with n^2 = N(x) and each nonzero s with s^2 = T(x) + 2n, and
+    every such y is a root, since x (T(x) + 2n) = (x + n)^2.  A root of
+    trace 0 is c (2g - f) for c in F, which squares to c^2 (f^2 + 4e).
+    """
     field = x.field
     if field.is_finite():
-        found = [y for y in field.elements() if y * y == x]
-    elif isinstance(field, Rationals):
-        frac = x.rep
-        if frac < 0:
-            found = []
-        elif frac == 0:
-            found = [field.zero()]
-        else:
-            rn, rd = isqrt(frac.numerator), isqrt(frac.denominator)
-            if rn * rn == frac.numerator and rd * rd == frac.denominator:
-                r = field.element(Fraction(rn, rd))
-                found = [r, -r]
-            else:
-                found = []
-    elif isinstance(field, SimpleExtension) and field.degree == 2:
-        found = _ext2_square_roots(field, x)
-    else:
+        return _roots(field, [-x, field.zero(), field.one()])
+    if isinstance(field, Rationals):
+        num, den = x.rep.numerator, x.rep.denominator
+        if num < 0 or isqrt(num) ** 2 != num or isqrt(den) ** 2 != den:
+            return []
+        r = Fraction(isqrt(num), isqrt(den))
+        return sorted({field.element(-r), field.element(r)}, key=_rep)
+    if not (isinstance(field, SimpleExtension) and field.degree == 2):
         raise FieldError(f"square roots are not supported over {field!r}")
-    return sorted(set(found), key=lambda e: e.field._sort_key(e.rep))
-
-
-def _ext2_square_roots(field: SimpleExtension, x: FieldElement):
-    # With g the generator, g**2 = e + f*g; solve (a + b*g)**2 = x.
-    base = field.base
-    e = -field.minpoly[0]
-    f = -field.minpoly[1]
-    u, v = (base._elem(c) for c in x.rep)
-    out = []
+    e, f = (-c for c in field.minpoly[:2])
+    u, v = map(field.base._elem, x.rep)
+    norm, trace = u * u + f * u * v - e * v * v, 2 * u + f * v
+    found = [field.element([(u + n) / s, v / s]) for n in square_roots(norm)
+             for s in square_roots(trace + 2 * n) if not s.is_zero()]
     if v.is_zero():
-        for a in square_roots(u):
-            out.append(field.embed(a))
-        if not e.is_zero():
-            for b in square_roots(u / e):
-                out.append(field.element([0, b]))
-    else:
-        # b != 0; eliminate a = (v - f*b**2) / (2b), leaving a quadratic in b**2.
-        A = f * f + 4 * e
-        B = -(2 * v * f + 4 * u)
-        C = v * v
-        for Y in quadratic_roots(A, B, C):
-            for b in square_roots(Y):
-                if b.is_zero():
-                    continue
-                a = (v - f * b * b) / (2 * b)
-                cand = field.element([a, b])
-                if cand * cand == x:
-                    out.append(cand)
-    return out
+        found += [field.element([-c * f, 2 * c])
+                  for c in square_roots(u / (f * f + 4 * e))]
+    return sorted(found, key=_rep)
 
 
 def quadratic_roots(a: FieldElement, b: FieldElement, c: FieldElement) -> list:
-    """All roots of a*x**2 + b*x + c in the common field of a, b, c.
-
-    Finite fields are searched exhaustively (every field this toolkit touches
-    is tiny); over characteristic 0 the discriminant route is used.  Each
-    candidate is verified by substitution before being returned.
-    """
+    """All roots of a*x**2 + b*x + c in the common field of a, b, c, by rep
+    (see ``_roots``)."""
     field = a.field
     if b.field != field or c.field != field:
         raise FieldError("coefficients belong to different fields")
     if a.is_zero():
         raise FieldError("leading coefficient is zero")
-    if field.is_finite():
-        roots = [x for x in field.elements() if ((a * x + b) * x + c).is_zero()]
-    else:
-        B, C = b / a, c / a
-        disc = B * B - 4 * C
-        roots = [(s - B) / 2 for s in square_roots(disc)]
-    for r in roots:
-        assert ((a * r + b) * r + c).is_zero()
-    return sorted(roots, key=lambda e: e.field._sort_key(e.rep))
+    return _roots(field, [c, b, a])
 
 
 def extend_with_root(field: Field, minpoly, name: str):

@@ -296,7 +296,7 @@ def render_algebra_id(ident: AlgebraId) -> str:
 def _load_json(text: str):
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise FormatError(f"invalid JSON: {exc}") from exc
 
 

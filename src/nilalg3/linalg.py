@@ -48,23 +48,12 @@ def rank(rows: list) -> int:
     return len(row_reduce(rows)[1])
 
 
-def nullity(rows: list, ncols: int | None = None) -> int:
-    if not rows:
-        if ncols is None:
-            raise ValueError("nullity of an empty system needs ncols")
-        return ncols
-    return len(rows[0]) - rank(rows)
+def nullity(rows: list, ncols: int) -> int:
+    return ncols - rank(rows)
 
 
 def nullspace_basis(rows: list, field: Field, ncols: int) -> list:
     """Basis vectors (lists of FieldElements) of the right nullspace."""
-    if not rows:
-        basis = []
-        for j in range(ncols):
-            v = [field.zero()] * ncols
-            v[j] = field.one()
-            basis.append(v)
-        return basis
     rref, pivots = row_reduce(rows)
     free = [j for j in range(ncols) if j not in pivots]
     basis = []

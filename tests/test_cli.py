@@ -108,6 +108,26 @@ def test_identify_with_witness_names_the_root_apart(capsys, tmp_path):
     assert json.loads(lines[2]) == [{"name": "r1", "min_poly": ["-2", "0", "1"]}]
 
 
+def test_identify_takes_roots_over_a_field_with_a_trace_term(capsys, tmp_path):
+    # over Q(g), g^2 = g + 3: 13 = (2g - 1)^2 has its square root in the
+    # input field, 3 has none there
+    field = {"char": 0, "ext": {"name": "g", "min_poly": [-3, -1, 1]}}
+    path = tmp_path / "vec.json"
+    path.write_text(json.dumps(_vector(field, ((2, 2, 1, "1"), (3, 3, 1, "13")))))
+    code, out, _ = run(capsys, "identify", str(path), "--witness")
+    assert code == 0
+    assert out.splitlines() == ["c3", json.dumps(
+        [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "-1/13+2/13g"]])]
+    path.write_text(json.dumps(_vector(field, ((2, 2, 1, "1"), (3, 3, 1, "3")))))
+    code, _, err = run(capsys, "identify", str(path), "--witness")
+    assert code == 1 and err.startswith("needs a quadratic extension")
+    code, out, _ = run(capsys, "identify", str(path), "--witness",
+                       "--allow-extension")
+    assert code == 0
+    assert json.loads(out.splitlines()[2]) == [
+        {"name": "r", "min_poly": ["-3", "0", "1"]}]
+
+
 def test_identify_missing_file(capsys):
     code, _, err = run(capsys, "identify", "does/not/exist.json")
     assert code == 2
@@ -249,6 +269,23 @@ def test_malformed_input_exits_2(capsys, tmp_path, argv, payload):
     code, _, err = run(capsys, *(a.format(file=path) for a in argv))
     assert code == 2
     assert err.startswith("error: ")
+
+
+_DEEP = "[" * 200_000
+
+
+@pytest.mark.parametrize("argv, payload", [
+    (("identify", "{file}"), _DEEP.encode()),
+    (("identify", "{file}"), ('{"field": ' + _DEEP).encode()),
+    (("verify-witness", "{file}"), _DEEP.encode()),
+    (("identify", "{file}"), b"\xff\xfe"),
+], ids=["deep-vector", "deep-field", "deep-witness", "not-utf-8"])
+def test_undecodable_payloads_exit_2(capsys, tmp_path, argv, payload):
+    path = tmp_path / "payload.json"
+    path.write_bytes(payload)
+    code, _, err = run(capsys, *(a.format(file=path) for a in argv))
+    assert code == 2
+    assert err.startswith("error: ") and "Traceback" not in err
 
 
 def test_irreducible_quartic_still_accepted(capsys, tmp_path):

@@ -136,11 +136,11 @@ def test_square_roots_prime_field():
 
 
 def test_square_roots_char2_unique():
-    F = gf4()
-    for x in F.elements():
-        r = square_roots(x)
-        assert len(r) == 1
-        assert r[0] * r[0] == x
+    for F in (gf4(), gf16()):
+        for x in F.elements():
+            r = square_roots(x)
+            assert len(r) == 1
+            assert r[0] * r[0] == x
 
 
 def test_quadratic_roots_verified_by_substitution():
@@ -172,7 +172,7 @@ def test_extend_with_root():
 
 
 def test_extend_with_root_rejects_reducible():
-    with pytest.raises(FieldError):
+    with pytest.raises(FieldError, match="has root -2 in QQ"):
         extend_with_root(RATIONALS, [-4, 0, 1], "s")    # x^2 - 4 = (x-2)(x+2)
     with pytest.raises(FieldError):
         extend_with_root(PrimeField(7), [-2, 0, 1], "s")  # 2 = 3^2 mod 7
@@ -190,6 +190,66 @@ def test_square_roots_in_quadratic_number_fields():
     Q5 = SimpleExtension(RATIONALS, [-5, 0, 1], "r")
     r = Q5.generator()
     assert [repr(y) for y in square_roots(6 + 2 * r)] == ["-1-r", "1+r"]
+
+
+# min_poly [-e, -f, 1] by g^2 = e + f g; the first two have f != 0
+QUADRATIC_MIN_POLYS = {"g+1": [-1, -1, 1], "g+3": [-3, -1, 1], "-1": [1, 0, 1],
+                       "2": [-2, 0, 1], "-2g-2": [2, 2, 1]}
+
+
+@pytest.mark.parametrize("min_poly", QUADRATIC_MIN_POLYS.values(),
+                         ids=QUADRATIC_MIN_POLYS.keys())
+def test_square_roots_of_squares_are_plus_and_minus(min_poly):
+    F = SimpleExtension(RATIONALS, min_poly, "g")
+    for a, b in itertools.product(range(-4, 5), repeat=2):
+        y = F.element([a, b])
+        assert square_roots(y * y) == sorted({y, -y}, key=lambda x: x.rep)
+
+
+def test_roots_over_a_quadratic_field_with_a_trace_term():
+    F = SimpleExtension(RATIONALS, [-3, -1, 1], "g")     # g^2 = g + 3
+    one, zero = F.one(), F.zero()
+    assert quadratic_roots(one, zero, -3 * one) == []
+    assert [repr(x) for x in quadratic_roots(one, zero, -13 * one)] == [
+        "-1+2g", "1-2g"]
+    # 13 = (2g - 1)^2, so x^2 - 13 is reducible over Q(g)
+    with pytest.raises(FieldError, match=r"has root -1\+2g in QQ\(g\)"):
+        SimpleExtension(F, [-13, 0, 1], "r")
+
+
+def _rational_roots_by_divisors(ints):
+    """The rational roots p/q of an integer polynomial (constant first),
+    p dividing its lowest nonzero coefficient and q its leading one."""
+    low = next(c for c in ints if c)
+    found = {Fraction(0)} if ints[0] == 0 else set()
+    for p in range(1, abs(low) + 1):
+        for q in range(1, abs(ints[-1]) + 1):
+            for x in (Fraction(p, q), Fraction(-p, q)):
+                if low % p == 0 and ints[-1] % q == 0 and not sum(
+                        c * x ** k for k, c in enumerate(ints)):
+                    found.add(x)
+    return sorted(found)
+
+
+def test_cubics_over_q_are_refused_naming_their_least_rational_root():
+    rng = random.Random(15)
+    refused = 0
+    for n in range(400):
+        if n % 2:
+            ints = [rng.randint(-30, 30) for _ in range(3)] + [rng.randint(1, 6)]
+        else:   # (q x - p) times a quadratic
+            p, q = rng.randint(-12, 12), rng.randint(1, 4)
+            c0, c1, c2 = (rng.randint(-5, 5) for _ in range(3))
+            c2 = c2 or 1
+            ints = [-p * c0, q * c0 - p * c1, q * c1 - p * c2, q * c2]
+        roots = _rational_roots_by_divisors(ints)
+        if not roots:
+            extend_with_root(RATIONALS, ints, "s")
+            continue
+        with pytest.raises(FieldError, match=f"has root {roots[0]} in QQ$"):
+            extend_with_root(RATIONALS, ints, "s")
+        refused += 1
+    assert 200 <= refused < 400
 
 
 def test_number_field_extensions_refuse_a_root_in_the_base():

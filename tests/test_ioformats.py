@@ -3,6 +3,7 @@
 import json
 import random
 import re
+import time
 from fractions import Fraction
 
 import pytest
@@ -54,6 +55,19 @@ def test_parse_field_gives_one_field_per_descriptor():
               {"char": 2}]
     fields = [first] + [parse_field(d) for d in others]
     assert all(a != b for n, a in enumerate(fields) for b in fields[n + 1:])
+
+
+def test_parse_field_decides_long_quadratics_and_cubics_over_q():
+    big = 10 ** 30 + 1
+    started = time.monotonic()
+    for min_poly in ([big, 0, 1], [2, 0, 0, big]):
+        F = parse_field({"char": 0, "ext": {"name": "r", "min_poly": min_poly}})
+        assert F.degree == len(min_poly) - 1
+    assert time.monotonic() - started < 1
+    root = 10 ** 30 + 57
+    with pytest.raises(FormatError, match=f"has root {root} in QQ"):
+        parse_field({"char": 0, "ext": {"name": "r",
+                                        "min_poly": [-7 * root ** 3, 0, 0, 7]}})
 
 
 @pytest.mark.parametrize("desc", [
