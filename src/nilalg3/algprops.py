@@ -1,8 +1,9 @@
 """Invariants of a 3-dimensional algebra given by its structure vector.
 
 Everything here is exact linear algebra over the scalar domain of the
-vector, computed from its nonzero terms c[i,j,k] only.  Associativity is
-the structure-constant identity
+vector, computed from its nonzero terms c[i,j,k] only; the sums behind a
+bool or an int run on their reps through the domain's hooks.  Associativity
+is the structure-constant identity
 
     sum_m c[i,j,m] c[m,k,l]  =  sum_m c[j,k,m] c[i,m,l]    (all i, j, k, l),
 
@@ -11,7 +12,7 @@ summed over the pairs of nonzero terms that meet in m.  The power chain
 (the square, the cube, ...) is built once per call and gives both the
 nilpotency class and the square.  The annihilator and the derivation
 algebra are nullspaces of rows read off the nonzero terms.  Also here:
-commutativity, and membership in the closed set of structures whose
+commutativity, and membership in the closed set M** of structures whose
 generic square stays on the line of its argument.
 """
 
@@ -20,7 +21,6 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass
 
 from . import linalg
-from .polyring import PolyRing
 from .structspace import StructureVector
 
 
@@ -28,31 +28,32 @@ class NotNilpotentError(ValueError):
     """The power chain of the algebra stabilises at a nonzero subspace."""
 
 
-def _unit_triples(parent) -> list:
-    z, o = parent.zero(), parent.one()
-    return [[o, z, z], [z, o, z], [z, z, o]]
-
-
-def _sums(pairs) -> dict:
+def _sums(pairs, add) -> dict:
     out = {}
     for key, v in pairs:
         s = out.get(key)
-        out[key] = v if s is None else s + v
+        out[key] = v if s is None else add(s, v)
     return out
 
 
+def _rep_terms(vec: StructureVector) -> list:
+    """(i, j, k, rep) per nonzero term; an element of F(d) is its own rep."""
+    return [(i, j, k, getattr(c, "rep", c)) for i, j, k, c in vec.terms()]
+
+
 def is_associative(vec: StructureVector) -> bool:
-    terms = vec.terms()
+    add, mul = vec.parent._add, vec.parent._mul
+    terms = _rep_terms(vec)
     by_first, by_second = {}, {}
     for t in terms:
         by_first.setdefault(t[0], []).append(t)
         by_second.setdefault(t[1], []).append(t)
     # (e_i e_j) e_k: c[i,j,m] c[m,k,l]; e_i (e_j e_k): c[j,k,m] c[i,m,l]
-    left = _sums(((i, j, k, l), a * b) for i, j, m, a in terms
-                 for _, k, l, b in by_first.get(m, ()))
-    right = _sums(((i, j, k, l), a * b) for j, k, m, a in terms
-                  for i, _, l, b in by_second.get(m, ()))
-    zero = vec.parent.zero()
+    left = _sums((((i, j, k, l), mul(a, b)) for i, j, m, a in terms
+                  for _, k, l, b in by_first.get(m, ())), add)
+    right = _sums((((i, j, k, l), mul(a, b)) for j, k, m, a in terms
+                   for i, _, l, b in by_second.get(m, ())), add)
+    zero = vec.parent._zero_rep
     return all(left.get(key, zero) == right.get(key, zero)
                for key in left.keys() | right.keys())
 
@@ -83,7 +84,8 @@ def power_chain(vec: StructureVector) -> list:
     three-factor products, and so on; computation stops once the subspace
     hits zero or the products of five factors were formed.
     """
-    e = _unit_triples(vec.parent)
+    z, o = vec.parent.zero(), vec.parent.one()
+    e = [[o, z, z], [z, o, z], [z, z, o]]
     chain = []
     current = square_basis(vec)
     for _ in range(4):
@@ -162,35 +164,38 @@ def derivation_dimension(vec: StructureVector) -> int:
     so a nonzero c[a,b,k] enters the first sum of the equations (a, b, n),
     the second of (n, b, k) and the third of (a, n, k), for n = 1, 2, 3.
     """
-    def entries():      # ((equation, column), value)
-        for a, b, k, c in vec.terms():
-            minus = -c
+    F = vec.parent
+
+    def entries():      # ((equation, column), rep)
+        for a, b, k, c in _rep_terms(vec):
+            minus = F._neg(c)
             for n in (1, 2, 3):
                 yield ((a, b, n), 3 * n + k - 4), c
                 yield ((n, b, k), 3 * a + n - 4), minus
                 yield ((a, n, k), 3 * b + n - 4), minus
 
-    zero = vec.parent.zero()
+    zero = F.zero()
     rows = {}
-    for (row, col), v in _sums(entries()).items():
-        rows.setdefault(row, [zero] * 9)[col] = v
-    return linalg.nullity(list(rows.values()), 9)
+    for (row, col), v in _sums(entries(), F._add).items():
+        rows.setdefault(row, [zero] * 9)[col] = F._elem(v)
+    return 9 - len(linalg.row_reduce(list(rows.values()))[1])
 
 
 def in_m_star_star(vec: StructureVector) -> bool:
     """Does the square of every element stay on the line of that element?
 
     Checked as a polynomial identity in a generic element x, i.e. over the
-    algebraic closure: all 2x2 minors of the pair (x, x*x) must vanish
-    identically.
+    algebraic closure: each monomial coefficient of each minor x_i q_j -
+    x_j q_i of (x, x*x), with q_k = sum c[a,b,k] x_a x_b, must vanish.
     """
-    ring = PolyRing(vec.parent, ("x1", "x2", "x3"))
-    x = list(ring.gens())
-    q = vec.lift(ring).product(x, x)
-    for i in range(3):
-        for j in range(i + 1, 3):
-            if not (x[i] * q[j] - x[j] * q[i]).is_zero():
-                return False
+    add, neg, is_zero = vec.parent._add, vec.parent._neg, vec.parent._is_zero
+    terms = _rep_terms(vec)
+    for i, j in ((1, 2), (1, 3), (2, 3)):
+        coeffs = _sums(((tuple(sorted((i, a, b))), c) if k == j else
+                        (tuple(sorted((j, a, b))), neg(c))
+                        for a, b, k, c in terms if k == i or k == j), add)
+        if not all(map(is_zero, coeffs.values())):
+            return False
     return True
 
 

@@ -19,7 +19,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import operator
 import random
 import time
 from dataclasses import dataclass
@@ -194,12 +193,13 @@ def _moved_limit(support, cells, scale, ops, blocks):
     return limits()
 
 
-_ELEMENT_OPS = (operator.add, operator.mul, operator.neg,
-                operator.methodcaller("is_zero"), operator.methodcaller("inverse"))
+def _hooks(F) -> tuple:
+    """The ops of _moved_limit: the scalar domain's own hooks on reps."""
+    return F._add, F._mul, F._neg, F._is_zero, F._inv
 
 
-def _pairs(poly: MultiPoly) -> list:
-    return [(e, c) for (e,), c in poly.terms.items()]
+def _pairs(poly: MultiPoly) -> list:     # an element of F(d) is its own rep
+    return [(e, getattr(c, "rep", c)) for (e,), c in poly.terms.items()]
 
 
 def curve_limit(witness: CurveWitness) -> StructureVector:
@@ -208,8 +208,8 @@ def curve_limit(witness: CurveWitness) -> StructureVector:
     Exact and division-free over F[t].  The matrix is written as g = P/L,
     with P polynomial and L the product of the distinct entry denominators
     (1 for every curve built from polynomials), and _moved_limit judges P
-    and L with the scalars' own operators, so every scalar domain works,
-    F(d) included.
+    and L on reps through the base domain's hooks, as search does, so every
+    scalar domain works, F(d) included.
     """
     rff = witness.matrix.parent
     if not isinstance(rff, RationalFunctionField):
@@ -218,10 +218,10 @@ def curve_limit(witness: CurveWitness) -> StructureVector:
     dens = list(dict.fromkeys(rf.den for rf in witness.matrix.entries))
     cells = [_pairs(math.prod((d for d in dens if d != rf.den), start=rf.num))
              for rf in witness.matrix.entries]
-    support = [(i - 1, j - 1, k - 1, c)
+    support = [(i - 1, j - 1, k - 1, getattr(c, "rep", c))
                for i, j, k, c in structure_of(witness.src, base).terms()]
     limits = _moved_limit(support, cells, _pairs(math.prod(dens[1:], start=dens[0])),
-                          _ELEMENT_OPS, _BLOCKS)
+                          _hooks(base), _BLOCKS)
     if limits is None:
         raise DegenerationError("curve matrix is singular as a matrix of functions")
     zero = base.zero()
@@ -229,7 +229,7 @@ def curve_limit(witness: CurveWitness) -> StructureVector:
     for (i, j, k), x in zip(itertools.product((1, 2, 3), repeat=3), limits):
         if x is _POLE:
             raise DegenerationError(f"coefficient {i}{j}{k} has a pole at t = 0")
-        out.append(zero if x is None else x)
+        out.append(zero if x is None else base._elem(x))
     return StructureVector(base, out)
 
 
@@ -725,7 +725,7 @@ def search_witness(src: AlgebraId, dst: AlgebraId, field: Field,
               for i, j, k, cf in structure_of(dst, field).terms()}
     blocks = sorted(_BLOCKS, key=lambda ab: all(ab + (c,) not in target for c in range(3)))
     wanted = [target.get((a, b, c)) for a, b in blocks for c in range(3)]
-    ops = (field._add, field._mul, field._neg, field._is_zero, field._inv)
+    ops = _hooks(field)
     unit = [(0, field.one().rep)]
     candidates = _candidates(random.Random(seed), degree_bound, field.order())
 

@@ -926,6 +926,10 @@ def square_roots(x: FieldElement) -> list:
             return []
         r = Fraction(isqrt(num), isqrt(den))
         return sorted({field.element(-r), field.element(r)}, key=_rep)
+    if (isinstance(field, SimpleExtension) and field.degree % 2
+            and all(map(field.base._is_zero, x.rep[1:]))):
+        # y^2 = x in the base F: [F(y):F] is 1 or 2 and divides the odd degree
+        return [field.embed(y) for y in square_roots(field.base._elem(x.rep[0]))]
     if not (isinstance(field, SimpleExtension) and field.degree == 2):
         raise FieldError(f"square roots are not supported over {field!r}")
     e, f = (-c for c in field.minpoly[:2])

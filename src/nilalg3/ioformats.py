@@ -77,7 +77,10 @@ def parse_field(desc) -> Field:
             or not all(_is_int(c) for c in minpoly)):
         raise FormatError("'min_poly' must be a constant-first list of "
                           "integers of degree >= 2")
-    return _field(char, str(ext["name"]), tuple(minpoly))
+    name = ext["name"]      # read back as _TERM_RE reads a generator
+    if not isinstance(name, str) or not re.fullmatch(r"[A-Za-z]\w*", name):
+        raise FormatError(f"bad generator name {name!r}: a letter, then letters, digits, _")
+    return _field(char, name, tuple(minpoly))
 
 
 @functools.lru_cache(maxsize=4)

@@ -44,14 +44,6 @@ def row_reduce(rows: list) -> tuple:
     return m, pivots
 
 
-def rank(rows: list) -> int:
-    return len(row_reduce(rows)[1])
-
-
-def nullity(rows: list, ncols: int) -> int:
-    return ncols - rank(rows)
-
-
 def nullspace_basis(rows: list, field: Field, ncols: int) -> list:
     """Basis vectors (lists of FieldElements) of the right nullspace."""
     rref, pivots = row_reduce(rows)

@@ -18,8 +18,6 @@ and stays division-free.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .fields import FieldElement, signed_sum
 
 
@@ -35,9 +33,6 @@ def _flat(i: int, j: int, k: int) -> int:
 
 def _unflat(n: int) -> tuple:
     return n // 9 + 1, (n // 3) % 3 + 1, n % 3 + 1
-
-
-_SCALARS = (int, Fraction, FieldElement)
 
 
 class StructureVector:

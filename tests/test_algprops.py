@@ -18,7 +18,9 @@ from nilalg3.algprops import (NotNilpotentError, annihilator_dimension,
                               is_commutative, nilpotency_class,
                               square_dimension)
 from nilalg3.catalogue import AlgebraId, adelta, hbeta, structure_of
-from nilalg3.fields import PrimeField, RATIONALS, gf4, gf16
+from nilalg3.fields import PrimeField, RATIONALS, SimpleExtension, gf4, gf16
+from nilalg3.linalg import row_reduce
+from nilalg3.polyring import PolyRing, RationalFunctionField
 from nilalg3.structspace import Matrix3, StructureVector, act, basis_vector
 
 
@@ -120,27 +122,29 @@ def _associative_by_products(vec):
     return True
 
 
-def _random_structures(field, rng):
+def _random_structures(field, rng, pool=None, counts=(1500, 400, 100)):
     """2000 structures: 1500 with 1-6 random terms, 400 with every
     coefficient drawn at random, 100 moved catalogue classes, half of them
-    with one coefficient changed afterwards."""
-    if field == RATIONALS:
+    with one coefficient changed afterwards (or as many as ``counts`` says).
+    Scalars come from ``pool``, zero first."""
+    if pool is None and field == RATIONALS:
         pool = [field.zero()] + [field.element(Fraction(n, d))
                                  for n in range(-4, 5) if n for d in (1, 2, 3)]
-    else:
+    elif pool is None:
         pool = list(field.elements())       # zero first
 
     def scalar(nonzero=True):
         return pool[rng.randrange(1 if nonzero else 0, len(pool))]
 
+    sparse, dense, moved = counts
     cells = list(itertools.product((1, 2, 3), repeat=3))
-    for _ in range(1500):
+    for _ in range(sparse):
         yield StructureVector.from_terms(field, [
             (*rng.choice(cells), scalar()) for _ in range(rng.randint(1, 6))])
-    for _ in range(400):
+    for _ in range(dense):
         yield StructureVector(field, [scalar(nonzero=False) for _ in cells])
     classes = ["a0", "c1", "c3", "l1", "c5", "rho", "chat3", "a2"]
-    for n in range(100):
+    for n in range(moved):
         vec = _rep(rng.choice(classes), field)
         while True:
             g = Matrix3.from_rows(field, [
@@ -167,6 +171,94 @@ def test_associativity_identity_matches_the_product_definition(field):
         verdicts.append(verdict)
     assert len(verdicts) == 2000
     assert True in verdicts and False in verdicts
+
+
+# The element forms of three kernels that run on reps, as they were before:
+# FieldElement operators throughout, and M** in a polynomial ring.
+
+def _element_sums(pairs) -> dict:
+    out = {}
+    for key, v in pairs:
+        out[key] = out[key] + v if key in out else v
+    return out
+
+
+def _associative_by_elements(vec):
+    terms = vec.terms()
+    by_first, by_second = {}, {}
+    for t in terms:
+        by_first.setdefault(t[0], []).append(t)
+        by_second.setdefault(t[1], []).append(t)
+    left = _element_sums(((i, j, k, l), a * b) for i, j, m, a in terms
+                         for _, k, l, b in by_first.get(m, ()))
+    right = _element_sums(((i, j, k, l), a * b) for j, k, m, a in terms
+                          for i, _, l, b in by_second.get(m, ()))
+    zero = vec.parent.zero()
+    return all(left.get(key, zero) == right.get(key, zero)
+               for key in left.keys() | right.keys())
+
+
+def _derivation_dimension_by_elements(vec):
+    zero = vec.parent.zero()
+    rows = {}
+    for a, b, k, c in vec.terms():
+        for n in (1, 2, 3):
+            for row, col, v in (((a, b, n), 3 * n + k - 4, c),
+                                ((n, b, k), 3 * a + n - 4, -c),
+                                ((a, n, k), 3 * b + n - 4, -c)):
+                r = rows.setdefault(row, [zero] * 9)
+                r[col] = r[col] + v
+    return 9 - len(row_reduce(list(rows.values()))[1])
+
+
+def _m_star_star_by_polynomials(vec):
+    ring = PolyRing(vec.parent, ("x1", "x2", "x3"))
+    x = list(ring.gens())
+    q = vec.lift(ring).product(x, x)
+    return all((x[i] * q[j] - x[j] * q[i]).is_zero()
+               for i in range(3) for j in range(i + 1, 3))
+
+
+def _oracle_domains():
+    """(field, scalar pool, counts for _random_structures): in
+    characteristic 0 fewer dense and moved structures, whose coefficients
+    grow, and over F(d) sparse ones only."""
+    Qi = SimpleExtension(RATIONALS, [1, 0, 1], "i")
+    i = Qi.generator()
+    Fd = RationalFunctionField(RATIONALS, "d")
+    d = Fd.gen()
+    for field in (PrimeField(7), PrimeField(2), gf4(), gf16()):
+        yield field, None, (180, 60, 60)
+    yield RATIONALS, None, (240, 10, 30)
+    yield Qi, [Qi.zero()] + [Qi.element(a) + b * i for a in range(-2, 3)
+                             for b in range(-1, 2) if a or b], (240, 10, 20)
+    yield Fd, [Fd.zero()] + [Fd.element(v) for v in (
+        1, -1, 2, d, -d, d + 1, 2 * d - 1, d * d, 1 / d, 1 / (d + 1),
+        d / (d - 2))], (240, 0, 0)
+
+
+def test_rep_kernels_agree_with_the_element_oracles():
+    # about 2000 seeded structures over seven scalar domains, F(d) included,
+    # each domain with associative and non-associative ones, ones in M** and
+    # not, and two that are not nilpotent: the idempotent e1 e1 = e1, and
+    # the left unit e1 e_k = e_k, in M** with x*x = x1 x != 0.  The
+    # derivation count is compared where its row reduction stays small.
+    seen = set()
+    for field, pool, counts in _oracle_domains():
+        rng = random.Random(f"oracle-{field!r}")
+        fixed = [_rep(tag, field) for tag in ("a0", "l1", "c5", "rho")]
+        fixed.append(basis_vector(field, 1, 1, 1))
+        fixed.append(StructureVector.from_terms(field, [(1, k, k, 1) for k in (1, 2, 3)]))
+        for vec in itertools.chain(fixed, _random_structures(field, rng, pool, counts)):
+            assoc = is_associative(vec)
+            assert assoc == _associative_by_elements(vec), str(vec)
+            closed = in_m_star_star(vec)
+            assert closed == _m_star_star_by_polynomials(vec), str(vec)
+            if field.char or field == RATIONALS:
+                assert (derivation_dimension(vec)
+                        == _derivation_dimension_by_elements(vec)), str(vec)
+            seen.update({(repr(field), "assoc", assoc), (repr(field), "m**", closed)})
+    assert len(seen) == 7 * 2 * 2
 
 
 def test_commutativity():

@@ -49,26 +49,29 @@ def test_algebra_id_validation():
     assert AlgebraId("c5").is_canonical() is True
 
 
+def _generic_iso(src, dst):
+    """iso_witness between two family members over Q(b) and GF(16)(b), each
+    named by its tag and its parameter as a function of b; the witness is
+    checked against the hand-written structures above."""
+    for base in (RATIONALS, gf16()):
+        K = RationalFunctionField(base, "b")
+        b = K.gen()
+        (s, p), (d, q) = src, dst
+        w = iso_witness(AlgebraId(s, p(b)), AlgebraId(d, q(b)), K)
+        assert isinstance(w, IsoWitness) and w.field == K
+        assert act(_sym_family(K, s, p(b)), w.matrix) == _sym_family(K, d, q(b))
+
+
 def test_symbolic_swap_carries_h_to_reciprocal():
-    K = RationalFunctionField(RATIONALS, "b")
-    b = K.gen()
-    swap = Matrix3.from_rows(K, [[b, 0, 0], [0, 0, 1], [0, 1, 0]])
-    assert act(_sym_family(K, "h", b), swap) == _sym_family(K, "h", 1 / b)
+    _generic_iso(("h", lambda b: b), ("h", lambda b: 1 / b))
 
 
 def test_symbolic_kappa_matrix_carries_family_onto_a3():
-    K = RationalFunctionField(RATIONALS, "k")
-    k = K.gen()
-    g = Matrix3.from_rows(K, [[1, 0, 0], [0, 0, 1], [0, k, 0]])
-    assert act(_sym_family(K, "a", 1 / (k * k)), g) == _sym_family(K, "a3", k)
+    _generic_iso(("a", lambda b: 1 / (b * b)), ("a3", lambda b: b))
 
 
 def test_symbolic_alpha_matrix_carries_a3_onto_h():
-    K = RationalFunctionField(RATIONALS, "a")
-    al = K.gen()
-    kappa = -(al + 1 / al)
-    g = Matrix3.from_rows(K, [[al - 1 / al, 0, 0], [0, al, 1], [0, 1, al]])
-    assert act(_sym_family(K, "a3", kappa), g) == _sym_family(K, "h", -al * al)
+    _generic_iso(("a3", lambda b: -(b + 1 / b)), ("h", lambda b: -b * b))
 
 
 def test_iso_witness_h_reciprocal():

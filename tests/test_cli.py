@@ -128,6 +128,50 @@ def test_identify_takes_roots_over_a_field_with_a_trace_term(capsys, tmp_path):
         {"name": "r", "min_poly": ["-3", "0", "1"]}]
 
 
+def test_identify_over_a_cubic_field_adjoins_square_roots(capsys, tmp_path):
+    # over Q(g), g^3 = 2, the square root of 3 lies in no odd-degree field,
+    # and that of 4 is rational
+    field = {"char": 0, "ext": {"name": "g", "min_poly": [-2, 0, 0, 1]}}
+    path = tmp_path / "vec.json"
+    path.write_text(json.dumps(_vector(field, ((2, 2, 1, "1"), (3, 3, 1, "3")))))
+    code, _, err = run(capsys, "identify", str(path), "--witness")
+    assert code == 1 and err.startswith("needs a quadratic extension")
+    code, out, _ = run(capsys, "identify", str(path), "--witness",
+                       "--allow-extension")
+    assert code == 0
+    assert json.loads(out.splitlines()[2]) == [
+        {"name": "r", "min_poly": ["-3", "0", "1"]}]
+    path.write_text(json.dumps(_vector(field, ((2, 2, 1, "1"), (3, 3, 1, "4")))))
+    code, out, _ = run(capsys, "identify", str(path), "--witness")
+    assert code == 0
+    assert out.splitlines() == ["c3", json.dumps(
+        [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "-1/2"]])]
+
+
+# e2e2 = e1, e3e3 = -e1 over Q(name), name^2 = -1
+def _named_vector(name):
+    return _vector({"char": 0, "ext": {"name": name, "min_poly": [1, 0, 1]}},
+                   ((2, 2, 1, "1"), (3, 3, 1, "-1")))
+
+
+@pytest.mark.parametrize("name", ["1", "", 5, ["x"], "x y"], ids=repr)
+def test_generator_names_that_do_not_read_back_exit_2(capsys, tmp_path, name):
+    path = tmp_path / "vec.json"
+    path.write_text(json.dumps(_named_vector(name)))
+    code, out, err = run(capsys, "identify", str(path), "--witness")
+    assert code == 2 and out == ""
+    assert err.startswith("error: bad generator name")
+
+
+def test_generator_name_is_read_back(capsys, tmp_path):
+    path = tmp_path / "vec.json"
+    path.write_text(json.dumps(_named_vector("i")))
+    code, out, _ = run(capsys, "identify", str(path), "--witness")
+    assert code == 0
+    assert out.splitlines() == ["c3", json.dumps(
+        [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "i"]])]
+
+
 def test_identify_missing_file(capsys):
     code, _, err = run(capsys, "identify", "does/not/exist.json")
     assert code == 2

@@ -192,6 +192,19 @@ def test_square_roots_in_quadratic_number_fields():
     assert [repr(y) for y in square_roots(6 + 2 * r)] == ["-1-r", "1+r"]
 
 
+def test_square_roots_of_the_base_in_a_cubic_number_field():
+    # Q(g), g^3 = 2, has odd degree over Q: a square root of a rational
+    # number lies in Q or nowhere in Q(g)
+    Qg = SimpleExtension(RATIONALS, [-2, 0, 0, 1], "g")
+    assert [repr(y) for y in square_roots(Qg.from_int(4))] == ["-2", "2"]
+    assert [repr(y) for y in square_roots(Qg.element(Fraction(9, 4)))] == \
+        ["-3/2", "3/2"]
+    assert square_roots(Qg.from_int(3)) == []
+    assert square_roots(Qg.zero()) == [Qg.zero()]
+    with pytest.raises(FieldError, match="not supported"):
+        square_roots(Qg.generator())
+
+
 # min_poly [-e, -f, 1] by g^2 = e + f g; the first two have f != 0
 QUADRATIC_MIN_POLYS = {"g+1": [-1, -1, 1], "g+3": [-3, -1, 1], "-1": [1, 0, 1],
                        "2": [-2, 0, 1], "-2g-2": [2, 2, 1]}

@@ -66,16 +66,29 @@ def _references(node) -> collections.Counter:
     return refs
 
 
+def _defined_names(node) -> list:
+    """The names a top-level statement binds: a def or class, or the plain
+    names assigned to (``_X = ...``, ``_a, _b = ...``, ``_X: int = ...``)."""
+    if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+        return [node.name]
+    if isinstance(node, (ast.Assign, ast.AnnAssign)):
+        targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+        return [n.id for t in targets for n in ast.walk(t)
+                if isinstance(n, ast.Name)]
+    return []
+
+
 def test_no_dead_private_helpers():
-    # a private top-level def or class must be used somewhere in the package
-    # outside its own body, so a removed caller cannot leave its helper behind
+    # a private top-level def, class or assigned name must be used somewhere
+    # in the package outside its own statement, so a removed caller cannot
+    # leave its helper behind
     trees = {path.name: ast.parse(path.read_text()) for path in
              sorted(pathlib.Path(nilalg3.__file__).parent.glob("*.py"))}
     refs = sum((_references(tree) for tree in trees.values()),
                collections.Counter())
-    dead = [f"{name}:{node.lineno} {node.name}"
+    dead = [f"{name}:{node.lineno} {defined}"
             for name, tree in trees.items() for node in tree.body
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-            and node.name.startswith("_") and not node.name.startswith("__")
-            and refs[node.name] == _references(node)[node.name]]
+            for defined in _defined_names(node)
+            if defined.startswith("_") and not defined.startswith("__")
+            and refs[defined] == _references(node)[defined]]
     assert not dead, dead
