@@ -1,9 +1,9 @@
 """Invariants of a 3-dimensional algebra given by its structure vector.
 
 Everything here is exact linear algebra over the scalar domain of the
-vector, computed from its nonzero terms c[i,j,k] only; the sums behind a
-bool or an int run on their reps through the domain's hooks.  Associativity
-is the structure-constant identity
+vector, computed from its nonzero terms c[i,j,k] only, on their reps
+through the domain's hooks; only the bases that are returned are wrapped
+as elements.  Associativity is the structure-constant identity
 
     sum_m c[i,j,m] c[m,k,l]  =  sum_m c[j,k,m] c[i,m,l]    (all i, j, k, l),
 
@@ -11,9 +11,10 @@ the coefficients of (e_i e_j) e_k and e_i (e_j e_k) on e_l, with each side
 summed over the pairs of nonzero terms that meet in m.  The power chain
 (the square, the cube, ...) is built once per call and gives both the
 nilpotency class and the square.  The annihilator and the derivation
-algebra are nullspaces of rows read off the nonzero terms.  Also here:
-commutativity, and membership in the closed set M** of structures whose
-generic square stays on the line of its argument.
+algebra are nullspaces of rows read off the nonzero terms, reduced by the
+rep kernel of :mod:`linalg`.  Also here: commutativity, and membership in
+the closed set M** of structures whose generic square stays on the line of
+its argument.
 """
 
 from __future__ import annotations
@@ -62,9 +63,16 @@ def is_commutative(vec: StructureVector) -> bool:
     return all(vec[j, i, k] == c for i, j, k, c in vec.terms())
 
 
-def _echelon_basis(rows: list) -> list:
-    rref, pivots = linalg.row_reduce(rows)
-    return [rref[r] for r in range(len(pivots))]
+def _echelon(F, rows: list) -> list:
+    """Echelon basis, as rows of reps, of the span of rows of reps."""
+    return rows[:len(linalg._gauss_jordan(rows, F))]
+
+
+def _square(F, terms: list) -> list:
+    rows = {}
+    for i, j, k, c in terms:
+        rows.setdefault((i, j), [F._zero_rep] * 3)[k - 1] = c
+    return _echelon(F, list(rows.values()))
 
 
 def square_basis(vec: StructureVector) -> list:
@@ -73,8 +81,8 @@ def square_basis(vec: StructureVector) -> list:
     e_i e_j has the coordinates c[i,j,1..3], so the rows are read off the
     vector.
     """
-    c = vec.coeffs
-    return _echelon_basis([list(c[n:n + 3]) for n in range(0, 27, 3)])
+    F = vec.parent
+    return [list(map(F._elem, u)) for u in _square(F, _rep_terms(vec))]
 
 
 def power_chain(vec: StructureVector) -> list:
@@ -82,20 +90,30 @@ def power_chain(vec: StructureVector) -> list:
 
     Entry 0 is a basis of the span of all two-factor products, entry 1 of the
     three-factor products, and so on; computation stops once the subspace
-    hits zero or the products of five factors were formed.
+    hits zero or the products of five factors were formed.  Each is spanned
+    by the u e_j, (u e_j)_k = sum_i u_i c[i,j,k], for u in the one before.
     """
-    z, o = vec.parent.zero(), vec.parent.one()
-    e = [[o, z, z], [z, o, z], [z, z, o]]
+    F = vec.parent
+    add, mul, is_zero, zero = F._add, F._mul, F._is_zero, F._zero_rep
+    terms = _rep_terms(vec)
     chain = []
-    current = square_basis(vec)
+    current = _square(F, terms)
     for _ in range(4):
         chain.append(current)
         if not current:
             break
-        current = _echelon_basis([vec.product(u, x) for u in current for x in e])
+        rows = []
+        for u in current:
+            products = [[zero] * 3 for _ in range(3)]
+            for i, j, k, c in terms:
+                if not is_zero(u[i - 1]):
+                    row = products[j - 1]
+                    row[k - 1] = add(row[k - 1], mul(u[i - 1], c))
+            rows += products
+        current = _echelon(F, rows)
     else:
         chain.append(current)
-    return chain
+    return [[list(map(F._elem, u)) for u in basis] for basis in chain]
 
 
 def chain_class(chain: list) -> int:
@@ -139,13 +157,13 @@ def annihilator_basis(vec: StructureVector) -> list:
     sum_j u_j c[i,j,k], so a nonzero c[i,j,k] is entry i of the row
     (u*e_j)_k and entry j of the row (e_i*u)_k.
     """
-    parent = vec.parent
-    zero = parent.zero()
+    F = vec.parent
+    zero = F._zero_rep
     rows = {}
-    for i, j, k, c in vec.terms():
+    for i, j, k, c in _rep_terms(vec):
         rows.setdefault(("left", j, k), [zero] * 3)[i - 1] = c
         rows.setdefault(("right", i, k), [zero] * 3)[j - 1] = c
-    return linalg.nullspace_basis(list(rows.values()), parent, 3)
+    return linalg.nullspace_basis(list(rows.values()), F, 3)
 
 
 def annihilator_dimension(vec: StructureVector) -> int:
@@ -174,11 +192,11 @@ def derivation_dimension(vec: StructureVector) -> int:
                 yield ((n, b, k), 3 * a + n - 4), minus
                 yield ((a, n, k), 3 * b + n - 4), minus
 
-    zero = F.zero()
+    zero = F._zero_rep
     rows = {}
     for (row, col), v in _sums(entries(), F._add).items():
-        rows.setdefault(row, [zero] * 9)[col] = F._elem(v)
-    return 9 - len(linalg.row_reduce(list(rows.values()))[1])
+        rows.setdefault(row, [zero] * 9)[col] = v
+    return 9 - len(linalg._gauss_jordan(list(rows.values()), F))
 
 
 def in_m_star_star(vec: StructureVector) -> bool:

@@ -17,7 +17,7 @@ Field descriptors, structure vectors, and curve witnesses travel as JSON:
 min_poly lists are constant-first integers; a monic polynomial over Q with
 fractions is written as its integer multiple, [1, 0, 4] for r^2 + 1/4.
 Algebra ids are written a0, c1, c3, l1, c5, a(C), h(C), a3(C), rho, chat3,
-a2 with C a scalar.
+a2 with C a scalar.  A vector payload parses each distinct text once.
 """
 
 from __future__ import annotations
@@ -312,13 +312,15 @@ def parse_vector(payload) -> StructureVector:
     if not isinstance(payload["entries"], list):
         raise FormatError("vector 'entries' must be a list")
     terms = []
+    # each distinct text is parsed once; keyed on JSON values, 1 == true == 1.0
+    text = functools.cache(lambda c: parse_scalar(c, field))
     for entry in payload["entries"]:
         if not isinstance(entry, dict) or not {"i", "j", "k", "c"} <= set(entry):
             raise FormatError(f"bad vector entry {entry!r}")
-        i, j, k = entry["i"], entry["j"], entry["k"]
+        i, j, k, c = entry["i"], entry["j"], entry["k"], entry["c"]
         if not all(_is_int(n) and 1 <= n <= 3 for n in (i, j, k)):
             raise FormatError(f"indices out of range in {entry!r}")
-        terms.append((i, j, k, parse_scalar(entry["c"], field)))
+        terms.append((i, j, k, text(c) if isinstance(c, str) else parse_scalar(c, field)))
     return StructureVector.from_terms(field, terms)
 
 

@@ -7,16 +7,17 @@ space over GF(q) has exactly q^d points.
 """
 
 import itertools
+import operator
 import random
 from fractions import Fraction
 
 import pytest
 
-from nilalg3.algprops import (NotNilpotentError, annihilator_dimension,
-                              derivation_dimension, in_m_star_star,
-                              invariant_profile, is_associative,
-                              is_commutative, nilpotency_class,
-                              square_dimension)
+from nilalg3.algprops import (NotNilpotentError, annihilator_basis,
+                              annihilator_dimension, derivation_dimension,
+                              in_m_star_star, invariant_profile,
+                              is_associative, is_commutative,
+                              nilpotency_class, power_chain, square_dimension)
 from nilalg3.catalogue import AlgebraId, adelta, hbeta, structure_of
 from nilalg3.fields import PrimeField, RATIONALS, SimpleExtension, gf4, gf16
 from nilalg3.linalg import row_reduce
@@ -30,55 +31,47 @@ def _rep(tag, field, param=None):
     return structure_of(AlgebraId(tag, field.element(param)), field)
 
 
+def _residues(vec):
+    """p and the structure constants of a vector over GF(p) as residues:
+    c[i][j] is the coordinate list of e_i e_j."""
+    return vec.parent.char, [[[vec[i, j, k].rep for k in (1, 2, 3)]
+                              for j in (1, 2, 3)] for i in (1, 2, 3)]
+
+
+def _product(c, p, x, y):
+    """x y for residue triples, a sum over the nonzero x_i and y_j."""
+    out = [0, 0, 0]
+    for i, xi in enumerate(x):
+        for j, yj in enumerate(y):
+            if xi and yj:
+                out = [o + xi * yj * ck for o, ck in zip(out, c[i][j])]
+    return [o % p for o in out]
+
+
+_UNITS = [[int(m == n) for m in range(3)] for n in range(3)]
+
+
 def _count_derivations(vec):
-    """Enumerate all 3x3 matrices D over the finite base field and count
-    the ones satisfying D(e_i e_j) = D(e_i) e_j + e_i D(e_j)."""
-    field = vec.parent
-    elems = list(field.elements())
-    basis = [[field.one() if m == n else field.zero() for m in range(3)]
-             for n in range(3)]
+    """Enumerate all 3x3 matrices D over GF(p), as residues, and count the
+    ones satisfying D(e_i e_j) = D(e_i) e_j + e_i D(e_j)."""
+    p, c = _residues(vec)
     count = 0
-    for flat in itertools.product(elems, repeat=9):
-        D = [list(flat[0:3]), list(flat[3:6]), list(flat[6:9])]
-
-        def apply(x):
-            return [sum((D[m][n] * x[n] for n in range(3)), field.zero())
-                    for m in range(3)]
-
-        ok = True
-        for i in range(3):
-            for j in range(3):
-                lhs = apply(vec.product(basis[i], basis[j]))
-                rhs1 = vec.product(apply(basis[i]), basis[j])
-                rhs2 = vec.product(basis[i], apply(basis[j]))
-                if any((a - b - c) != field.zero()
-                       for a, b, c in zip(lhs, rhs1, rhs2)):
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            count += 1
+    for flat in itertools.product(range(p), repeat=9):
+        rows = (flat[0:3], flat[3:6], flat[6:9])    # D e_n is column n
+        image = list(zip(*rows))
+        count += all(
+            [sum(map(operator.mul, r, c[i][j])) % p for r in rows]
+            == [(a + b) % p for a, b in zip(_product(c, p, image[i], _UNITS[j]),
+                                            _product(c, p, _UNITS[i], image[j]))]
+            for i in range(3) for j in range(3))
     return count
 
 
 def _count_annihilator(vec):
-    field = vec.parent
-    count = 0
-    for flat in itertools.product(list(field.elements()), repeat=3):
-        x = list(flat)
-        ok = True
-        for e in range(3):
-            basis = [field.one() if m == e else field.zero() for m in range(3)]
-            if any(c != field.zero() for c in vec.product(x, basis)):
-                ok = False
-                break
-            if any(c != field.zero() for c in vec.product(basis, x)):
-                ok = False
-                break
-        if ok:
-            count += 1
-    return count
+    p, c = _residues(vec)
+    return sum(all(not any(_product(c, p, x, u)) and not any(_product(c, p, u, x))
+                   for u in _UNITS)
+               for x in map(list, itertools.product(range(p), repeat=3)))
 
 
 def test_associativity_of_catalogue_entries():
@@ -173,8 +166,85 @@ def test_associativity_identity_matches_the_product_definition(field):
     assert True in verdicts and False in verdicts
 
 
-# The element forms of three kernels that run on reps, as they were before:
-# FieldElement operators throughout, and M** in a polynomial ring.
+# The element forms of the kernels that run on reps, as they were before:
+# element operators throughout (FieldElements, or elements of F(d)), and M**
+# in a polynomial ring.  Gauss-Jordan is the test's own.
+
+def _row_reduce_by_elements(rows):
+    m = [list(r) for r in rows]
+    if not m:
+        return [], []
+    ncols = len(m[0])
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pivot = None
+        for i in range(r, len(m)):
+            if not m[i][c].is_zero():
+                pivot = i
+                break
+        if pivot is None:
+            continue
+        m[r], m[pivot] = m[pivot], m[r]
+        row = m[r]
+        inv = row[c].inverse()
+        cols = [j for j in range(c, ncols) if not row[j].is_zero()]
+        for j in cols:
+            row[j] = row[j] * inv
+        for i, other in enumerate(m):
+            f = other[c]
+            if i != r and not f.is_zero():
+                for j in cols:
+                    other[j] = other[j] - f * row[j]
+        pivots.append(c)
+        r += 1
+        if r == len(m):
+            break
+    return m, pivots
+
+
+def _echelon_by_elements(rows):
+    rref, pivots = _row_reduce_by_elements(rows)
+    return rref[:len(pivots)]
+
+
+def _power_chain_by_elements(vec):
+    c = vec.coeffs
+    z, o = vec.parent.zero(), vec.parent.one()
+    e = [[o, z, z], [z, o, z], [z, z, o]]
+    chain = []
+    current = _echelon_by_elements([list(c[n:n + 3]) for n in range(0, 27, 3)])
+    for _ in range(4):
+        chain.append(current)
+        if not current:
+            break
+        current = _echelon_by_elements([vec.product(u, x) for u in current for x in e])
+    else:
+        chain.append(current)
+    return chain
+
+
+def _annihilator_basis_by_elements(vec):
+    """The basis, with the rows and their element reduction, which the rep
+    kernel is checked against."""
+    field = vec.parent
+    zero = field.zero()
+    rows = {}
+    for i, j, k, c in vec.terms():
+        rows.setdefault(("left", j, k), [zero] * 3)[i - 1] = c
+        rows.setdefault(("right", i, k), [zero] * 3)[j - 1] = c
+    rows = list(rows.values())
+    rref, pivots = _row_reduce_by_elements(rows)
+    basis = []
+    for j in range(3):
+        if j not in pivots:
+            v = [field.zero()] * 3
+            v[j] = field.one()
+            for r, c in enumerate(pivots):
+                v[c] = -rref[r][j]
+            basis.append(v)
+    return basis, rows, (rref, pivots)
+
 
 def _element_sums(pairs) -> dict:
     out = {}
@@ -199,6 +269,8 @@ def _associative_by_elements(vec):
 
 
 def _derivation_dimension_by_elements(vec):
+    """The dimension, with the rows and their element reduction, which the
+    rep kernel is checked against."""
     zero = vec.parent.zero()
     rows = {}
     for a, b, k, c in vec.terms():
@@ -208,7 +280,9 @@ def _derivation_dimension_by_elements(vec):
                                 ((a, n, k), 3 * b + n - 4, -c)):
                 r = rows.setdefault(row, [zero] * 9)
                 r[col] = r[col] + v
-    return 9 - len(row_reduce(list(rows.values()))[1])
+    rows = list(rows.values())
+    rref = _row_reduce_by_elements(rows)
+    return 9 - len(rref[1]), rows, rref
 
 
 def _m_star_star_by_polynomials(vec):
@@ -242,23 +316,52 @@ def test_rep_kernels_agree_with_the_element_oracles():
     # each domain with associative and non-associative ones, ones in M** and
     # not, and two that are not nilpotent: the idempotent e1 e1 = e1, and
     # the left unit e1 e_k = e_k, in M** with x*x = x1 x != 0.  The
-    # derivation count is compared where its row reduction stays small.
+    # derivation count is compared where its row reduction stays small, and
+    # over Q(i) and F(d), whose products cost tens of microseconds, the bases
+    # on the fixed structures and every fourth random one.
     seen = set()
     for field, pool, counts in _oracle_domains():
         rng = random.Random(f"oracle-{field!r}")
         fixed = [_rep(tag, field) for tag in ("a0", "l1", "c5", "rho")]
         fixed.append(basis_vector(field, 1, 1, 1))
         fixed.append(StructureVector.from_terms(field, [(1, k, k, 1) for k in (1, 2, 3)]))
-        for vec in itertools.chain(fixed, _random_structures(field, rng, pool, counts)):
+        exact = field.char or field == RATIONALS
+        structures = itertools.chain(fixed, _random_structures(field, rng, pool, counts))
+        for n, vec in enumerate(structures):
             assoc = is_associative(vec)
             assert assoc == _associative_by_elements(vec), str(vec)
             closed = in_m_star_star(vec)
             assert closed == _m_star_star_by_polynomials(vec), str(vec)
-            if field.char or field == RATIONALS:
-                assert (derivation_dimension(vec)
-                        == _derivation_dimension_by_elements(vec)), str(vec)
+            if exact or n < len(fixed) or n % 4 == 0:
+                assert power_chain(vec) == _power_chain_by_elements(vec), str(vec)
+                basis, rows, rref = _annihilator_basis_by_elements(vec)
+                assert annihilator_basis(vec) == basis, str(vec)
+                assert row_reduce(rows) == rref, str(vec)
+            if exact:
+                dim, rows, rref = _derivation_dimension_by_elements(vec)
+                assert row_reduce(rows) == rref, str(vec)
+                assert derivation_dimension(vec) == dim, str(vec)
             seen.update({(repr(field), "assoc", assoc), (repr(field), "m**", closed)})
     assert len(seen) == 7 * 2 * 2
+
+
+def test_row_reduce_keeps_its_input_and_its_domain():
+    assert row_reduce([]) == ([], [])
+    for field, pool, _ in _oracle_domains():
+        if repr(field) not in ("GF(2)(w)(s)", "QQ(i)", "QQ(d)"):
+            continue
+        pool = pool or list(field.elements())
+        rng = random.Random(f"row-reduce-{field!r}")
+        for _ in range(10):
+            rows = [[rng.choice(pool) for _ in range(4)] for _ in range(3)]
+            rows.append([a - b for a, b in zip(rows[0], rows[2])])
+            before = [list(r) for r in rows]
+            rref, pivots = row_reduce(rows)
+            assert rows == before
+            assert (rref, pivots) == _row_reduce_by_elements(rows)
+            assert all(type(x) is type(field.zero())
+                       and (x.field if hasattr(x, "field") else x.parent) == field
+                       for r in rref for x in r)
 
 
 def test_commutativity():

@@ -296,6 +296,12 @@ MALFORMED = [
         "matrix": [[True, 0, 0], [0, "t", 0], [0, 0, True]]}),
     ("bool-vector-coefficient", ("identify", "{file}"),
      _vector({"char": 0}, ((2, 3, 1, True),))),
+    # each text coefficient is parsed once, but 1, true and 1.0 are equal
+    # as dict keys, so they must not share a parse
+    ("bool-after-int-coefficient", ("identify", "{file}"),
+     _vector({"char": 0}, ((2, 3, 1, 1), (3, 2, 1, True)))),
+    ("float-after-int-coefficient", ("identify", "{file}"),
+     _vector({"char": 0}, ((2, 3, 1, 1), (3, 2, 1, 1.0)))),
     ("bool-vector-index", ("identify", "{file}"),
      _vector({"char": 0}, ((True, 1, 2, "1"),))),
     ("bool-characteristic", ("identify", "{file}"), _vector({"char": False})),

@@ -1,5 +1,6 @@
 """Text and JSON grammars for scalars, polynomials, ids, vectors, witnesses."""
 
+import itertools
 import json
 import random
 import re
@@ -8,6 +9,7 @@ from fractions import Fraction
 
 import pytest
 
+import nilalg3.ioformats
 from nilalg3.catalogue import AlgebraId, adelta, quarter
 from nilalg3.cli import main
 from nilalg3.degeneration import (CurveWitness, compose_curves, known_witness,
@@ -20,7 +22,7 @@ from nilalg3.ioformats import (FormatError, describe_field, parse_algebra_id,
                                render_algebra_id, render_vector,
                                render_witness)
 from nilalg3.polyring import RationalFunctionField
-from nilalg3.structspace import Matrix3, basis_vector
+from nilalg3.structspace import Matrix3, StructureVector, basis_vector
 
 
 def test_parse_field():
@@ -247,6 +249,46 @@ def test_vector_round_trip():
     assert vec == basis_vector(F, 2, 3, 1) - basis_vector(F, 3, 2, 1)
     again = parse_vector(render_vector(vec))
     assert again == vec
+
+
+# coefficients per field: texts, a few of them ints, drawn with repeats
+_VECTOR_FIELDS = {
+    "Q": ({"char": 0}, ("1", "-2", "1/2", "-3/4", 5, -1)),
+    "GF7": ({"char": 7}, ("1", "3", "1/2", "6", "2/3", 4)),
+    "GF16": (_GF16_DESC, ("1", "s", "1+s^3", "s^2+s", "s+s^2+s^3", 1)),
+    "Qi": ({"char": 0, "ext": {"name": "i", "min_poly": [1, 0, 1]}},
+           ("i", "1+i", "-1/2i", "2-3i", "i^2", 3)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_VECTOR_FIELDS))
+def test_parse_vector_matches_per_entry_parse_scalar(name, monkeypatch):
+    desc, coefs = _VECTOR_FIELDS[name]
+    field = parse_field(desc)
+    parsed = []
+
+    def counted(c, F):
+        parsed.append(c)
+        return parse_scalar(c, F)
+
+    monkeypatch.setattr(nilalg3.ioformats, "parse_scalar", counted)
+    rng = random.Random(f"vector-{name}")
+    cells = list(itertools.product((1, 2, 3), repeat=3))
+    repeats = 0
+    for _ in range(60):
+        entries = [(*rng.choice(cells), rng.choice(coefs))
+                   for _ in range(rng.randint(1, 12))]
+        texts = [c for *_, c in entries if isinstance(c, str)]
+        repeats += len(texts) > len(set(texts))
+        parsed.clear()
+        vec = parse_vector({"field": desc, "entries": [
+            {"i": i, "j": j, "k": k, "c": c} for i, j, k, c in entries]})
+        assert vec == StructureVector.from_terms(
+            field, [(i, j, k, parse_scalar(c, field)) for i, j, k, c in entries])
+        # each distinct text once, each int every time
+        assert sorted(p for p in parsed if isinstance(p, str)) == sorted(set(texts))
+        assert len(parsed) == len(set(texts)) + len(entries) - len(texts)
+    assert repeats > 30
 
 
 def test_vector_errors():
