@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass
 
 from . import linalg
-from .structspace import StructureVector
+from .structspace import StructureVector, _rep_terms
 
 
 class NotNilpotentError(ValueError):
@@ -37,30 +37,33 @@ def _sums(pairs, add) -> dict:
     return out
 
 
-def _rep_terms(vec: StructureVector) -> list:
-    """(i, j, k, rep) per nonzero term; an element of F(d) is its own rep."""
-    return [(i, j, k, getattr(c, "rep", c)) for i, j, k, c in vec.terms()]
-
-
 def is_associative(vec: StructureVector) -> bool:
-    add, mul = vec.parent._add, vec.parent._mul
+    add, mul, zero = vec.parent._add, vec.parent._mul, vec.parent._zero_rep
     terms = _rep_terms(vec)
-    by_first, by_second = {}, {}
-    for t in terms:
-        by_first.setdefault(t[0], []).append(t)
-        by_second.setdefault(t[1], []).append(t)
+    # the part of the slot 27i + 9j + 3k + l - 40 that the second factor
+    # fixes (3k + l of c[m,k,l], 27i + l of c[i,m,l]), grouped by m
+    by_first, by_second = ([], [], []), ([], [], [])
+    for i, j, k, c in terms:
+        by_first[i - 1].append((3 * j + k, c))
+        by_second[j - 1].append((27 * i + k, c))
+
+    def side(wx, wy, groups):       # an empty slot is the zero rep
+        out = [None] * 81
+        for x, y, m, a in terms:
+            base = wx * x + wy * y - 40
+            for off, b in groups[m - 1]:
+                s = out[base + off]
+                out[base + off] = mul(a, b) if s is None else add(s, mul(a, b))
+        return [zero if s is None else s for s in out]
+
     # (e_i e_j) e_k: c[i,j,m] c[m,k,l]; e_i (e_j e_k): c[j,k,m] c[i,m,l]
-    left = _sums((((i, j, k, l), mul(a, b)) for i, j, m, a in terms
-                  for _, k, l, b in by_first.get(m, ())), add)
-    right = _sums((((i, j, k, l), mul(a, b)) for j, k, m, a in terms
-                   for i, _, l, b in by_second.get(m, ())), add)
-    zero = vec.parent._zero_rep
-    return all(left.get(key, zero) == right.get(key, zero)
-               for key in left.keys() | right.keys())
+    return side(27, 9, by_first) == side(9, 3, by_second)
 
 
 def is_commutative(vec: StructureVector) -> bool:
-    return all(vec[j, i, k] == c for i, j, k, c in vec.terms())
+    c = [getattr(v, "rep", v) for v in vec.coeffs]
+    # the reps of e_i e_j, at 9(i - 1) + 3(j - 1), against those of e_j e_i
+    return all(c[n:n + 3] == c[m:m + 3] for n, m in ((3, 9), (6, 18), (15, 21)))
 
 
 def _echelon(F, rows: list) -> list:

@@ -7,12 +7,14 @@ fraction field, with gcd reduction and a monic denominator as the canonical
 form; a constant denominator needs no gcd, so polynomials in t stay cheap.
 The gcd and the division behind it are the polynomial kernel of
 ``fields`` (``_pgcd``, ``_pdivmod``), run on the coefficients' reps; over
-F(d)(t) an element of F(d) is its own rep.  The derived operators
-(``-``, ``/``, ``**``) come from ``fields.ScalarOps``.  Curve limits are
-checked over F[t] by ``degeneration.curve_limit``, which reads the terms of
-the entries' numerators and denominators and leaves the arithmetic to its
-own kernel; ``limit_at_zero`` is the rational-function route that
-cross-checks it.
+F(d)(t) an element of F(d) is its own rep.  ``PolyRing``, like F(t), has
+the rep hooks (``_add``, ``_mul``, ...) as Python's operators, for the
+kernels of ``structspace``: a polynomial is its own rep.  The derived
+operators (``-``, ``/``, ``**``) come from ``fields.ScalarOps``.  Curve
+limits are checked over F[t] by ``degeneration.curve_limit``, which reads
+the terms of the entries' numerators and denominators and leaves the
+arithmetic to its own kernel; ``limit_at_zero`` is the rational-function
+route that cross-checks it.
 """
 
 from __future__ import annotations
@@ -74,6 +76,11 @@ class PolyRing:
 
     def one(self) -> "MultiPoly":
         return self.const(self.field.one())
+
+    # the rep hooks of structspace's kernels: a polynomial is its own rep
+    _elem = element
+    _add, _mul, _neg = operator.add, operator.mul, operator.neg
+    _is_zero, _zero_rep = operator.methodcaller("is_zero"), property(zero)
 
     def from_int(self, m: int) -> "MultiPoly":
         return self.const(self.field.from_int(m))

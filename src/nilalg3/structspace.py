@@ -10,10 +10,11 @@ old one) acts on such a tuple on the right; two tuples give isomorphic
 algebras exactly when some invertible g carries one to the other.
 
 Scalars may come from a field, a polynomial ring, or a univariate rational
-function field: anything whose parent provides element/zero/one and whose
-values support ring arithmetic.  The action itself needs inverses, so over a
-polynomial ring use :func:`act_cleared`, which multiplies through by det(g)
-and stays division-free.
+function field: any parent with element/zero/one and the rep hooks that the
+action and the product run on (``_elem``, ``_add``, ``_mul``, ``_is_zero``,
+``_zero_rep``; a polynomial or an element of F(d) is its own rep).  The
+action needs inverses, so over a polynomial ring use :func:`act_cleared`,
+which multiplies through by det(g) and stays division-free.
 """
 
 from __future__ import annotations
@@ -33,6 +34,12 @@ def _flat(i: int, j: int, k: int) -> int:
 
 def _unflat(n: int) -> tuple:
     return n // 9 + 1, (n // 3) % 3 + 1, n % 3 + 1
+
+
+def _rep_terms(vec) -> list:
+    """(i, j, k, rep) per nonzero term; a polynomial or an element of F(d) is
+    its own rep."""
+    return [(i, j, k, getattr(c, "rep", c)) for i, j, k, c in vec.terms()]
 
 
 class StructureVector:
@@ -122,17 +129,18 @@ class StructureVector:
         """Coordinates of x * y for coordinate triples x and y.
 
         A sum over the nonzero terms c[i,j,k] x_i y_j, skipping those whose
-        x_i or y_j is zero.
+        x_i or y_j is zero, on reps.
         """
-        element = self.parent.element
-        x = [None if v.is_zero() else v for v in map(element, x)]
-        y = [None if v.is_zero() else v for v in map(element, y)]
-        out = [self.parent.zero()] * 3
-        for i, j, k, c in self.terms():
+        F = self.parent
+        add, mul, is_zero = F._add, F._mul, F._is_zero
+        x, y = ([None if is_zero(r) else r for r in
+                 (getattr(v, "rep", v) for v in map(F.element, u))] for u in (x, y))
+        out = [F._zero_rep] * 3
+        for i, j, k, c in _rep_terms(self):
             xi, yj = x[i - 1], y[j - 1]
             if xi is not None and yj is not None:
-                out[k - 1] = out[k - 1] + c * xi * yj
-        return out
+                out[k - 1] = add(out[k - 1], mul(mul(c, xi), yj))
+        return list(map(F._elem, out))
 
     def lift(self, new_parent) -> "StructureVector":
         """Reinterpret the coefficients inside a larger scalar domain."""
@@ -286,26 +294,23 @@ def _act_with(vec: StructureVector, g: Matrix3, h: Matrix3) -> StructureVector:
         sum over (i, j, k) of  c[i,j,k] * g[i,a] * g[j,b] * h[c,k] .
     """
     parent = vec.parent
-    ge, he = g.entries, h.entries       # i, j, k from terms() are 1-based
-    out = [parent.zero()] * 27
-    for i, j, k, coef in vec.terms():
-        for a in range(3):
-            gia = ge[3 * i - 3 + a]
-            if gia.is_zero():
-                continue
-            ca = coef * gia
-            for b in range(3):
-                gjb = ge[3 * j - 3 + b]
-                if gjb.is_zero():
-                    continue
-                cab = ca * gjb
-                for c in range(3):
-                    hck = he[3 * c + k - 1]
-                    if hck.is_zero():
-                        continue
+    add, mul, is_zero = parent._add, parent._mul, parent._is_zero
+    ge, he = ([getattr(v, "rep", v) for v in m.entries] for m in (g, h))
+    rows = [[(a, v) for a, v in enumerate(ge[3 * i:3 * i + 3]) if not is_zero(v)]
+            for i in range(3)]
+    cols = [[(c, v) for c, v in enumerate(he[k::3]) if not is_zero(v)]
+            for k in range(3)]
+    out = [parent._zero_rep] * 27
+    for i, j, k, coef in _rep_terms(vec):   # i, j, k are 1-based
+        col = cols[k - 1]
+        for a, gia in rows[i - 1]:
+            ca = mul(coef, gia)
+            for b, gjb in rows[j - 1]:
+                cab = mul(ca, gjb)
+                for c, hck in col:
                     n = 9 * a + 3 * b + c
-                    out[n] = out[n] + cab * hck
-    return StructureVector(parent, out)
+                    out[n] = add(out[n], mul(cab, hck))
+    return StructureVector(parent, map(parent._elem, out))
 
 
 def act(vec: StructureVector, g: Matrix3) -> StructureVector:

@@ -153,16 +153,38 @@ def _random_structures(field, rng, pool=None, counts=(1500, 400, 100)):
         yield vec
 
 
-@pytest.mark.parametrize("field", [PrimeField(2), PrimeField(3), gf4(), gf16(),
-                                   RATIONALS], ids=repr)
-def test_associativity_identity_matches_the_product_definition(field):
+def _slow_domains():
+    """Q(i) and Q(d) with a pool of small scalars, zero first: their products
+    cost tens of microseconds, and over Q(d) a moved class costs seconds."""
+    Qi = SimpleExtension(RATIONALS, [1, 0, 1], "i")
+    i = Qi.generator()
+    Fd = RationalFunctionField(RATIONALS, "d")
+    d = Fd.gen()
+    yield Qi, [Qi.zero()] + [Qi.element(a) + b * i for a in range(-2, 3)
+                             for b in range(-1, 2) if a or b]
+    yield Fd, [Fd.zero()] + [Fd.element(v) for v in (
+        1, -1, 2, d, -d, d + 1, 2 * d - 1, d * d, 1 / d, 1 / (d + 1),
+        d / (d - 2))]
+
+
+def _associativity_cases():
+    """Fewer structures over the slow domains, and over Q(d) no moved ones."""
+    for field in (PrimeField(2), PrimeField(3), gf4(), gf16(), RATIONALS):
+        yield pytest.param(field, None, (1500, 400, 100), id=repr(field))
+    (Qi, qi_pool), (Fd, fd_pool) = _slow_domains()
+    yield pytest.param(Qi, qi_pool, (150, 20, 6), id=repr(Qi))
+    yield pytest.param(Fd, fd_pool, (150, 4, 0), id=repr(Fd))
+
+
+@pytest.mark.parametrize("field, pool, counts", _associativity_cases())
+def test_associativity_identity_matches_the_product_definition(field, pool, counts):
     rng = random.Random(f"assoc-{field!r}")
     verdicts = []
-    for vec in _random_structures(field, rng):
+    for vec in _random_structures(field, rng, pool, counts):
         verdict = is_associative(vec)
         assert verdict == _associative_by_products(vec), str(vec)
         verdicts.append(verdict)
-    assert len(verdicts) == 2000
+    assert len(verdicts) == sum(counts)
     assert True in verdicts and False in verdicts
 
 
@@ -297,18 +319,12 @@ def _oracle_domains():
     """(field, scalar pool, counts for _random_structures): in
     characteristic 0 fewer dense and moved structures, whose coefficients
     grow, and over F(d) sparse ones only."""
-    Qi = SimpleExtension(RATIONALS, [1, 0, 1], "i")
-    i = Qi.generator()
-    Fd = RationalFunctionField(RATIONALS, "d")
-    d = Fd.gen()
     for field in (PrimeField(7), PrimeField(2), gf4(), gf16()):
         yield field, None, (180, 60, 60)
     yield RATIONALS, None, (240, 10, 30)
-    yield Qi, [Qi.zero()] + [Qi.element(a) + b * i for a in range(-2, 3)
-                             for b in range(-1, 2) if a or b], (240, 10, 20)
-    yield Fd, [Fd.zero()] + [Fd.element(v) for v in (
-        1, -1, 2, d, -d, d + 1, 2 * d - 1, d * d, 1 / d, 1 / (d + 1),
-        d / (d - 2))], (240, 0, 0)
+    (Qi, qi_pool), (Fd, fd_pool) = _slow_domains()
+    yield Qi, qi_pool, (240, 10, 20)
+    yield Fd, fd_pool, (240, 0, 0)
 
 
 def test_rep_kernels_agree_with_the_element_oracles():
@@ -332,6 +348,8 @@ def test_rep_kernels_agree_with_the_element_oracles():
             assert assoc == _associative_by_elements(vec), str(vec)
             closed = in_m_star_star(vec)
             assert closed == _m_star_star_by_polynomials(vec), str(vec)
+            assert is_commutative(vec) == all(
+                vec[j, i, k] == c for i, j, k, c in vec.terms()), str(vec)
             if exact or n < len(fixed) or n % 4 == 0:
                 assert power_chain(vec) == _power_chain_by_elements(vec), str(vec)
                 basis, rows, rref = _annihilator_basis_by_elements(vec)

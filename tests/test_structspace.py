@@ -12,36 +12,41 @@ from fractions import Fraction
 
 import pytest
 
-from nilalg3.fields import PrimeField, RATIONALS, gf4, gf16
-from nilalg3.polyring import PolyRing
-from nilalg3.structspace import (Matrix3, StructureVector, act, act_cleared,
-                                 basis_vector)
+from nilalg3.fields import PrimeField, RATIONALS, SimpleExtension, gf4, gf16
+from nilalg3.polyring import PolyRing, RationalFunctionField
+from nilalg3.structspace import (Matrix3, StructureError, StructureVector, act,
+                                 act_cleared, basis_vector)
 
 
-def _random_vector(field, rng):
+def _random_vector(field, rng, pool=None):
+    """About 11 random terms: nonzero scalars from ``pool`` (zero first), or
+    the field's images of 1 .. order - 1."""
     terms = []
     for i in (1, 2, 3):
         for j in (1, 2, 3):
             for k in (1, 2, 3):
                 if rng.random() < 0.4:
-                    c = rng.randrange(1, field.order())
-                    terms.append((i, j, k, field.element(c)))
+                    c = (rng.choice(pool[1:]) if pool else
+                         field.element(rng.randrange(1, field.order())))
+                    terms.append((i, j, k, c))
     return StructureVector.from_terms(field, terms)
 
 
-def _random_invertible(field, rng):
+def _random_invertible(field, rng, pool=None):
     while True:
-        rows = [[field.element(rng.randrange(field.order())) for _ in range(3)]
+        rows = [[rng.choice(pool) if pool else
+                 field.element(rng.randrange(field.order())) for _ in range(3)]
                 for _ in range(3)]
         g = Matrix3.from_rows(field, rows)
         if not g.det().is_zero():
             return g
 
 
-def _act_by_loops(vec, g):
-    """Independent action: moved[a,b,c] = sum lam[i,j,k] g[i,a] g[j,b] inv[c,k]."""
+def _act_by_loops(vec, g, inv=None):
+    """Independent action: moved[a,b,c] = sum lam[i,j,k] g[i,a] g[j,b] inv[c,k],
+    with inv = g^-1 unless given (adj(g) gives det(g) times the action)."""
     field = vec.parent
-    inv = g.inverse()
+    inv = g.inverse() if inv is None else inv
     coeff = {}
     for i, j, k, c in vec.terms():
         coeff[(i, j, k)] = c
@@ -103,13 +108,31 @@ def test_act_identity_and_composition():
         assert act(act(vec, g), h) == act(vec, g @ h)
 
 
+def _oracle_domains():
+    """(field, scalars with zero first, number of cases), one per kind of
+    scalar domain the action serves; fewer cases where products cost tens
+    of microseconds or more."""
+    for field in (PrimeField(7), gf4(), gf16()):
+        yield field, list(field.elements()), 15
+    Q = RATIONALS
+    yield Q, [Q.zero()] + [Q.element(Fraction(n, d)) for n in range(-3, 4) if n
+                           for d in (1, 2, 5)], 15
+    Qi = SimpleExtension(Q, [1, 0, 1], "i")
+    i = Qi.generator()
+    yield Qi, [Qi.zero()] + [Qi.element(a) + b * i for a in range(-2, 3)
+                             for b in range(-1, 2) if a or b], 8
+    Qd = RationalFunctionField(Q, "d")
+    d = Qd.gen()
+    yield Qd, [Qd.zero()] + [Qd.element(v) for v in (1, -1, d, 1 / d)], 3
+
+
 def test_act_matches_loop_oracle():
-    for field, seed in ((PrimeField(7), 21), (gf4(), 22)):
-        rng = random.Random(seed)
-        for _ in range(15):
-            vec = _random_vector(field, rng)
-            g = _random_invertible(field, rng)
-            assert act(vec, g) == _act_by_loops(vec, g)
+    for field, pool, cases in _oracle_domains():
+        rng = random.Random(f"act-{field!r}")
+        for _ in range(cases):
+            vec = _random_vector(field, rng, pool)
+            g = _random_invertible(field, rng, pool)
+            assert act(vec, g) == _act_by_loops(vec, g), field
 
 
 def test_act_change_of_basis_property():
@@ -136,6 +159,25 @@ def test_act_cleared_is_division_free_act():
         cleared, d = act_cleared(vec, g)
         assert d == g.det()
         assert cleared == act(vec, g).scale(d)
+
+
+def test_act_cleared_over_a_polynomial_ring():
+    """Over F[x, y, z] the cleared action is the triple sum with adj(g) in
+    place of g^-1, and the action itself, which needs 1/det(g), is refused."""
+    rng = random.Random(42)
+    F = PrimeField(5)
+    ring = PolyRing(F, ("x", "y", "z"))
+    x, y, z = ring.gens()
+    pool = [ring.zero(), ring.one(), ring.from_int(2), x, y, z, x + 1,
+            y * z - 2, x * x]
+    for _ in range(6):
+        vec = _random_vector(F, rng)        # lifted into the ring by the action
+        g = _random_invertible(ring, rng, pool)
+        assert act_cleared(vec, g) == (
+            _act_by_loops(vec.lift(ring), g, g.adjugate()), g.det())
+        with pytest.raises(StructureError, match="^entries do not support "
+                           "division; use the adjugate route$"):
+            act(vec, g)
 
 
 def test_lift_and_map_scalars():
