@@ -207,21 +207,24 @@ def curve_limit(witness: CurveWitness) -> StructureVector:
 
     Exact and division-free over F[t].  The matrix is written as g = P/L,
     with P polynomial and L the product of the distinct entry denominators
-    (1 for every curve built from polynomials), and _moved_limit judges P
-    and L on reps through the base domain's hooks, as search does, so every
-    scalar domain works, F(d) included.
+    other than 1, and _moved_limit judges P and L on reps through the base
+    domain's hooks, as search does, so every scalar domain works, F(d)
+    included.  A polynomial entry's denominator is its field's shared 1, so
+    for a curve of polynomials (every curve this package builds) L = 1 and
+    P is the numerators as they are, with no hashing and no products.
     """
     rff = witness.matrix.parent
     if not isinstance(rff, RationalFunctionField):
         raise DegenerationError("curve matrix must live over rational functions")
     base = rff.field
-    dens = list(dict.fromkeys(rf.den for rf in witness.matrix.entries))
+    entries = witness.matrix.entries
+    dens = list(dict.fromkeys(rf.den for rf in entries if rf.den is not rf.parent.poly_one))
     cells = [_pairs(math.prod((d for d in dens if d != rf.den), start=rf.num))
-             for rf in witness.matrix.entries]
+             for rf in entries]
+    scale = _pairs(math.prod(dens, start=rff.poly_one))
     support = [(i - 1, j - 1, k - 1, getattr(c, "rep", c))
                for i, j, k, c in structure_of(witness.src, base).terms()]
-    limits = _moved_limit(support, cells, _pairs(math.prod(dens[1:], start=dens[0])),
-                          _hooks(base), _BLOCKS)
+    limits = _moved_limit(support, cells, scale, _hooks(base), _BLOCKS)
     if limits is None:
         raise DegenerationError("curve matrix is singular as a matrix of functions")
     zero = base.zero()
@@ -619,7 +622,9 @@ def compose_curves(first: CurveWitness, second: CurveWitness) -> CurveWitness:
     Feeds the first curve a high power of t so its limit settles before the
     second curve acts; when the first limit is only isomorphic to the
     middle structure, the identifying basis change is spliced in between.
-    The composite is verified before being returned.
+    Both curves are lifted into F(t) over the bridge's field only when
+    there is a bridge or their scalar domains differ.  The composite is
+    verified before being returned.
     """
     if first.dst != second.src:
         raise DegenerationError(
@@ -636,15 +641,18 @@ def compose_curves(first: CurveWitness, second: CurveWitness) -> CurveWitness:
     def lift(rf):
         return _rf_map(rf, rff, lambda e, c: (e, target_field.embed(c)))
 
-    m1 = first.matrix.map_scalars(lift, rff)
-    m2 = second.matrix.map_scalars(lift, rff)
     bridge_m = None
-    if bridge is not None:
-        bridge_m = bridge.map_scalars(rff.const, rff)
+    if bridge is None and first.matrix.parent == rff == second.matrix.parent:
+        m1, m2 = first.matrix, second.matrix
+    else:
+        m1 = first.matrix.map_scalars(lift, rff)
+        m2 = second.matrix.map_scalars(lift, rff)
+        if bridge is not None:
+            bridge_m = bridge.map_scalars(rff.const, rff)
 
     note = f"{first.note}+{second.note}" if first.note or second.note else ""
     for n in (1, 2, 4, 8):
-        fast = m1.map_scalars(
+        fast = m1 if n == 1 else m1.map_scalars(
             lambda rf: _rf_map(rf, rff, lambda e, c: ((e[0] * n,), c)), rff)
         total = fast @ bridge_m @ m2 if bridge_m is not None else fast @ m2
         candidate = CurveWitness(first.src, second.dst, total,

@@ -602,7 +602,11 @@ class _Extension(Field):
     def embed(self, x: FieldElement) -> FieldElement:
         if isinstance(x, FieldElement) and x.field == self:
             return x
-        bx = x if x.field == self.base else self.base.embed(x)
+        try:
+            bx = x if x.field == self.base else self.base.embed(x)
+        except FieldError:      # name the field asked for, not a base below it
+            raise FieldError(
+                f"cannot embed element of {x.field!r} into {self!r}") from None
         return self._elem(self._lift(bx.rep))
 
     def _coerce(self, value):

@@ -17,7 +17,8 @@ Field descriptors, structure vectors, and curve witnesses travel as JSON:
 min_poly lists are constant-first integers; a monic polynomial over Q with
 fractions is written as its integer multiple, [1, 0, 4] for r^2 + 1/4.
 Algebra ids are written a0, c1, c3, l1, c5, a(C), h(C), a3(C), rho, chat3,
-a2 with C a scalar.  A vector payload parses each distinct text once.
+a2 with C a scalar.  A vector or witness payload parses each distinct text
+once.
 """
 
 from __future__ import annotations
@@ -258,7 +259,7 @@ _PLAIN_RE = re.compile(r"-?\d+(?:/\d+)?")
 def _render_poly_in_t(rf) -> str:
     """A polynomial entry of a curve matrix in the syntax parse_poly_in_t
     reads: every coefficient but a plain integer or fraction in parentheses."""
-    if rf.den != rf.parent.ring.one():
+    if rf.den != rf.parent.poly_one:
         raise FormatError(f"curve entry {rf} is not a polynomial in t")
     terms = rf.num.terms
     return signed_sum(
@@ -368,7 +369,10 @@ def parse_witness(payload) -> CurveWitness:
     if not isinstance(up_to_iso, bool):
         raise FormatError(
             f"'up_to_iso' must be true or false, got {up_to_iso!r}")
-    rows = [[parse_poly_in_t(c, rff) for c in row] for row in mat]
+    # each distinct text is parsed once; keyed on JSON values, 1 == true
+    entry = functools.cache(lambda c: parse_poly_in_t(c, rff))
+    rows = [[entry(c) if isinstance(c, str) else parse_poly_in_t(c, rff) for c in row]
+            for row in mat]
     return CurveWitness(src, dst, Matrix3.from_rows(rff, rows),
                         up_to_iso=up_to_iso, note=str(payload.get("note", "")))
 

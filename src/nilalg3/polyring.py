@@ -4,7 +4,11 @@ Coefficients live in any field from the tower.  Multivariate division is
 deliberately absent: identity checks clear denominators first and then test
 for the zero polynomial.  Only the univariate case (curves in t) carries a
 fraction field, with gcd reduction and a monic denominator as the canonical
-form; a constant denominator needs no gcd, so polynomials in t stay cheap.
+form.  A monic constant is 1, so a polynomial in t is its numerator over
+the one polynomial 1 that its ``RationalFunctionField`` holds, and ``+``,
+``-`` and ``*`` of two such entries of F[t] are the numerators' sum or
+product over that shared 1, with no cross-products and no gcd; only proper
+fractions take the general route.
 The gcd and the division behind it are the polynomial kernel of
 ``fields`` (``_pgcd``, ``_pdivmod``), run on the coefficients' reps; over
 F(d)(t) an element of F(d) is its own rep.  ``PolyRing``, like F(t), has
@@ -244,15 +248,18 @@ class RationalFunctionField:
         self.varname = varname
         self.char = field.char
         self.ring = PolyRing(field, (varname,))
+        # the denominator of every polynomial: RationalFunction's operators
+        # take the polynomial route when both operands' denominators are it
+        self.poly_one = MultiPoly(self.ring, {(0,): field.one()})
 
     def element(self, num, den=None) -> "RationalFunction":
         if isinstance(num, RationalFunction) and den is None:
-            if num.parent != self:
+            if num.parent is not self and num.parent != self:
                 raise PolyRingError("rational function from a different field")
             return num
         num = self._as_poly(num)
         if den is None:     # over 1 a polynomial is already canonical
-            return RationalFunction(self, num, self.ring.one())
+            return RationalFunction(self, num, self.poly_one)
         return RationalFunction._make(self, num, self._as_poly(den))
 
     # F(t) as the base of F(t)[s] for the polynomial kernel in fields, which
@@ -305,7 +312,11 @@ class RationalFunctionField:
 
 
 class RationalFunction(ScalarOps):
-    """num/den in canonical form: gcd-reduced with a monic denominator."""
+    """num/den in canonical form: gcd-reduced with a monic denominator.
+
+    A polynomial's denominator is its parent's ``poly_one``, the same
+    object every time: ``element`` and ``_make`` put it there.
+    """
 
     __slots__ = ("parent", "num", "den")
 
@@ -319,7 +330,7 @@ class RationalFunction(ScalarOps):
         if den.is_zero():
             raise ZeroDivisionError("rational function with zero denominator")
         if num.is_zero():
-            return cls(parent, parent.ring.zero(), parent.ring.one())
+            return cls(parent, parent.ring.zero(), parent.poly_one)
         if den.degree() > 0:    # the gcd with a nonzero constant is 1
             F, n, d = parent.field, _reps(num), _reps(den)
             g = _pgcd(n, d, F)[0]
@@ -333,11 +344,11 @@ class RationalFunction(ScalarOps):
             inv = dl.inverse()
             num, den = (MultiPoly(parent.ring, {e: c * inv for e, c in p.terms.items()})
                         for p in (num, den))
-        return cls(parent, num, den)
+        return cls(parent, num, parent.poly_one if max(den.terms) == (0,) else den)
 
     def _peer(self, other):
         if isinstance(other, RationalFunction):
-            if other.parent != self.parent:
+            if other.parent is not self.parent and other.parent != self.parent:
                 raise PolyRingError("rational functions from different fields")
             return other
         if isinstance(other, MultiPoly):
@@ -352,8 +363,11 @@ class RationalFunction(ScalarOps):
         o = self._peer(other)
         if o is None:
             return NotImplemented
+        P = self.parent
+        if self.den is P.poly_one and o.den is o.parent.poly_one:
+            return RationalFunction(P, self.num + o.num, P.poly_one)
         return RationalFunction._make(
-            self.parent, self.num * o.den + o.num * self.den, self.den * o.den)
+            P, self.num * o.den + o.num * self.den, self.den * o.den)
 
     __radd__ = __add__
 
@@ -364,7 +378,10 @@ class RationalFunction(ScalarOps):
         o = self._peer(other)
         if o is None:
             return NotImplemented
-        return RationalFunction._make(self.parent, self.num * o.num, self.den * o.den)
+        P = self.parent
+        if self.den is P.poly_one and o.den is o.parent.poly_one:
+            return RationalFunction(P, self.num * o.num, P.poly_one)
+        return RationalFunction._make(P, self.num * o.num, self.den * o.den)
 
     __rmul__ = __mul__
 
@@ -397,7 +414,7 @@ class RationalFunction(ScalarOps):
         return self.num.evaluate({name: x}) / d
 
     def __str__(self):
-        if self.den == self.parent.ring.one():
+        if self.den == self.parent.poly_one:
             return str(self.num)
         return f"({self.num})/({self.den})"
 

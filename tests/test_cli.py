@@ -294,6 +294,10 @@ MALFORMED = [
     ("bool-matrix-entry", ("verify-witness", "{file}"), {
         "src": "c3", "dst": "c1", "char": 0,
         "matrix": [[True, 0, 0], [0, "t", 0], [0, 0, True]]}),
+    # each text entry is parsed once, but 1 == true as dict keys
+    ("bool-after-int-matrix-entry", ("verify-witness", "{file}"), {
+        "src": "c3", "dst": "c1", "char": 0,
+        "matrix": [[1, 0, 0], [0, "t", 0], [0, 0, True]]}),
     ("bool-vector-coefficient", ("identify", "{file}"),
      _vector({"char": 0}, ((2, 3, 1, True),))),
     # each text coefficient is parsed once, but 1, true and 1.0 are equal

@@ -19,7 +19,7 @@ from nilalg3.degeneration import (CurveWitness, DegenerationError,
                                   known_witness, lift_witness_to_rationals,
                                   search_witness, verify_lemma_identities,
                                   verify_witness)
-from nilalg3.fields import PrimeField, RATIONALS, gf4, gf16
+from nilalg3.fields import FieldError, PrimeField, RATIONALS, gf4, gf16
 from nilalg3.polyring import PoleAtZero, RationalFunctionField, limit_at_zero
 from nilalg3.structspace import Matrix3, act, basis_vector
 
@@ -421,6 +421,16 @@ def test_compose_through_iso_bridge():
         base = combined.base_field
         assert base.char == field.char and base != field
         assert verify_witness(combined) == structure_of(C1, base)
+
+
+def test_compose_refuses_a_second_curve_over_a_larger_field():
+    # the composite lives over the first curve's field, which cannot hold
+    # GF(16)'s elements; the refusal names that field
+    first = known_witness(C5, C1, gf4())
+    second = known_witness(C1, A0, gf16())
+    with pytest.raises(FieldError) as exc:
+        compose_curves(first, second)
+    assert str(exc.value) == "cannot embed element of GF(2)(w)(s) into GF(2)(w)"
 
 
 def test_compose_char2_chain():

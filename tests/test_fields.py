@@ -119,6 +119,17 @@ def test_extension_embed_chain():
     assert F.embed(one) == F.one()
 
 
+def test_embed_refusal_names_the_field_asked_for():
+    # the refusal comes from the bottom of the tower, but names the top
+    Qi = SimpleExtension(RATIONALS, [1, 0, 1], "i")
+    with pytest.raises(FieldError) as exc:
+        Qi.embed(PrimeField(7).one())
+    assert str(exc.value) == "cannot embed element of GF(7) into QQ(i)"
+    with pytest.raises(FieldError) as exc:
+        gf4().embed(gf16().generator())
+    assert str(exc.value) == "cannot embed element of GF(2)(w)(s) into GF(2)(w)"
+
+
 def test_square_roots_rationals():
     r = square_roots(RATIONALS.element(Fraction(9, 4)))
     assert sorted(x.rep for x in r) == [Fraction(-3, 2), Fraction(3, 2)]

@@ -1,11 +1,13 @@
 """Text and JSON grammars for scalars, polynomials, ids, vectors, witnesses."""
 
+import functools
 import itertools
 import json
 import random
 import re
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -291,6 +293,36 @@ def test_parse_vector_matches_per_entry_parse_scalar(name, monkeypatch):
     assert repeats > 30
 
 
+@pytest.mark.parametrize("name", sorted(_POLY_FIELDS))
+def test_parse_witness_matches_per_entry_parse_poly_in_t(name, monkeypatch):
+    desc, coefs = _POLY_FIELDS[name]
+    rff = RationalFunctionField(parse_field(desc), "t")
+    parsed = []
+
+    def counted(c, K):
+        parsed.append(c)
+        return parse_poly_in_t(c, K)
+
+    monkeypatch.setattr(nilalg3.ioformats, "parse_poly_in_t", counted)
+    rng = random.Random(f"witness-{name}")
+    pool = ["".join(_poly_term_text(rng, rng.choice((1, -1)), rng.choice(coefs),
+                                    rng.randrange(3)) for _ in range(rng.randint(1, 2)))
+            for _ in range(4)] + ["0", "t", 0, 1, -1]
+    repeats = 0
+    for _ in range(40):
+        cells = [rng.choice(pool) for _ in range(9)]
+        texts = [c for c in cells if isinstance(c, str)]
+        repeats += len(texts) > len(set(texts))
+        parsed.clear()
+        witness = parse_witness({"src": "c3", "dst": "c1", "field": desc,
+                                 "matrix": [cells[0:3], cells[3:6], cells[6:9]]})
+        assert witness.matrix.entries == tuple(parse_poly_in_t(c, rff) for c in cells)
+        # each distinct text once, each int every time
+        assert sorted(p for p in parsed if isinstance(p, str)) == sorted(set(texts))
+        assert len(parsed) == len(set(texts)) + len(cells) - len(texts)
+    assert repeats > 30
+
+
 def test_vector_errors():
     with pytest.raises(FormatError):
         parse_vector({"entries": [{"i": 0, "j": 1, "k": 1, "c": "1"}]})
@@ -407,28 +439,35 @@ def _assert_round_trip(witness):
     assert clone.up_to_iso == witness.up_to_iso and clone.note == witness.note
 
 
-@pytest.mark.parametrize("name", sorted(_POLY_FIELDS))
-def test_library_and_composed_curves_round_trip(name):
+@functools.cache
+def _composites(name):
+    """The library curves over a test field and every composite of two."""
     field = parse_field(_POLY_FIELDS[name][0])
     library = _library_curves(field)
-    composed = [compose_curves(first, second) for first in library
-                for second in library
-                if first.dst == second.src and first.src != second.dst]
+    return library, [compose_curves(first, second) for first in library
+                     for second in library
+                     if first.dst == second.src and first.src != second.dst]
+
+
+@pytest.mark.parametrize("name", sorted(_POLY_FIELDS))
+def test_library_and_composed_curves_round_trip(name):
+    library, composed = _composites(name)
     assert len(library) >= 12 and len(composed) >= 8
-    for witness in library:
+    for witness in library + composed:
         _assert_round_trip(witness)
-    described = 0
-    for witness in composed:
-        try:
-            describe_field(witness.base_field)
-        except FormatError:
-            # an iso bridge over Q adjoins a root whose minimal polynomial
-            # has fractional coefficients, which descriptors cannot carry
-            assert field == RATIONALS and witness.base_field.base == RATIONALS
-            continue
-        _assert_round_trip(witness)
-        described += 1
-    assert described >= 6
+
+
+# render_witness of each field's composites from _composites, in its order
+_PINNED_COMPOSITES = json.loads(
+    (Path(__file__).parent / "composed_curves.json").read_text())
+
+
+@pytest.mark.parametrize("name", sorted(_POLY_FIELDS))
+def test_composites_render_as_pinned(name):
+    # composites without an iso bridge reuse both curves' matrices as they
+    # are; the payloads must not change, bridged ones included
+    _, composed = _composites(name)
+    assert [render_witness(w) for w in composed] == _PINNED_COMPOSITES[name]
 
 
 @pytest.mark.parametrize("last", ["a0", "c1"])

@@ -10,7 +10,7 @@ from fractions import Fraction
 
 import pytest
 
-from nilalg3.fields import PrimeField, RATIONALS, gf4
+from nilalg3.fields import PrimeField, RATIONALS, gf4, gf16
 from nilalg3 import polyring
 from nilalg3.polyring import (PoleAtZero, PolyRing, PolyRingError,
                               RationalFunction, RationalFunctionField,
@@ -204,3 +204,52 @@ def test_t_valuation():
     assert t_valuation((1 / t).den) == 1
     assert t_valuation((K.one() + t).num) == 0
     assert t_valuation(K.ring.zero()) is None
+
+
+def _fast_path_domains():
+    """(name, F(t), coefficient pool) over Q, GF(7), GF(4), GF(16) and Q(d)."""
+    Qd = RationalFunctionField(RATIONALS, "d")
+    d = Qd.gen()
+    return [
+        ("Q", RationalFunctionField(RATIONALS, "t"),
+         [RATIONALS.element(c) for c in (1, -1, 2, Fraction(1, 2), Fraction(-3, 4))]),
+        ("GF7", RationalFunctionField(PrimeField(7), "t"),
+         [PrimeField(7).element(c) for c in range(1, 7)]),
+        ("GF4", RationalFunctionField(gf4(), "t"), list(gf4().elements())[1:]),
+        ("GF16", RationalFunctionField(gf16(), "t"), list(gf16().elements())[1:]),
+        ("Q(d)", RationalFunctionField(Qd, "t"),
+         [Qd.one(), -Qd.one(), d, d + 1, 1 / d, d / (d - 2), Qd.from_int(2)]),
+    ]
+
+
+@pytest.mark.parametrize("name, K, pool", _fast_path_domains(),
+                         ids=[name for name, *_ in _fast_path_domains()])
+def test_polynomial_arithmetic_matches_the_fraction_route(name, K, pool):
+    # two polynomials add, subtract and multiply over the shared 1 with no
+    # cross-products and no _make; the result must be what _make gives on
+    # the cross-multiplied numerator and denominator, for a proper fraction
+    # operand too, and sums that cancel must come out as the canonical 0
+    rng = random.Random(f"fast-path-{name}")
+    twin = RationalFunctionField(K.field, K.varname)    # equal, not identical
+
+    def poly(parent):
+        return parent.polynomial({rng.randrange(4): rng.choice(pool)
+                                  for _ in range(rng.randint(1, 3))})
+
+    t = K.gen()
+    for n in range(60):
+        a, b = poly(K), poly(rng.choice((K, twin)))
+        if n % 3 == 1:
+            b = -a if rng.random() < 0.5 else b - a     # a + b is 0 or b's
+        elif n % 3 == 2:
+            b = b / (t + K.const(rng.choice(pool)) if rng.random() < 0.5 else t)
+        for x, y in ((a, b), (b, a)):
+            for got, num, den in (
+                    (x + y, x.num * y.den + y.num * x.den, x.den * y.den),
+                    (x - y, x.num * y.den - y.num * x.den, x.den * y.den),
+                    (x * y, x.num * y.num, x.den * y.den)):
+                want = RationalFunction._make(x.parent, num, den)
+                assert got.num.terms == want.num.terms
+                assert got.den.terms == want.den.terms
+                if x.den.degree() == y.den.degree() == 0:
+                    assert got.den is x.parent.poly_one
