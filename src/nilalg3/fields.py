@@ -7,9 +7,12 @@ the current field lacks.  Over a finite base the extension is a
 tables built once per field (GF(16) is GF(4)(s) and GF(4) is GF(2)(w), both
 finite fields); over characteristic 0 it is a :class:`SimpleExtension`,
 whose reps are tuples of base reps.  Elements are always held in canonical
-form (reduced fractions, least nonnegative residues, codes, remainders
-modulo a monic minimal polynomial), so equality is structural comparison
-and every value is immutable and hashable.
+form (least nonnegative residues, codes, remainders modulo a monic minimal
+polynomial), so equality is structural comparison and every value is
+immutable and hashable.  A rational's rep is an ``int`` when it is an
+integer and a reduced ``Fraction`` with denominator > 1 otherwise, so the
+integral arithmetic that dominates over Q, and over the number fields and
+polynomial rings built on it, runs on Python's ints in C.
 
 One kernel of dense helpers on lists of a base field's reps (``_pmul``,
 ``_pdivmod``, ``_pgcd``, ...) does all univariate polynomial arithmetic:
@@ -305,37 +308,52 @@ class _Interned(dict):
 
 
 class Rationals(Field):
-    """The field of rational numbers, backed by ``fractions.Fraction``."""
+    """The field of rational numbers.
+
+    A rep is an ``int`` when the number is an integer and a
+    ``fractions.Fraction`` with denominator > 1 otherwise, so sums and
+    products of integers stay in C.  Every hook keeps that form: a
+    Fraction result with denominator 1 becomes its numerator.  Since
+    ``3 == Fraction(3)`` with equal hashes and text, a stray
+    ``Fraction(3)`` costs speed, never a wrong answer; no rep is a float.
+    """
 
     char = 0
-    _zero_rep, _one_rep = Fraction(0), Fraction(1)
 
     def is_finite(self) -> bool:
         return False
 
     def _coerce(self, value):
+        if isinstance(value, int):
+            return int(value)           # a bool is no rep
+        if isinstance(value, Fraction):
+            return value.numerator if value.denominator == 1 else value
         if isinstance(value, FieldElement):
             if value.field != self:
                 raise FieldError("element belongs to a different field")
             return value.rep
-        if isinstance(value, (int, Fraction)):
-            return Fraction(value)
         raise FieldError(f"cannot build a rational from {value!r}")
 
     def _add(self, a, b):
-        return a + b
+        c = a + b
+        return c if c.__class__ is int or c.denominator != 1 else c.numerator
 
     def _neg(self, a):
         return -a
 
     def _mul(self, a, b):
-        return a * b
+        c = a * b
+        return c if c.__class__ is int or c.denominator != 1 else c.numerator
 
     def _inv(self, a):
-        return 1 / a
+        # never 1 / a, which is a float for an int a
+        if a.__class__ is int:
+            return a if a == 1 or a == -1 else Fraction(1, a)
+        n, d = a.numerator, a.denominator
+        return d * n if n == 1 or n == -1 else Fraction(d, n)
 
     def _is_zero(self, a):
-        return a == 0
+        return not a
 
     def _render(self, a):
         return str(a)
@@ -877,8 +895,8 @@ def _roots(field: Field, coeffs) -> list:
 
 
 def _rational_roots(coeffs) -> list:
-    """The rational roots of a x^3 + b x^2 + c x + d, given its Fraction
-    coefficients constant first.
+    """The rational roots of a x^3 + b x^2 + c x + d, given its coefficients
+    as Q reps, constant first.
 
     With y = a x they are y / a for the integer roots y of the monic
     g(y) = y^3 + b y^2 + a c y + a^2 d, which lie in [-B, B] for

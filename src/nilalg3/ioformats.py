@@ -115,8 +115,9 @@ def describe_field(field: Field) -> dict:
 def _cleared(coeffs) -> list:
     """Integer coefficients of the same polynomial: a monic one over Q is
     multiplied by its common denominator, which parse_field divides out
-    again; residues mod p are integers already."""
-    reps = [Fraction(c.rep) for c in coeffs]
+    again; residues mod p and integral Q reps are ints, which have a
+    denominator too."""
+    reps = [c.rep for c in coeffs]
     den = math.lcm(*(r.denominator for r in reps))
     return [int(r * den) for r in reps]
 

@@ -231,15 +231,22 @@ class Matrix3:
             d * h - e * g, b * g - a * h, a * e - b * d,
         ))
 
+    def adjugate_and_det(self) -> tuple:
+        """(adj(g), det(g)), the determinant read off the adjugate: the first
+        row of g times the first column of adj(g), three products."""
+        adj = self.adjugate()
+        a, b, c = self.entries[:3]
+        x = adj.entries
+        return adj, a * x[0] + b * x[3] + c * x[6]
+
     def inverse(self) -> "Matrix3":
-        d = self.det()
+        adj, d = self.adjugate_and_det()
         if d.is_zero():
             raise StructureError("matrix is singular")
         if not hasattr(d, "inverse"):
             raise StructureError(
                 "entries do not support division; use the adjugate route")
         di = d.inverse()
-        adj = self.adjugate()
         return Matrix3(self.parent, tuple(di * v for v in adj.entries))
 
     def __matmul__(self, other):
@@ -337,4 +344,5 @@ def act_cleared(vec: StructureVector, g: Matrix3) -> tuple:
     """
     if vec.parent != g.parent:
         vec = vec.lift(g.parent)
-    return _act_with(vec, g, g.adjugate()), g.det()
+    adj, det = g.adjugate_and_det()
+    return _act_with(vec, g, adj), det

@@ -154,8 +154,10 @@ def _random_structures(field, rng, pool=None, counts=(1500, 400, 100)):
 
 
 def _slow_domains():
-    """Q(i) and Q(d) with a pool of small scalars, zero first: their products
-    cost tens of microseconds, and over Q(d) a moved class costs seconds."""
+    """Q(i) and Q(d) with a pool of small scalars, zero first.  A Q(i)
+    product of these integral scalars costs a few microseconds, a Q(d) one
+    tens, and Q(d)'s coefficients grow through gcds, so over Q(d) a moved
+    class costs one to three seconds."""
     Qi = SimpleExtension(RATIONALS, [1, 0, 1], "i")
     i = Qi.generator()
     Fd = RationalFunctionField(RATIONALS, "d")
@@ -333,8 +335,9 @@ def test_rep_kernels_agree_with_the_element_oracles():
     # not, and two that are not nilpotent: the idempotent e1 e1 = e1, and
     # the left unit e1 e_k = e_k, in M** with x*x = x1 x != 0.  The
     # derivation count is compared where its row reduction stays small, and
-    # over Q(i) and F(d), whose products cost tens of microseconds, the bases
-    # on the fixed structures and every fourth random one.
+    # over F(d), whose products cost tens of microseconds and whose
+    # coefficients grow by gcd, the bases on the fixed structures and every
+    # fourth random one; over Q(i) the bases on every structure.
     seen = set()
     for field, pool, counts in _oracle_domains():
         rng = random.Random(f"oracle-{field!r}")
@@ -350,7 +353,8 @@ def test_rep_kernels_agree_with_the_element_oracles():
             assert closed == _m_star_star_by_polynomials(vec), str(vec)
             assert is_commutative(vec) == all(
                 vec[j, i, k] == c for i, j, k, c in vec.terms()), str(vec)
-            if exact or n < len(fixed) or n % 4 == 0:
+            if (exact or not isinstance(field, RationalFunctionField)
+                    or n < len(fixed) or n % 4 == 0):
                 assert power_chain(vec) == _power_chain_by_elements(vec), str(vec)
                 basis, rows, rref = _annihilator_basis_by_elements(vec)
                 assert annihilator_basis(vec) == basis, str(vec)

@@ -8,10 +8,13 @@ from fractions import Fraction
 
 import pytest
 
+from nilalg3.catalogue import AlgebraId, adelta, quarter
+from nilalg3.degeneration import known_witness
 from nilalg3.fields import (MAX_FINITE_ORDER, FieldError, FiniteField,
                             NeedsFieldExtension, PrimeField, RATIONALS,
-                            SimpleExtension, extend_with_root, gf4, gf16,
-                            quadratic_roots, square_roots)
+                            SimpleExtension, _rational_roots, extend_with_root,
+                            gf4, gf16, quadratic_roots, square_roots)
+from nilalg3.ioformats import describe_field, parse_field, parse_scalar
 from nilalg3.polyring import PolyRing, PolyRingError, RationalFunctionField
 
 
@@ -46,6 +49,91 @@ def test_rationals_are_exact():
     assert (q + q + q) == RATIONALS.one()
     assert RATIONALS.char == 0
     assert not RATIONALS.is_finite()
+
+
+def _is_q_rep(r) -> bool:
+    """The rep convention of Q: an int when integral, else a Fraction with
+    denominator > 1; never a bool or a float."""
+    return type(r) is int or (type(r) is Fraction and r.denominator > 1)
+
+
+def _q_operands() -> list:
+    """Seeded Q reps: small, big and negative ints, and proper fractions,
+    among them pairs whose sums and products cancel to integers."""
+    rng = random.Random("q-hooks")
+    ints = [0, 1, -1, 2, -3, 10 ** 30 + 7, -(3 ** 70)]
+    ints += [rng.randint(-10 ** 40, 10 ** 40) for _ in range(5)]
+    fracs = [Fraction(1, 2), Fraction(-1, 2), Fraction(3, 2), Fraction(2, 3),
+             Fraction(1, 3), Fraction(-1, 3), Fraction(-7, 10 ** 25)]
+    fracs += [Fraction(rng.randint(-10 ** 20, 10 ** 20), rng.randint(2, 10 ** 20))
+              for _ in range(5)]
+    return ints + [f for f in fracs if f.denominator > 1]
+
+
+def test_rational_hooks_are_fraction_arithmetic_in_the_rep_convention():
+    Q = RATIONALS
+    ops = _q_operands()
+    assert all(map(_is_q_rep, ops))
+    for a, b in itertools.product(ops, repeat=2):
+        for got, want in ((Q._add(a, b), Fraction(a) + Fraction(b)),
+                          (Q._mul(a, b), Fraction(a) * Fraction(b))):
+            assert got == want and _is_q_rep(got), (a, b, got)
+    for a in ops:
+        assert Q._neg(a) == -Fraction(a) and _is_q_rep(Q._neg(a))
+        assert Q._is_zero(a) == (a == 0)
+        if a:
+            assert Q._inv(a) == 1 / Fraction(a) and _is_q_rep(Q._inv(a)), a
+    # the cancellations, by name
+    half, third = Fraction(1, 2), Fraction(1, 3)
+    assert type(Q._add(half, half)) is int and Q._add(half, half) == 1
+    assert type(Q._add(third, -third)) is int and Q._add(third, -third) == 0
+    assert type(Q._mul(Fraction(3, 2), Fraction(2, 3))) is int
+    assert Q._inv(third) == 3 and type(Q._inv(third)) is int
+    assert Q._inv(-1) == -1 and type(Q._inv(-1)) is int
+    assert Q._inv(-third) == -3 and type(Q._inv(-third)) is int
+    assert Q._inv(4) == Fraction(1, 4) and Q._inv(-4) == Fraction(-1, 4)
+    # coercion: int, bool, Fraction(n, 1), proper Fraction, element
+    for value, want in ((7, 7), (-10 ** 30, -10 ** 30), (True, 1), (False, 0),
+                        (Fraction(6, 3), 2), (Fraction(-5, 1), -5),
+                        (Fraction(-2, 6), Fraction(-1, 3)),
+                        (Q.element(Fraction(9, 3)), 3)):
+        got = Q._coerce(value)
+        assert got == want and _is_q_rep(got), value
+    assert Q.zero().rep == 0 and Q.one().rep == 1
+    assert type(Q.zero().rep) is int and type(Q.one().rep) is int
+
+
+@pytest.mark.parametrize("num, den", [(2, 1), (3, 2)])
+def test_one_rational_is_one_element_by_every_route(num, den):
+    Q = RATIONALS
+    value = Fraction(num, den)
+    Qi = SimpleExtension(Q, [1, 0, 1], "i")
+    Qr = parse_field({"char": 0, "ext": {"name": "r", "min_poly": [-num, 0, den]}})
+    routes = {
+        "int or Fraction": Q.element(num if den == 1 else value),
+        "Fraction(3n, 3d)": Q.element(Fraction(3 * num, 3 * den)),
+        "parse_scalar": parse_scalar(f"{3 * num}/{3 * den}", Q),
+        # (den x - num)(x^2 + 1), constant first
+        "_rational_roots": Q.element(_rational_roots([-num, den, -num, den])[0]),
+        "square_roots": square_roots(Q.element(value * value))[1],
+        "Q(i) coefficient": Q._elem((Qi.element([value, 0]) * Qi.element([1, 1])).rep[1]),
+        "describe_field": -parse_field(describe_field(Qr)).minpoly[0],
+    }
+    ref = routes["int or Fraction"]
+    for route, x in routes.items():
+        assert x == ref and hash(x) == hash(ref) and repr(x) == repr(ref), route
+        assert type(x.rep) is (int if den == 1 else Fraction), route
+    assert parse_field(describe_field(Qr)) is Qr
+
+
+def test_known_witness_over_q_is_one_cache_entry_by_two_routes():
+    Q = RATIONALS
+    first = known_witness(adelta(Q, quarter(Q)), AlgebraId("l1"), Q)
+    assert first is not None
+    hits = known_witness.cache_info().hits
+    again = known_witness(adelta(Q, parse_scalar("2/8", Q)), AlgebraId("l1"), Q)
+    assert again is first
+    assert known_witness.cache_info().hits == hits + 1
 
 
 def test_mixed_operand_coercion():

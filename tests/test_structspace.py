@@ -97,6 +97,32 @@ def test_det_by_permutation_formula():
         assert s == g.det()
 
 
+@pytest.mark.parametrize("kind", ["Q", "gf7", "gf16", "polyring"])
+def test_det_read_off_the_adjugate(kind):
+    """adjugate_and_det's three-product determinant is det(), on singular
+    matrices too, and its adjugate is adjugate()."""
+    rng = random.Random(f"adj-det-{kind}")
+    if kind == "Q":
+        F = RATIONALS
+        pool = [F.element(Fraction(n, d)) for n in range(-3, 4) for d in (1, 2, 5)]
+    elif kind == "polyring":
+        F = PolyRing(PrimeField(5), ("x", "y"))
+        x, y = F.gens()
+        pool = [F.zero(), F.one(), F.from_int(3), x, y, x * y - 2, x * x + y]
+    else:
+        F = PrimeField(7) if kind == "gf7" else gf16()
+        pool = list(F.elements())
+    for n in range(25):
+        entries = [rng.choice(pool) for _ in range(9)]
+        if n % 5 == 0:
+            entries[6:] = entries[:3]       # a repeated row: det 0
+        g = Matrix3.from_rows(F, [entries[:3], entries[3:6], entries[6:]])
+        adj, d = g.adjugate_and_det()
+        assert adj == g.adjugate()
+        assert d == g.det()
+        assert d.is_zero() or n % 5
+
+
 def test_act_identity_and_composition():
     rng = random.Random(9)
     F = PrimeField(7)
