@@ -61,7 +61,7 @@ def is_associative(vec: StructureVector) -> bool:
 
 
 def is_commutative(vec: StructureVector) -> bool:
-    c = [getattr(v, "rep", v) for v in vec.coeffs]
+    c = [v.rep for v in vec.coeffs]
     # the reps of e_i e_j, at 9(i - 1) + 3(j - 1), against those of e_j e_i
     return all(c[n:n + 3] == c[m:m + 3] for n, m in ((3, 9), (6, 18), (15, 21)))
 

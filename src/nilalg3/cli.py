@@ -21,26 +21,19 @@ from .catalogue import (AlgebraId, CatalogueError, UnclassifiableError,
 from .degeneration import (DegenerationError, lift_witness_to_rationals,
                            search_witness, verify_lemma_identities,
                            verify_witness)
-from .fields import (FieldError, NeedsFieldExtension, PrimeField, RATIONALS,
-                     gf4)
+from .fields import (FieldError, NeedsFieldExtension, PrimeField, gf4,
+                     prime_field)
 from .hasse import HasseError, build_graph, compare_expected, emit
-from .ioformats import (FormatError, parse_algebra_id, parse_matrix,
-                        parse_vector, parse_witness, render_scalar,
-                        render_vector, render_witness)
+from .ioformats import (CHARACTERISTICS, FormatError, parse_algebra_id,
+                        parse_matrix, parse_vector, parse_witness,
+                        render_scalar, render_vector, render_witness)
 from .polyring import RationalFunctionField
 from .structspace import StructureVector, act
 
 _DEFAULT_SEED = 1729
-_CHAR_CHOICES = (0, 2, 3, 5, 7, 11, 13)
 
 
-def _field_for_char(char: int):
-    if char == 0:
-        return RATIONALS
-    return PrimeField(char)
-
-
-def _add_char(sub, default=0, choices=_CHAR_CHOICES):
+def _add_char(sub, default=0, choices=CHARACTERISTICS):
     sub.add_argument("--char", type=int, default=default, choices=choices,
                      metavar="C", help="field characteristic "
                      f"(default {default})")
@@ -79,7 +72,7 @@ def _profile_cells(vec: StructureVector):
 
 
 def _cmd_catalog(args) -> int:
-    field = _field_for_char(args.char)
+    field = prime_field(args.char)
     rows = []
     for tag in ("a0", "c1", "l1", "c3"):
         vec = structure_of(AlgebraId(tag), field)
@@ -106,7 +99,7 @@ def _cmd_catalog(args) -> int:
 
 
 def _cmd_invariants(args) -> int:
-    field = _field_for_char(args.char)
+    field = prime_field(args.char)
     ident = parse_algebra_id(args.id, field)
     vec = structure_of(ident, field)
     out = {"id": str(ident), "structure": str(vec)}

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from . import algprops
 from .catalogue import (AlgebraId, adelta, canonicalize, hbeta, identify,
                         identify_with_witness, quarter, structure_of)
-from .fields import Field, FieldElement, PrimeField, RATIONALS
+from .fields import Field, FieldElement, PrimeField, RATIONALS, prime_field
 from .polyring import (MultiPoly, PolyRing, RationalFunction,
                        RationalFunctionField)
 from .structspace import Matrix3, StructureVector, act, act_cleared
@@ -198,8 +198,8 @@ def _hooks(F) -> tuple:
     return F._add, F._mul, F._neg, F._is_zero, F._inv
 
 
-def _pairs(poly: MultiPoly) -> list:     # an element of F(d) is its own rep
-    return [(e, getattr(c, "rep", c)) for (e,), c in poly.terms.items()]
+def _pairs(poly: MultiPoly) -> list:
+    return [(e, c) for (e,), c in poly.reps.items()]
 
 
 def curve_limit(witness: CurveWitness) -> StructureVector:
@@ -222,7 +222,7 @@ def curve_limit(witness: CurveWitness) -> StructureVector:
     cells = [_pairs(math.prod((d for d in dens if d != rf.den), start=rf.num))
              for rf in entries]
     scale = _pairs(math.prod(dens, start=rff.poly_one))
-    support = [(i - 1, j - 1, k - 1, getattr(c, "rep", c))
+    support = [(i - 1, j - 1, k - 1, c.rep)
                for i, j, k, c in structure_of(witness.src, base).terms()]
     limits = _moved_limit(support, cells, scale, _hooks(base), _BLOCKS)
     if limits is None:
@@ -370,10 +370,7 @@ def verify_lemma_identities(characteristic: int, mutate=None) -> IdentityReport:
     (a triple (i, j, k)) before expanding, so callers can confirm the suite
     actually has teeth.
     """
-    if characteristic == 0:
-        base = RATIONALS
-    else:
-        base = PrimeField(characteristic)
+    base = prime_field(characteristic)
     entries = []
 
     # generic matrix, ten symbols: the free parameter and nine entries
@@ -611,7 +608,8 @@ def _rf_map(rf: RationalFunction, rff: RationalFunctionField, term):
     """rf rebuilt over rff, each (exponent, coefficient) of num and den sent
     through ``term``."""
     def sub(poly: MultiPoly) -> MultiPoly:
-        return MultiPoly(rff.ring, dict(term(e, c) for e, c in poly.terms.items()))
+        pairs = (term(e, c) for e, c in poly.terms.items())
+        return MultiPoly(rff.ring, {e: c.rep for e, c in pairs})
 
     return rff.element(sub(rf.num), sub(rf.den))
 

@@ -990,6 +990,11 @@ def extend_with_root(field: Field, minpoly, name: str):
 RATIONALS = Rationals()
 
 
+def prime_field(char: int) -> Field:
+    """The prime field of characteristic char: Q for 0, GF(char) otherwise."""
+    return RATIONALS if char == 0 else PrimeField(char)
+
+
 def gf4(name: str = "w") -> FiniteField:
     """GF(4) as GF(2)(w) with w**2 + w + 1 = 0."""
     return FiniteField(PrimeField(2), [1, 1, 1], name)

@@ -31,12 +31,13 @@ from fractions import Fraction
 
 from .catalogue import AlgebraId, CatalogueError
 from .degeneration import CurveWitness
-from .fields import (Field, FieldElement, FieldError, PrimeField, RATIONALS,
-                     _Extension, extend_with_root, signed_sum)
+from .fields import (Field, FieldElement, FieldError, _Extension,
+                     extend_with_root, prime_field, signed_sum)
 from .polyring import RationalFunctionField
 from .structspace import Matrix3, StructureVector
 
-_PRIMES_OK = (2, 3, 5, 7, 11, 13)
+# the characteristics a field descriptor or a --char option may name
+CHARACTERISTICS = (0, 2, 3, 5, 7, 11, 13)
 
 
 class FormatError(ValueError):
@@ -66,7 +67,7 @@ def parse_field(desc) -> Field:
     char = desc["char"]
     if not _is_int(char) or char < 0:
         raise FormatError(f"bad characteristic {char!r}")
-    if char != 0 and char not in _PRIMES_OK:
+    if char not in CHARACTERISTICS:
         raise FormatError(f"characteristic {char} is not supported")
     ext = desc.get("ext")
     if ext is None:
@@ -88,7 +89,7 @@ def parse_field(desc) -> Field:
 def _field(char: int, name, minpoly) -> Field:
     """The field of a normalised descriptor; a GF(2^16) holds megabytes of
     tables, so only a few are kept."""
-    base = RATIONALS if char == 0 else PrimeField(char)
+    base = prime_field(char)
     if name is None:
         return base
     try:

@@ -56,7 +56,7 @@ def row_reduce(rows: list) -> tuple:
         return [list(r) for r in rows], []
     x = rows[0][0]
     F = x.field if hasattr(x, "field") else x.parent
-    m = [[getattr(v, "rep", v) for v in r] for r in rows]
+    m = [[v.rep for v in r] for r in rows]
     pivots = _gauss_jordan(m, F)
     return [list(map(F._elem, r)) for r in m], pivots
 

@@ -1,22 +1,25 @@
 """Sparse multivariate polynomials and univariate rational functions.
 
-Coefficients live in any field from the tower.  Multivariate division is
-deliberately absent: identity checks clear denominators first and then test
-for the zero polynomial.  Only the univariate case (curves in t) carries a
-fraction field, with gcd reduction and a monic denominator as the canonical
-form.  A monic constant is 1, so a polynomial in t is its numerator over
-the one polynomial 1 that its ``RationalFunctionField`` holds, and ``+``,
-``-`` and ``*`` of two such entries of F[t] are the numerators' sum or
-product over that shared 1, with no cross-products and no gcd; only proper
-fractions take the general route.
+Coefficients live in any field from the tower.  A ``MultiPoly`` holds the
+reps of its nonzero coefficients and combines them through its field's
+hooks (``_add``, ``_mul``, ``_neg``, ``_is_zero``), like every other exact
+kernel; ``terms``, the map to elements, is a view built on demand.  A
+polynomial, like an element of F(d), is its own ``rep``.  Multivariate
+division is deliberately absent: identity checks clear denominators first
+and then test for the zero polynomial.  Only the univariate case (curves in
+t) carries a fraction field, with gcd reduction and a monic denominator as
+the canonical form.  A monic constant is 1, so a polynomial in t is its
+numerator over the one polynomial 1 that its ``RationalFunctionField``
+holds, and ``+``, ``-`` and ``*`` of two such entries of F[t] are the
+numerators' sum or product over that shared 1, with no cross-products and
+no gcd; only proper fractions take the general route.
 The gcd and the division behind it are the polynomial kernel of
-``fields`` (``_pgcd``, ``_pdivmod``), run on the coefficients' reps; over
-F(d)(t) an element of F(d) is its own rep.  ``PolyRing``, like F(t), has
-the rep hooks (``_add``, ``_mul``, ...) as Python's operators, for the
-kernels of ``structspace``: a polynomial is its own rep.  The derived
+``fields`` (``_pgcd``, ``_pdivmod``), run on the coefficients' reps.
+``PolyRing``, like F(t), has the rep hooks as Python's operators, for the
+kernels of ``structspace``.  The derived
 operators (``-``, ``/``, ``**``) come from ``fields.ScalarOps``.  Curve
 limits are checked over F[t] by ``degeneration.curve_limit``, which reads
-the terms of the entries' numerators and denominators and leaves the
+the reps of the entries' numerators and denominators and leaves the
 arithmetic to its own kernel; ``limit_at_zero`` is the rational-function
 route that cross-checks it.
 """
@@ -51,26 +54,18 @@ class PolyRing:
         if name not in self.vars:
             raise PolyRingError(f"unknown variable {name!r}")
         exp = tuple(1 if v == name else 0 for v in self.vars)
-        return MultiPoly(self, {exp: self.field.one()})
+        return MultiPoly(self, {exp: self.field._one_rep})
 
     def gens(self):
         return tuple(self.var(v) for v in self.vars)
 
     def const(self, c) -> "MultiPoly":
-        if isinstance(c, FieldElement) and c.field == self.field:
-            pass
-        elif isinstance(c, RationalFunction) and c.parent == self.field:
-            pass
-        else:
-            c = self.field.element(c)
-        if c.is_zero():
-            return MultiPoly(self, {})
-        return MultiPoly(self, {(0,) * len(self.vars): c})
+        return MultiPoly(self, {(0,) * len(self.vars): self.field.element(c).rep})
 
     def element(self, v) -> "MultiPoly":
         """Coerce v (polynomial, field element, int, Fraction) into this ring."""
         if isinstance(v, MultiPoly):
-            if v.ring != self:
+            if v.ring is not self and v.ring != self:
                 raise PolyRingError("polynomial from a different ring")
             return v
         return self.const(v)
@@ -101,14 +96,23 @@ class PolyRing:
 
 
 class MultiPoly(ScalarOps):
-    """A sparse polynomial: a map from exponent tuples to nonzero coefficients."""
+    """A sparse polynomial: ``reps`` maps exponent tuples to the reps of the
+    nonzero coefficients, and the constructor drops zero reps.  ``terms``
+    is a read-only view, exponent tuples to elements, built on each read."""
 
-    __slots__ = ("ring", "terms")
+    __slots__ = ("ring", "reps")
     _no_division = PolyRingError
+    rep = property(lambda self: self)      # a polynomial is its own rep
 
-    def __init__(self, ring: PolyRing, terms: dict):
+    def __init__(self, ring: PolyRing, reps: dict):
         self.ring = ring
-        self.terms = {e: c for e, c in terms.items() if not c.is_zero()}
+        is_zero = ring.field._is_zero
+        self.reps = {e: c for e, c in reps.items() if not is_zero(c)}
+
+    @property
+    def terms(self) -> dict:
+        elem = self.ring.field._elem
+        return {e: elem(c) for e, c in self.reps.items()}
 
     def _peer(self, other):
         if isinstance(other, MultiPoly):
@@ -125,29 +129,33 @@ class MultiPoly(ScalarOps):
         o = self._peer(other)
         if o is None:
             return NotImplemented
-        terms = dict(self.terms)
-        for e, c in o.terms.items():
-            s = terms.get(e)
-            terms[e] = c if s is None else s + c
-        return MultiPoly(self.ring, terms)
+        add = self.ring.field._add
+        reps = dict(self.reps)
+        for e, c in o.reps.items():
+            s = reps.get(e)
+            reps[e] = c if s is None else add(s, c)
+        return MultiPoly(self.ring, reps)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return MultiPoly(self.ring, {e: -c for e, c in self.terms.items()})
+        neg = self.ring.field._neg
+        return MultiPoly(self.ring, {e: neg(c) for e, c in self.reps.items()})
 
     def __mul__(self, other):
         o = self._peer(other)
         if o is None:
             return NotImplemented
-        terms: dict = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in o.terms.items():
+        F = self.ring.field
+        add, mul = F._add, F._mul
+        reps: dict = {}
+        for e1, c1 in self.reps.items():
+            for e2, c2 in o.reps.items():
                 e = tuple(map(operator.add, e1, e2))
-                c = c1 * c2
-                s = terms.get(e)
-                terms[e] = c if s is None else s + c
-        return MultiPoly(self.ring, terms)
+                c = mul(c1, c2)
+                s = reps.get(e)
+                reps[e] = c if s is None else add(s, c)
+        return MultiPoly(self.ring, reps)
 
     __rmul__ = __mul__
 
@@ -158,19 +166,17 @@ class MultiPoly(ScalarOps):
         o = self._peer(other)
         if o is None:
             return NotImplemented
-        return self.terms == o.terms
+        return self.reps == o.reps
 
     def __hash__(self):
-        return hash((self.ring, frozenset(self.terms.items())))
+        return hash((self.ring, frozenset(self.reps.items())))
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.reps
 
     def degree(self) -> int:
         """Total degree; -1 for the zero polynomial."""
-        if not self.terms:
-            return -1
-        return max(sum(e) for e in self.terms)
+        return max((sum(e) for e in self.reps), default=-1)
 
     def evaluate(self, assignment: dict) -> FieldElement:
         """Evaluate at a full assignment mapping variable names to elements."""
@@ -213,15 +219,14 @@ def _require_univariate(p: MultiPoly):
 
 def _reps(p: MultiPoly) -> list:
     """The coefficient reps of a univariate polynomial, constant first."""
-    out = [p.ring.field._zero_rep] * (max(p.terms)[0] + 1) if p.terms else []
-    for (e,), c in p.terms.items():
-        out[e] = getattr(c, "rep", c)       # an element of F(d) is its own rep
+    out = [p.ring.field._zero_rep] * (max(p.reps)[0] + 1) if p.reps else []
+    for (e,), c in p.reps.items():
+        out[e] = c
     return out
 
 
 def _poly(ring: PolyRing, reps) -> MultiPoly:
-    elem = ring.field._elem
-    return MultiPoly(ring, {(i,): elem(r) for i, r in enumerate(reps)})
+    return MultiPoly(ring, {(i,): r for i, r in enumerate(reps)})
 
 
 def poly_gcd(a: MultiPoly, b: MultiPoly) -> MultiPoly:
@@ -235,9 +240,7 @@ def poly_gcd(a: MultiPoly, b: MultiPoly) -> MultiPoly:
 def t_valuation(p: MultiPoly):
     """Order of vanishing at 0 of a univariate polynomial (None for 0)."""
     _require_univariate(p)
-    if not p.terms:
-        return None
-    return min(e[0] for e in p.terms)
+    return min((e[0] for e in p.reps), default=None)
 
 
 class RationalFunctionField:
@@ -250,7 +253,7 @@ class RationalFunctionField:
         self.ring = PolyRing(field, (varname,))
         # the denominator of every polynomial: RationalFunction's operators
         # take the polynomial route when both operands' denominators are it
-        self.poly_one = MultiPoly(self.ring, {(0,): field.one()})
+        self.poly_one = self.ring.one()
 
     def element(self, num, den=None) -> "RationalFunction":
         if isinstance(num, RationalFunction) and den is None:
@@ -282,8 +285,9 @@ class RationalFunctionField:
     def polynomial(self, coeffs: dict) -> "RationalFunction":
         """The polynomial sum of c t^e over a map {e: c} from exponents to
         elements of the field; zero coefficients drop out."""
+        F = self.field
         return self.element(
-            MultiPoly(self.ring, {(e,): c for e, c in coeffs.items()}))
+            MultiPoly(self.ring, {(e,): F.element(c).rep for e, c in coeffs.items()}))
 
     def const(self, c) -> "RationalFunction":
         return self.element(self.ring.const(c))
@@ -319,6 +323,7 @@ class RationalFunction(ScalarOps):
     """
 
     __slots__ = ("parent", "num", "den")
+    rep = property(lambda self: self)      # an element of F(d) is its own rep
 
     def __init__(self, parent, num, den):
         self.parent = parent
@@ -339,12 +344,13 @@ class RationalFunction(ScalarOps):
                 if rn or rd:
                     raise PolyRingError("division was not exact")
                 num, den = _poly(parent.ring, qn), _poly(parent.ring, qd)
-        dl = den.terms[max(den.terms)]
-        if dl != parent.field.one():
-            inv = dl.inverse()
-            num, den = (MultiPoly(parent.ring, {e: c * inv for e, c in p.terms.items()})
+        F = parent.field
+        dl = den.reps[max(den.reps)]
+        if dl != F._one_rep:
+            mul, inv = F._mul, F._inv(dl)
+            num, den = (MultiPoly(parent.ring, {e: mul(c, inv) for e, c in p.reps.items()})
                         for p in (num, den))
-        return cls(parent, num, parent.poly_one if max(den.terms) == (0,) else den)
+        return cls(parent, num, parent.poly_one if max(den.reps) == (0,) else den)
 
     def _peer(self, other):
         if isinstance(other, RationalFunction):
@@ -400,8 +406,8 @@ class RationalFunction(ScalarOps):
         return self.num == o.num and self.den == o.den
 
     def __hash__(self):
-        return hash((self.parent, frozenset(self.num.terms.items()),
-                     frozenset(self.den.terms.items())))
+        return hash((self.parent, frozenset(self.num.reps.items()),
+                     frozenset(self.den.reps.items())))
 
     def is_zero(self) -> bool:
         return self.num.is_zero()

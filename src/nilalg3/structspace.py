@@ -37,9 +37,8 @@ def _unflat(n: int) -> tuple:
 
 
 def _rep_terms(vec) -> list:
-    """(i, j, k, rep) per nonzero term; a polynomial or an element of F(d) is
-    its own rep."""
-    return [(i, j, k, getattr(c, "rep", c)) for i, j, k, c in vec.terms()]
+    """(i, j, k, rep) per nonzero term."""
+    return [(i, j, k, c.rep) for i, j, k, c in vec.terms()]
 
 
 class StructureVector:
@@ -134,7 +133,7 @@ class StructureVector:
         F = self.parent
         add, mul, is_zero = F._add, F._mul, F._is_zero
         x, y = ([None if is_zero(r) else r for r in
-                 (getattr(v, "rep", v) for v in map(F.element, u))] for u in (x, y))
+                 (F.element(v).rep for v in u)] for u in (x, y))
         out = [F._zero_rep] * 3
         for i, j, k, c in _rep_terms(self):
             xi, yj = x[i - 1], y[j - 1]
@@ -269,10 +268,6 @@ class Matrix3:
         return [sum((g[3 * i + j] * v[j] for j in range(3)), self.parent.zero())
                 for i in range(3)]
 
-    def scale(self, c) -> "Matrix3":
-        c = self.parent.element(c)
-        return Matrix3(self.parent, tuple(c * v for v in self.entries))
-
     def map_scalars(self, fn, new_parent) -> "Matrix3":
         return Matrix3(new_parent, tuple(fn(v) for v in self.entries))
 
@@ -302,7 +297,7 @@ def _act_with(vec: StructureVector, g: Matrix3, h: Matrix3) -> StructureVector:
     """
     parent = vec.parent
     add, mul, is_zero = parent._add, parent._mul, parent._is_zero
-    ge, he = ([getattr(v, "rep", v) for v in m.entries] for m in (g, h))
+    ge, he = ([v.rep for v in m.entries] for m in (g, h))
     rows = [[(a, v) for a, v in enumerate(ge[3 * i:3 * i + 3]) if not is_zero(v)]
             for i in range(3)]
     cols = [[(c, v) for c, v in enumerate(he[k::3]) if not is_zero(v)]

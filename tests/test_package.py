@@ -92,3 +92,17 @@ def test_no_dead_private_helpers():
             if defined.startswith("_") and not defined.startswith("__")
             and refs[defined] == _references(node)[defined]]
     assert not dead, dead
+
+
+def test_no_kernel_asks_whether_a_value_has_a_rep():
+    # every scalar has a rep (a polynomial and an element of F(d) are their
+    # own), so a getattr(x, "rep", ...) fallback is refused anywhere
+    found = []
+    for path in sorted(pathlib.Path(nilalg3.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                    and node.func.id == "getattr" and len(node.args) > 1
+                    and isinstance(node.args[1], ast.Constant)
+                    and node.args[1].value == "rep"):
+                found.append(f"{path.name}:{node.lineno}")
+    assert not found, found

@@ -5,16 +5,20 @@ arithmetic produces must agree with doing the arithmetic on field values
 after substituting random points.
 """
 
+import operator
 import random
 from fractions import Fraction
 
 import pytest
 
-from nilalg3.fields import PrimeField, RATIONALS, gf4, gf16
+from nilalg3.fields import (FieldElement, PrimeField, RATIONALS,
+                            SimpleExtension, _bracket_sum, gf4, gf16,
+                            signed_sum)
 from nilalg3 import polyring
 from nilalg3.polyring import (PoleAtZero, PolyRing, PolyRingError,
                               RationalFunction, RationalFunctionField,
                               limit_at_zero, t_valuation)
+from nilalg3.structspace import Matrix3
 
 
 def _random_poly(ring, rng, nterms=4, deg=3):
@@ -253,3 +257,139 @@ def test_polynomial_arithmetic_matches_the_fraction_route(name, K, pool):
                 assert got.den.terms == want.den.terms
                 if x.den.degree() == y.den.degree() == 0:
                     assert got.den is x.parent.poly_one
+
+
+# -- MultiPoly's arithmetic on element coefficients, as it was before it held
+# reps: the oracle for the rep kernel
+
+def _elem_add(a, b):
+    out = dict(a)
+    for e, c in b.items():
+        out[e] = c if e not in out else out[e] + c
+    return {e: c for e, c in out.items() if not c.is_zero()}
+
+
+def _elem_neg(a):
+    return {e: -c for e, c in a.items()}
+
+
+def _elem_mul(a, b):
+    out = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            e = tuple(map(operator.add, e1, e2))
+            c = c1 * c2
+            out[e] = c if e not in out else out[e] + c
+    return {e: c for e, c in out.items() if not c.is_zero()}
+
+
+def _elem_str(terms, ring):
+    return signed_sum(
+        ((_bracket_sum(repr(c)) if any(e) else repr(c),
+          "*".join(v if k == 1 else f"{v}^{k}"
+                   for v, k in zip(ring.vars, e) if k))
+         for e, c in sorted(terms.items(), reverse=True)), "*")
+
+
+def _rep_oracle_domains():
+    """(name, field, coefficient pool) over Q, GF(7), GF(4), GF(16), Q(i)
+    and Q(d)."""
+    Qi = SimpleExtension(RATIONALS, [1, 0, 1], "i")
+    i = Qi.generator()
+    Qd = RationalFunctionField(RATIONALS, "d")
+    d = Qd.gen()
+    return [
+        ("Q", RATIONALS, [RATIONALS.element(c) for c in
+                          (1, -1, 2, Fraction(6, 2), Fraction(1, 2), Fraction(-3, 4))]),
+        ("GF7", PrimeField(7), [PrimeField(7).element(c) for c in range(1, 7)]),
+        ("GF4", gf4(), list(gf4().elements())[1:]),
+        ("GF16", gf16(), list(gf16().elements())[1:]),
+        ("Q(i)", Qi, [Qi.one(), -Qi.one(), i, 1 + i, i / 2, Qi.from_int(2) / 3]),
+        ("Q(d)", Qd, [Qd.one(), -Qd.one(), d, d + 1, 1 / d, Qd.from_int(2)]),
+    ]
+
+
+@pytest.mark.parametrize("name, field, pool", _rep_oracle_domains(),
+                         ids=[name for name, *_ in _rep_oracle_domains()])
+def test_multipoly_matches_the_element_arithmetic(name, field, pool, monkeypatch):
+    # +, -, *, ==, terms and str against the element oracle on seeded pairs,
+    # sums that cancel included; MultiPoly's own arithmetic never reaches a
+    # FieldElement operator, stores no zero rep, and keeps an integral Q rep
+    # an int
+    rng = random.Random(f"rep-oracle-{name}")
+    R = PolyRing(field, ("x", "y"))
+    x, y = R.gens()
+
+    def draw():
+        terms, p = {}, R.zero()
+        for _ in range(rng.randint(0, 4)):
+            e, c = (rng.randrange(3), rng.randrange(3)), rng.choice(pool)
+            terms = _elem_add(terms, {e: c})
+            p = p + R.const(c) * x ** e[0] * y ** e[1]
+        return terms, p
+
+    def q_reps(p):      # the Q reps inside the coefficient reps
+        if field is RATIONALS:
+            return list(p.reps.values())
+        return [q for c in p.reps.values() for q in c] if name == "Q(i)" else []
+
+    def refuse(self, *args):
+        raise AssertionError("MultiPoly arithmetic ran a FieldElement operator")
+
+    for n in range(40):
+        (ta, a), (tb, b) = draw(), draw()
+        if n % 3 == 1:      # a + b is 0, or b's terms that a cancels
+            tb, b = (_elem_neg(ta), -a) if rng.random() < 0.5 else (
+                _elem_add(tb, _elem_neg(ta)), b - a)
+        assert a.terms == ta and b.terms == tb
+        for (tx, px), (ty, py) in (((ta, a), (tb, b)), ((tb, b), (ta, a))):
+            wants = [_elem_add(tx, ty), _elem_add(tx, _elem_neg(ty)), _elem_mul(tx, ty)]
+            with monkeypatch.context() as m:
+                for op in ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__",
+                           "__rmul__", "__neg__", "__eq__"):
+                    m.setattr(FieldElement, op, refuse)
+                gots = [px + py, px - py, px * py]
+                same = px == py
+            assert same == (tx == ty)
+            for got, want in zip(gots, wants):
+                assert got.terms == want
+                assert str(got) == _elem_str(want, R)
+                assert not any(map(field._is_zero, got.reps.values()))
+                assert all(q.__class__ is int or q.denominator != 1 for q in q_reps(got))
+            assert gots[0] == py + px and gots[0].is_zero() == (not wants[0])
+
+
+def test_equal_values_hash_equal():
+    # values equal by ==, built by different routes, hash alike and collapse
+    # in a set: curve_limit's dict.fromkeys over denominators relies on it
+    R = PolyRing(RATIONALS, ("x", "y"))
+    x, _ = R.gens()
+    assert len({R.const(Fraction(6, 2)) * x, x * 3, x + x + x}) == 1
+    for F in (RATIONALS, PrimeField(7)):
+        K, twin = (RationalFunctionField(F, "t") for _ in range(2))
+        assert K == twin and K is not twin and len({K, twin}) == 1
+        t = K.gen()
+        p = t * t + 3 * t       # the polynomial fast path
+        u = t.num + 1
+        routes = [p, K.polynomial({2: F.one(), 1: F.element(Fraction(6, 2))}),
+                  RationalFunction._make(K, p.num * u, K.ring.one() * u),
+                  (t ** 3 - 9 * t) / (t - 3),
+                  twin.gen() * twin.gen() + twin.from_int(3) * t]
+        assert all(r == p for r in routes) and len(set(routes)) == 1
+        dens = [(1 / (t + 2)).den, (t / (t * t + 2 * t)).den,
+                ((t + 1) / (twin.gen() + 2)).den]
+        assert len(dict.fromkeys(dens)) == 1
+    # entries over F(d)(t), whose coefficients are rational functions in d
+    Qd = RationalFunctionField(RATIONALS, "d")
+    L = RationalFunctionField(Qd, "t")
+    t, d = L.gen(), L.const(Qd.gen())
+    half = Fraction(1, 2)
+    first = [(t * t - d * d) / (t + d), t - d, t + L.const(-Qd.gen())]
+    second = [(d * t + d) / (2 * d), (t + 1) * half,
+              L.polynomial({1: Qd.const(half), 0: Qd.one() / 2})]
+    for same in (first, second):
+        assert all(r == same[0] for r in same) and len(set(same)) == 1
+    g = Matrix3.from_rows(L, [[first[0], second[0], 0], [0, 1, d], [0, 0, t]])
+    h = Matrix3.from_rows(L, [[first[1], second[2], L.zero()],
+                              [0, L.one(), L.const(Qd.gen())], [0, 0, t]])
+    assert g == h and len({g, h}) == 1
