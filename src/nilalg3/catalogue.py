@@ -159,15 +159,15 @@ def c5() -> AlgebraId:
 
 
 def adelta(field, d) -> AlgebraId:
-    return AlgebraId("a", d if isinstance(d, ScalarOps) else field.element(d))
+    return AlgebraId("a", field.element(d))
 
 
 def hbeta(field, b) -> AlgebraId:
-    return AlgebraId("h", b if isinstance(b, ScalarOps) else field.element(b))
+    return AlgebraId("h", field.element(b))
 
 
 def a3kappa(field, k) -> AlgebraId:
-    return AlgebraId("a3", k if isinstance(k, ScalarOps) else field.element(k))
+    return AlgebraId("a3", field.element(k))
 
 
 def quarter(field: Field) -> FieldElement:

@@ -637,7 +637,7 @@ def compose_curves(first: CurveWitness, second: CurveWitness) -> CurveWitness:
     rff = _rff(target_field)
 
     def lift(rf):
-        return _rf_map(rf, rff, lambda e, c: (e, target_field.embed(c)))
+        return _rf_map(rf, rff, lambda e, c: (e, target_field.element(c)))
 
     bridge_m = None
     if bridge is None and first.matrix.parent == rff == second.matrix.parent:

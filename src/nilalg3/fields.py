@@ -26,6 +26,9 @@ per-field map, so a sum or product of two elements of the same field object
 is a table lookup and a dict lookup, with no allocation.  The map is filled
 on first use of each code, which is why building a field costs what it did
 before; the rationals and number fields build a new element per result.
+
+One coercion rule serves the whole tower, polynomials included: ``_image``
+lifts a value into one domain, ``ScalarOps._common`` two operands into one.
 """
 
 from __future__ import annotations
@@ -60,10 +63,20 @@ class Field:
 
     # -- element factories -------------------------------------------------
 
+    _below = None   # the domain one step down the tower, whose values _up lifts
+
     def element(self, value) -> "FieldElement":
+        """value's image in this field, by the one coercion rule (``_image``)."""
         if value.__class__ is FieldElement and value.field is self:
             return value        # elements are immutable: nothing to coerce
-        return self._elem(self._coerce(value))
+        x = _image(self, value)
+        return self._refuse(value) if x is None else x
+
+    embed = element
+
+    def _refuse(self, value):
+        """The field layer's one refusal of a value with no image here."""
+        raise FieldError(f"cannot embed element of {_source(value)} into {self!r}")
 
     def zero(self) -> "FieldElement":
         return self.element(0)
@@ -74,11 +87,6 @@ class Field:
     def from_int(self, m: int) -> "FieldElement":
         """The image of the integer m, i.e. m copies of 1 added together."""
         return self.element(m)
-
-    def embed(self, x: "FieldElement") -> "FieldElement":
-        if x.field == self:
-            return x
-        raise FieldError(f"cannot embed element of {x.field!r} into {self!r}")
 
     # -- structure queries --------------------------------------------------
 
@@ -95,6 +103,7 @@ class Field:
     # -- representation hooks ------------------------------------------------
 
     def _coerce(self, value):
+        """The rep of an int or a Fraction."""
         raise NotImplementedError
 
     def _add(self, a, b):
@@ -116,49 +125,93 @@ class Field:
         raise NotImplementedError
 
 
-class ScalarOps:
-    """The derived operators of the scalar types, defined once.
+def _source(value) -> str:
+    """The domain of a value, for a refusal: its parent, or its type."""
+    return repr(value.parent) if isinstance(value, ScalarOps) else type(value).__name__
 
-    ``FieldElement``, ``MultiPoly`` and ``RationalFunction`` each supply
-    ``_peer`` (the other operand in their own type, or None when it has no
-    place there), ``__add__``, ``__neg__``, ``__mul__`` and ``_one``, and
-    the two field types ``inverse``; the operators below use nothing else.
-    A ring without division (``MultiPoly``) has no ``inverse``, which
-    ``Matrix3.inverse`` tests for, and names its error type in
-    ``_no_division``: ``/`` is then unsupported, and a power must be a
-    nonnegative integer.
+
+def _image(dom, v):
+    """v's image in the domain dom, or None: the one coercion rule.
+
+    A value of dom, or of an equal domain, is v itself.  A value of a domain
+    below dom (base or coefficient field, F[t] under F(t), on down
+    ``_below``) is lifted one step at a time by each level's ``_up``; so is
+    an int or a Fraction, whose rep in a field is ``_coerce``'s.
+    """
+    below = dom._below
+    if isinstance(v, ScalarOps):
+        src = v.parent      # equal domains are of one class
+        if src is dom or src.__class__ is dom.__class__ and src == dom:
+            return v
+        if below is None:
+            return None
+    elif not isinstance(v, (int, Fraction)):
+        return None
+    elif isinstance(dom, Field):    # down a field's tower on reps alone
+        return dom._elem(dom._coerce(v))
+    x = _image(below, v)
+    return None if x is None else dom._up(x)
+
+
+class ScalarOps:
+    """The derived operators of the scalar types and the two-operand rule.
+
+    ``FieldElement``, ``MultiPoly`` and ``RationalFunction`` each name their
+    domain ``parent`` and supply ``__add__``, ``__neg__``, ``__mul__``,
+    ``__eq__`` and ``_one``, and the two field types ``inverse``; each has a
+    fast path for an operand of the same parent (``is``, then ``==``) and
+    sends any other through ``_common``.  A ring without division
+    (``MultiPoly``) names its error type in ``_no_division``: ``/`` is then
+    unsupported, and a power must be a nonnegative integer.
     """
 
     __slots__ = ()
     _no_division = None
 
-    def __sub__(self, other):
-        o = self._peer(other)
-        if o is None:
+    def _common(self, other, refuse=True):
+        """(self, other) in the higher of their domains, lifting either one:
+        Python reflects no operator between two operands of one class (``d *
+        t`` over F(d)(t), GF(2) times GF(4)).  None when other is no scalar, or
+        for unrelated domains unless ``refuse``."""
+        if not isinstance(other, ScalarOps):
+            is_number = isinstance(other, (int, Fraction))
+            return (self, self.parent.element(other)) if is_number else None
+        a, b = self.parent, other.parent
+        x = _image(a, other)
+        if x is not None:
+            return self, x
+        y = _image(b, self)
+        if y is not None:
+            return y, other
+        if not refuse:
+            return None
+        if isinstance(b, Field) and not isinstance(a, Field):
+            a._refuse(other)    # the polynomial layer refuses, in either order
+        b._refuse(self)
+
+    def _mixed(self, other, op, divides=False):
+        """op on the pair from ``_common``; a division needs a field."""
+        pair = self._common(other)
+        if pair is None or divides and pair[0]._no_division is not None:
             return NotImplemented
-        return self + (-o)
+        return op(*pair)
+
+    def _equal(self, other):
+        """== once the fast path missed: False for unrelated domains."""
+        pair = self._common(other, refuse=False)
+        return NotImplemented if pair is None else pair[0] == pair[1]
+
+    def __sub__(self, other):
+        return self._mixed(other, lambda a, b: a + (-b))
 
     def __rsub__(self, other):
-        o = self._peer(other)
-        if o is None:
-            return NotImplemented
-        return o + (-self)
+        return self._mixed(other, lambda a, b: b + (-a))
 
     def __truediv__(self, other):
-        if self._no_division is not None:
-            return NotImplemented
-        o = self._peer(other)
-        if o is None:
-            return NotImplemented
-        return self * o.inverse()
+        return self._mixed(other, lambda a, b: a * b.inverse(), True)
 
     def __rtruediv__(self, other):
-        if self._no_division is not None:
-            return NotImplemented
-        o = self._peer(other)
-        if o is None:
-            return NotImplemented
-        return o * self.inverse()
+        return self._mixed(other, lambda a, b: b * a.inverse(), True)
 
     def __pow__(self, n: int):
         if self._no_division is not None and not (isinstance(n, int) and n >= 0):
@@ -180,12 +233,12 @@ class FieldElement(ScalarOps):
     """A value of one field of the tower, stored in canonical form.
 
     Every operator first tests whether the other operand is an element of
-    the very same field object, and then needs no coercion: the result is
-    ``field._elem`` of the hook's rep, a table lookup in a finite field.
-    Ints, Fractions and elements of an equal field that is another object
-    go through ``_peer``.  ``FieldElement(field, rep)`` builds a new object;
-    the library builds through ``field.element`` and ``field._elem``, so
-    that a finite field only hands out its interned elements.
+    the very same field object, or of an equal one, and then needs no
+    coercion: the result is ``field._elem`` of the hook's rep, a table
+    lookup in a finite field.  Any other operand goes through ``_common``.
+    ``FieldElement(field, rep)`` builds a new object; the library builds
+    through ``field.element`` and ``field._elem``, so that a finite field
+    only hands out its interned elements.
     """
 
     __slots__ = ("field", "rep")
@@ -200,23 +253,11 @@ class FieldElement(ScalarOps):
     def __delattr__(self, name):
         raise AttributeError("FieldElement is immutable")
 
-    def _peer(self, other):
-        if isinstance(other, FieldElement):
-            if other.field is not self.field and other.field != self.field:
-                raise FieldError("elements belong to different fields")
-            return other
-        if isinstance(other, (int, Fraction)):
-            return self.field.element(other)
-        return None
-
     def __add__(self, other):
         f = self.field
-        if other.__class__ is FieldElement and other.field is f:
+        if other.__class__ is FieldElement and (other.field is f or other.field == f):
             return f._elem(f._add(self.rep, other.rep))
-        o = self._peer(other)
-        if o is None:
-            return NotImplemented
-        return f._elem(f._add(self.rep, o.rep))
+        return self._mixed(other, operator.add)
 
     __radd__ = __add__
 
@@ -226,20 +267,23 @@ class FieldElement(ScalarOps):
 
     def __sub__(self, other):
         f = self.field
-        if other.__class__ is FieldElement and other.field is f:
+        if other.__class__ is FieldElement and (other.field is f or other.field == f):
             return f._elem(f._add(self.rep, f._neg(other.rep)))
         return ScalarOps.__sub__(self, other)
 
     def __mul__(self, other):
         f = self.field
-        if other.__class__ is FieldElement and other.field is f:
+        if other.__class__ is FieldElement and (other.field is f or other.field == f):
             return f._elem(f._mul(self.rep, other.rep))
-        o = self._peer(other)
-        if o is None:
-            return NotImplemented
-        return f._elem(f._mul(self.rep, o.rep))
+        return self._mixed(other, operator.mul)
 
     __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        f = self.field
+        if other.__class__ is FieldElement and (other.field is f or other.field == f):
+            return f._elem(f._mul(self.rep, other.inverse().rep))
+        return ScalarOps.__truediv__(self, other)
 
     def inverse(self) -> "FieldElement":
         f = self.field
@@ -251,13 +295,10 @@ class FieldElement(ScalarOps):
         return self.field.one()
 
     def __eq__(self, other):
-        if other.__class__ is FieldElement and other.field is self.field:
+        f = self.field
+        if other.__class__ is FieldElement and (other.field is f or other.field == f):
             return self.rep == other.rep
-        if isinstance(other, (int, Fraction)):
-            other = self.field.element(other)
-        if not isinstance(other, FieldElement):
-            return NotImplemented
-        return self.field == other.field and self.rep == other.rep
+        return self._equal(other)
 
     def __hash__(self):
         return hash((self.field, self.rep))
@@ -272,6 +313,7 @@ class FieldElement(ScalarOps):
 _new = object.__new__
 _set_field = FieldElement.field.__set__
 _set_rep = FieldElement.rep.__set__
+FieldElement.parent = FieldElement.field    # the name every scalar gives its domain
 
 
 def _make(field: Field, rep) -> FieldElement:
@@ -328,11 +370,7 @@ class Rationals(Field):
             return int(value)           # a bool is no rep
         if isinstance(value, Fraction):
             return value.numerator if value.denominator == 1 else value
-        if isinstance(value, FieldElement):
-            if value.field != self:
-                raise FieldError("element belongs to a different field")
-            return value.rep
-        raise FieldError(f"cannot build a rational from {value!r}")
+        return self.element(value).rep
 
     def _add(self, a, b):
         c = a + b
@@ -401,18 +439,12 @@ class PrimeField(Field):
             yield self._elem(r)
 
     def _coerce(self, value):
-        if isinstance(value, FieldElement):
-            if value.field != self:
-                raise FieldError("element belongs to a different field")
-            return value.rep
         if isinstance(value, int):
             return value % self.p
-        if isinstance(value, Fraction):
-            den = value.denominator % self.p
-            if den == 0:
-                raise FieldError(f"denominator of {value} vanishes mod {self.p}")
-            return value.numerator * pow(den, -1, self.p) % self.p
-        raise FieldError(f"cannot build a GF({self.p}) element from {value!r}")
+        den = value.denominator % self.p
+        if den == 0:
+            raise FieldError(f"denominator of {value} vanishes mod {self.p}")
+        return value.numerator * pow(den, -1, self.p) % self.p
 
     def _add(self, a, b):
         return (a + b) % self.p
@@ -557,9 +589,9 @@ class _Extension(Field):
 
     The part shared by :class:`SimpleExtension` (characteristic 0) and
     :class:`FiniteField`: the normalised minimal polynomial, the refusal of
-    reducible ones and of a generator name the tower already uses,
-    embedding, coercion, rendering and equality.  Each subclass supplies its
-    representation through ``_lift`` (the rep of a base rep),
+    reducible ones and of a generator name the tower already uses, the step
+    up from the base (``_up``), coefficient lists in ``element``, rendering
+    and equality.  Each subclass supplies its representation through ``_lift`` (the rep of a base rep),
     ``_from_coefficients`` (the rep of a list of base reps, the coefficients
     of the powers of the generator, reduced modulo m) and ``_coefficients``
     (the base reps of the coefficients of a rep, constant first).
@@ -573,7 +605,7 @@ class _Extension(Field):
             raise FieldError("minimal polynomial must have degree at least 2")
         inv_lead = base._inv(m[-1])
         self._m = [base._mul(c, inv_lead) for c in m]       # monic
-        self.base = base
+        self.base = self._below = base
         self.name = name
         self.minpoly = tuple(map(base._elem, self._m))
         self.degree = len(m) - 1
@@ -617,26 +649,20 @@ class _Extension(Field):
     def generator(self) -> FieldElement:
         return self.element([0, 1])
 
-    def embed(self, x: FieldElement) -> FieldElement:
-        if isinstance(x, FieldElement) and x.field == self:
-            return x
-        try:
-            bx = x if x.field == self.base else self.base.embed(x)
-        except FieldError:      # name the field asked for, not a base below it
-            raise FieldError(
-                f"cannot embed element of {x.field!r} into {self!r}") from None
-        return self._elem(self._lift(bx.rep))
+    def element(self, value) -> FieldElement:
+        """``Field.element``; a list or tuple gives the coefficients of 1, g, ..."""
+        if value.__class__ is FieldElement and value.field is self:
+            return value
+        if isinstance(value, (tuple, list)):
+            return self._elem(self._from_coefficients(
+                [self.base.element(c).rep for c in value]))
+        return Field.element(self, value)
+
+    def _up(self, x: FieldElement) -> FieldElement:
+        return self._elem(self._lift(x.rep))
 
     def _coerce(self, value):
-        if isinstance(value, FieldElement):
-            if value.field == self:
-                return value.rep
-            return self.embed(value).rep
-        if isinstance(value, (int, Fraction)):
-            return self._lift(self.base.element(value).rep)
-        if isinstance(value, (tuple, list)):
-            return self._from_coefficients([self.base.element(c).rep for c in value])
-        raise FieldError(f"cannot build an element of {self!r} from {value!r}")
+        return self._lift(self.base._coerce(value))
 
     def _render(self, a):
         base = self.base
@@ -966,11 +992,10 @@ def square_roots(x: FieldElement) -> list:
 
 
 def quadratic_roots(a: FieldElement, b: FieldElement, c: FieldElement) -> list:
-    """All roots of a*x**2 + b*x + c in the common field of a, b, c, by rep
+    """All roots of a*x**2 + b*x + c in the highest field of a, b, c, by rep
     (see ``_roots``)."""
-    field = a.field
-    if b.field != field or c.field != field:
-        raise FieldError("coefficients belong to different fields")
+    field = a._common(b)[0]._common(c)[0].field
+    a, b, c = map(field.element, (a, b, c))
     if a.is_zero():
         raise FieldError("leading coefficient is zero")
     return _roots(field, [c, b, a])

@@ -50,12 +50,11 @@ def row_reduce(rows: list) -> tuple:
 
     The input is a list of lists of elements of one field and is not
     modified; the rref rows hold elements of that field, which is read off
-    an entry (``.field``, or ``.parent`` in F(d)).
+    an entry's ``parent``.
     """
     if not rows or not rows[0]:
         return [list(r) for r in rows], []
-    x = rows[0][0]
-    F = x.field if hasattr(x, "field") else x.parent
+    F = rows[0][0].parent
     m = [[v.rep for v in r] for r in rows]
     pivots = _gauss_jordan(m, F)
     return [list(map(F._elem, r)) for r in m], pivots

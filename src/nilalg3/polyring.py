@@ -16,8 +16,9 @@ no gcd; only proper fractions take the general route.
 The gcd and the division behind it are the polynomial kernel of
 ``fields`` (``_pgcd``, ``_pdivmod``), run on the coefficients' reps.
 ``PolyRing``, like F(t), has the rep hooks as Python's operators, for the
-kernels of ``structspace``.  The derived
-operators (``-``, ``/``, ``**``) come from ``fields.ScalarOps``.  Curve
+kernels of ``structspace``.  The derived operators (``-``, ``/``, ``**``)
+and the coercion rule come from ``fields``: F[t] lies below F(t) and the
+coefficient field below F[t], and a refusal is a ``PolyRingError``.  Curve
 limits are checked over F[t] by ``degeneration.curve_limit``, which reads
 the reps of the entries' numerators and denominators and leaves the
 arithmetic to its own kernel; ``limit_at_zero`` is the rational-function
@@ -27,10 +28,9 @@ route that cross-checks it.
 from __future__ import annotations
 
 import operator
-from fractions import Fraction
 
-from .fields import (Field, FieldElement, ScalarOps, _bracket_sum, _pdivmod,
-                     _pgcd, signed_sum)
+from .fields import (Field, FieldElement, ScalarOps, _bracket_sum, _image,
+                     _pdivmod, _pgcd, _source, signed_sum)
 
 
 class PolyRingError(ArithmeticError):
@@ -45,7 +45,7 @@ class PolyRing:
     """Polynomials in a fixed ordered tuple of variables over one field."""
 
     def __init__(self, field: Field, variables):
-        self.field = field
+        self.field = self._below = field
         self.vars = tuple(variables)
         if len(set(self.vars)) != len(self.vars):
             raise PolyRingError("duplicate variable names")
@@ -59,30 +59,32 @@ class PolyRing:
     def gens(self):
         return tuple(self.var(v) for v in self.vars)
 
-    def const(self, c) -> "MultiPoly":
-        return MultiPoly(self, {(0,) * len(self.vars): self.field.element(c).rep})
-
     def element(self, v) -> "MultiPoly":
-        """Coerce v (polynomial, field element, int, Fraction) into this ring."""
-        if isinstance(v, MultiPoly):
-            if v.ring is not self and v.ring != self:
-                raise PolyRingError("polynomial from a different ring")
-            return v
-        return self.const(v)
+        """v's image in this ring by the one coercion rule (``fields._image``)."""
+        if v.__class__ is MultiPoly and v.ring is self:
+            return v        # a kernel's own rep, through _elem
+        x = _image(self, v)
+        return self._refuse(v) if x is None else x
+
+    const = from_int = element
+
+    def _refuse(self, v):
+        """The polynomial layer's one refusal of a value with no image here."""
+        raise PolyRingError(f"no image of an element of {_source(v)} in {self!r}")
+
+    def _up(self, c) -> "MultiPoly":
+        return MultiPoly(self, {(0,) * len(self.vars): c.rep})
 
     def zero(self) -> "MultiPoly":
         return MultiPoly(self, {})
 
     def one(self) -> "MultiPoly":
-        return self.const(self.field.one())
+        return self._up(self.field.one())
 
     # the rep hooks of structspace's kernels: a polynomial is its own rep
     _elem = element
     _add, _mul, _neg = operator.add, operator.mul, operator.neg
     _is_zero, _zero_rep = operator.methodcaller("is_zero"), property(zero)
-
-    def from_int(self, m: int) -> "MultiPoly":
-        return self.const(self.field.from_int(m))
 
     def __eq__(self, other):
         return (isinstance(other, PolyRing) and other.field == self.field
@@ -114,27 +116,17 @@ class MultiPoly(ScalarOps):
         elem = self.ring.field._elem
         return {e: elem(c) for e, c in self.reps.items()}
 
-    def _peer(self, other):
-        if isinstance(other, MultiPoly):
-            if other.ring is not self.ring and other.ring != self.ring:
-                raise PolyRingError("polynomials from different rings")
-            return other
-        if isinstance(other, (int, Fraction, FieldElement)):
-            return self.ring.const(other)
-        if isinstance(other, RationalFunction) and other.parent == self.ring.field:
-            return self.ring.const(other)       # a scalar of F(d)[t]
-        return None
-
     def __add__(self, other):
-        o = self._peer(other)
-        if o is None:
-            return NotImplemented
-        add = self.ring.field._add
+        R = self.ring
+        if other.__class__ is not MultiPoly or (
+                other.ring is not R and other.ring != R):
+            return self._mixed(other, operator.add)
+        add = R.field._add
         reps = dict(self.reps)
-        for e, c in o.reps.items():
+        for e, c in other.reps.items():
             s = reps.get(e)
             reps[e] = c if s is None else add(s, c)
-        return MultiPoly(self.ring, reps)
+        return MultiPoly(R, reps)
 
     __radd__ = __add__
 
@@ -143,19 +135,19 @@ class MultiPoly(ScalarOps):
         return MultiPoly(self.ring, {e: neg(c) for e, c in self.reps.items()})
 
     def __mul__(self, other):
-        o = self._peer(other)
-        if o is None:
-            return NotImplemented
-        F = self.ring.field
-        add, mul = F._add, F._mul
+        R = self.ring
+        if other.__class__ is not MultiPoly or (
+                other.ring is not R and other.ring != R):
+            return self._mixed(other, operator.mul)
+        add, mul = R.field._add, R.field._mul
         reps: dict = {}
         for e1, c1 in self.reps.items():
-            for e2, c2 in o.reps.items():
+            for e2, c2 in other.reps.items():
                 e = tuple(map(operator.add, e1, e2))
                 c = mul(c1, c2)
                 s = reps.get(e)
                 reps[e] = c if s is None else add(s, c)
-        return MultiPoly(self.ring, reps)
+        return MultiPoly(R, reps)
 
     __rmul__ = __mul__
 
@@ -163,10 +155,11 @@ class MultiPoly(ScalarOps):
         return self.ring.one()
 
     def __eq__(self, other):
-        o = self._peer(other)
-        if o is None:
-            return NotImplemented
-        return self.reps == o.reps
+        R = self.ring
+        if other.__class__ is not MultiPoly or (
+                other.ring is not R and other.ring != R):
+            return self._equal(other)
+        return self.reps == other.reps
 
     def __hash__(self):
         return hash((self.ring, frozenset(self.reps.items())))
@@ -179,25 +172,21 @@ class MultiPoly(ScalarOps):
         return max((sum(e) for e in self.reps), default=-1)
 
     def evaluate(self, assignment: dict) -> FieldElement:
-        """Evaluate at a full assignment mapping variable names to elements."""
+        """Evaluate at a full assignment: variable name -> a field value."""
         field = self.ring.field
         point = []
         for v in self.ring.vars:
             if v not in assignment:
                 raise PolyRingError(f"no value for variable {v!r}")
-            x = assignment[v]
-            x = field.element(x) if not isinstance(x, FieldElement) else x
-            if x.field != field:
-                raise PolyRingError("evaluation point from a different field")
-            point.append(x)
-        out = field.zero()
-        for e, c in self.terms.items():
-            term = c
+            point.append(field.element(assignment[v]).rep)
+        add, mul = field._add, field._mul
+        out = field._zero_rep
+        for e, c in self.reps.items():
             for x, k in zip(point, e):
                 for _ in range(k):
-                    term = term * x
-            out = out + term
-        return out
+                    c = mul(c, x)
+            out = add(out, c)
+        return field._elem(out)
 
     def __str__(self):
         return signed_sum(
@@ -207,6 +196,9 @@ class MultiPoly(ScalarOps):
              for e, c in sorted(self.terms.items(), reverse=True)), "*")
 
     __repr__ = __str__
+
+
+MultiPoly.parent = MultiPoly.ring       # the name every scalar gives its domain
 
 
 # -- univariate helpers ------------------------------------------------------
@@ -231,9 +223,8 @@ def _poly(ring: PolyRing, reps) -> MultiPoly:
 
 def poly_gcd(a: MultiPoly, b: MultiPoly) -> MultiPoly:
     """Monic gcd of two univariate polynomials over a field."""
+    a, b = a._common(b)
     _require_univariate(a)
-    if a.ring != b.ring:
-        raise PolyRingError("polynomials from different rings")
     return _poly(a.ring, _pgcd(_reps(a), _reps(b), a.ring.field)[0])
 
 
@@ -250,20 +241,27 @@ class RationalFunctionField:
         self.field = field
         self.varname = varname
         self.char = field.char
-        self.ring = PolyRing(field, (varname,))
+        self.ring = self._below = PolyRing(field, (varname,))
         # the denominator of every polynomial: RationalFunction's operators
         # take the polynomial route when both operands' denominators are it
         self.poly_one = self.ring.one()
 
     def element(self, num, den=None) -> "RationalFunction":
-        if isinstance(num, RationalFunction) and den is None:
-            if num.parent is not self and num.parent != self:
-                raise PolyRingError("rational function from a different field")
-            return num
-        num = self._as_poly(num)
-        if den is None:     # over 1 a polynomial is already canonical
-            return RationalFunction(self, num, self.poly_one)
-        return RationalFunction._make(self, num, self._as_poly(den))
+        """num's image in F(t) by the one coercion rule, or num/den for two
+        values that ``ring.element`` takes."""
+        if den is None:
+            if num.__class__ is RationalFunction and num.parent is self:
+                return num
+            x = _image(self, num)
+            return self._refuse(num) if x is None else x
+        return RationalFunction._make(self, self.ring.element(num),
+                                      self.ring.element(den))
+
+    const = from_int = element
+    _refuse = PolyRing._refuse
+
+    def _up(self, p: MultiPoly) -> "RationalFunction":
+        return RationalFunction(self, p, self.poly_one)     # p/1 is canonical
 
     # F(t) as the base of F(t)[s] for the polynomial kernel in fields, which
     # RationalFunction._make runs over F(d)(t): an element is its own rep
@@ -273,36 +271,21 @@ class RationalFunctionField:
     _zero_rep = property(lambda self: self.zero())
     _one_rep = property(lambda self: self.one())
 
-    def _as_poly(self, v) -> MultiPoly:
-        if isinstance(v, RationalFunction):
-            raise PolyRingError("got a rational function where a polynomial fits")
-        if isinstance(v, MultiPoly):
-            if v.ring is not self.ring and v.ring != self.ring:
-                raise PolyRingError("polynomial from a different ring")
-            return v
-        return self.ring.const(v)
-
     def polynomial(self, coeffs: dict) -> "RationalFunction":
         """The polynomial sum of c t^e over a map {e: c} from exponents to
         elements of the field; zero coefficients drop out."""
         F = self.field
-        return self.element(
+        return self._up(
             MultiPoly(self.ring, {(e,): F.element(c).rep for e, c in coeffs.items()}))
 
-    def const(self, c) -> "RationalFunction":
-        return self.element(self.ring.const(c))
-
     def zero(self) -> "RationalFunction":
-        return self.element(self.ring.zero())
+        return self._up(self.ring.zero())
 
     def one(self) -> "RationalFunction":
-        return self.element(self.ring.one())
-
-    def from_int(self, m: int) -> "RationalFunction":
-        return self.element(self.ring.from_int(m))
+        return self._up(self.ring.one())
 
     def gen(self) -> "RationalFunction":
-        return self.element(self.ring.var(self.varname))
+        return self._up(self.ring.var(self.varname))
 
     def __eq__(self, other):
         return (isinstance(other, RationalFunctionField)
@@ -352,28 +335,15 @@ class RationalFunction(ScalarOps):
                         for p in (num, den))
         return cls(parent, num, parent.poly_one if max(den.reps) == (0,) else den)
 
-    def _peer(self, other):
-        if isinstance(other, RationalFunction):
-            if other.parent is not self.parent and other.parent != self.parent:
-                raise PolyRingError("rational functions from different fields")
-            return other
-        if isinstance(other, MultiPoly):
-            if other.ring is not self.parent.ring and other.ring.field == self.parent:
-                return None     # self is the scalar: the polynomial's operator runs
-            return self.parent.element(other)
-        if isinstance(other, (int, Fraction, FieldElement)):
-            return self.parent.const(other)
-        return None
-
     def __add__(self, other):
-        o = self._peer(other)
-        if o is None:
-            return NotImplemented
         P = self.parent
-        if self.den is P.poly_one and o.den is o.parent.poly_one:
-            return RationalFunction(P, self.num + o.num, P.poly_one)
+        if other.__class__ is not RationalFunction or (
+                other.parent is not P and other.parent != P):
+            return self._mixed(other, operator.add)
+        if self.den is P.poly_one and other.den is other.parent.poly_one:
+            return RationalFunction(P, self.num + other.num, P.poly_one)
         return RationalFunction._make(
-            P, self.num * o.den + o.num * self.den, self.den * o.den)
+            P, self.num * other.den + other.num * self.den, self.den * other.den)
 
     __radd__ = __add__
 
@@ -381,13 +351,13 @@ class RationalFunction(ScalarOps):
         return RationalFunction(self.parent, -self.num, self.den)
 
     def __mul__(self, other):
-        o = self._peer(other)
-        if o is None:
-            return NotImplemented
         P = self.parent
-        if self.den is P.poly_one and o.den is o.parent.poly_one:
-            return RationalFunction(P, self.num * o.num, P.poly_one)
-        return RationalFunction._make(P, self.num * o.num, self.den * o.den)
+        if other.__class__ is not RationalFunction or (
+                other.parent is not P and other.parent != P):
+            return self._mixed(other, operator.mul)
+        if self.den is P.poly_one and other.den is other.parent.poly_one:
+            return RationalFunction(P, self.num * other.num, P.poly_one)
+        return RationalFunction._make(P, self.num * other.num, self.den * other.den)
 
     __rmul__ = __mul__
 
@@ -400,10 +370,11 @@ class RationalFunction(ScalarOps):
         return self.parent.one()
 
     def __eq__(self, other):
-        o = self._peer(other)
-        if o is None:
-            return NotImplemented
-        return self.num == o.num and self.den == o.den
+        P = self.parent
+        if other.__class__ is not RationalFunction or (
+                other.parent is not P and other.parent != P):
+            return self._equal(other)
+        return self.num == other.num and self.den == other.den
 
     def __hash__(self):
         return hash((self.parent, frozenset(self.num.reps.items()),

@@ -92,7 +92,7 @@ class StructureVector:
     def is_zero(self) -> bool:
         return not self.terms()
 
-    def _peer(self, other):
+    def _same_parent(self, other):
         if not isinstance(other, StructureVector):
             raise StructureError("expected a structure vector")
         if other.parent != self.parent:
@@ -100,12 +100,12 @@ class StructureVector:
         return other
 
     def __add__(self, other):
-        o = self._peer(other)
+        o = self._same_parent(other)
         return StructureVector(self.parent,
                                tuple(a + b for a, b in zip(self.coeffs, o.coeffs)))
 
     def __sub__(self, other):
-        o = self._peer(other)
+        o = self._same_parent(other)
         return StructureVector(self.parent,
                                tuple(a - b for a, b in zip(self.coeffs, o.coeffs)))
 

@@ -559,3 +559,27 @@ def test_lift_search_hit_to_rationals():
     assert lifted.base_field == Q
     assert verify_witness(lifted) == structure_of(L1, Q)
     assert lifted.src.param == Q.element(2)
+
+
+def test_act_lifts_a_generic_point_structure_into_the_curve_domain():
+    # a(d) over Q(d), moved by the pinch-family curve over Q(d)(t), gives
+    # what the structure built over Q(d)(t) itself gives
+    Qd = RationalFunctionField(Q, "d")
+    d = Qd.gen()
+    w = degeneration._library_curve(adelta(Qd, d), C1, Qd)
+    assert w.note == "pinch-family"
+    L = w.matrix.parent
+    lifted = act(structure_of(adelta(Qd, d), Qd), w.matrix)
+    assert lifted == act(structure_of(adelta(L, L.const(d)), L), w.matrix)
+    assert lifted.parent == L
+
+
+def test_compose_a_generic_point_curve_with_a_rational_one():
+    # a(d) -> c1 over Q(d), then c1 -> a0 over Q: the composite certifies
+    # a(d) -> a0 over Q(d)
+    Qd = RationalFunctionField(Q, "d")
+    first = degeneration._library_curve(adelta(Qd, Qd.gen()), C1, Qd)
+    combined = compose_curves(first, known_witness(C1, A0, Q))
+    assert combined.src == adelta(Qd, Qd.gen()) and combined.dst == A0
+    assert combined.base_field == Qd
+    assert verify_witness(combined) == structure_of(A0, Qd)

@@ -733,3 +733,106 @@ def test_equal_fields_built_apart_mix(make):
         assert (x - y).is_zero()
     with pytest.raises(FieldError):
         PrimeField(5).one() + PrimeField(7).one()
+
+
+# -- the one coercion rule ------------------------------------------------------
+
+
+def test_subfield_operands_follow_element():
+    F16 = gf16()
+    F4, F2 = F16.base, F16.base.base
+    one2, w = PrimeField(2).one(), F4.generator()
+    assert gf4().one() + one2 == one2 + gf4().one() == gf4().zero()
+    assert one2 * w == w * one2 == w and (w * one2).field is F4
+    assert gf4().embed(3) == gf4().one() and RATIONALS.embed(2) == RATIONALS.from_int(2)
+    x = PolyRing(F16, ("x",)).var("x")
+    assert (x * x + 1).evaluate({"x": w}) == F16.embed(w * w + 1)
+    assert quadratic_roots(F4.one(), F16.zero(), F16.generator()) == \
+        quadratic_roots(F16.one(), F16.zero(), F16.generator())
+    assert quadratic_roots(F16.one(), F4.one(), w) == \
+        quadratic_roots(F16.one(), F16.one(), F16.embed(w))
+    assert F2.element(1) * F16.generator() == F16.generator()
+
+
+def _coercion_towers():
+    """Each tower as (domain, value maker) pairs, bottom first."""
+    F16 = gf16()
+    Qi = SimpleExtension(RATIONALS, [1, 0, 1], "i")
+    K7 = RationalFunctionField(PrimeField(7), "t")
+    Qd = RationalFunctionField(RATIONALS, "d")
+    L = RationalFunctionField(Qd, "t")
+
+    def finite(F):
+        return lambda rng: F.element(rng.choice(list(F.elements())))
+
+    def rational(rng):
+        return RATIONALS.element(Fraction(rng.randint(-3, 3), rng.randint(1, 3)))
+
+    def poly(ring, coeff):
+        u = ring.var(ring.vars[0])
+        return lambda rng: sum((ring.const(coeff(rng)) * u ** e
+                                for e in range(rng.randint(0, 2))), ring.zero())
+
+    def fraction(K, coeff):
+        num, den = poly(K.ring, coeff), poly(K.ring, coeff)
+
+        def make(rng):
+            d = den(rng)
+            return K.element(num(rng), d if not d.is_zero() else K.ring.one())
+        return make
+
+    qd = fraction(Qd, rational)
+    return [
+        [(F16.base.base, finite(F16.base.base)), (F16.base, finite(F16.base)),
+         (F16, finite(F16))],
+        [(RATIONALS, rational),
+         (Qi, lambda rng: Qi.element([rational(rng), rational(rng)]))],
+        [(PrimeField(7), finite(PrimeField(7))),
+         (K7.ring, poly(K7.ring, finite(PrimeField(7)))),
+         (K7, fraction(K7, finite(PrimeField(7))))],
+        [(RATIONALS, rational), (Qd, qd), (L.ring, poly(L.ring, qd)),
+         (L, fraction(L, qd))],
+    ]
+
+
+RULE_OPS = {"+": lambda a, b: a + b, "-": lambda a, b: a - b,
+            "*": lambda a, b: a * b, "/": lambda a, b: a / b}
+
+
+def _outcome(op, a, b):
+    try:
+        return op(a, b)
+    except (TypeError, ZeroDivisionError, FieldError, PolyRingError) as exc:
+        return type(exc)
+
+
+def test_the_coercion_rule_over_the_towers():
+    # two values of one tower meet in the higher domain, in either order,
+    # exactly as their explicit images there do; values of unrelated
+    # domains are unequal and refused in both orders
+    rng = random.Random("coercion rule")
+    towers = _coercion_towers()
+    for tower in towers:
+        for (lo, make_lo), (hi, make_hi) in itertools.combinations_with_replacement(
+                tower, 2):
+            for _ in range(6):
+                x, y = make_lo(rng), make_hi(rng)
+                X, Y = hi.element(x), hi.element(y)
+                assert X == x and x == X and (x == y) == (X == Y) == (y == x)
+                for name, op in RULE_OPS.items():
+                    for (a, b), (A, B) in (((x, y), (X, Y)), ((y, x), (Y, X))):
+                        got, want = _outcome(op, a, b), _outcome(op, A, B)
+                        if isinstance(want, type):
+                            assert got is want, (name, a, b)
+                        else:
+                            assert got == want and got.parent == hi, (name, a, b)
+    chains = [[dom for dom, _ in tower] for tower in towers]
+    domains = [pair for tower in towers for pair in tower]
+    for (D, make_d), (E, make_e) in itertools.combinations(domains, 2):
+        if any(D in chain and E in chain for chain in chains):
+            continue
+        x, y = make_d(rng), make_e(rng)
+        assert not x == y and not y == x and x != y
+        for name, op in RULE_OPS.items():
+            got = {_outcome(op, x, y), _outcome(op, y, x)}
+            assert len(got) == 1 and got <= {FieldError, PolyRingError}, (name, x, y)

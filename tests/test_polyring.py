@@ -393,3 +393,21 @@ def test_equal_values_hash_equal():
     h = Matrix3.from_rows(L, [[first[1], second[2], L.zero()],
                               [0, L.one(), L.const(Qd.gen())], [0, 0, t]])
     assert g == h and len({g, h}) == 1
+
+
+def test_function_field_scalars_enter_the_field_over_them():
+    # Q(d) lies below Q(d)[t] below L = Q(d)(t): d enters L by element, by
+    # either operand of every operator, and in a matrix row
+    Qd = RationalFunctionField(RATIONALS, "d")
+    L = RationalFunctionField(Qd, "t")
+    t, d = L.gen(), Qd.gen()
+    dL = L.const(d)
+    assert L.element(d) == dL and L.element(d).parent is L
+    for got, want in ((t * d, t * dL), (d * t, dL * t), (t + d, t + dL),
+                      (d + t, dL + t), (d - t, dL - t), (t - d, t - dL),
+                      (d / t, dL / t), (t / d, t / dL)):
+        assert got == want and got.parent == L
+    assert dL == d and d == dL and dL != d + 1
+    g = Matrix3.from_rows(L, [[d, 0, 0], [0, 1, 0], [0, 0, t]])
+    assert g.entries[0] == dL and g == Matrix3.from_rows(
+        L, [[dL, 0, 0], [0, 1, 0], [0, 0, t]])
