@@ -1,7 +1,7 @@
 """Invariants of a 3-dimensional algebra given by its structure vector.
 
 Everything here is exact linear algebra over the scalar domain of the
-vector, computed from its nonzero terms c[i,j,k] only, on their reps
+vector, computed from its stored nonzero terms c[i,j,k] only (``reps``),
 through the domain's hooks; only the bases that are returned are wrapped
 as elements.  Associativity is the structure-constant identity
 
@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass
 
 from . import linalg
-from .structspace import StructureVector, _rep_terms
+from .structspace import StructureVector
 
 
 class NotNilpotentError(ValueError):
@@ -39,17 +39,16 @@ def _sums(pairs, add) -> dict:
 
 def is_associative(vec: StructureVector) -> bool:
     add, mul, zero = vec.parent._add, vec.parent._mul, vec.parent._zero_rep
-    terms = _rep_terms(vec)
     # the part of the slot 27i + 9j + 3k + l - 40 that the second factor
     # fixes (3k + l of c[m,k,l], 27i + l of c[i,m,l]), grouped by m
     by_first, by_second = ([], [], []), ([], [], [])
-    for i, j, k, c in terms:
+    for i, j, k, c in vec.reps:
         by_first[i - 1].append((3 * j + k, c))
         by_second[j - 1].append((27 * i + k, c))
 
     def side(wx, wy, groups):       # an empty slot is the zero rep
         out = [None] * 81
-        for x, y, m, a in terms:
+        for x, y, m, a in vec.reps:
             base = wx * x + wy * y - 40
             for off, b in groups[m - 1]:
                 s = out[base + off]
@@ -61,9 +60,9 @@ def is_associative(vec: StructureVector) -> bool:
 
 
 def is_commutative(vec: StructureVector) -> bool:
-    c = [v.rep for v in vec.coeffs]
-    # the reps of e_i e_j, at 9(i - 1) + 3(j - 1), against those of e_j e_i
-    return all(c[n:n + 3] == c[m:m + 3] for n, m in ((3, 9), (6, 18), (15, 21)))
+    # the nonzero terms of e_i e_j against those of e_j e_i
+    c = {(i, j, k): r for i, j, k, r in vec.reps}
+    return c == {(j, i, k): r for (i, j, k), r in c.items()}
 
 
 def _echelon(F, rows: list) -> list:
@@ -85,7 +84,7 @@ def square_basis(vec: StructureVector) -> list:
     vector.
     """
     F = vec.parent
-    return [list(map(F._elem, u)) for u in _square(F, _rep_terms(vec))]
+    return [list(map(F._elem, u)) for u in _square(F, vec.reps)]
 
 
 def power_chain(vec: StructureVector) -> list:
@@ -98,9 +97,8 @@ def power_chain(vec: StructureVector) -> list:
     """
     F = vec.parent
     add, mul, is_zero, zero = F._add, F._mul, F._is_zero, F._zero_rep
-    terms = _rep_terms(vec)
     chain = []
-    current = _square(F, terms)
+    current = _square(F, vec.reps)
     for _ in range(4):
         chain.append(current)
         if not current:
@@ -108,7 +106,7 @@ def power_chain(vec: StructureVector) -> list:
         rows = []
         for u in current:
             products = [[zero] * 3 for _ in range(3)]
-            for i, j, k, c in terms:
+            for i, j, k, c in vec.reps:
                 if not is_zero(u[i - 1]):
                     row = products[j - 1]
                     row[k - 1] = add(row[k - 1], mul(u[i - 1], c))
@@ -163,7 +161,7 @@ def annihilator_basis(vec: StructureVector) -> list:
     F = vec.parent
     zero = F._zero_rep
     rows = {}
-    for i, j, k, c in _rep_terms(vec):
+    for i, j, k, c in vec.reps:
         rows.setdefault(("left", j, k), [zero] * 3)[i - 1] = c
         rows.setdefault(("right", i, k), [zero] * 3)[j - 1] = c
     return linalg.nullspace_basis(list(rows.values()), F, 3)
@@ -188,7 +186,7 @@ def derivation_dimension(vec: StructureVector) -> int:
     F = vec.parent
 
     def entries():      # ((equation, column), rep)
-        for a, b, k, c in _rep_terms(vec):
+        for a, b, k, c in vec.reps:
             minus = F._neg(c)
             for n in (1, 2, 3):
                 yield ((a, b, n), 3 * n + k - 4), c
@@ -210,11 +208,10 @@ def in_m_star_star(vec: StructureVector) -> bool:
     x_j q_i of (x, x*x), with q_k = sum c[a,b,k] x_a x_b, must vanish.
     """
     add, neg, is_zero = vec.parent._add, vec.parent._neg, vec.parent._is_zero
-    terms = _rep_terms(vec)
     for i, j in ((1, 2), (1, 3), (2, 3)):
         coeffs = _sums(((tuple(sorted((i, a, b))), c) if k == j else
                         (tuple(sorted((j, a, b))), neg(c))
-                        for a, b, k, c in terms if k == i or k == j), add)
+                        for a, b, k, c in vec.reps if k == i or k == j), add)
         if not all(map(is_zero, coeffs.values())):
             return False
     return True

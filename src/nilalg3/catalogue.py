@@ -324,10 +324,9 @@ def identify_with_witness(vec: StructureVector, allow_extension: bool = False):
     """
     chain = _power_chain(vec)
     ident = _identify(vec, chain)
-    field = vec.parent
-    g = _reduction_matrix(vec, ident, field, chain[0], allow_extension)
+    g = _reduction_matrix(vec, ident, vec.parent, chain[0], allow_extension)
     target = structure_of(ident, g.parent)
-    moved = act(vec.lift(g.parent) if g.parent != field else vec, g)
+    moved = act(vec, g)
     if moved != target:
         raise UnclassifiableError(f"reduction to {ident} failed verification")
     return ident, g

@@ -29,7 +29,7 @@ from .catalogue import (AlgebraId, adelta, canonicalize, hbeta, identify,
 from .fields import Field, FieldElement, PrimeField, RATIONALS, prime_field
 from .polyring import (MultiPoly, PolyRing, RationalFunction,
                        RationalFunctionField)
-from .structspace import Matrix3, StructureVector, act, act_cleared
+from .structspace import Matrix3, StructureVector, _from_reps, act, act_cleared
 
 OBSTRUCTION_TAGS = ("nilpotency-class", "commutativity", "m-star-star-closure",
                     "family-separation", "rho-separation",
@@ -222,18 +222,17 @@ def curve_limit(witness: CurveWitness) -> StructureVector:
     cells = [_pairs(math.prod((d for d in dens if d != rf.den), start=rf.num))
              for rf in entries]
     scale = _pairs(math.prod(dens, start=rff.poly_one))
-    support = [(i - 1, j - 1, k - 1, c.rep)
-               for i, j, k, c in structure_of(witness.src, base).terms()]
+    support = [(i - 1, j - 1, k - 1, c)
+               for i, j, k, c in structure_of(witness.src, base).reps]
     limits = _moved_limit(support, cells, scale, _hooks(base), _BLOCKS)
     if limits is None:
         raise DegenerationError("curve matrix is singular as a matrix of functions")
-    zero = base.zero()
     out = []
     for (i, j, k), x in zip(itertools.product((1, 2, 3), repeat=3), limits):
         if x is _POLE:
             raise DegenerationError(f"coefficient {i}{j}{k} has a pole at t = 0")
-        out.append(zero if x is None else base._elem(x))
-    return StructureVector(base, out)
+        out.append(base._zero_rep if x is None else x)
+    return _from_reps(base, out)
 
 
 def verify_witness(witness: CurveWitness) -> StructureVector:
@@ -346,16 +345,10 @@ class IdentityReport:
 def _pin_down(prefix: str, cleared, expected: dict) -> list:
     """Pin all 27 cleared coefficients: one entry per expected coefficient
     (in index order), then one saying that every other coefficient vanishes."""
-    entries = []
-    vanish = True
-    for i, j, k in itertools.product((1, 2, 3), repeat=3):
-        got = cleared[i, j, k]
-        if (i, j, k) in expected:
-            entries.append((f"{prefix}-{i}{j}{k}", got == expected[i, j, k]))
-        elif not got.is_zero():
-            vanish = False
-    entries.append((f"{prefix}-vanishing", vanish))
-    return entries
+    got = {(i, j, k): c for i, j, k, c in cleared.terms()}
+    zero = cleared.parent.zero()
+    return [(f"{prefix}-{i}{j}{k}", got.pop((i, j, k), zero) == expected[i, j, k])
+            for i, j, k in sorted(expected)] + [(f"{prefix}-vanishing", not got)]
 
 
 def verify_lemma_identities(characteristic: int, mutate=None) -> IdentityReport:
@@ -419,9 +412,8 @@ def verify_lemma_identities(characteristic: int, mutate=None) -> IdentityReport:
     entries += _pin_down("triangular", clb, expected_b)
 
     # alternating representative under the same triangular matrices
-    nu = StructureVector.from_terms(
-        ring_b, [(2, 3, 1, -ring_b.one()), (3, 2, 1, ring_b.one()),
-                 (3, 3, 1, ring_b.one())])
+    alternating = ((2, 3, 1, -1), (3, 2, 1, 1), (3, 3, 1, 1))
+    nu = StructureVector.from_terms(ring_b, alternating)
     cln, _ = act_cleared(nu, b)
     expected_n = {
         (2, 3, 1): -(m * m),
@@ -433,9 +425,7 @@ def verify_lemma_identities(characteristic: int, mutate=None) -> IdentityReport:
     # the alternating representative really sits in the parameter-2 orbit
     rho_vec = structure_of(AlgebraId("rho"), base)
     shear = Matrix3.from_rows(base, [[1, 0, 0], [0, 1, 0], [0, -1, 1]])
-    nu_num = StructureVector.from_terms(
-        base, [(2, 3, 1, -base.one()), (3, 2, 1, base.one()),
-               (3, 3, 1, base.one())])
+    nu_num = StructureVector.from_terms(base, alternating)
     entries.append(("alternating-in-orbit", act(rho_vec, shear) == nu_num))
 
     return IdentityReport(characteristic, tuple(entries))
@@ -725,10 +715,8 @@ def search_witness(src: AlgebraId, dst: AlgebraId, field: Field,
             raise DegenerationError(f"{name} must be an int >= 0, got {value!r}")
     if not field.is_finite():
         raise DegenerationError("search kernel needs a finite field")
-    support = [(i - 1, j - 1, k - 1, c.rep)
-               for i, j, k, c in structure_of(src, field).terms()]
-    target = {(i - 1, j - 1, k - 1): cf.rep
-              for i, j, k, cf in structure_of(dst, field).terms()}
+    support = [(i - 1, j - 1, k - 1, c) for i, j, k, c in structure_of(src, field).reps]
+    target = {(i - 1, j - 1, k - 1): c for i, j, k, c in structure_of(dst, field).reps}
     blocks = sorted(_BLOCKS, key=lambda ab: all(ab + (c,) not in target for c in range(3)))
     wanted = [target.get((a, b, c)) for a, b in blocks for c in range(3)]
     ops = _hooks(field)

@@ -60,6 +60,7 @@ class Field:
     # set per class or in __init__, since reading an instance's __dict__ (as
     # a cached_property does) slows every later attribute lookup on it
     _zero_rep, _one_rep = 0, 1
+    _rep_hash = staticmethod(hash)  # an extension steps down the tower first
 
     # -- element factories -------------------------------------------------
 
@@ -301,7 +302,7 @@ class FieldElement(ScalarOps):
         return self._equal(other)
 
     def __hash__(self):
-        return hash((self.field, self.rep))
+        return self.field._rep_hash(self.rep)
 
     def is_zero(self) -> bool:
         return self.field._is_zero(self.rep)
@@ -663,6 +664,14 @@ class _Extension(Field):
 
     def _coerce(self, value):
         return self._lift(self.base._coerce(value))
+
+    def _rep_hash(self, a):
+        """Hash a value by its rep in the lowest field of its tower holding it,
+        so equal values hash alike; over GF(p) only the least residue's int does."""
+        c = self._coefficients(a)
+        if all(map(self.base._is_zero, c[1:])):
+            return self.base._rep_hash(c[0])
+        return hash((self, a))
 
     def _render(self, a):
         base = self.base

@@ -29,7 +29,7 @@ import math
 import re
 from fractions import Fraction
 
-from .catalogue import AlgebraId, CatalogueError
+from .catalogue import AUXILIARY_TAGS, CANONICAL_TAGS, AlgebraId, CatalogueError
 from .degeneration import CurveWitness
 from .fields import (Field, FieldElement, FieldError, _Extension,
                      extend_with_root, prime_field, signed_sum)
@@ -273,8 +273,8 @@ def _render_poly_in_t(rf) -> str:
 # -- algebra ids ---------------------------------------------------------------
 
 
-_ID_RE = re.compile(r"^(?P<tag>a0|c1|c3|l1|c5|a3|a|h|rho|chat3|a2)"
-                    r"(?:\((?P<param>[^()]*)\))?$")
+_ID_RE = re.compile(r"^(?P<tag>%s)(?:\((?P<param>[^()]*)\))?$" % "|".join(
+    map(re.escape, CANONICAL_TAGS + AUXILIARY_TAGS)))
 
 
 def parse_algebra_id(text: str, field: Field) -> AlgebraId:

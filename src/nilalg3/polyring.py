@@ -161,7 +161,9 @@ class MultiPoly(ScalarOps):
             return self._equal(other)
         return self.reps == other.reps
 
-    def __hash__(self):
+    def __hash__(self):     # a constant's is its coefficient's, which it equals
+        if not any(map(any, self.reps)):
+            return hash(next(iter(self.terms.values()), self.ring.field.zero()))
         return hash((self.ring, frozenset(self.reps.items())))
 
     def is_zero(self) -> bool:
@@ -376,7 +378,9 @@ class RationalFunction(ScalarOps):
             return self._equal(other)
         return self.num == other.num and self.den == other.den
 
-    def __hash__(self):
+    def __hash__(self):     # a polynomial's is its numerator's
+        if self.den == self.parent.poly_one:
+            return hash(self.num)
         return hash((self.parent, frozenset(self.num.reps.items()),
                      frozenset(self.den.reps.items())))
 

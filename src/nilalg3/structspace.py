@@ -12,7 +12,8 @@ algebras exactly when some invertible g carries one to the other.
 Scalars may come from a field, a polynomial ring, or a univariate rational
 function field: any parent with element/zero/one and the rep hooks that the
 action and the product run on (``_elem``, ``_add``, ``_mul``, ``_is_zero``,
-``_zero_rep``; a polynomial or an element of F(d) is its own rep).  The
+``_zero_rep``; a polynomial or an element of F(d) is its own rep).  A vector
+stores only the reps of its nonzero coefficients, which the kernels read.  The
 action needs inverses, so over a polynomial ring use :func:`act_cleared`,
 which multiplies through by det(g) and stays division-free.
 """
@@ -32,65 +33,63 @@ def _flat(i: int, j: int, k: int) -> int:
     return 9 * (i - 1) + 3 * (j - 1) + (k - 1)
 
 
-def _unflat(n: int) -> tuple:
-    return n // 9 + 1, (n // 3) % 3 + 1, n % 3 + 1
-
-
-def _rep_terms(vec) -> list:
-    """(i, j, k, rep) per nonzero term."""
-    return [(i, j, k, c.rep) for i, j, k, c in vec.terms()]
+_INDICES = tuple((n // 9 + 1, n // 3 % 3 + 1, n % 3 + 1) for n in range(27))
 
 
 class StructureVector:
     """The 27 structure coefficients of one bilinear product on k^3.
 
-    The nonzero terms are found once, on first use, and kept in a slot that
-    equality, hashing and the public attributes never look at.
+    Stored as ``reps``: (i, j, k, rep) for each nonzero coefficient, in
+    index order, which is what every kernel reads.  ``coeffs``, ``terms()``
+    and ``[i, j, k]`` are read-only views on elements.
     """
 
-    __slots__ = ("parent", "coeffs", "_terms")
+    __slots__ = ("parent", "reps")
 
     def __init__(self, parent, coeffs):
         coeffs = tuple(coeffs)
         if len(coeffs) != 27:
             raise StructureError("a structure vector has exactly 27 coefficients")
-        object.__setattr__(self, "parent", parent)
-        object.__setattr__(self, "coeffs", coeffs)
+        _from_reps(parent, [parent.element(c).rep for c in coeffs], self)
 
     def __setattr__(self, name, value):
         raise AttributeError("StructureVector is immutable")
 
     @classmethod
     def zero(cls, parent) -> "StructureVector":
-        z = parent.zero()
-        return cls(parent, (z,) * 27)
+        return cls.from_terms(parent, ())
 
     @classmethod
     def from_terms(cls, parent, terms) -> "StructureVector":
         """Build from an iterable of (i, j, k, coefficient); entries add up."""
-        out = [parent.zero()] * 27
+        elem, add = parent.element, parent._add
+        out = [parent._zero_rep] * 27
         for i, j, k, c in terms:
-            c = parent.element(c)
             n = _flat(i, j, k)
-            out[n] = out[n] + c
-        return cls(parent, out)
+            out[n] = add(out[n], elem(c).rep)
+        return _from_reps(parent, out)
+
+    @property
+    def coeffs(self) -> tuple:
+        """All 27 coefficients, in index order."""
+        return tuple(map(self.__getitem__, _INDICES))
 
     def __getitem__(self, ijk):
         i, j, k = ijk
-        return self.coeffs[_flat(i, j, k)]
+        _flat(i, j, k)
+        P = self.parent
+        for a, b, c, r in self.reps:
+            if a == i and b == j and c == k:
+                return P._elem(r)
+        return P._elem(P._zero_rep)
 
     def terms(self) -> tuple:
         """(i, j, k, coefficient) for each nonzero coefficient, in index order."""
-        try:
-            return self._terms
-        except AttributeError:
-            out = tuple((*_unflat(n), c) for n, c in enumerate(self.coeffs)
-                        if not c.is_zero())
-            object.__setattr__(self, "_terms", out)
-            return out
+        elem = self.parent._elem
+        return tuple((i, j, k, elem(r)) for i, j, k, r in self.reps)
 
     def is_zero(self) -> bool:
-        return not self.terms()
+        return not self.reps
 
     def _same_parent(self, other):
         if not isinstance(other, StructureVector):
@@ -100,29 +99,27 @@ class StructureVector:
         return other
 
     def __add__(self, other):
-        o = self._same_parent(other)
-        return StructureVector(self.parent,
-                               tuple(a + b for a, b in zip(self.coeffs, o.coeffs)))
+        return self.from_terms(self.parent,
+                               self.terms() + self._same_parent(other).terms())
 
     def __sub__(self, other):
-        o = self._same_parent(other)
-        return StructureVector(self.parent,
-                               tuple(a - b for a, b in zip(self.coeffs, o.coeffs)))
+        return self + -self._same_parent(other)
 
     def __neg__(self):
-        return StructureVector(self.parent, tuple(-a for a in self.coeffs))
+        return self.scale(-1)
 
     def scale(self, c) -> "StructureVector":
         c = self.parent.element(c)
-        return StructureVector(self.parent, tuple(c * a for a in self.coeffs))
+        return self.from_terms(self.parent,
+                               [(i, j, k, c * a) for i, j, k, a in self.terms()])
 
     def __eq__(self, other):
         if not isinstance(other, StructureVector):
             return NotImplemented
-        return self.parent == other.parent and self.coeffs == other.coeffs
+        return self.parent == other.parent and self.reps == other.reps
 
     def __hash__(self):
-        return hash((self.parent, self.coeffs))
+        return hash((self.parent, self.reps))
 
     def product(self, x, y) -> list:
         """Coordinates of x * y for coordinate triples x and y.
@@ -135,7 +132,7 @@ class StructureVector:
         x, y = ([None if is_zero(r) else r for r in
                  (F.element(v).rep for v in u)] for u in (x, y))
         out = [F._zero_rep] * 3
-        for i, j, k, c in _rep_terms(self):
+        for i, j, k, c in self.reps:
             xi, yj = x[i - 1], y[j - 1]
             if xi is not None and yj is not None:
                 out[k - 1] = add(out[k - 1], mul(mul(c, xi), yj))
@@ -143,17 +140,27 @@ class StructureVector:
 
     def lift(self, new_parent) -> "StructureVector":
         """Reinterpret the coefficients inside a larger scalar domain."""
-        return StructureVector(new_parent,
-                               tuple(new_parent.element(c) for c in self.coeffs))
+        return StructureVector.from_terms(new_parent, self.terms())
 
     def map_scalars(self, fn, new_parent) -> "StructureVector":
-        return StructureVector(new_parent, tuple(fn(c) for c in self.coeffs))
+        return StructureVector(new_parent, map(fn, self.coeffs))
 
     def __str__(self):
         return signed_sum(((_render_scalar(c), f"{i}{j}{k}")
                            for i, j, k, c in self.terms()), "*", _bracket)
 
     __repr__ = __str__
+
+
+def _from_reps(parent, reps, vec=None) -> StructureVector:
+    """The vector (``vec``, or a new one) whose 27 coefficients have the reps
+    ``reps``, in index order; zero reps are dropped."""
+    vec = object.__new__(StructureVector) if vec is None else vec
+    is_zero = parent._is_zero
+    object.__setattr__(vec, "parent", parent)
+    object.__setattr__(vec, "reps", tuple(
+        (*ijk, r) for ijk, r in zip(_INDICES, reps) if not is_zero(r)))
+    return vec
 
 
 def _render_scalar(c) -> str:
@@ -169,9 +176,7 @@ def _bracket(text: str) -> str:
 
 def basis_vector(parent, i: int, j: int, k: int) -> StructureVector:
     """The tuple with a single 1 at position (i, j, k): e_i e_j = e_k."""
-    out = [parent.zero()] * 27
-    out[_flat(i, j, k)] = parent.one()
-    return StructureVector(parent, out)
+    return StructureVector.from_terms(parent, [(i, j, k, parent.one())])
 
 
 class Matrix3:
@@ -295,6 +300,8 @@ def _act_with(vec: StructureVector, g: Matrix3, h: Matrix3) -> StructureVector:
 
         sum over (i, j, k) of  c[i,j,k] * g[i,a] * g[j,b] * h[c,k] .
     """
+    if vec.parent != g.parent:
+        vec = vec.lift(g.parent)
     parent = vec.parent
     add, mul, is_zero = parent._add, parent._mul, parent._is_zero
     ge, he = ([v.rep for v in m.entries] for m in (g, h))
@@ -303,7 +310,7 @@ def _act_with(vec: StructureVector, g: Matrix3, h: Matrix3) -> StructureVector:
     cols = [[(c, v) for c, v in enumerate(he[k::3]) if not is_zero(v)]
             for k in range(3)]
     out = [parent._zero_rep] * 27
-    for i, j, k, coef in _rep_terms(vec):   # i, j, k are 1-based
+    for i, j, k, coef in vec.reps:      # i, j, k are 1-based
         col = cols[k - 1]
         for a, gia in rows[i - 1]:
             ca = mul(coef, gia)
@@ -312,7 +319,7 @@ def _act_with(vec: StructureVector, g: Matrix3, h: Matrix3) -> StructureVector:
                 for c, hck in col:
                     n = 9 * a + 3 * b + c
                     out[n] = add(out[n], mul(cab, hck))
-    return StructureVector(parent, map(parent._elem, out))
+    return _from_reps(parent, out)
 
 
 def act(vec: StructureVector, g: Matrix3) -> StructureVector:
@@ -324,8 +331,6 @@ def act(vec: StructureVector, g: Matrix3) -> StructureVector:
     domains differ (a plain field vector moved by a matrix of rational
     functions in t, for instance).
     """
-    if vec.parent != g.parent:
-        vec = vec.lift(g.parent)
     return _act_with(vec, g, g.inverse())
 
 
@@ -337,7 +342,5 @@ def act_cleared(vec: StructureVector, g: Matrix3) -> tuple:
     arithmetic inside a polynomial ring, which is what the identity checks
     behind the non-degeneration lemmas need.
     """
-    if vec.parent != g.parent:
-        vec = vec.lift(g.parent)
     adj, det = g.adjugate_and_det()
     return _act_with(vec, g, adj), det

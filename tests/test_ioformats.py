@@ -12,7 +12,8 @@ from pathlib import Path
 import pytest
 
 import nilalg3.ioformats
-from nilalg3.catalogue import AlgebraId, adelta, quarter
+from nilalg3.catalogue import (AUXILIARY_TAGS, CANONICAL_TAGS, PARAMETRIC_TAGS,
+                               AlgebraId, adelta, quarter)
 from nilalg3.cli import main
 from nilalg3.degeneration import (CurveWitness, compose_curves, known_witness,
                                   lift_witness_to_rationals, search_witness,
@@ -240,6 +241,15 @@ def test_render_algebra_id_round_trip():
         ident = parse_algebra_id(text, RATIONALS)
         assert render_algebra_id(ident) == text
         assert parse_algebra_id(render_algebra_id(ident), RATIONALS) == ident
+
+
+@pytest.mark.parametrize("tag", CANONICAL_TAGS + AUXILIARY_TAGS)
+def test_every_catalogue_tag_round_trips(tag):
+    # the id grammar is built from the catalogue's tags, so none is missing
+    for field, param in ((RATIONALS, Fraction(1, 4)), (gf4(), [1, 1])):
+        ident = AlgebraId(tag, field.element(param) if tag in PARAMETRIC_TAGS
+                          else None)
+        assert parse_algebra_id(str(ident), field) == ident
 
 
 def test_vector_round_trip():

@@ -1,10 +1,13 @@
 """The package surface: every exported name resolves, no module imports a
-name it never uses, every import is from the standard library, and no
-private helper is left without a caller."""
+name it never uses, every import is from the standard library, no private
+helper is left without a caller, and every name the benchmark reaches into
+still exists."""
 
 import ast
 import collections
+import importlib
 import pathlib
+import re
 import sys
 
 import nilalg3
@@ -106,3 +109,27 @@ def test_no_kernel_asks_whether_a_value_has_a_rep():
                     and node.args[1].value == "rep"):
                 found.append(f"{path.name}:{node.lineno}")
     assert not found, found
+
+
+def test_the_benchmark_finds_every_name_it_uses():
+    # bench/ wraps the names in spans.TRACED through getattr and imports
+    # others (one import sits inside a string in run.py), so deleting one of
+    # them breaks the benchmark without failing any other test; bench/ is
+    # read as text here, never imported
+    bench = pathlib.Path(__file__).resolve().parent.parent / "bench"
+    traced = next(node.value for node in ast.parse((bench / "spans.py").read_text()).body
+                  if isinstance(node, ast.Assign) and node.targets[0].id == "TRACED")
+    wanted = [tuple(name.split(".")) for name in ast.literal_eval(traced)]
+    for path in sorted(bench.glob("*.py")):
+        for module, names in re.findall(r"from nilalg3\.(\w+) import ([\w, ]+)",
+                                        path.read_text()):
+            wanted += [(module, name.strip()) for name in names.split(",")]
+    assert len(wanted) > len(ast.literal_eval(traced))
+    missing = []
+    for module, *attrs in wanted:
+        obj = importlib.import_module(f"nilalg3.{module}")
+        for attr in attrs:
+            obj = getattr(obj, attr, None)
+        if obj is None:
+            missing.append(".".join((module, *attrs)))
+    assert not missing, missing

@@ -393,6 +393,20 @@ def test_equal_values_hash_equal():
     h = Matrix3.from_rows(L, [[first[1], second[2], L.zero()],
                               [0, L.one(), L.const(Qd.gen())], [0, 0, t]])
     assert g == h and len({g, h}) == 1
+    # equal values of different domains: each hashes by its rep in the
+    # lowest domain of its tower that holds it
+    F4, F16 = gf4(), gf16()
+    w = F4.generator()
+    K = RationalFunctionField(F4, "t")
+    Qi = SimpleExtension(RATIONALS, [1, 0, 1], "i")
+    dd = Qd.gen()
+    pairs = [(w, K.const(w)), (RATIONALS.element(3), 3),
+             (PrimeField(2).one(), F4.one()), (Qi.element(3), 3),
+             (L.const(dd), dd), (F16.element(w), w), (F16.one(), PrimeField(2).one()),
+             (RATIONALS.element(3), Fraction(6, 2)), (R.const(3), 3),
+             (R.zero(), RATIONALS.zero()), (K.zero(), 0), (L.const(3), Fraction(3))]
+    for a, b in pairs:
+        assert a == b and b == a and hash(a) == hash(b) and len({a, b}) == 1
 
 
 def test_function_field_scalars_enter_the_field_over_them():

@@ -7,15 +7,18 @@ bilinear product.
 """
 
 import itertools
+import operator
 import random
 from fractions import Fraction
 
 import pytest
 
-from nilalg3.fields import PrimeField, RATIONALS, SimpleExtension, gf4, gf16
+from nilalg3.fields import (PrimeField, RATIONALS, SimpleExtension, gf4, gf16,
+                            signed_sum)
 from nilalg3.polyring import PolyRing, RationalFunctionField
-from nilalg3.structspace import (Matrix3, StructureError, StructureVector, act,
-                                 act_cleared, basis_vector)
+from nilalg3.structspace import (Matrix3, StructureError, StructureVector,
+                                 _bracket, _render_scalar, act, act_cleared,
+                                 basis_vector)
 
 
 def _random_vector(field, rng, pool=None):
@@ -282,3 +285,140 @@ def test_cached_terms_leave_equality_and_hash_alone():
                 vec.coeffs = fresh.coeffs
             with pytest.raises(AttributeError):
                 vec._terms = ()
+
+
+class _DenseVector:
+    """The dense form StructureVector had before it stored the reps of its
+    nonzero terms: 27 elements, compared and hashed as a tuple.  The oracle
+    of the stored form."""
+
+    def __init__(self, parent, coeffs):
+        self.parent = parent
+        self.coeffs = tuple(parent.element(c) for c in coeffs)
+
+    def __getitem__(self, ijk):
+        i, j, k = ijk
+        return self.coeffs[9 * (i - 1) + 3 * (j - 1) + (k - 1)]
+
+    def terms(self):
+        cells = itertools.product((1, 2, 3), repeat=3)
+        return tuple((*ijk, c) for ijk, c in zip(cells, self.coeffs)
+                     if not c.is_zero())
+
+    def __add__(self, other):
+        return _DenseVector(self.parent, map(operator.add, self.coeffs, other.coeffs))
+
+    def __sub__(self, other):
+        return _DenseVector(self.parent, map(operator.sub, self.coeffs, other.coeffs))
+
+    def __neg__(self):
+        return _DenseVector(self.parent, [-a for a in self.coeffs])
+
+    def scale(self, c):
+        c = self.parent.element(c)
+        return _DenseVector(self.parent, [c * a for a in self.coeffs])
+
+    def __eq__(self, other):
+        return self.parent == other.parent and self.coeffs == other.coeffs
+
+    def __hash__(self):
+        return hash((self.parent, self.coeffs))
+
+    def product(self, x, y):
+        return _dense_product(self, x, y)
+
+    def lift(self, new_parent):
+        return _DenseVector(new_parent, [new_parent.element(c) for c in self.coeffs])
+
+    def map_scalars(self, fn, new_parent):
+        return _DenseVector(new_parent, [fn(c) for c in self.coeffs])
+
+    def __str__(self):
+        return signed_sum(((_render_scalar(c), f"{i}{j}{k}")
+                           for i, j, k, c in self.terms()), "*", _bracket)
+
+
+def _stored_form_domains():
+    """(domain, scalars with zero first, a domain above it) per kind of
+    scalar domain; the last is an equal copy for a polynomial ring."""
+    Q = RATIONALS
+    yield Q, [Q.zero()] + [Q.element(v) for v in (1, -1, 2, Fraction(1, 2),
+                                                   Fraction(-3, 4))], \
+        SimpleExtension(Q, [1, 0, 1], "i")
+    yield PrimeField(7), list(PrimeField(7).elements()), \
+        RationalFunctionField(PrimeField(7))
+    yield gf4(), list(gf4().elements()), gf16()
+    yield gf16(), list(gf16().elements()), RationalFunctionField(gf16())
+    Qi = SimpleExtension(Q, [1, 0, 1], "i")
+    i = Qi.generator()
+    yield Qi, [Qi.zero(), Qi.one(), i, -i, i + 1, Qi.element(Fraction(1, 2)) - i], \
+        RationalFunctionField(Qi)
+    Qd = RationalFunctionField(Q, "d")
+    d = Qd.gen()
+    yield Qd, [Qd.zero(), Qd.one(), d, -d, d + 1, 1 / d, 1 / (d + 1)], \
+        RationalFunctionField(Qd)
+    ring = PolyRing(PrimeField(5), ("x", "y"))
+    x, y = ring.gens()
+    yield ring, [ring.zero(), ring.one(), x, y, -x, x + 1, x * y - 2], \
+        PolyRing(PrimeField(5), ("x", "y"))
+
+
+def _assert_agrees(vec, dense):
+    """vec shows the oracle's coefficients through each view, and its stored
+    form is the nonzero reps in index order."""
+    assert vec.parent == dense.parent
+    assert vec.coeffs == dense.coeffs
+    assert vec.terms() == dense.terms()
+    assert all(vec[ijk] == dense[ijk] for ijk in itertools.product((1, 2, 3), repeat=3))
+    assert str(vec) == str(dense)
+    assert vec.is_zero() == (not dense.terms())
+    cells = [tuple(t[:3]) for t in vec.reps]
+    assert cells == sorted(set(cells))
+    assert not any(vec.parent._is_zero(r) for *_, r in vec.reps)
+    assert vec.reps == tuple((i, j, k, c.rep) for i, j, k, c in dense.terms())
+
+
+def test_stored_form_matches_the_dense_element_oracle():
+    everything = []         # (vector, its oracle), over every domain
+    for parent, pool, above in _stored_form_domains():
+        rng = random.Random(f"stored-{parent!r}")
+
+        def draw():
+            return [rng.choice(pool) if rng.random() < 0.4 else pool[0]
+                    for _ in range(27)]
+
+        for n in range(30):
+            a, b = draw(), draw()
+            # c cancels a on about half of a's cells
+            c = [-x if rng.random() < 0.5 else y for x, y in zip(a, b)]
+            u, v = StructureVector(parent, a), StructureVector(parent, b)
+            # the same vector as c, its entries split in two that add up
+            w = StructureVector.from_terms(parent, [
+                (i, j, k, part) for (i, j, k), x in
+                zip(itertools.product((1, 2, 3), repeat=3), c)
+                for part in (x - pool[n % len(pool)], pool[n % len(pool)])])
+            U, V, W = (_DenseVector(parent, s) for s in (a, b, c))
+            s = rng.choice(pool)
+            family = [(u, U), (v, V), (w, W), (u + w, U + W), (w + u, W + U),
+                      (u - v, U - V), (u - u, U - U), (-u, -U), (-(-u), -(-U)),
+                      (u.scale(s), U.scale(s)), (StructureVector.zero(parent),
+                                                 _DenseVector(parent, [pool[0]] * 27)),
+                      (u.lift(above), U.lift(above)),
+                      (u.map_scalars(lambda e: e * e + 1, parent),
+                       U.map_scalars(lambda e: e * e + 1, parent))]
+            for vec, dense in family:
+                _assert_agrees(vec, dense)
+            hashed = [(p, P, hash(p), hash(P)) for p, P in family]
+            for (p, P, hp, hP), (q, Q, hq, hQ) in itertools.combinations(hashed, 2):
+                assert (p == q) == (P == Q)
+                assert (hp == hq) == (hP == hQ)
+            x, y = [rng.choice(pool) for _ in range(3)], [rng.choice(pool) for _ in range(3)]
+            assert u.product(x, y) == U.product(x, y)
+            assert w.product(y, y) == W.product(y, y)
+            everything += family
+    # equal hashes exactly where the oracle's are equal, across domains too:
+    # the zero vectors of different domains store the same empty terms
+    by_oracle, by_vector = {}, {}
+    for vec, dense in everything:
+        h, H = hash(vec), hash(dense)
+        assert by_oracle.setdefault(H, h) == h and by_vector.setdefault(h, H) == H
