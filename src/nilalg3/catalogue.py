@@ -17,9 +17,12 @@ rho = a3(2), chat3 = h(1), a2 = h(0).
 
 Every isomorphism this module hands out is wrapped in an IsoWitness whose
 matrix is re-checked by the action at construction time, so no unverified
-claim can circulate.  identify() classifies an arbitrary structure vector by
-invariants alone; identify_with_witness() additionally builds the explicit
-basis change onto the canonical representative.  That reduction is the one
+claim can circulate.  identify() classifies an arbitrary structure vector:
+its power chain settles classes 0 and 3, and a class-2 structure, whose
+square is a line <f1> that annihilates, is read from one 2x2 matrix B, the
+products of a complement of f1 on f1, taken off the stored terms.
+identify_with_witness() additionally builds the explicit basis change onto
+the canonical representative, from the same B.  That reduction is the one
 isomorphism path: canonicalize() reduces every auxiliary id through it, and
 iso_witness() composes two of them (src onto its representative, then back
 from the representative onto dst), so no per-pair table of isomorphisms is
@@ -228,54 +231,38 @@ def canonicalize(ident: AlgebraId, field: Field, allow_extension: bool = True):
 # -- classification of arbitrary structure vectors ---------------------------
 
 
-def _complement_units(field: Field, f1: list) -> tuple:
-    """Two standard unit vectors completing f1 to a basis."""
-    units = Matrix3.identity(field).rows()
-    for i in range(3):
-        for j in range(i + 1, 3):
-            m = Matrix3.from_columns(field, [f1, units[i], units[j]])
-            if not m.det().is_zero():
-                return units[i], units[j]
-    raise UnclassifiableError("could not complete the square to a basis")
+def _slice(vec: StructureVector, square: list) -> tuple:
+    """(f1, w2, w3, B) for a class-2 vec whose square is the line <f1>.
 
-
-def _pairing(vec: StructureVector, f1: list, w2: list, w3: list):
-    """The 2x2 coefficient table of products of w2, w3 against span(f1)."""
-    idx = max(range(3), key=lambda n: 0 if f1[n].is_zero() else 1)
-    pivot = f1[idx]
-    out = []
-    for x in (w2, w3):
-        row = []
-        for y in (w2, w3):
-            p = vec.product(x, y)
-            row.append(p[idx] / pivot)
-        out.append(row)
-    return out
-
-
-def _delta_invariant(vec: StructureVector, field: Field, basis: list):
-    """det(pairing) / (skew part)^2 -- the exact family parameter.
-
-    ``basis`` is the echelon basis of the square of vec.
+    ``square`` is the echelon basis of the square, so f1's pivot m, its
+    first nonzero coordinate, holds 1.  w2 and w3 are the unit vectors
+    other than f1's last nonzero coordinate, so (f1, w2, w3) is a basis.
+    Since A * A^2 lies in A^3 = 0, f1 annihilates and w_x * w_y =
+    B[x][y] f1: the 2x2 matrix B, read at coordinate m off the stored
+    terms, is the whole structure.
     """
-    if len(basis) != 1:
+    if len(square) != 1:
         raise UnclassifiableError("square is not a line")
-    f1 = basis[0]
-    w2, w3 = _complement_units(field, f1)
-    (p, q), (r, s) = _pairing(vec, f1, w2, w3)
-    skew = q - r
-    if skew.is_zero():
-        raise UnclassifiableError("pairing is symmetric for a non-commutative input")
-    return (p * s - q * r) / (skew * skew)
+    f1 = square[0]
+    field = vec.parent
+    nonzero = [n for n in (1, 2, 3) if not f1[n - 1].is_zero()]
+    m, frame = nonzero[0], [n for n in (1, 2, 3) if n != nonzero[-1]]
+    c = {(i, j): r for i, j, k, r in vec.reps if k == m}
+    B = [[field._elem(c.get((i, j), field._zero_rep)) for j in frame]
+         for i in frame]
+    units = Matrix3.identity(field).rows()
+    return f1, units[frame[0] - 1], units[frame[1] - 1], B
 
 
 def identify(vec: StructureVector) -> AlgebraId:
     """The canonical id of an arbitrary nilpotent associative structure.
 
     Decision tree: class 0 is the zero algebra and class 3 the truncated
-    polynomial algebra; in class 2 the branch is on commutativity, on the
-    annihilator dimension, and on whether all squares stay on their own
-    line, with the family parameter recovered from the induced pairing.
+    polynomial algebra.  Class 2 is read from the 2x2 matrix B of the
+    slice: alternating B is l1 (checked first, since in characteristic 2
+    l1's B is also symmetric), symmetric B is c1 when singular and c3
+    otherwise, and any other B is the family member a(det B / (q - r)^2),
+    q and r its off-diagonal entries.
     """
     return _identify(vec, _power_chain(vec))
 
@@ -289,7 +276,6 @@ def _power_chain(vec: StructureVector) -> list:
 
 
 def _identify(vec: StructureVector, chain: list) -> AlgebraId:
-    field = vec.parent
     ncls = algprops.chain_class(chain)
     if ncls == 0:
         return AlgebraId("a0")
@@ -297,30 +283,22 @@ def _identify(vec: StructureVector, chain: list) -> AlgebraId:
         return AlgebraId("c5")
     if ncls != 2:
         raise UnclassifiableError(f"nilpotency class {ncls} has no catalogue entry")
-    if algprops.is_commutative(vec):
-        if algprops.in_m_star_star(vec):
-            if field.char != 2:
-                raise UnclassifiableError(
-                    "commutative square-on-own-line class-2 input outside char 2")
-            return AlgebraId("l1")
-        ann = algprops.annihilator_dimension(vec)
-        if ann == 2:
-            return AlgebraId("c1")
-        if ann == 1:
-            return AlgebraId("c3")
-        raise UnclassifiableError(f"annihilator dimension {ann} unexpected")
-    if algprops.in_m_star_star(vec):
+    (p, q), (r, s) = _slice(vec, chain[0])[3]
+    if p.is_zero() and s.is_zero() and (q + r).is_zero():
         return AlgebraId("l1")
-    return AlgebraId("a", _delta_invariant(vec, field, chain[0]))
+    det = p * s - q * r
+    if q == r:
+        return AlgebraId("c1" if det.is_zero() else "c3")
+    skew = q - r
+    return AlgebraId("a", det / (skew * skew))
 
 
 def identify_with_witness(vec: StructureVector, allow_extension: bool = False):
     """identify() plus a verified basis change onto the canonical structure.
 
     Returns (id, matrix); act(vec, matrix) equals the canonical structure
-    exactly.  The matrix may live over a quadratic extension (only the
-    commutative ann-1 case can need a square root; refused when
-    allow_extension is false).
+    exactly.  The matrix may live over a quadratic extension (only c3 can
+    need a square root; refused when allow_extension is false).
     """
     chain = _power_chain(vec)
     ident = _identify(vec, chain)
@@ -332,8 +310,8 @@ def identify_with_witness(vec: StructureVector, allow_extension: bool = False):
     return ident, g
 
 
-def _reduction_matrix(vec, ident, field, basis, allow_extension) -> Matrix3:
-    """``basis`` is the echelon basis of the square of vec."""
+def _reduction_matrix(vec, ident, field, square, allow_extension) -> Matrix3:
+    """``square`` is the echelon basis of the square of vec."""
     t = ident.tag
     if t == "a0":
         return Matrix3.identity(field)
@@ -349,31 +327,16 @@ def _reduction_matrix(vec, ident, field, basis, allow_extension) -> Matrix3:
                 return m
         raise UnclassifiableError("no generator found for the class-3 algebra")
 
-    if len(basis) != 1:
-        raise UnclassifiableError("square is not a line")
-    f1 = basis[0]
-
-    if t == "c1":
-        ann = algprops.annihilator_basis(vec)
-        for w3 in _unit_candidates(field):
-            sq = vec.product(w3, w3)
-            if all(c.is_zero() for c in sq):
-                continue
-            for w2 in ann + [[a + b for a, b in zip(ann[0], ann[1])]]:
-                m = Matrix3.from_columns(field, [sq, w2, w3])
-                if not m.det().is_zero():
-                    return m
-        raise UnclassifiableError("no non-singular frame for the ann-2 algebra")
-
-    w2, w3 = _complement_units(field, f1)
-
+    f1, w2, w3, B = _slice(vec, square)
     if t == "l1":
-        (p, q), (r, s) = _pairing(vec, f1, w2, w3)
-        scaled = [q * c for c in f1]
-        return Matrix3.from_columns(field, [scaled, w2, w3])
+        q = B[0][1]
+        return Matrix3.from_columns(field, [[q * c for c in f1], w2, w3])
+
+    w2, w3, (p, q, s) = _orthogonal_frame(B, w2, w3)
+    if t == "c1":
+        return Matrix3.from_columns(field, [[p * c for c in f1], w3, w2])
 
     if t == "c3":
-        w2, w3, ((p, q), (r, s)) = _orthogonal_frame(vec, f1, w2, w3)
         ratio = s / p
         roots = square_roots(ratio)
         f2 = field
@@ -394,7 +357,6 @@ def _reduction_matrix(vec, ident, field, basis, allow_extension) -> Matrix3:
         return Matrix3.from_columns(f2, [scaled, w2, w3])
 
     if t == "a":
-        w2, w3, ((p, q), (r, s)) = _orthogonal_frame(vec, f1, w2, w3)
         w3 = [(p / q) * c for c in w3]
         scaled = [p * c for c in f1]
         return Matrix3.from_columns(field, [scaled, w2, w3])
@@ -409,21 +371,23 @@ def _unit_candidates(field: Field) -> list:
                 for i in range(3) for j in range(i + 1, 3)]
 
 
-def _orthogonal_frame(vec, f1, w2, w3):
-    """(w2, w3, pairing) with w2 anisotropic (its pairing entry p nonzero)
-    and w3 cleared against w2 so that the entry r vanishes.
+def _orthogonal_frame(B, w2, w3):
+    """(w2, w3, (p, q, s)): the frame moved so that w2 is anisotropic and
+    w3 cleared against it, and its pairing [[p, q], [0, s]] with p nonzero.
 
-    An isotropic w2 is swapped with w3 when w3 is anisotropic, and
-    replaced by w2 + w3 otherwise.
+    Each move is a 2x2 congruence B -> Q^T B Q on the frame's pairing: an
+    isotropic w2 is swapped with w3 when w3 is anisotropic, and replaced
+    by w2 + w3 otherwise; then w3 becomes w3 - (r/p) w2.
     """
-    (p, q), (r, s) = _pairing(vec, f1, w2, w3)
+    (p, q), (r, s) = B
     if p.is_zero():
         if not s.is_zero():
-            w2, w3 = w3, w2
-        else:
+            w2, w3, p, q, r, s = w3, w2, s, r, q, p
+        else:                   # p = s = 0: w2 + w3 pairs to q + r with itself
             w2 = [a + b for a, b in zip(w2, w3)]
-        (p, q), (r, s) = _pairing(vec, f1, w2, w3)
+            p = q + r
     if p.is_zero():
         raise UnclassifiableError("no anisotropic vector for the pairing")
-    w3 = [a - (r / p) * b for a, b in zip(w3, w2)]
-    return w2, w3, _pairing(vec, f1, w2, w3)
+    t = r / p
+    w3 = [a - t * b for a, b in zip(w3, w2)]
+    return w2, w3, (p, q - r, s - t * q)

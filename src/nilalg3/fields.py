@@ -964,6 +964,14 @@ def _rational_roots(coeffs) -> list:
     return [Fraction(y, a) for y in ys]
 
 
+def _root_field(x) -> Field:
+    """The domain of x, refused unless it is a field of the tower: a
+    polynomial ring or F(d) has no root finder."""
+    if not isinstance(x.parent, Field):
+        raise FieldError(f"square roots are not supported over {x.parent!r}")
+    return x.parent
+
+
 def square_roots(x: FieldElement) -> list:
     """All square roots of x in its own field, by rep.
 
@@ -974,7 +982,7 @@ def square_roots(x: FieldElement) -> list:
     every such y is a root, since x (T(x) + 2n) = (x + n)^2.  A root of
     trace 0 is c (2g - f) for c in F, which squares to c^2 (f^2 + 4e).
     """
-    field = x.field
+    field = _root_field(x)
     if field.is_finite():
         return _roots(field, [-x, field.zero(), field.one()])
     if isinstance(field, Rationals):
@@ -1003,7 +1011,7 @@ def square_roots(x: FieldElement) -> list:
 def quadratic_roots(a: FieldElement, b: FieldElement, c: FieldElement) -> list:
     """All roots of a*x**2 + b*x + c in the highest field of a, b, c, by rep
     (see ``_roots``)."""
-    field = a._common(b)[0]._common(c)[0].field
+    field = _root_field(a._common(b)[0]._common(c)[0])
     a, b, c = map(field.element, (a, b, c))
     if a.is_zero():
         raise FieldError("leading coefficient is zero")

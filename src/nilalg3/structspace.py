@@ -247,7 +247,7 @@ class Matrix3:
         adj, d = self.adjugate_and_det()
         if d.is_zero():
             raise StructureError("matrix is singular")
-        if not hasattr(d, "inverse"):
+        if d._no_division is not None:
             raise StructureError(
                 "entries do not support division; use the adjugate route")
         di = d.inverse()

@@ -11,11 +11,14 @@ from fractions import Fraction
 import pytest
 
 from nilalg3.catalogue import (AlgebraId, CatalogueError, IsoWitness,
-                               a3kappa, adelta, canonicalize, hbeta, identify,
+                               a3kappa, adelta, c3, canonicalize, hbeta, identify,
                                identify_with_witness, iso_witness, quarter,
                                structure_of)
-from nilalg3.fields import (NeedsFieldExtension, PrimeField, RATIONALS,
-                            SimpleExtension, gf4, gf16)
+from nilalg3.algprops import (annihilator_dimension, in_m_star_star,
+                              is_commutative, square_basis)
+from nilalg3.fields import (FieldError, NeedsFieldExtension, PrimeField,
+                            RATIONALS, SimpleExtension, extend_with_root, gf4,
+                            gf16, quadratic_roots, square_roots)
 from nilalg3.polyring import PolyRing, RationalFunctionField
 from nilalg3.structspace import Matrix3, act, basis_vector
 
@@ -444,3 +447,118 @@ def test_structure_of_parametric_families_match_basis_vector_sums():
         for tag in ("a", "h", "a3"):
             assert structure_of(AlgebraId(tag, p), domain) \
                 == _sym_family(domain, tag, p), (tag, p, domain)
+
+
+def _invariant_decision(vec):
+    """The class-2 decision tree on invariants, the oracle for identify's
+    reading of B: commutativity, whether every square lies on its own line
+    and the annihilator dimension, with delta from the pairing of a unit
+    frame completing the square's f1, each entry a vec.product read at
+    f1's pivot."""
+    if in_m_star_star(vec):
+        return AlgebraId("l1")
+    if is_commutative(vec):
+        return AlgebraId("c1" if annihilator_dimension(vec) == 2 else "c3")
+    F = vec.parent
+    (f1,) = square_basis(vec)
+    pivot = next(n for n in range(3) if not f1[n].is_zero())
+    e = Matrix3.identity(F).rows()
+    w2, w3 = next((e[i], e[j]) for i in range(3) for j in range(i + 1, 3)
+                  if not Matrix3.from_columns(F, [f1, e[i], e[j]]).det().is_zero())
+    (p, q), (r, s) = [[vec.product(x, y)[pivot] / f1[pivot] for y in (w2, w3)]
+                      for x in (w2, w3)]
+    return AlgebraId("a", (p * s - q * r) / ((q - r) * (q - r)))
+
+
+def _class_two_ids(F, rng, pool):
+    """c1, c3, l1, a(0), a(1/4) outside char 2, a random a(delta), h(b) and
+    a3(k) with random parameters, rho, chat3 and a2."""
+    ids = [AlgebraId(t) for t in ("c1", "c3", "l1", "rho", "chat3", "a2")]
+    ids.append(AlgebraId("a", F.zero()))
+    if F.char != 2:
+        ids.append(AlgebraId("a", quarter(F)))
+    return ids + [AlgebraId(t, rng.choice(pool)) for t in ("a", "h", "a3")]
+
+
+def _basis_change(F, rng, pool, sparse):
+    """A seeded invertible matrix: every entry from pool, or, when sparse,
+    each entry nonzero with probability 2/5."""
+    while True:
+        g = Matrix3.from_rows(F, [[rng.choice(pool) if not sparse
+                                   or rng.random() < 0.4 else F.zero()
+                                   for _ in range(3)] for _ in range(3)])
+        if not g.det().is_zero():
+            return g
+
+
+def _sample_pool(F):
+    """Matrix entries and family parameters: every element of a finite
+    field; small rationals otherwise, and over Q(i) some with i."""
+    if F.is_finite():
+        return list(F.elements())
+    pool = [F.from_int(n) for n in (-2, -1, 0, 1, 2, 3)] + [
+        F.element(Fraction(1, 2)), F.element(Fraction(-2, 3))]
+    if F.char == 0 and F != RATIONALS:
+        i = F.generator()
+        pool += [i, 1 + i, 2 * i - 1]
+    return pool
+
+
+@pytest.mark.parametrize("F", [RATIONALS, PrimeField(3), PrimeField(7), gf4(),
+                               gf16(),
+                               extend_with_root(RATIONALS, [1, 0, 1], "i")[0]],
+                         ids=["Q", "gf3", "gf7", "gf4", "gf16", "Qi"])
+def test_identify_reads_b_as_the_invariants_decide(F):
+    # seeded dense and sparse basis changes of every class-2 id: identify,
+    # which reads the 2x2 pairing matrix B off the stored terms, agrees
+    # with the decision tree on invariants, and the witness reduction
+    # built on the same B verifies
+    rng = random.Random(24)
+    pool = _sample_pool(F)
+    for ident in _class_two_ids(F, rng, pool):
+        vec = structure_of(ident, F)
+        for sparse in (False, True, False, True):
+            moved = act(vec, _basis_change(F, rng, pool, sparse))
+            want = _invariant_decision(moved)
+            assert identify(moved) == want, (ident, moved)
+            got, m = identify_with_witness(moved, allow_extension=True)
+            assert got == want
+            assert act(moved.lift(m.parent), m) == structure_of(got, m.parent)
+
+
+def test_identify_reads_b_over_the_generic_point():
+    # over Q(d) the family members keep d in their B; c3 and chat3 need a
+    # square root, which Q(d) refuses
+    Qd = RationalFunctionField(RATIONALS, "d")
+    d = Qd.gen()
+    rng = random.Random(24)
+    pool = [Qd.element(n) for n in (-1, 0, 1, 2)]
+    for ident in (AlgebraId("c1"), AlgebraId("l1"), AlgebraId("a", d),
+                  AlgebraId("h", d), AlgebraId("a3", d), AlgebraId("c3"),
+                  AlgebraId("chat3")):
+        moved = act(structure_of(ident, Qd), _basis_change(Qd, rng, pool, True))
+        want = _invariant_decision(moved)
+        assert identify(moved) == want, (ident, moved)
+        if want == AlgebraId("c3"):
+            with pytest.raises(FieldError, match="^square roots are not "
+                               "supported over QQ\\(d\\)$"):
+                identify_with_witness(moved, allow_extension=True)
+            continue
+        got, m = identify_with_witness(moved)
+        assert got == want
+        assert act(moved, m) == structure_of(got, Qd)
+
+
+def test_square_roots_are_refused_over_the_generic_point():
+    # Q(d) is no field of the tower, so every route to a square root over
+    # it ends in the one FieldError, not in an AttributeError
+    Qd = RationalFunctionField(RATIONALS, "d")
+    d = Qd.gen()
+    for call in (lambda: square_roots(d * d),
+                 lambda: quadratic_roots(Qd.one(), d, d),
+                 lambda: canonicalize(AlgebraId("chat3"), Qd),
+                 lambda: iso_witness(c3(), AlgebraId("chat3"), Qd),
+                 lambda: identify_with_witness(structure_of(c3(), Qd))):
+        with pytest.raises(FieldError, match="^square roots are not "
+                           "supported over QQ\\(d\\)$"):
+            call()

@@ -361,3 +361,73 @@ def test_oversized_field_exits_2_promptly(capsys, tmp_path):
     assert code == 2
     assert err.startswith("error: ")
     assert time.monotonic() - started < 5
+
+
+_Q, _GF7 = {"char": 0}, {"char": 7}
+_GF4 = {"char": 2, "ext": {"name": "w", "min_poly": [1, 1, 1]}}
+
+# one moved vector per class and field, and the exact stdout of `identify
+# --witness --allow-extension` on it; the vectors take the reduction's frame
+# paths: f1 off a unit vector, an isotropic w2 swapped with w3 (c1) or
+# replaced by w2 + w3 (a and c3 over Q, c3 over GF(7), which adjoins a root)
+_WITNESS_STDOUT = {
+    "c1-Q": (_Q, ((3, 3, 1, "-1"), (3, 3, 2, "1")),
+        ["c1",
+         '[["-1", "1", "0"], ["1", "0", "0"], ["0", "0", "1"]]']),
+    "l1-Q": (_Q, ((1, 2, 1, "-1"), (1, 2, 3, "-2"), (2, 1, 1, "1"),
+         (2, 1, 3, "2"), (2, 3, 1, "-1/2"), (2, 3, 3, "-1"),
+         (3, 2, 1, "1/2"), (3, 2, 3, "1")),
+        ["l1",
+         '[["-1", "1", "0"], ["0", "0", "1"], ["-2", "0", "0"]]']),
+    "a-Q": (_Q, ((1, 3, 1, "-1/2"), (1, 3, 2, "-1/2"), (2, 3, 1, "1/2"),
+         (2, 3, 2, "1/2"), (3, 1, 1, "1"), (3, 1, 2, "1"),
+         (3, 2, 1, "-1"), (3, 2, 2, "-1")),
+        ["a(2/9)",
+         '[["1/2", "1", "2/3"], ["1/2", "0", "0"], ["0", "1", "1/3"]]']),
+    "c3-Q": (_Q, ((1, 2, 1, "-4"), (1, 2, 3, "8"), (2, 1, 1, "-4"),
+         (2, 1, 3, "8"), (2, 3, 1, "-2"), (2, 3, 3, "4"),
+         (3, 2, 1, "-2"), (3, 2, 3, "4")),
+        ["c3",
+         '[["-8", "1", "2r"], ["0", "1", "-2r"], ["16", "0", "0"]]',
+         '[{"name": "r", "min_poly": ["1/4", "0", "1"]}]']),
+    "c1-gf7": (_GF7, ((2, 2, 1, "5"), (2, 2, 2, "2"), (2, 2, 3, "3"),
+         (2, 3, 1, "6"), (2, 3, 2, "1"), (2, 3, 3, "5"),
+         (3, 2, 1, "6"), (3, 2, 2, "1"), (3, 2, 3, "5"),
+         (3, 3, 1, "3"), (3, 3, 2, "4"), (3, 3, 3, "6")),
+        ["c1",
+         '[["5", "1", "0"], ["2", "0", "1"], ["3", "0", "0"]]']),
+    "l1-gf7": (_GF7, ((1, 2, 1, "1"), (1, 2, 3, "4"), (2, 1, 1, "6"),
+         (2, 1, 3, "3"), (2, 3, 1, "2"), (2, 3, 3, "1"),
+         (3, 2, 1, "5"), (3, 2, 3, "6")),
+        ["l1",
+         '[["1", "1", "0"], ["0", "0", "1"], ["4", "0", "0"]]']),
+    "a-gf7": (_GF7, ((1, 1, 2, "3"), (1, 1, 3, "4"), (1, 2, 2, "2"),
+         (1, 2, 3, "5"), (1, 3, 2, "2"), (1, 3, 3, "5"),
+         (2, 2, 2, "4"), (2, 2, 3, "3"), (2, 3, 2, "4"),
+         (2, 3, 3, "3"), (3, 2, 2, "4"), (3, 2, 3, "3"),
+         (3, 3, 2, "4"), (3, 3, 3, "3")),
+        ["a(3)",
+         '[["0", "1", "0"], ["3", "0", "5"], ["4", "0", "0"]]']),
+    "c3-gf7": (_GF7, ((1, 2, 2, "4"), (1, 2, 3, "2"), (1, 3, 2, "6"),
+         (1, 3, 3, "3"), (2, 1, 2, "4"), (2, 1, 3, "2"),
+         (3, 1, 2, "6"), (3, 1, 3, "3")),
+        ["c3",
+         '[["0", "1", "2r"], ["1", "1", "5r"], ["4", "0", "0"]]',
+         '[{"name": "r", "min_poly": ["2", "0", "1"]}]']),
+    "l1-gf4": (_GF4, ((1, 2, 1, "w"), (1, 2, 3, "1+w"), (2, 1, 1, "w"),
+         (2, 1, 3, "1+w"), (2, 3, 1, "1"), (2, 3, 3, "w"),
+         (3, 2, 1, "1"), (3, 2, 3, "w")),
+        ["l1",
+         '[["w", "1", "0"], ["0", "0", "1"], ["1+w", "0", "0"]]']),
+}
+
+
+@pytest.mark.parametrize("name", list(_WITNESS_STDOUT))
+def test_identify_witness_stdout_is_pinned(capsys, tmp_path, name):
+    field, entries, lines = _WITNESS_STDOUT[name]
+    path = tmp_path / "vec.json"
+    path.write_text(json.dumps(_vector(field, entries)))
+    code, out, _ = run(capsys, "identify", str(path), "--witness",
+                       "--allow-extension")
+    assert code == 0
+    assert out.splitlines() == lines

@@ -111,6 +111,17 @@ def test_no_kernel_asks_whether_a_value_has_a_rep():
     assert not found, found
 
 
+def test_no_kernel_asks_whether_a_value_has_an_attribute():
+    # every scalar is a ScalarOps, whose _no_division names the error of a
+    # ring without division, so no kernel probes a value with hasattr
+    found = [f"{path.name}:{node.lineno}"
+             for path in sorted(pathlib.Path(nilalg3.__file__).parent.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+             and node.func.id == "hasattr"]
+    assert not found, found
+
+
 def test_the_benchmark_finds_every_name_it_uses():
     # bench/ wraps the names in spans.TRACED through getattr and imports
     # others (one import sits inside a string in run.py), so deleting one of
