@@ -346,12 +346,8 @@ def _reduction_matrix(vec, ident, field, square, allow_extension) -> Matrix3:
             if not allow_extension:
                 raise NeedsFieldExtension(
                     f"square root of {ratio!r} needed to normalise the pairing")
-            f2, emb = _adjoin(field, [-ratio, 0, 1])
+            f2 = _adjoin(field, [-ratio, 0, 1])[0]
             d = f2.generator()
-            f1 = [emb(c) for c in f1]
-            w2 = [emb(c) for c in w2]
-            w3 = [emb(c) for c in w3]
-            p = emb(p)
         w3 = [c / d for c in w3]
         scaled = [p * c for c in f1]
         return Matrix3.from_columns(f2, [scaled, w2, w3])

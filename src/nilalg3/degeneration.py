@@ -24,8 +24,8 @@ import time
 from dataclasses import dataclass
 
 from . import algprops
-from .catalogue import (AlgebraId, adelta, canonicalize, hbeta, identify,
-                        identify_with_witness, quarter, structure_of)
+from .catalogue import (AlgebraId, _slice, adelta, canonicalize, hbeta,
+                        identify, identify_with_witness, quarter, structure_of)
 from .fields import Field, FieldElement, PrimeField, RATIONALS, prime_field
 from .polyring import (MultiPoly, PolyRing, RationalFunction,
                        RationalFunctionField)
@@ -445,23 +445,38 @@ def _require_lemma(characteristic: int):
 
 @functools.cache
 def _node_profile(ident: AlgebraId, field: Field):
+    """(class, commutative, in M**, in family) of a catalogue node.
+
+    A class-2 node squares as x * x = (x^T B x) f1, B the 2x2 pairing
+    matrix of the slice; in M** says x^T B x vanishes, so B is alternating.
+    The node is in the pinched-product family h(b) exactly when that form
+    has two independent isotropic lines: it is 0 (B alternating) or its
+    discriminant -det(B + B^T) is nonzero.  Outside it, a class-2 node has
+    rank(B + B^T) <= 1; in characteristic 2, B + B^T is alternating, so its
+    rank is never 1 and the quarter class is empty.
+    """
     vec = structure_of(ident, field)
-    return (algprops.nilpotency_class(vec), algprops.is_commutative(vec),
-            algprops.in_m_star_star(vec))
-
-
-def _in_family(ident: AlgebraId, field: Field) -> bool:
-    """Is this class one of the pinched-product family classes?"""
-    if field.char == 2:
-        return ident.tag in ("l1", "a")
-    if ident.tag in ("c3", "l1"):
-        return True
-    return ident.tag == "a" and ident.param != quarter(field)
+    chain = algprops.power_chain(vec)
+    cls, mss = algprops.chain_class(chain), algprops.in_m_star_star(vec)
+    family = False
+    if cls == 2:
+        (p, q), (r, s) = _slice(vec, chain[0])[3]
+        family = mss or not ((p + p) * (s + s) - (q + r) * (q + r)).is_zero()
+    return cls, algprops.is_commutative(vec), mss, family
 
 
 def _base_obstruction(src: AlgebraId, dst: AlgebraId, field: Field):
-    s_cls, s_comm, s_mss = _node_profile(src, field)
-    d_cls, d_comm, d_mss = _node_profile(dst, field)
+    """The first refusal the two node profiles give, or None.
+
+    Class, commutativity and M** are semicontinuous.  family-separation
+    refuses two distinct family nodes; rho-separation refuses a class-2
+    source outside the family that is not commutative (B is not symmetric
+    and rank(B + B^T) = 1: the quarter node a(1/4)) onto a family node
+    whose B is not alternating.  Both separations are gated on the
+    identity suite.
+    """
+    s_cls, s_comm, s_mss, s_fam = _node_profile(src, field)
+    d_cls, d_comm, d_mss, d_fam = _node_profile(dst, field)
     if d_cls > s_cls:
         return Obstruction("nilpotency-class",
                            f"nilpotency class would rise from {s_cls} to {d_cls}")
@@ -473,22 +488,18 @@ def _base_obstruction(src: AlgebraId, dst: AlgebraId, field: Field):
         return Obstruction("m-star-star-closure",
                            "squares stay on their own line in the source "
                            "class but not in the target class")
-    if _in_family(src, field) and _in_family(dst, field) and src != dst:
+    if s_fam and d_fam and src != dst:
         _require_lemma(field.char)
         return Obstruction("family-separation",
                            f"{src} and {dst} are distinct classes of the "
                            "pinched-product family, whose orbit closures "
                            "meet the family only in themselves")
-    if (field.char != 2 and src.tag == "a" and src.param == quarter(field)
-            and dst != src):
-        quarter_blocked = dst.tag == "c3" or (
-            dst.tag == "a" and dst.param != quarter(field))
-        if quarter_blocked:
-            _require_lemma(field.char)
-            return Obstruction("rho-separation",
-                               "the quarter-parameter class meets the "
-                               "pinched-product family only in the "
-                               "alternating class")
+    if s_cls == 2 and not (s_fam or s_comm) and d_fam and not d_mss:
+        _require_lemma(field.char)
+        return Obstruction("rho-separation",
+                           "the quarter-parameter class meets the "
+                           "pinched-product family only in the "
+                           "alternating class")
     return None
 
 

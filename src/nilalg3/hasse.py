@@ -82,20 +82,11 @@ def build_graph(characteristic: int) -> HasseDiagram:
         for v in nodes:
             if u == v:
                 continue
-            annotation = None
-            holds = True
-            for s in members[u]:
-                for d in members[v]:
-                    fact = degenerates(s, d, field)
-                    if not fact.holds:
-                        holds = False
-                        break
-                    if annotation is None:
-                        annotation = _annotation(fact)
-                if not holds:
-                    break
-            if holds:
-                relation[(u, v)] = annotation
+            facts = (degenerates(s, d, field)
+                     for s in members[u] for d in members[v])
+            first = next(facts)
+            if first.holds and all(fact.holds for fact in facts):
+                relation[(u, v)] = _annotation(first)
 
     _assert_acyclic(nodes, relation)
     reduced = []

@@ -103,6 +103,9 @@ def _field(char: int, name, minpoly) -> Field:
 
 
 def describe_field(field: Field) -> dict:
+    if not isinstance(field, Field):
+        raise FormatError(f"{field!r} has no JSON form: it is not Q, GF(p) "
+                          "or an extension of one")
     if isinstance(field, _Extension):
         inner = describe_field(field.base)
         if "ext" in inner:
@@ -328,14 +331,10 @@ def parse_vector(payload) -> StructureVector:
 
 
 def render_vector(vec: StructureVector) -> dict:
-    entries = [{"i": i, "j": j, "k": k, "c": render_scalar(c)}
-               for i, j, k, c in vec.terms()]
-    payload = {"entries": entries}
-    try:
-        payload["field"] = describe_field(vec.parent)
-    except (FormatError, AttributeError):
-        pass
-    return payload
+    field = describe_field(vec.parent)
+    return {"entries": [{"i": i, "j": j, "k": k, "c": render_scalar(c)}
+                        for i, j, k, c in vec.terms()],
+            "field": field}
 
 
 def parse_matrix(payload, field: Field) -> Matrix3:

@@ -7,10 +7,11 @@ transitivity through an already-settled pair).
 """
 
 import random
+from fractions import Fraction
 
 import pytest
 
-from nilalg3 import degeneration
+from nilalg3 import degeneration, hasse
 from nilalg3.catalogue import (AlgebraId, adelta, a3kappa, identify, quarter,
                                structure_of)
 from nilalg3.degeneration import (CurveWitness, DegenerationError,
@@ -19,7 +20,8 @@ from nilalg3.degeneration import (CurveWitness, DegenerationError,
                                   known_witness, lift_witness_to_rationals,
                                   search_witness, verify_lemma_identities,
                                   verify_witness)
-from nilalg3.fields import FieldError, PrimeField, RATIONALS, gf4, gf16
+from nilalg3.fields import (FieldError, PrimeField, RATIONALS, SimpleExtension,
+                            gf4, gf16)
 from nilalg3.polyring import PoleAtZero, RationalFunctionField, limit_at_zero
 from nilalg3.structspace import Matrix3, act, basis_vector
 
@@ -301,6 +303,60 @@ def test_no_obstruction_on_true_degenerations():
     assert check_obstruction(C5, A0, Q) is None
 
 
+# the tag predicates _node_profile replaced, kept as its oracle
+
+
+def _tag_in_family(ident, field):
+    if field.char == 2:
+        return ident.tag in ("l1", "a")
+    if ident.tag in ("c3", "l1"):
+        return True
+    return ident.tag == "a" and ident.param != quarter(field)
+
+
+def _tag_quarter_source(ident, field):
+    return field.char != 2 and ident.tag == "a" and ident.param == quarter(field)
+
+
+def _tag_rho_target(ident, field):
+    return ident.tag == "c3" or (ident.tag == "a" and ident.param != quarter(field))
+
+
+def _profile_params(name):
+    """(field, family parameters): every element of a finite field, about
+    sixty rationals over Q, and a few points of Q(i) and Q(d)."""
+    if name == "Q":
+        return Q, sorted({Fraction(n, m) for n in range(-8, 9)
+                          for m in (1, 2, 3, 4, 5, 8)})
+    if name == "Qi":
+        F = SimpleExtension(Q, [1, 0, 1], "i")
+        i = F.generator()
+        return F, [0, 1, Fraction(1, 4), -Fraction(1, 4), i, i + 1, i / 4, i + Fraction(1, 4)]
+    if name == "Qd":
+        F = RationalFunctionField(Q, "d")
+        d = F.gen()
+        return F, [0, 1, Fraction(1, 4), d, 1 / d, d / 4, d + Fraction(1, 4), d * d]
+    F = {"GF4": gf4, "GF16": gf16}.get(name, lambda: PrimeField(int(name[2:])))()
+    return F, list(F.elements())
+
+
+@pytest.mark.parametrize("name", ["Q", "Qi", "Qd", "GF3", "GF5", "GF7", "GF11",
+                                  "GF13", "GF4", "GF16"])
+def test_node_profile_flags_match_the_tag_predicates(name):
+    field, params = _profile_params(name)
+    ids = [A0, C1, L1, C3, C5] + [adelta(field, d) for d in params]
+    for ident in ids:
+        cls, comm, mss, family = degeneration._node_profile(ident, field)
+        assert family == _tag_in_family(ident, field), ident
+        quarter_source = cls == 2 and not (family or comm)
+        assert quarter_source == _tag_quarter_source(ident, field), ident
+        # rho-separation reads its target only behind a quarter source, and
+        # characteristic 2 has none
+        if field.char != 2:
+            assert (family and not mss) == _tag_rho_target(ident, field), ident
+    assert any(_tag_quarter_source(ident, field) for ident in ids) == (field.char != 2)
+
+
 # -- the complete decision procedure ---------------------------------------------
 
 
@@ -370,6 +426,30 @@ def test_cleared_caches_give_the_same_facts(field):
     assert facts() == cold
     assert {f[3][0] for f in cold if f[3]} >= {"family-separation",
                                                "transitivity-derived"}
+
+
+@pytest.mark.parametrize("base", [Q, gf16()], ids=["Q", "GF16"])
+def test_decisions_at_the_generic_point_match_every_sampled_member(base):
+    # the diagram's a(*) node stands for ten sampled members; a(d) over F(d)
+    # must be decided as each of them is, to and from every other node
+    def key(fact):
+        holds, obs, notes = _fact_key(fact)[2:]
+        return holds, obs and obs[0], notes
+
+    field = RationalFunctionField(base, "d")
+    generic = adelta(field, field.gen())
+    labels = [n for n in hasse.NODE_ORDER
+              if n != "a(*)" and (n != "a(1/4)" or base.char != 2)]
+    for label in labels:
+        [other] = hasse._node_members(label, field, ())
+        want = (key(degenerates(generic, other, field)),
+                key(degenerates(other, generic, field)))
+        [node] = hasse._node_members(label, base, ())
+        for d in hasse._family_samples(base):
+            member = adelta(base, d)
+            got = (key(degenerates(member, node, base)),
+                   key(degenerates(node, member, base)))
+            assert got == want, (label, d)
 
 
 def test_known_witness_refuses_non_canonical_ids_on_every_call():

@@ -13,18 +13,18 @@ import pytest
 
 import nilalg3.ioformats
 from nilalg3.catalogue import (AUXILIARY_TAGS, CANONICAL_TAGS, PARAMETRIC_TAGS,
-                               AlgebraId, adelta, quarter)
+                               AlgebraId, adelta, quarter, structure_of)
 from nilalg3.cli import main
 from nilalg3.degeneration import (CurveWitness, compose_curves, known_witness,
                                   lift_witness_to_rationals, search_witness,
                                   verify_witness)
-from nilalg3.fields import PrimeField, RATIONALS, gf4
+from nilalg3.fields import PrimeField, RATIONALS, SimpleExtension, gf4
 from nilalg3.ioformats import (FormatError, describe_field, parse_algebra_id,
                                parse_field, parse_matrix, parse_poly_in_t,
                                parse_scalar, parse_vector, parse_witness,
                                render_algebra_id, render_vector,
                                render_witness)
-from nilalg3.polyring import RationalFunctionField
+from nilalg3.polyring import PolyRing, RationalFunctionField
 from nilalg3.structspace import Matrix3, StructureVector, basis_vector
 
 
@@ -261,6 +261,23 @@ def test_vector_round_trip():
     assert vec == basis_vector(F, 2, 3, 1) - basis_vector(F, 3, 2, 1)
     again = parse_vector(render_vector(vec))
     assert again == vec
+
+
+def test_rendering_refuses_a_domain_without_a_descriptor():
+    # Q(d) has a characteristic, but {"char": 0} would read back as Q and
+    # fail on d; Q[x] and a nested extension have no descriptor either
+    Qd = RationalFunctionField(RATIONALS, "d")
+    member = adelta(Qd, Qd.gen())
+    with pytest.raises(FormatError, match="no JSON form"):
+        render_witness(known_witness(member, AlgebraId("c1"), Qd))
+    with pytest.raises(FormatError, match="no JSON form"):
+        render_vector(structure_of(member, Qd))
+    with pytest.raises(FormatError, match="no JSON form"):
+        render_vector(basis_vector(PolyRing(RATIONALS, ("x",)), 2, 3, 1))
+    nested = SimpleExtension(SimpleExtension(RATIONALS, [1, 0, 1], "i"),
+                             [-2, 0, 1], "r")
+    with pytest.raises(FormatError, match="nested"):
+        render_vector(basis_vector(nested, 2, 3, 1))
 
 
 # coefficients per field: texts, a few of them ints, drawn with repeats

@@ -144,3 +144,25 @@ def test_the_benchmark_finds_every_name_it_uses():
         if obj is None:
             missing.append(".".join((module, *attrs)))
     assert not missing, missing
+
+
+def test_the_base_obstruction_reads_no_node_name():
+    # the family and the quarter class are read off the pairing matrix B of
+    # each node, so _node_profile and _base_obstruction read no tag or
+    # parameter, call no quarter() and test no characteristic
+    path = pathlib.Path(nilalg3.__file__).parent / "degeneration.py"
+    functions = {node.name: node for node in ast.parse(path.read_text()).body
+                 if isinstance(node, ast.FunctionDef)
+                 and node.name in ("_node_profile", "_base_obstruction")}
+    assert len(functions) == 2
+    found = []
+    for name, function in functions.items():
+        for node in ast.walk(function):
+            if (isinstance(node, ast.Attribute) and node.attr in ("tag", "param")
+                    or isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                    and node.func.id == "quarter"
+                    or isinstance(node, ast.Compare)
+                    and any(isinstance(n, ast.Attribute) and n.attr == "char"
+                            for n in ast.walk(node))):
+                found.append(f"{name}:{node.lineno}")
+    assert not found, found
