@@ -225,8 +225,9 @@ class ScalarOps:
         while n:
             if n & 1:
                 out = out * base
-            base = base * base
             n >>= 1
+            if n:       # no square past the top bit: a polynomial's may overflow
+                base = base * base
         return out
 
 

@@ -1,13 +1,23 @@
 """Sparse multivariate polynomials and univariate rational functions.
 
-Coefficients live in any field from the tower.  A ``MultiPoly`` holds the
-reps of its nonzero coefficients and combines them through its field's
-hooks (``_add``, ``_mul``, ``_neg``, ``_is_zero``), like every other exact
-kernel; ``terms``, the map to elements, is a view built on demand.  A
-polynomial, like an element of F(d), is its own ``rep``.  Multivariate
-division is deliberately absent: identity checks clear denominators first
-and then test for the zero polynomial.  Only the univariate case (curves in
-t) carries a fraction field, with gcd reduction and a monic denominator as
+Coefficients live in any field from the tower.  A ``MultiPoly`` maps the
+packed int key of each monomial to the rep of its nonzero coefficient and
+combines the reps through its field's hooks (``_add``, ``_mul``, ``_neg``,
+``_is_zero``), like every other exact kernel; ``terms``, the map from
+exponent tuples to elements, is a view built on demand.  The ``PolyRing``
+owns the packing: a fixed field of ``_FIELD_BITS`` bits per variable with
+the first variable in the high bits, so the first variable is unbounded,
+integer order is the order of exponent tuples, a univariate key is the
+exponent, and a product's key is the sum of its factors' keys.  A product
+that sets the guard bit on top of a lower field raises ``PolyRingError``
+and never carries into the next variable.  The coefficients form a field,
+so a product or a negation of nonzero reps is nonzero: only where a sum
+happened are zero reps filtered, in ``+`` as each key's sum cancels and
+in ``*`` when two products fell on one key.  A polynomial, like an
+element of F(d), is its own ``rep``.  Multivariate division is
+deliberately absent: identity checks clear denominators first and then
+test for the zero polynomial.  Only the univariate case (curves in t)
+carries a fraction field, with gcd reduction and a monic denominator as
 the canonical form.  A monic constant is 1, so a polynomial in t is its
 numerator over the one polynomial 1 that its ``RationalFunctionField``
 holds, and ``+``, ``-`` and ``*`` of two such entries of F[t] are the
@@ -33,6 +43,9 @@ from .fields import (Field, FieldElement, ScalarOps, _bracket_sum, _image,
                      _pdivmod, _pgcd, _source, signed_sum)
 
 
+_FIELD_BITS = 16    # a packed exponent field, guard bit included
+
+
 class PolyRingError(ArithmeticError):
     """Mixed registries, bad variable names, and similar structural misuse."""
 
@@ -42,19 +55,37 @@ class PoleAtZero(ArithmeticError):
 
 
 class PolyRing:
-    """Polynomials in a fixed ordered tuple of variables over one field."""
+    """Polynomials in a fixed ordered tuple of variables over one field.
+
+    The ring owns the packing of a monomial into one int key: every variable
+    but the first gets a field of ``_FIELD_BITS`` bits, the last variable
+    lowest, and the first variable takes the bits above them all, so it is
+    unbounded and integer order is the order of exponent tuples.  The top
+    bit of each field below the first is a guard: it stays clear in every
+    stored key, and a product that sets it raises ``PolyRingError`` instead
+    of carrying into the next variable.  A univariate key is the exponent.
+    """
 
     def __init__(self, field: Field, variables):
         self.field = self._below = field
         self.vars = tuple(variables)
         if len(set(self.vars)) != len(self.vars):
             raise PolyRingError("duplicate variable names")
+        n = len(self.vars)
+        self._shifts = tuple(_FIELD_BITS * (n - 1 - i) for i in range(n))
+        self._guard = sum(1 << (s + _FIELD_BITS - 1) for s in self._shifts[1:])
+
+    def _exponents(self, key: int) -> tuple:
+        """The exponent tuple that a packed key stands for."""
+        first, *rest = self._shifts
+        mask = (1 << _FIELD_BITS) - 1
+        return (key >> first, *((key >> s) & mask for s in rest))
 
     def var(self, name: str) -> "MultiPoly":
         if name not in self.vars:
             raise PolyRingError(f"unknown variable {name!r}")
-        exp = tuple(1 if v == name else 0 for v in self.vars)
-        return MultiPoly(self, {exp: self.field._one_rep})
+        key = 1 << self._shifts[self.vars.index(name)]
+        return MultiPoly(self, {key: self.field._one_rep})
 
     def gens(self):
         return tuple(self.var(v) for v in self.vars)
@@ -73,7 +104,7 @@ class PolyRing:
         raise PolyRingError(f"no image of an element of {_source(v)} in {self!r}")
 
     def _up(self, c) -> "MultiPoly":
-        return MultiPoly(self, {(0,) * len(self.vars): c.rep})
+        return MultiPoly(self, {0: c.rep})
 
     def zero(self) -> "MultiPoly":
         return MultiPoly(self, {})
@@ -98,9 +129,16 @@ class PolyRing:
 
 
 class MultiPoly(ScalarOps):
-    """A sparse polynomial: ``reps`` maps exponent tuples to the reps of the
-    nonzero coefficients, and the constructor drops zero reps.  ``terms``
-    is a read-only view, exponent tuples to elements, built on each read."""
+    """A sparse polynomial: ``reps`` maps the packed key of each monomial
+    (see ``PolyRing``) to the rep of its nonzero coefficient.  ``terms`` is a
+    read-only view, exponent tuples to elements, built on each read.
+
+    The constructor drops zero reps.  The operators build their results
+    with ``_of``, which trusts them: the coefficients form a field, so a
+    product and a negation of nonzero reps are nonzero, and only a sum can
+    vanish.  ``+`` drops each key whose sum cancels as it goes, and ``*``
+    filters only when two of its products fell on one key.
+    """
 
     __slots__ = ("ring", "reps")
     _no_division = PolyRingError
@@ -113,41 +151,55 @@ class MultiPoly(ScalarOps):
 
     @property
     def terms(self) -> dict:
-        elem = self.ring.field._elem
-        return {e: elem(c) for e, c in self.reps.items()}
+        elem, exponents = self.ring.field._elem, self.ring._exponents
+        return {exponents(e): elem(c) for e, c in self.reps.items()}
 
     def __add__(self, other):
         R = self.ring
         if other.__class__ is not MultiPoly or (
                 other.ring is not R and other.ring != R):
             return self._mixed(other, operator.add)
-        add = R.field._add
+        add, is_zero = R.field._add, R.field._is_zero
         reps = dict(self.reps)
         for e, c in other.reps.items():
             s = reps.get(e)
-            reps[e] = c if s is None else add(s, c)
-        return MultiPoly(R, reps)
+            if s is None:
+                reps[e] = c
+            elif is_zero(s := add(s, c)):
+                del reps[e]
+            else:
+                reps[e] = s
+        return _of(R, reps)
 
     __radd__ = __add__
 
     def __neg__(self):
         neg = self.ring.field._neg
-        return MultiPoly(self.ring, {e: neg(c) for e, c in self.reps.items()})
+        return _of(self.ring, {e: neg(c) for e, c in self.reps.items()})
 
     def __mul__(self, other):
         R = self.ring
         if other.__class__ is not MultiPoly or (
                 other.ring is not R and other.ring != R):
             return self._mixed(other, operator.mul)
-        add, mul = R.field._add, R.field._mul
+        F = R.field
+        add, mul = F._add, F._mul
         reps: dict = {}
         for e1, c1 in self.reps.items():
             for e2, c2 in other.reps.items():
-                e = tuple(map(operator.add, e1, e2))
+                e = e1 + e2
                 c = mul(c1, c2)
                 s = reps.get(e)
                 reps[e] = c if s is None else add(s, c)
-        return MultiPoly(R, reps)
+        if len(reps) < len(self.reps) * len(other.reps):    # two fell on one key
+            is_zero = F._is_zero
+            reps = {e: c for e, c in reps.items() if not is_zero(c)}
+        guard = R._guard
+        if guard:
+            for e in reps:
+                if e & guard:
+                    raise PolyRingError(f"an exponent outgrew its field in {R!r}")
+        return _of(R, reps)
 
     __rmul__ = __mul__
 
@@ -162,7 +214,7 @@ class MultiPoly(ScalarOps):
         return self.reps == other.reps
 
     def __hash__(self):     # a constant's is its coefficient's, which it equals
-        if not any(map(any, self.reps)):
+        if not any(self.reps):
             return hash(next(iter(self.terms.values()), self.ring.field.zero()))
         return hash((self.ring, frozenset(self.reps.items())))
 
@@ -171,7 +223,7 @@ class MultiPoly(ScalarOps):
 
     def degree(self) -> int:
         """Total degree; -1 for the zero polynomial."""
-        return max((sum(e) for e in self.reps), default=-1)
+        return max(map(sum, map(self.ring._exponents, self.reps)), default=-1)
 
     def evaluate(self, assignment: dict) -> FieldElement:
         """Evaluate at a full assignment: variable name -> a field value."""
@@ -184,7 +236,7 @@ class MultiPoly(ScalarOps):
         add, mul = field._add, field._mul
         out = field._zero_rep
         for e, c in self.reps.items():
-            for x, k in zip(point, e):
+            for x, k in zip(point, self.ring._exponents(e)):
                 for _ in range(k):
                     c = mul(c, x)
             out = add(out, c)
@@ -203,6 +255,13 @@ class MultiPoly(ScalarOps):
 MultiPoly.parent = MultiPoly.ring       # the name every scalar gives its domain
 
 
+def _of(ring: PolyRing, reps: dict) -> MultiPoly:
+    """A polynomial on reps known to be nonzero, with no filter."""
+    p = object.__new__(MultiPoly)
+    p.ring, p.reps = ring, reps
+    return p
+
+
 # -- univariate helpers ------------------------------------------------------
 
 
@@ -213,14 +272,14 @@ def _require_univariate(p: MultiPoly):
 
 def _reps(p: MultiPoly) -> list:
     """The coefficient reps of a univariate polynomial, constant first."""
-    out = [p.ring.field._zero_rep] * (max(p.reps)[0] + 1) if p.reps else []
-    for (e,), c in p.reps.items():
+    out = [p.ring.field._zero_rep] * (max(p.reps) + 1) if p.reps else []
+    for e, c in p.reps.items():
         out[e] = c
     return out
 
 
 def _poly(ring: PolyRing, reps) -> MultiPoly:
-    return MultiPoly(ring, {(i,): r for i, r in enumerate(reps)})
+    return MultiPoly(ring, dict(enumerate(reps)))
 
 
 def poly_gcd(a: MultiPoly, b: MultiPoly) -> MultiPoly:
@@ -233,7 +292,7 @@ def poly_gcd(a: MultiPoly, b: MultiPoly) -> MultiPoly:
 def t_valuation(p: MultiPoly):
     """Order of vanishing at 0 of a univariate polynomial (None for 0)."""
     _require_univariate(p)
-    return min((e[0] for e in p.reps), default=None)
+    return min(p.reps, default=None)
 
 
 class RationalFunctionField:
@@ -278,7 +337,7 @@ class RationalFunctionField:
         elements of the field; zero coefficients drop out."""
         F = self.field
         return self._up(
-            MultiPoly(self.ring, {(e,): F.element(c).rep for e, c in coeffs.items()}))
+            MultiPoly(self.ring, {e: F.element(c).rep for e, c in coeffs.items()}))
 
     def zero(self) -> "RationalFunction":
         return self._up(self.ring.zero())
@@ -321,7 +380,7 @@ class RationalFunction(ScalarOps):
             raise ZeroDivisionError("rational function with zero denominator")
         if num.is_zero():
             return cls(parent, parent.ring.zero(), parent.poly_one)
-        if den.degree() > 0:    # the gcd with a nonzero constant is 1
+        if max(den.reps) > 0:   # the gcd with a nonzero constant is 1
             F, n, d = parent.field, _reps(num), _reps(den)
             g = _pgcd(n, d, F)[0]
             if len(g) > 1:
@@ -333,9 +392,9 @@ class RationalFunction(ScalarOps):
         dl = den.reps[max(den.reps)]
         if dl != F._one_rep:
             mul, inv = F._mul, F._inv(dl)
-            num, den = (MultiPoly(parent.ring, {e: mul(c, inv) for e, c in p.reps.items()})
+            num, den = (_of(parent.ring, {e: mul(c, inv) for e, c in p.reps.items()})
                         for p in (num, den))
-        return cls(parent, num, parent.poly_one if max(den.reps) == (0,) else den)
+        return cls(parent, num, parent.poly_one if max(den.reps) == 0 else den)
 
     def __add__(self, other):
         P = self.parent

@@ -97,6 +97,59 @@ def test_poly_str_and_degree():
     assert str(R.one()) == "1"
 
 
+def test_an_exponent_past_its_packed_field_raises():
+    # below the first variable each exponent has a field of _FIELD_BITS bits
+    # whose top bit is a guard: overflow raises, never carries into the
+    # variable above (y^(2^16) would otherwise read as x)
+    F = PrimeField(7)
+    R = PolyRing(F, ("x", "y", "z"))
+    x, y, z = R.gens()
+    top = 2 ** (polyring._FIELD_BITS - 1) - 1
+    assert (y ** top * z ** top * x).terms == {(1, top, top): F.one()}
+    for v, unit in ((y, (0, 1, 0)), (z, (0, 0, 1))):
+        p = v ** top
+        assert p.terms == {tuple(top * k for k in unit): F.one()}
+        for overflow in (lambda: p * v, lambda: v ** (top + 1), lambda: p * p,
+                         lambda: v ** (2 * top + 2), lambda: (p + x + 1) * (v - 1)):
+            with pytest.raises(PolyRingError):
+                overflow()
+    # a product whose overflowing monomial cancels has none to report
+    assert (y ** top + 1) * (y - y) == R.zero()
+
+
+def test_the_first_variable_takes_any_exponent():
+    F = PrimeField(7)
+    R = PolyRing(F, ("x", "y"))
+    x, y = R.gens()
+    p = x ** 70000 * y + x
+    assert p.terms == {(70000, 1): F.one(), (1, 0): F.one()}
+    assert p.degree() == 70001 and str(p) == "x^70000*y+x"
+    K = RationalFunctionField(F, "t")
+    t = K.gen()
+    q = t ** 70000 * 3 + t ** 2
+    assert q.num.terms == {(70000,): F.element(3), (2,): F.one()}
+    assert str(q) == "3*t^70000+t^2" and t_valuation(q.num) == 2
+    assert q / t ** 2 == 3 * t ** 69998 + 1
+    assert limit_at_zero(q / t ** 2) == F.one()
+
+
+def test_packed_keys_keep_str_order_terms_and_a_constants_hash():
+    # integer order of the keys is the order of exponent tuples, the first
+    # variable highest; terms and str read exponent tuples
+    R = PolyRing(RATIONALS, ("x", "y", "z"))
+    x, y, z = R.gens()
+    p = z + x * z ** 2 + 1 + y ** 3 + x ** 2 - 2 * x * y * z
+    assert str(p) == "x^2-2*x*y*z+x*z^2+y^3+z+1"
+    assert set(p.terms) == {(2, 0, 0), (1, 1, 1), (1, 0, 2), (0, 3, 0),
+                            (0, 0, 1), (0, 0, 0)}
+    assert p.degree() == 3
+    assert p.evaluate({"x": 2, "y": -1, "z": 3}) == RATIONALS.element(37)
+    for c in (3, Fraction(1, 2), 0):
+        assert hash(R.const(c)) == hash(RATIONALS.element(c)) == hash(c)
+        assert R.const(c) == c
+    assert R.const(3) != 3 * x
+
+
 def test_str_brackets_a_compound_coefficient():
     # (1+w)t is not 1+wt; a constant term needs no bracket
     F = gf4()

@@ -100,6 +100,19 @@ def test_det_by_permutation_formula():
         assert s == g.det()
 
 
+def test_matrices_differ_by_an_entry_or_by_the_domain():
+    # equal means one domain and equal entries: neither alone is enough
+    F = PrimeField(7)
+    g = Matrix3.from_rows(F, [[1, 2, 0], [0, 1, 0], [0, 0, 1]])
+    assert g == Matrix3.from_rows(F, [[1, 2, 0], [0, 1, 0], [0, 0, 1]])
+    assert g != Matrix3.from_rows(F, [[1, 3, 0], [0, 1, 0], [0, 0, 1]])
+    assert g != Matrix3.identity(F)
+    Qi = SimpleExtension(RATIONALS, [1, 0, 1], "i")
+    one_q, one_i = Matrix3.identity(RATIONALS), Matrix3.identity(Qi)
+    assert one_q.entries == one_i.entries       # 1 of Q equals 1 of Q(i)
+    assert one_q != one_i and one_i != one_q
+
+
 @pytest.mark.parametrize("kind", ["Q", "gf7", "gf16", "polyring"])
 def test_det_read_off_the_adjugate(kind):
     """adjugate_and_det's three-product determinant is det(), on singular
@@ -223,6 +236,23 @@ def test_str_rendering():
     v = basis_vector(F, 2, 3, 1) - basis_vector(F, 3, 2, 1)
     assert str(v) == "231-321"
     assert str(StructureVector.zero(F)) == "0"
+
+
+def test_str_brackets_sum_and_fraction_coefficients():
+    # a coefficient that is a sum or a fraction is bracketed, so (1+w)*231
+    # never reads as 1+w*231, nor ((1)/(t))*231 as (1)/(t)*231
+    F = gf4()
+    w = F.generator()
+    v = StructureVector.from_terms(F, [(2, 3, 1, 1 + w), (3, 3, 1, w)])
+    assert str(v) == "(1+w)*231+w*331"
+    K = RationalFunctionField(RATIONALS, "t")
+    t = K.gen()
+    v = StructureVector.from_terms(K, [(2, 3, 1, 1 / t), (3, 2, 1, t + 1),
+                                       (3, 3, 1, -t)])
+    assert str(v) == "((1)/(t))*231+(t+1)*321-t*331"
+    v = StructureVector.from_terms(RATIONALS, [(2, 3, 1, Fraction(1, 2)),
+                                               (3, 2, 1, -1)])
+    assert str(v) == "(1/2)*231-321"
 
 
 def _dense_product(vec, x, y):
