@@ -24,8 +24,8 @@ import time
 from dataclasses import dataclass
 
 from . import algprops
-from .catalogue import (AlgebraId, _slice, adelta, canonicalize, hbeta,
-                        identify, identify_with_witness, quarter, structure_of)
+from .catalogue import (AlgebraId, _slice, adelta, hbeta, identify,
+                        identify_with_witness, quarter, structure_of)
 from .fields import Field, FieldElement, PrimeField, RATIONALS, prime_field
 from .polyring import (MultiPoly, PolyRing, RationalFunction,
                        RationalFunctionField)
@@ -587,9 +587,13 @@ def check_obstruction(src: AlgebraId, dst: AlgebraId, field: Field):
 
 
 def degenerates(src: AlgebraId, dst: AlgebraId, field: Field) -> DegenerationFact:
-    """Decide src -> dst over ``field``, with a certificate either way."""
-    csrc, _ = canonicalize(src, field)
-    cdst, _ = canonicalize(dst, field)
+    """Decide src -> dst over ``field``, with a certificate either way.
+
+    A canonical id is decided as it is; any other is first identified, with
+    no isomorphism witness, so no root is adjoined that the answer drops.
+    """
+    csrc, cdst = (i if i.is_canonical() else identify(structure_of(i, field))
+                  for i in (src, dst))
     chain, obs = _decide(csrc, cdst, field)
     if chain is not None:
         if len(chain) == 1:

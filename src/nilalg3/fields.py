@@ -51,8 +51,8 @@ class Field:
     """Descriptor of one field in the tower; also the factory for its elements.
 
     Subclasses provide the representation-level hooks (``_coerce``, ``_add``,
-    ``_mul``, ...) and :class:`FieldElement` dispatches to them, so a single
-    element type serves the whole tower.
+    ``_mul``, ...) and the operators of ``ScalarOps`` dispatch to them, so a
+    single element type serves the whole tower.
     """
 
     char: int = 0
@@ -122,6 +122,8 @@ class Field:
     def _is_zero(self, a) -> bool:
         raise NotImplementedError
 
+    _eq = operator.eq   # reps are canonical; a builtin binds no self
+
     def _render(self, a) -> str:
         raise NotImplementedError
 
@@ -155,15 +157,17 @@ def _image(dom, v):
 
 
 class ScalarOps:
-    """The derived operators of the scalar types and the two-operand rule.
+    """The one operator set of every scalar type, and the two-operand rule.
 
-    ``FieldElement``, ``MultiPoly`` and ``RationalFunction`` each name their
-    domain ``parent`` and supply ``__add__``, ``__neg__``, ``__mul__``,
-    ``__eq__`` and ``_one``, and the two field types ``inverse``; each has a
-    fast path for an operand of the same parent (``is``, then ``==``) and
-    sends any other through ``_common``.  A ring without division
-    (``MultiPoly``) names its error type in ``_no_division``: ``/`` is then
-    unsupported, and a power must be a nonnegative integer.
+    ``FieldElement``, ``MultiPoly`` and ``RationalFunction`` name their
+    domain ``parent`` and hold a ``rep``; every operator here runs on the
+    parent's rep hooks (``_add``, ``_neg``, ``_mul``, ``_inv``, ``_is_zero``,
+    ``_eq``) and wraps a result with ``parent._elem``.  The fast path takes
+    an operand of the same class whose parent is this one (``is``, then
+    ``==``); any other operand goes through ``_common``.  A ring without
+    division (``MultiPoly``) names its error type in ``_no_division``: ``/``
+    is then unsupported and a negative power raises that error, as its
+    domain's ``_inv`` does.
     """
 
     __slots__ = ()
@@ -202,17 +206,62 @@ class ScalarOps:
         pair = self._common(other, refuse=False)
         return NotImplemented if pair is None else pair[0] == pair[1]
 
+    def __add__(self, other):
+        P = self.parent
+        if other.__class__ is self.__class__ and (other.parent is P or other.parent == P):
+            return P._elem(P._add(self.rep, other.rep))
+        return self._mixed(other, operator.add)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        P = self.parent
+        return P._elem(P._neg(self.rep))
+
     def __sub__(self, other):
-        return self._mixed(other, lambda a, b: a + (-b))
+        P = self.parent
+        if other.__class__ is self.__class__ and (other.parent is P or other.parent == P):
+            return P._elem(P._add(self.rep, P._neg(other.rep)))
+        return self._mixed(other, operator.sub)
 
     def __rsub__(self, other):
-        return self._mixed(other, lambda a, b: b + (-a))
+        return self._mixed(other, lambda a, b: b - a)
+
+    def __mul__(self, other):
+        P = self.parent
+        if other.__class__ is self.__class__ and (other.parent is P or other.parent == P):
+            return P._elem(P._mul(self.rep, other.rep))
+        return self._mixed(other, operator.mul)
+
+    __rmul__ = __mul__
 
     def __truediv__(self, other):
-        return self._mixed(other, lambda a, b: a * b.inverse(), True)
+        P = self.parent
+        if other.__class__ is self.__class__ and (other.parent is P or other.parent == P) \
+                and self._no_division is None:
+            return P._elem(P._mul(self.rep, other.inverse().rep))
+        return self._mixed(other, operator.truediv, True)
 
     def __rtruediv__(self, other):
-        return self._mixed(other, lambda a, b: b * a.inverse(), True)
+        return self._mixed(other, lambda a, b: b / a, True)
+
+    def inverse(self):
+        P = self.parent
+        if P._is_zero(self.rep):
+            raise ZeroDivisionError("inverse of zero")
+        return P._elem(P._inv(self.rep))
+
+    def __eq__(self, other):
+        P = self.parent
+        if other.__class__ is self.__class__ and (other.parent is P or other.parent == P):
+            return P._eq(self.rep, other.rep)
+        return self._equal(other)
+
+    def is_zero(self) -> bool:
+        return self.parent._is_zero(self.rep)
+
+    def _one(self):
+        return self.parent.one()
 
     def __pow__(self, n: int):
         if self._no_division is not None and not (isinstance(n, int) and n >= 0):
@@ -234,10 +283,8 @@ class ScalarOps:
 class FieldElement(ScalarOps):
     """A value of one field of the tower, stored in canonical form.
 
-    Every operator first tests whether the other operand is an element of
-    the very same field object, or of an equal one, and then needs no
-    coercion: the result is ``field._elem`` of the hook's rep, a table
-    lookup in a finite field.  Any other operand goes through ``_common``.
+    The operators are ``ScalarOps``'s, on the field's hooks: a result is
+    ``field._elem`` of the hook's rep, a table lookup in a finite field.
     ``FieldElement(field, rep)`` builds a new object; the library builds
     through ``field.element`` and ``field._elem``, so that a finite field
     only hands out its interned elements.
@@ -255,58 +302,8 @@ class FieldElement(ScalarOps):
     def __delattr__(self, name):
         raise AttributeError("FieldElement is immutable")
 
-    def __add__(self, other):
-        f = self.field
-        if other.__class__ is FieldElement and (other.field is f or other.field == f):
-            return f._elem(f._add(self.rep, other.rep))
-        return self._mixed(other, operator.add)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        f = self.field
-        return f._elem(f._neg(self.rep))
-
-    def __sub__(self, other):
-        f = self.field
-        if other.__class__ is FieldElement and (other.field is f or other.field == f):
-            return f._elem(f._add(self.rep, f._neg(other.rep)))
-        return ScalarOps.__sub__(self, other)
-
-    def __mul__(self, other):
-        f = self.field
-        if other.__class__ is FieldElement and (other.field is f or other.field == f):
-            return f._elem(f._mul(self.rep, other.rep))
-        return self._mixed(other, operator.mul)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        f = self.field
-        if other.__class__ is FieldElement and (other.field is f or other.field == f):
-            return f._elem(f._mul(self.rep, other.inverse().rep))
-        return ScalarOps.__truediv__(self, other)
-
-    def inverse(self) -> "FieldElement":
-        f = self.field
-        if f._is_zero(self.rep):
-            raise ZeroDivisionError("inverse of zero")
-        return f._elem(f._inv(self.rep))
-
-    def _one(self) -> "FieldElement":
-        return self.field.one()
-
-    def __eq__(self, other):
-        f = self.field
-        if other.__class__ is FieldElement and (other.field is f or other.field == f):
-            return self.rep == other.rep
-        return self._equal(other)
-
     def __hash__(self):
         return self.field._rep_hash(self.rep)
-
-    def is_zero(self) -> bool:
-        return self.field._is_zero(self.rep)
 
     def __repr__(self):
         return self.field._render(self.rep)
@@ -370,9 +367,7 @@ class Rationals(Field):
     def _coerce(self, value):
         if isinstance(value, int):
             return int(value)           # a bool is no rep
-        if isinstance(value, Fraction):
-            return value.numerator if value.denominator == 1 else value
-        return self.element(value).rep
+        return value.numerator if value.denominator == 1 else value
 
     def _add(self, a, b):
         c = a + b

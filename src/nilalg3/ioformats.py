@@ -31,8 +31,8 @@ from fractions import Fraction
 
 from .catalogue import AUXILIARY_TAGS, CANONICAL_TAGS, AlgebraId, CatalogueError
 from .degeneration import CurveWitness
-from .fields import (Field, FieldElement, FieldError, _Extension,
-                     extend_with_root, prime_field, signed_sum)
+from .fields import (MAX_FINITE_ORDER, Field, FieldElement, FieldError,
+                     _Extension, extend_with_root, prime_field, signed_sum)
 from .polyring import RationalFunctionField
 from .structspace import Matrix3, StructureVector
 
@@ -210,7 +210,13 @@ def parse_scalar(text: str, field: Field) -> FieldElement:
             if name not in gens:
                 raise FormatError(
                     f"unknown generator {name!r} over {field!r}")
-            value = value * gens[name] ** _exponent(m.group("exp"))
+            e = _exponent(m.group("exp"))
+            if e > MAX_FINITE_ORDER and field.char == 0:
+                # a finite field's power is table lookups; a number
+                # field's reps grow with the exponent
+                raise FormatError(f"generator exponent {e} in {text!r} is "
+                                  f"above {MAX_FINITE_ORDER} in characteristic 0")
+            value = value * gens[name] ** e
         total = total + (value if sign > 0 else -value)
     return total
 
@@ -303,9 +309,11 @@ def render_algebra_id(ident: AlgebraId) -> str:
 
 
 def _load_json(text: str):
+    # a ValueError is a JSONDecodeError or an integer literal of more digits
+    # than int() converts
     try:
         return json.loads(text)
-    except (json.JSONDecodeError, RecursionError) as exc:
+    except (ValueError, RecursionError) as exc:
         raise FormatError(f"invalid JSON: {exc}") from exc
 
 

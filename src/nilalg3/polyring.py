@@ -1,43 +1,43 @@
 """Sparse multivariate polynomials and univariate rational functions.
 
 Coefficients live in any field from the tower.  A ``MultiPoly`` maps the
-packed int key of each monomial to the rep of its nonzero coefficient and
-combines the reps through its field's hooks (``_add``, ``_mul``, ``_neg``,
-``_is_zero``), like every other exact kernel; ``terms``, the map from
-exponent tuples to elements, is a view built on demand.  The ``PolyRing``
-owns the packing: a fixed field of ``_FIELD_BITS`` bits per variable with
-the first variable in the high bits, so the first variable is unbounded,
-integer order is the order of exponent tuples, a univariate key is the
-exponent, and a product's key is the sum of its factors' keys.  A product
-that sets the guard bit on top of a lower field raises ``PolyRingError``
-and never carries into the next variable.  The coefficients form a field,
-so a product or a negation of nonzero reps is nonzero: only where a sum
-happened are zero reps filtered, in ``+`` as each key's sum cancels and
-in ``*`` when two products fell on one key.  A polynomial, like an
-element of F(d), is its own ``rep``.  Multivariate division is
-deliberately absent: identity checks clear denominators first and then
-test for the zero polynomial.  Only the univariate case (curves in t)
-carries a fraction field, with gcd reduction and a monic denominator as
-the canonical form.  A monic constant is 1, so a polynomial in t is its
-numerator over the one polynomial 1 that its ``RationalFunctionField``
-holds, and ``+``, ``-`` and ``*`` of two such entries of F[t] are the
-numerators' sum or product over that shared 1, with no cross-products and
-no gcd; only proper fractions take the general route.
-The gcd and the division behind it are the polynomial kernel of
-``fields`` (``_pgcd``, ``_pdivmod``), run on the coefficients' reps.
-``PolyRing``, like F(t), has the rep hooks as Python's operators, for the
-kernels of ``structspace``.  The derived operators (``-``, ``/``, ``**``)
+packed int key of each monomial to the rep of its nonzero coefficient;
+``terms``, the map from exponent tuples to elements, is a view built on
+demand.  Like every domain of the tower, ``PolyRing`` and
+``RationalFunctionField`` hold the arithmetic as rep hooks (``_add``,
+``_mul``, ``_neg``, ``_is_zero``, ``_eq``; F(t) also ``_inv``), on which
+both the kernels and the one operator set of ``fields.ScalarOps`` run; a
+polynomial, like an element of F(d), is its own ``rep``.  The operators
 and the coercion rule come from ``fields``: F[t] lies below F(t) and the
-coefficient field below F[t], and a refusal is a ``PolyRingError``.  Curve
-limits are checked over F[t] by ``degeneration.curve_limit``, which reads
-the reps of the entries' numerators and denominators and leaves the
-arithmetic to its own kernel; ``limit_at_zero`` is the rational-function
-route that cross-checks it.
+coefficient field below F[t], and a refusal is a ``PolyRingError``.
+
+The ``PolyRing`` owns the packing: a fixed field of ``_FIELD_BITS`` bits
+per variable with the first variable in the high bits, so the first
+variable is unbounded, integer order is the order of exponent tuples, a
+univariate key is the exponent, and a product's key is the sum of its
+factors' keys.  A product that sets the guard bit on top of a lower field
+raises ``PolyRingError`` and never carries into the next variable.  The
+coefficients form a field, so a product or a negation of nonzero reps is
+nonzero: only where a sum happened are zero reps filtered, in ``_add`` as
+each key's sum cancels and in ``_mul`` when two products fell on one key.
+Multivariate division is deliberately absent: identity checks clear
+denominators first and then test for the zero polynomial.
+
+Only the univariate case (curves in t) carries a fraction field, with gcd
+reduction and a monic denominator as the canonical form.  A monic constant
+is 1, so a polynomial in t is its numerator over the one polynomial 1 that
+its ``RationalFunctionField`` holds, and the sum or product of two such
+entries of F[t] is the numerators' over that shared 1, with no
+cross-products and no gcd; only proper fractions take the general route.
+The gcd and the division behind it are the polynomial kernel of ``fields``
+(``_pgcd``, ``_pdivmod``), run on the coefficients' reps.  Curve limits are
+checked over F[t] by ``degeneration.curve_limit``, which reads the reps of
+the entries' numerators and denominators and leaves the arithmetic to its
+own kernel; ``limit_at_zero`` is the rational-function route that
+cross-checks it.
 """
 
 from __future__ import annotations
-
-import operator
 
 from .fields import (Field, FieldElement, ScalarOps, _bracket_sum, _image,
                      _pdivmod, _pgcd, _source, signed_sum)
@@ -64,6 +64,8 @@ class PolyRing:
     bit of each field below the first is a guard: it stays clear in every
     stored key, and a product that sets it raises ``PolyRingError`` instead
     of carrying into the next variable.  A univariate key is the exponent.
+    The ring's hooks are the polynomial arithmetic; a ``MultiPoly`` only
+    stores.
     """
 
     def __init__(self, field: Field, variables):
@@ -112,10 +114,56 @@ class PolyRing:
     def one(self) -> "MultiPoly":
         return self._up(self.field.one())
 
-    # the rep hooks of structspace's kernels: a polynomial is its own rep
+    # -- the rep hooks of ScalarOps and the kernels: a polynomial is its own rep
+
     _elem = element
-    _add, _mul, _neg = operator.add, operator.mul, operator.neg
-    _is_zero, _zero_rep = operator.methodcaller("is_zero"), property(zero)
+    _zero_rep = property(zero)
+
+    def _add(self, a: "MultiPoly", b: "MultiPoly") -> "MultiPoly":
+        add, is_zero = self.field._add, self.field._is_zero
+        reps = dict(a.reps)
+        for e, c in b.reps.items():
+            s = reps.get(e)
+            if s is None:
+                reps[e] = c
+            elif is_zero(s := add(s, c)):
+                del reps[e]
+            else:
+                reps[e] = s
+        return _of(self, reps)
+
+    def _neg(self, a: "MultiPoly") -> "MultiPoly":
+        neg = self.field._neg
+        return _of(self, {e: neg(c) for e, c in a.reps.items()})
+
+    def _mul(self, a: "MultiPoly", b: "MultiPoly") -> "MultiPoly":
+        F = self.field
+        add, mul = F._add, F._mul
+        reps: dict = {}
+        for e1, c1 in a.reps.items():
+            for e2, c2 in b.reps.items():
+                e = e1 + e2
+                c = mul(c1, c2)
+                s = reps.get(e)
+                reps[e] = c if s is None else add(s, c)
+        if len(reps) < len(a.reps) * len(b.reps):   # two fell on one key
+            is_zero = F._is_zero
+            reps = {e: c for e, c in reps.items() if not is_zero(c)}
+        guard = self._guard
+        if guard:
+            for e in reps:
+                if e & guard:
+                    raise PolyRingError(f"an exponent outgrew its field in {self!r}")
+        return _of(self, reps)
+
+    def _inv(self, a: "MultiPoly"):
+        raise PolyRingError(f"no inverses in {self!r}")
+
+    def _is_zero(self, a: "MultiPoly") -> bool:
+        return not a.reps
+
+    def _eq(self, a: "MultiPoly", b: "MultiPoly") -> bool:
+        return a.reps == b.reps
 
     def __eq__(self, other):
         return (isinstance(other, PolyRing) and other.field == self.field
@@ -133,11 +181,12 @@ class MultiPoly(ScalarOps):
     (see ``PolyRing``) to the rep of its nonzero coefficient.  ``terms`` is a
     read-only view, exponent tuples to elements, built on each read.
 
-    The constructor drops zero reps.  The operators build their results
-    with ``_of``, which trusts them: the coefficients form a field, so a
-    product and a negation of nonzero reps are nonzero, and only a sum can
-    vanish.  ``+`` drops each key whose sum cancels as it goes, and ``*``
-    filters only when two of its products fell on one key.
+    The constructor drops zero reps.  The operators are ``ScalarOps``'s and
+    the arithmetic is the ring's hooks, which build their results with
+    ``_of``, trusting them: the coefficients form a field, so a product and
+    a negation of nonzero reps are nonzero, and only a sum can vanish.  A
+    nonzero polynomial has no inverse: ``inverse`` and a negative power
+    raise ``PolyRingError``, and ``/`` is unsupported.
     """
 
     __slots__ = ("ring", "reps")
@@ -154,72 +203,10 @@ class MultiPoly(ScalarOps):
         elem, exponents = self.ring.field._elem, self.ring._exponents
         return {exponents(e): elem(c) for e, c in self.reps.items()}
 
-    def __add__(self, other):
-        R = self.ring
-        if other.__class__ is not MultiPoly or (
-                other.ring is not R and other.ring != R):
-            return self._mixed(other, operator.add)
-        add, is_zero = R.field._add, R.field._is_zero
-        reps = dict(self.reps)
-        for e, c in other.reps.items():
-            s = reps.get(e)
-            if s is None:
-                reps[e] = c
-            elif is_zero(s := add(s, c)):
-                del reps[e]
-            else:
-                reps[e] = s
-        return _of(R, reps)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        neg = self.ring.field._neg
-        return _of(self.ring, {e: neg(c) for e, c in self.reps.items()})
-
-    def __mul__(self, other):
-        R = self.ring
-        if other.__class__ is not MultiPoly or (
-                other.ring is not R and other.ring != R):
-            return self._mixed(other, operator.mul)
-        F = R.field
-        add, mul = F._add, F._mul
-        reps: dict = {}
-        for e1, c1 in self.reps.items():
-            for e2, c2 in other.reps.items():
-                e = e1 + e2
-                c = mul(c1, c2)
-                s = reps.get(e)
-                reps[e] = c if s is None else add(s, c)
-        if len(reps) < len(self.reps) * len(other.reps):    # two fell on one key
-            is_zero = F._is_zero
-            reps = {e: c for e, c in reps.items() if not is_zero(c)}
-        guard = R._guard
-        if guard:
-            for e in reps:
-                if e & guard:
-                    raise PolyRingError(f"an exponent outgrew its field in {R!r}")
-        return _of(R, reps)
-
-    __rmul__ = __mul__
-
-    def _one(self) -> "MultiPoly":
-        return self.ring.one()
-
-    def __eq__(self, other):
-        R = self.ring
-        if other.__class__ is not MultiPoly or (
-                other.ring is not R and other.ring != R):
-            return self._equal(other)
-        return self.reps == other.reps
-
     def __hash__(self):     # a constant's is its coefficient's, which it equals
         if not any(self.reps):
             return hash(next(iter(self.terms.values()), self.ring.field.zero()))
         return hash((self.ring, frozenset(self.reps.items())))
-
-    def is_zero(self) -> bool:
-        return not self.reps
 
     def degree(self) -> int:
         """Total degree; -1 for the zero polynomial."""
@@ -296,14 +283,19 @@ def t_valuation(p: MultiPoly):
 
 
 class RationalFunctionField:
-    """The fraction field of a univariate polynomial ring."""
+    """The fraction field of a univariate polynomial ring.
+
+    Its hooks are the arithmetic of its elements, on the ring's hooks for
+    numerators and denominators; a ``RationalFunction`` only stores, and
+    ``RationalFunction._make`` puts num/den in canonical form.
+    """
 
     def __init__(self, field: Field, varname: str = "t"):
         self.field = field
         self.varname = varname
         self.char = field.char
         self.ring = self._below = PolyRing(field, (varname,))
-        # the denominator of every polynomial: RationalFunction's operators
+        # the denominator of every polynomial: the hooks _add and _mul
         # take the polynomial route when both operands' denominators are it
         self.poly_one = self.ring.one()
 
@@ -324,13 +316,40 @@ class RationalFunctionField:
     def _up(self, p: MultiPoly) -> "RationalFunction":
         return RationalFunction(self, p, self.poly_one)     # p/1 is canonical
 
-    # F(t) as the base of F(t)[s] for the polynomial kernel in fields, which
-    # RationalFunction._make runs over F(d)(t): an element is its own rep
+    # -- the rep hooks of ScalarOps and the kernels (the polynomial kernel of
+    # fields runs over F(d)(t) in RationalFunction._make): an element of F(t)
+    # is its own rep.  Two entries of F[t], whose denominators are their
+    # parents' poly_one, add and multiply as polynomials over that shared 1.
+
     _elem = element
-    _add, _mul, _neg = operator.add, operator.mul, operator.neg
-    _inv, _is_zero = operator.methodcaller("inverse"), operator.methodcaller("is_zero")
     _zero_rep = property(lambda self: self.zero())
     _one_rep = property(lambda self: self.one())
+
+    def _add(self, a, b) -> "RationalFunction":
+        R = self.ring
+        if a.den is a.parent.poly_one and b.den is b.parent.poly_one:
+            return RationalFunction(self, R._add(a.num, b.num), self.poly_one)
+        mul = R._mul
+        return RationalFunction._make(
+            self, R._add(mul(a.num, b.den), mul(b.num, a.den)), mul(a.den, b.den))
+
+    def _neg(self, a) -> "RationalFunction":
+        return RationalFunction(self, self.ring._neg(a.num), a.den)
+
+    def _mul(self, a, b) -> "RationalFunction":
+        R = self.ring
+        if a.den is a.parent.poly_one and b.den is b.parent.poly_one:
+            return RationalFunction(self, R._mul(a.num, b.num), self.poly_one)
+        return RationalFunction._make(self, R._mul(a.num, b.num), R._mul(a.den, b.den))
+
+    def _inv(self, a) -> "RationalFunction":
+        return RationalFunction._make(self, a.den, a.num)
+
+    def _is_zero(self, a) -> bool:
+        return not a.num.reps
+
+    def _eq(self, a, b) -> bool:
+        return a.num.reps == b.num.reps and a.den.reps == b.den.reps
 
     def polynomial(self, coeffs: dict) -> "RationalFunction":
         """The polynomial sum of c t^e over a map {e: c} from exponents to
@@ -376,9 +395,9 @@ class RationalFunction(ScalarOps):
 
     @classmethod
     def _make(cls, parent: RationalFunctionField, num: MultiPoly, den: MultiPoly):
-        if den.is_zero():
+        if not den.reps:
             raise ZeroDivisionError("rational function with zero denominator")
-        if num.is_zero():
+        if not num.reps:
             return cls(parent, parent.ring.zero(), parent.poly_one)
         if max(den.reps) > 0:   # the gcd with a nonzero constant is 1
             F, n, d = parent.field, _reps(num), _reps(den)
@@ -396,55 +415,11 @@ class RationalFunction(ScalarOps):
                         for p in (num, den))
         return cls(parent, num, parent.poly_one if max(den.reps) == 0 else den)
 
-    def __add__(self, other):
-        P = self.parent
-        if other.__class__ is not RationalFunction or (
-                other.parent is not P and other.parent != P):
-            return self._mixed(other, operator.add)
-        if self.den is P.poly_one and other.den is other.parent.poly_one:
-            return RationalFunction(P, self.num + other.num, P.poly_one)
-        return RationalFunction._make(
-            P, self.num * other.den + other.num * self.den, self.den * other.den)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return RationalFunction(self.parent, -self.num, self.den)
-
-    def __mul__(self, other):
-        P = self.parent
-        if other.__class__ is not RationalFunction or (
-                other.parent is not P and other.parent != P):
-            return self._mixed(other, operator.mul)
-        if self.den is P.poly_one and other.den is other.parent.poly_one:
-            return RationalFunction(P, self.num * other.num, P.poly_one)
-        return RationalFunction._make(P, self.num * other.num, self.den * other.den)
-
-    __rmul__ = __mul__
-
-    def inverse(self) -> "RationalFunction":
-        if self.is_zero():
-            raise ZeroDivisionError("inverse of the zero function")
-        return RationalFunction._make(self.parent, self.den, self.num)
-
-    def _one(self) -> "RationalFunction":
-        return self.parent.one()
-
-    def __eq__(self, other):
-        P = self.parent
-        if other.__class__ is not RationalFunction or (
-                other.parent is not P and other.parent != P):
-            return self._equal(other)
-        return self.num == other.num and self.den == other.den
-
     def __hash__(self):     # a polynomial's is its numerator's
         if self.den == self.parent.poly_one:
             return hash(self.num)
         return hash((self.parent, frozenset(self.num.reps.items()),
                      frozenset(self.den.reps.items())))
-
-    def is_zero(self) -> bool:
-        return self.num.is_zero()
 
     def evaluate(self, x: FieldElement) -> FieldElement:
         name = self.parent.varname

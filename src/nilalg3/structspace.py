@@ -20,7 +20,7 @@ which multiplies through by det(g) and stays division-free.
 
 from __future__ import annotations
 
-from .fields import FieldElement, signed_sum
+from .fields import _bracket_sum, signed_sum
 
 
 class StructureError(ValueError):
@@ -146,7 +146,7 @@ class StructureVector:
         return StructureVector(new_parent, map(fn, self.coeffs))
 
     def __str__(self):
-        return signed_sum(((_render_scalar(c), f"{i}{j}{k}")
+        return signed_sum(((repr(c), f"{i}{j}{k}")
                            for i, j, k, c in self.terms()), "*", _bracket)
 
     __repr__ = __str__
@@ -163,15 +163,10 @@ def _from_reps(parent, reps, vec=None) -> StructureVector:
     return vec
 
 
-def _render_scalar(c) -> str:
-    return repr(c) if isinstance(c, FieldElement) else str(c)
-
-
 def _bracket(text: str) -> str:
-    """Parenthesize a coefficient that is a sum or a fraction."""
-    if any(ch in text[1:] for ch in "+-") or "/" in text:
-        return f"({text})"
-    return text
+    """Parenthesize a coefficient that is a sum (``fields._bracket_sum``) or
+    a fraction."""
+    return f"({text})" if "/" in text else _bracket_sum(text)
 
 
 def basis_vector(parent, i: int, j: int, k: int) -> StructureVector:
@@ -288,7 +283,7 @@ class Matrix3:
         return hash((self.parent, self.entries))
 
     def __repr__(self):
-        rows = ["[" + ", ".join(_render_scalar(v) for v in r) + "]"
+        rows = ["[" + ", ".join(map(repr, r)) + "]"
                 for r in self.rows()]
         return "[" + ", ".join(rows) + "]"
 

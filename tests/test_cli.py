@@ -311,6 +311,10 @@ MALFORMED = [
     ("bool-characteristic", ("identify", "{file}"), _vector({"char": False})),
     ("bool-min-poly-coefficient", ("identify", "{file}"), _vector(
         {"char": 2, "ext": {"name": "w", "min_poly": [True, 1, 1]}})),
+    # a power of a number field's generator grows with its exponent
+    ("huge-generator-exponent", ("identify", "{file}"), _vector(
+        {"char": 0, "ext": {"name": "s", "min_poly": [-2, 0, 1]}},
+        ((2, 2, 1, "1"), (3, 3, 1, "s^4000000000")))),
 ]
 
 
@@ -326,6 +330,15 @@ def test_malformed_input_exits_2(capsys, tmp_path, argv, payload):
 
 
 _DEEP = "[" * 200_000
+# an integer literal of more digits than int() converts (4300 by default)
+_HUGE = "1" * 5000
+_HUGE_VECTOR = ('{"field": {"char": 0}, "entries": [{"i": 2, "j": 3, "k": 1, '
+                '"c": %s}]}' % _HUGE)
+_HUGE_WITNESS = ('{"src": "c3", "dst": "c1", "char": 0, "matrix": '
+                 '[[%s, 0, 0], [0, "t", 0], [0, 0, 1]]}' % _HUGE)
+_HUGE_MIN_POLY = ('{"field": {"char": 0, "ext": {"name": "w", "min_poly": '
+                  '[%s, 0, 1]}}, "entries": []}' % _HUGE)
+_PLAIN_VECTOR = '{"field": {"char": 0}, "entries": []}'
 
 
 @pytest.mark.parametrize("argv, payload", [
@@ -333,7 +346,14 @@ _DEEP = "[" * 200_000
     (("identify", "{file}"), ('{"field": ' + _DEEP).encode()),
     (("verify-witness", "{file}"), _DEEP.encode()),
     (("identify", "{file}"), b"\xff\xfe"),
-], ids=["deep-vector", "deep-field", "deep-witness", "not-utf-8"])
+    (("identify", "{file}"), _HUGE_VECTOR.encode()),
+    (("verify-witness", "{file}"), _HUGE_WITNESS.encode()),
+    (("act", "{file}", "[[%s, 0, 0], [0, 1, 0], [0, 0, 1]]" % _HUGE),
+     _PLAIN_VECTOR.encode()),
+    (("identify", "{file}"), _HUGE_MIN_POLY.encode()),
+], ids=["deep-vector", "deep-field", "deep-witness", "not-utf-8",
+        "huge-int-vector", "huge-int-witness", "huge-int-act-matrix",
+        "huge-int-min-poly"])
 def test_undecodable_payloads_exit_2(capsys, tmp_path, argv, payload):
     path = tmp_path / "payload.json"
     path.write_bytes(payload)

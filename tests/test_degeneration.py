@@ -387,6 +387,16 @@ def test_degenerates_canonicalizes_input():
     assert not fact3.holds
 
 
+def test_degenerates_identifies_input_at_the_generic_point():
+    # chat3 is c3 over Q(d); reducing it with a witness would need a square
+    # root in Q(d), which the answer does not use
+    Qd = RationalFunctionField(Q, "d")
+    fact = degenerates(AlgebraId("chat3"), C1, Qd)
+    assert (fact.src, fact.dst, fact.holds) == (C3, C1, True)
+    assert fact.witness.note == "squeeze-e2"
+    assert verify_witness(fact.witness) == structure_of(C1, Qd)
+
+
 def test_degenerates_reflexive():
     fact = degenerates(adelta(Q, 5), adelta(Q, 5), Q)
     assert fact.holds

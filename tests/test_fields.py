@@ -92,13 +92,14 @@ def test_rational_hooks_are_fraction_arithmetic_in_the_rep_convention():
     assert Q._inv(-1) == -1 and type(Q._inv(-1)) is int
     assert Q._inv(-third) == -3 and type(Q._inv(-third)) is int
     assert Q._inv(4) == Fraction(1, 4) and Q._inv(-4) == Fraction(-1, 4)
-    # coercion: int, bool, Fraction(n, 1), proper Fraction, element
+    # coercion: int, bool, Fraction(n, 1), proper Fraction (the hook sees
+    # nothing else; an element goes through Q.element)
     for value, want in ((7, 7), (-10 ** 30, -10 ** 30), (True, 1), (False, 0),
                         (Fraction(6, 3), 2), (Fraction(-5, 1), -5),
-                        (Fraction(-2, 6), Fraction(-1, 3)),
-                        (Q.element(Fraction(9, 3)), 3)):
+                        (Fraction(-2, 6), Fraction(-1, 3))):
         got = Q._coerce(value)
         assert got == want and _is_q_rep(got), value
+    assert Q.element(Q.element(Fraction(9, 3))).rep == 3
     assert Q.zero().rep == 0 and Q.one().rep == 1
     assert type(Q.zero().rep) is int and type(Q.one().rep) is int
 
@@ -836,3 +837,22 @@ def test_the_coercion_rule_over_the_towers():
         for name, op in RULE_OPS.items():
             got = {_outcome(op, x, y), _outcome(op, y, x)}
             assert len(got) == 1 and got <= {FieldError, PolyRingError}, (name, x, y)
+
+
+def test_refusal_of_unrelated_operands_names_the_left_domain_first():
+    # the right operand's domain refuses the left operand, whatever the
+    # layer; only a polynomial layer meeting a field refuses on its own side
+    x, y = PrimeField(7).element(3), PrimeField(5).element(2)
+    R, S = PolyRing(RATIONALS, ("x",)), PolyRing(PrimeField(5), ("y",))
+    p, q = R.var("x"), S.var("y")
+    cases = [(x, y, FieldError, "cannot embed element of GF(7) into GF(5)"),
+             (y, x, FieldError, "cannot embed element of GF(5) into GF(7)"),
+             (p, q, PolyRingError, "no image of an element of QQ[x] in GF(5)[y]"),
+             (q, p, PolyRingError, "no image of an element of GF(5)[y] in QQ[x]"),
+             (p, x, PolyRingError, "no image of an element of GF(7) in QQ[x]"),
+             (x, p, PolyRingError, "no image of an element of GF(7) in QQ[x]")]
+    for a, b, error, message in cases:
+        for op in RULE_OPS.values():
+            with pytest.raises(error) as exc:
+                op(a, b)
+            assert str(exc.value) == message, (a, b)

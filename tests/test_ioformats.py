@@ -376,6 +376,16 @@ def test_overlong_numbers_are_format_errors():
         parse_poly_in_t("t^" + digits, rff)
 
 
+def test_generator_exponents_are_bounded_in_characteristic_zero():
+    # 2^16 is the bound; a finite field takes any exponent, by table lookups
+    K = SimpleExtension(RATIONALS, [-2, 0, 1], "s")
+    assert parse_scalar("s^65536", K) == K.element(2 ** 32768)
+    with pytest.raises(FormatError, match="exponent 65537 .* above 65536"):
+        parse_scalar("1+s^65537", K)
+    w = gf4().generator()
+    assert parse_scalar("w^4000000001", gf4()) == w ** 2
+
+
 def test_parse_matrix():
     F = PrimeField(5)
     m = parse_matrix('[[1,0,0],[0,"1/2",0],[0,0,"4"]]', F)

@@ -166,3 +166,47 @@ def test_the_base_obstruction_reads_no_node_name():
                             for n in ast.walk(node))):
                 found.append(f"{name}:{node.lineno}")
     assert not found, found
+
+
+# the operators of every scalar: ScalarOps defines them once, on the hooks
+_SCALAR_OPERATORS = {"__add__", "__radd__", "__neg__", "__sub__", "__rsub__",
+                     "__mul__", "__rmul__", "__truediv__", "__rtruediv__",
+                     "__pow__", "inverse", "__eq__", "is_zero", "_one"}
+
+
+def _delegates(node) -> bool:
+    """Whether node names an ``operator`` function or a methodcaller."""
+    return any(isinstance(n, ast.Attribute) and isinstance(n.value, ast.Name)
+               and n.value.id == "operator"
+               or isinstance(n, ast.Name) and n.id == "methodcaller"
+               for n in ast.walk(node))
+
+
+def test_scalar_ops_is_the_one_operator_set():
+    # the scalar types store; their domains' rep hooks hold the arithmetic,
+    # and ScalarOps alone runs the operators on those hooks
+    scalars = ("FieldElement", "MultiPoly", "RationalFunction")
+    domains = ("PolyRing", "RationalFunctionField")
+    classes, found = {}, []
+    for path in sorted(pathlib.Path(nilalg3.__file__).parent.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, ast.ClassDef):
+                classes[node.name] = node
+            elif isinstance(node, ast.Assign):   # Cls.attr = ... after the class
+                for target in node.targets:
+                    if (isinstance(target, ast.Attribute)
+                            and isinstance(target.value, ast.Name)
+                            and (target.value.id in scalars
+                                 and target.attr in _SCALAR_OPERATORS
+                                 or target.value.id in domains
+                                 and _delegates(node.value))):
+                        found.append(f"{path.name}:{node.lineno}")
+    defined = {name: {n for stmt in classes[name].body for n in _defined_names(stmt)}
+               for name in ("ScalarOps",) + scalars}
+    assert _SCALAR_OPERATORS <= defined["ScalarOps"]
+    for name in scalars:
+        found += [f"{name}.{op}" for op in sorted(defined[name] & _SCALAR_OPERATORS)]
+    for name in domains:
+        found += [f"{name}:{stmt.lineno}" for stmt in classes[name].body
+                  if isinstance(stmt, ast.Assign) and _delegates(stmt.value)]
+    assert not found, found

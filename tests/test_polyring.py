@@ -40,6 +40,20 @@ def test_poly_basic_identity():
     assert (x - x).is_zero()
 
 
+def test_a_polynomial_has_no_inverse():
+    # / is unsupported; inverse and a negative power raise the ring's error
+    R = PolyRing(PrimeField(7), ("x", "y"))
+    x, y = R.gens()
+    for a, b in ((x, y), (x, 2), (1, x), (x, R.one())):
+        with pytest.raises(TypeError):
+            a / b
+    for power in (lambda: x.inverse(), lambda: R.one().inverse(), lambda: x ** -1):
+        with pytest.raises(PolyRingError):
+            power()
+    with pytest.raises(ZeroDivisionError):
+        R.zero().inverse()
+
+
 def test_poly_evaluation_homomorphism():
     F = PrimeField(5)
     R = PolyRing(F, ("x", "y", "z"))

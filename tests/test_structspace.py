@@ -17,8 +17,7 @@ from nilalg3.fields import (PrimeField, RATIONALS, SimpleExtension, gf4, gf16,
                             signed_sum)
 from nilalg3.polyring import PolyRing, RationalFunctionField
 from nilalg3.structspace import (Matrix3, StructureError, StructureVector,
-                                 _bracket, _render_scalar, act, act_cleared,
-                                 basis_vector)
+                                 _bracket, act, act_cleared, basis_vector)
 
 
 def _random_vector(field, rng, pool=None):
@@ -111,6 +110,19 @@ def test_matrices_differ_by_an_entry_or_by_the_domain():
     one_q, one_i = Matrix3.identity(RATIONALS), Matrix3.identity(Qi)
     assert one_q.entries == one_i.entries       # 1 of Q equals 1 of Q(i)
     assert one_q != one_i and one_i != one_q
+
+
+def test_matrix_product_and_rows_refuse_a_mismatch():
+    # Q embeds in Q(i), so only the refusal keeps their matrices apart
+    Qi = SimpleExtension(RATIONALS, [1, 0, 1], "i")
+    one_q, one_i = Matrix3.identity(RATIONALS), Matrix3.identity(Qi)
+    for a, b in ((one_q, one_i), (one_i, one_q), (one_q, 3), (one_q, [[1]])):
+        with pytest.raises(StructureError, match="^matrix product needs matching"):
+            a @ b
+    for rows in ([[1, 0, 0], [0, 1, 0]], [[1, 0, 0], [0, 1], [0, 0, 1]]):
+        with pytest.raises(StructureError,
+                           match="^expected three rows of three entries$"):
+            Matrix3.from_rows(RATIONALS, rows)
 
 
 @pytest.mark.parametrize("kind", ["Q", "gf7", "gf16", "polyring"])
@@ -364,7 +376,7 @@ class _DenseVector:
         return _DenseVector(new_parent, [fn(c) for c in self.coeffs])
 
     def __str__(self):
-        return signed_sum(((_render_scalar(c), f"{i}{j}{k}")
+        return signed_sum(((repr(c), f"{i}{j}{k}")
                            for i, j, k, c in self.terms()), "*", _bracket)
 
 
