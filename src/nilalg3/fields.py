@@ -27,7 +27,10 @@ is a table lookup and a dict lookup, with no allocation.  The map is filled
 on first use of each code, which is why building a field costs what it did
 before; the rationals and number fields build a new element per result.
 
-One coercion rule serves the whole tower, polynomials included: ``_image``
+Every scalar domain, the fields here and the polynomial rings and F(t) of
+``polyring``, is a :class:`Domain`: one ``element`` (also ``const`` and
+``from_int``), one ``zero`` and ``one``, and one hook contract.  One
+coercion rule serves the whole tower, polynomials included: ``_image``
 lifts a value into one domain, ``ScalarOps._common`` two operands into one.
 """
 
@@ -47,12 +50,45 @@ class NeedsFieldExtension(FieldError):
     """A required root does not exist in the current field."""
 
 
-class Field:
-    """Descriptor of one field in the tower; also the factory for its elements.
+class Domain:
+    """A domain of scalars: a field of the tower, a ``polyring.PolyRing`` or
+    a ``polyring.RationalFunctionField``, and the factory of its values.
 
-    Subclasses provide the representation-level hooks (``_coerce``, ``_add``,
-    ``_mul``, ...) and the operators of ``ScalarOps`` dispatch to them, so a
-    single element type serves the whole tower.
+    ``element`` (also named ``const`` and ``from_int``) is the one entry: a
+    scalar of this domain is itself, any other value goes through the one
+    coercion rule (``_image``) or is refused.  ``ScalarOps`` and the exact
+    kernels run on the hook contract: ``_add``, ``_neg``, ``_mul``, ``_inv``,
+    ``_is_zero`` and ``_eq`` on reps; ``_elem``, the value of a rep (the
+    identity where a value is its own rep); ``_zero_rep``; ``_up``, which
+    lifts a value of ``_below``, the domain one step down (None at the
+    bottom); and ``_refuse``, the layer's one error for a value with no image.
+    """
+
+    _below = None
+
+    def element(self, value):
+        """value's image in this domain, by the one coercion rule."""
+        if isinstance(value, ScalarOps) and value.parent is self:
+            return value        # scalars are immutable: nothing to coerce
+        x = _image(self, value)
+        return self._refuse(value) if x is None else x
+
+    const = from_int = element
+
+    def zero(self):
+        return self.element(0)
+
+    def one(self):
+        return self.element(1)
+
+
+class Field(Domain):
+    """One field of the tower, whose values are all ``FieldElement``s.
+
+    Beyond ``Domain``'s contract a field has ``_one_rep``, ``_coerce`` (the
+    rep of an int or a Fraction), ``_render`` (a rep's text) and
+    ``_rep_hash``.  It is finite exactly when its characteristic is
+    positive, and then ``elements()`` runs through the reps 0, ..., q - 1.
     """
 
     char: int = 0
@@ -61,71 +97,26 @@ class Field:
     # a cached_property does) slows every later attribute lookup on it
     _zero_rep, _one_rep = 0, 1
     _rep_hash = staticmethod(hash)  # an extension steps down the tower first
-
-    # -- element factories -------------------------------------------------
-
-    _below = None   # the domain one step down the tower, whose values _up lifts
-
-    def element(self, value) -> "FieldElement":
-        """value's image in this field, by the one coercion rule (``_image``)."""
-        if value.__class__ is FieldElement and value.field is self:
-            return value        # elements are immutable: nothing to coerce
-        x = _image(self, value)
-        return self._refuse(value) if x is None else x
-
-    embed = element
+    # reps are canonical, and an int or Fraction rep is 0 when it is falsy;
+    # a builtin binds no self
+    _eq, _is_zero = operator.eq, operator.not_
+    embed = Domain.element
 
     def _refuse(self, value):
         """The field layer's one refusal of a value with no image here."""
         raise FieldError(f"cannot embed element of {_source(value)} into {self!r}")
 
-    def zero(self) -> "FieldElement":
-        return self.element(0)
-
-    def one(self) -> "FieldElement":
-        return self.element(1)
-
-    def from_int(self, m: int) -> "FieldElement":
-        """The image of the integer m, i.e. m copies of 1 added together."""
-        return self.element(m)
-
-    # -- structure queries --------------------------------------------------
-
     def is_finite(self) -> bool:
-        raise NotImplementedError
+        return self.char > 0
 
     def order(self) -> int:
         raise FieldError(f"{self!r} is not finite")
 
     def elements(self):
-        """Iterate every element (finite fields only), in a fixed order."""
-        raise FieldError(f"cannot enumerate the elements of {self!r}")
-
-    # -- representation hooks ------------------------------------------------
-
-    def _coerce(self, value):
-        """The rep of an int or a Fraction."""
-        raise NotImplementedError
-
-    def _add(self, a, b):
-        raise NotImplementedError
-
-    def _neg(self, a):
-        raise NotImplementedError
-
-    def _mul(self, a, b):
-        raise NotImplementedError
-
-    def _inv(self, a):
-        raise NotImplementedError
-
-    def _is_zero(self, a) -> bool:
-        raise NotImplementedError
-
-    _eq = operator.eq   # reps are canonical; a builtin binds no self
-
-    def _render(self, a) -> str:
-        raise NotImplementedError
+        """Iterate every element (finite fields only), in the order of reps."""
+        if not self.is_finite():
+            raise FieldError(f"cannot enumerate the elements of {self!r}")
+        yield from map(self._elem, range(self.order()))
 
 
 def _source(value) -> str:
@@ -285,16 +276,11 @@ class FieldElement(ScalarOps):
 
     The operators are ``ScalarOps``'s, on the field's hooks: a result is
     ``field._elem`` of the hook's rep, a table lookup in a finite field.
-    ``FieldElement(field, rep)`` builds a new object; the library builds
-    through ``field.element`` and ``field._elem``, so that a finite field
-    only hands out its interned elements.
+    Elements are built only through ``field.element`` and ``field._elem``,
+    so that a finite field only hands out its interned elements.
     """
 
     __slots__ = ("field", "rep")
-
-    def __init__(self, field: Field, rep):
-        _set_field(self, field)
-        _set_rep(self, rep)
 
     def __setattr__(self, name, value):
         raise AttributeError("FieldElement is immutable")
@@ -361,9 +347,6 @@ class Rationals(Field):
 
     char = 0
 
-    def is_finite(self) -> bool:
-        return False
-
     def _coerce(self, value):
         if isinstance(value, int):
             return int(value)           # a bool is no rep
@@ -387,11 +370,9 @@ class Rationals(Field):
         n, d = a.numerator, a.denominator
         return d * n if n == 1 or n == -1 else Fraction(d, n)
 
-    def _is_zero(self, a):
-        return not a
-
     def _render(self, a):
-        return str(a)
+        n, d = a.numerator, a.denominator
+        return _decimal(n) if d == 1 else f"{_decimal(n)}/{_decimal(d)}"
 
     def __eq__(self, other):
         return isinstance(other, Rationals)
@@ -401,6 +382,18 @@ class Rationals(Field):
 
     def __repr__(self):
         return "QQ"
+
+
+def _decimal(n: int) -> str:
+    """str(n) for any size of n: the interpreter's limit on the digits of an
+    int's text (4300 by default) guards parsing, so past it the digits are
+    written in two halves."""
+    try:
+        return str(n)
+    except ValueError:
+        k = abs(n).bit_length() * 3 // 20      # about half of n's digits
+        high, low = divmod(abs(n), 10 ** k)
+        return "-" * (n < 0) + _decimal(high) + _decimal(low).zfill(k)
 
 
 def _is_prime(n: int) -> bool:
@@ -425,15 +418,8 @@ class PrimeField(Field):
         if p <= MAX_FINITE_ORDER:
             self._elem = _Interned(self).__getitem__
 
-    def is_finite(self) -> bool:
-        return True
-
     def order(self) -> int:
         return self.p
-
-    def elements(self):
-        for r in range(self.p):
-            yield self._elem(r)
 
     def _coerce(self, value):
         if isinstance(value, int):
@@ -454,9 +440,6 @@ class PrimeField(Field):
 
     def _inv(self, a):
         return pow(a, -1, self.p)
-
-    def _is_zero(self, a):
-        return a == 0
 
     def _render(self, a):
         return str(a)
@@ -647,13 +630,11 @@ class _Extension(Field):
         return self.element([0, 1])
 
     def element(self, value) -> FieldElement:
-        """``Field.element``; a list or tuple gives the coefficients of 1, g, ..."""
-        if value.__class__ is FieldElement and value.field is self:
-            return value
+        """``Domain.element``; a list or tuple gives the coefficients of 1, g, ..."""
         if isinstance(value, (tuple, list)):
             return self._elem(self._from_coefficients(
                 [self.base.element(c).rep for c in value]))
-        return Field.element(self, value)
+        return Domain.element(self, value)
 
     def _up(self, x: FieldElement) -> FieldElement:
         return self._elem(self._lift(x.rep))
@@ -709,9 +690,6 @@ class SimpleExtension(_Extension):
         self._zero_rep = self._lift(base._zero_rep)
         self._one_rep = self._lift(base._one_rep)
         self._refuse_factors()
-
-    def is_finite(self) -> bool:
-        return False
 
     def _lift(self, r):
         return (r,) + (self.base._zero_rep,) * (self.degree - 1)
@@ -841,15 +819,8 @@ class FiniteField(_Extension):
         if self.char == 2:
             self._add = operator.xor    # the same sums as _add, faster
 
-    def is_finite(self) -> bool:
-        return True
-
     def order(self) -> int:
         return self._q
-
-    def elements(self):
-        for c in range(self._q):
-            yield self._elem(c)
 
     def _lift(self, r):
         return r * self._shift
@@ -879,9 +850,6 @@ class FiniteField(_Extension):
 
     def _inv(self, a):
         return self._invs[a]
-
-    def _is_zero(self, a):
-        return a == 0
 
 
 def _divisors(n):

@@ -3,13 +3,14 @@
 Coefficients live in any field from the tower.  A ``MultiPoly`` maps the
 packed int key of each monomial to the rep of its nonzero coefficient;
 ``terms``, the map from exponent tuples to elements, is a view built on
-demand.  Like every domain of the tower, ``PolyRing`` and
-``RationalFunctionField`` hold the arithmetic as rep hooks (``_add``,
+demand.  ``PolyRing`` and ``RationalFunctionField`` are domains like the
+fields (``fields.Domain``): ``element``, ``const`` and ``from_int`` are
+``Domain``'s, and they hold the arithmetic as rep hooks (``_add``,
 ``_mul``, ``_neg``, ``_is_zero``, ``_eq``; F(t) also ``_inv``), on which
 both the kernels and the one operator set of ``fields.ScalarOps`` run; a
-polynomial, like an element of F(d), is its own ``rep``.  The operators
-and the coercion rule come from ``fields``: F[t] lies below F(t) and the
-coefficient field below F[t], and a refusal is a ``PolyRingError``.
+polynomial, like an element of F(d), is its own ``rep``, so ``_elem`` is
+the identity.  F[t] lies below F(t) and the coefficient field below F[t],
+and a refusal is a ``PolyRingError``.
 
 The ``PolyRing`` owns the packing: a fixed field of ``_FIELD_BITS`` bits
 per variable with the first variable in the high bits, so the first
@@ -39,7 +40,7 @@ cross-checks it.
 
 from __future__ import annotations
 
-from .fields import (Field, FieldElement, ScalarOps, _bracket_sum, _image,
+from .fields import (Domain, Field, FieldElement, ScalarOps, _bracket_sum,
                      _pdivmod, _pgcd, _source, signed_sum)
 
 
@@ -54,7 +55,7 @@ class PoleAtZero(ArithmeticError):
     """The rational function has a pole at t = 0."""
 
 
-class PolyRing:
+class PolyRing(Domain):
     """Polynomials in a fixed ordered tuple of variables over one field.
 
     The ring owns the packing of a monomial into one int key: every variable
@@ -92,15 +93,6 @@ class PolyRing:
     def gens(self):
         return tuple(self.var(v) for v in self.vars)
 
-    def element(self, v) -> "MultiPoly":
-        """v's image in this ring by the one coercion rule (``fields._image``)."""
-        if v.__class__ is MultiPoly and v.ring is self:
-            return v        # a kernel's own rep, through _elem
-        x = _image(self, v)
-        return self._refuse(v) if x is None else x
-
-    const = from_int = element
-
     def _refuse(self, v):
         """The polynomial layer's one refusal of a value with no image here."""
         raise PolyRingError(f"no image of an element of {_source(v)} in {self!r}")
@@ -116,7 +108,7 @@ class PolyRing:
 
     # -- the rep hooks of ScalarOps and the kernels: a polynomial is its own rep
 
-    _elem = element
+    _elem = staticmethod(lambda p: p)
     _zero_rep = property(zero)
 
     def _add(self, a: "MultiPoly", b: "MultiPoly") -> "MultiPoly":
@@ -282,7 +274,7 @@ def t_valuation(p: MultiPoly):
     return min(p.reps, default=None)
 
 
-class RationalFunctionField:
+class RationalFunctionField(Domain):
     """The fraction field of a univariate polynomial ring.
 
     Its hooks are the arithmetic of its elements, on the ring's hooks for
@@ -300,17 +292,13 @@ class RationalFunctionField:
         self.poly_one = self.ring.one()
 
     def element(self, num, den=None) -> "RationalFunction":
-        """num's image in F(t) by the one coercion rule, or num/den for two
-        values that ``ring.element`` takes."""
+        """``Domain.element`` of num, or num/den for two values that
+        ``ring.element`` takes."""
         if den is None:
-            if num.__class__ is RationalFunction and num.parent is self:
-                return num
-            x = _image(self, num)
-            return self._refuse(num) if x is None else x
+            return Domain.element(self, num)
         return RationalFunction._make(self, self.ring.element(num),
                                       self.ring.element(den))
 
-    const = from_int = element
     _refuse = PolyRing._refuse
 
     def _up(self, p: MultiPoly) -> "RationalFunction":
@@ -321,7 +309,7 @@ class RationalFunctionField:
     # is its own rep.  Two entries of F[t], whose denominators are their
     # parents' poly_one, add and multiply as polynomials over that shared 1.
 
-    _elem = element
+    _elem = staticmethod(PolyRing._elem)    # PolyRing._elem is a plain function
     _zero_rep = property(lambda self: self.zero())
     _one_rep = property(lambda self: self.one())
 

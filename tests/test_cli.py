@@ -1,5 +1,6 @@
 """The command line interface: output shapes, exit codes, determinism."""
 
+import decimal
 import json
 import os
 import pathlib
@@ -360,6 +361,30 @@ def test_undecodable_payloads_exit_2(capsys, tmp_path, argv, payload):
     code, _, err = run(capsys, *(a.format(file=path) for a in argv))
     assert code == 2
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+def _digits_of_a_power_of_two(e: int) -> str:
+    """The decimal text of 2^e, through decimal, which the interpreter's
+    limit on the digits of an int's text does not touch."""
+    with decimal.localcontext() as context:
+        context.prec = e // 3 + 1
+        return str(decimal.Decimal(2) ** e)
+
+
+def test_a_value_of_more_digits_than_int_text_allows_is_printed(capsys, tmp_path):
+    # s^65536 = 2^32768 over Q(s), s^2 = 2: 9865 digits, past the 4300 that
+    # str(int) writes; the input is accepted, so its value must print
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({
+        "field": {"char": 0, "ext": {"name": "s", "min_poly": [-2, 0, 1]}},
+        "entries": [{"i": 2, "j": 3, "k": 1, "c": "s^65536"}]}))
+    code, out, err = run(capsys, "act", str(path), "[[1,0,0],[0,1,0],[0,0,1]]")
+    assert code == 0 and not err
+    value = _digits_of_a_power_of_two(32768)
+    assert len(value) == 9865
+    text, line = out.splitlines()
+    assert text == f"{value}*231"
+    assert json.loads(line)["entries"] == [{"i": 2, "j": 3, "k": 1, "c": value}]
 
 
 def test_irreducible_quartic_still_accepted(capsys, tmp_path):

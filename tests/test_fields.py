@@ -10,7 +10,7 @@ import pytest
 
 from nilalg3.catalogue import AlgebraId, adelta, quarter
 from nilalg3.degeneration import known_witness
-from nilalg3.fields import (MAX_FINITE_ORDER, FieldError, FiniteField,
+from nilalg3.fields import (MAX_FINITE_ORDER, Field, FieldError, FiniteField,
                             NeedsFieldExtension, PrimeField, RATIONALS,
                             SimpleExtension, _rational_roots, extend_with_root,
                             gf4, gf16, quadratic_roots, square_roots)
@@ -856,3 +856,50 @@ def test_refusal_of_unrelated_operands_names_the_left_domain_first():
             with pytest.raises(error) as exc:
                 op(a, b)
             assert str(exc.value) == message, (a, b)
+
+
+# -- the one domain entry -------------------------------------------------------
+
+
+def _contract_domains() -> dict:
+    """name -> (domain, a scalar of it) for one domain of every kind."""
+    F7, F16 = PrimeField(7), gf16()
+    Qi = SimpleExtension(RATIONALS, [1, 0, 1], "i")
+    R7 = PolyRing(F7, ("x", "y"))
+    x, y = R7.gens()
+    Qt = RationalFunctionField(RATIONALS, "t")
+    Qd = RationalFunctionField(RATIONALS, "d")
+    Qdt = RationalFunctionField(Qd, "t")
+    return {"Q": (RATIONALS, RATIONALS.element(Fraction(1, 2))),
+            "GF(7)": (F7, F7.element(3)), "GF(16)": (F16, F16.generator()),
+            "Q(i)": (Qi, Qi.generator()), "GF(7)[x, y]": (R7, x * y + 2),
+            "Q(t)": (Qt, Qt.gen() / (Qt.gen() + 1)),
+            "Q(d)(t)": (Qdt, Qd.gen() * Qdt.gen())}
+
+
+# the domains below each one, whose values it takes
+_CONTRACT_BELOW = {"Q(i)": {"Q"}, "GF(7)[x, y]": {"GF(7)"}, "Q(t)": {"Q"},
+                   "Q(d)(t)": {"Q"}}
+
+
+@pytest.mark.parametrize("name", ["Q", "GF(7)", "GF(16)", "Q(i)", "GF(7)[x, y]",
+                                  "Q(t)", "Q(d)(t)"])
+def test_every_domain_keeps_the_one_element_contract(name):
+    domains = _contract_domains()
+    D, x = domains[name]
+    assert D.element(x) is x and D.const(x) is x and D.from_int(x) is x
+    for n in (-3, 0, 1, 2, 7):
+        assert D.const(n) == D.from_int(n) == D.element(n) == n
+    assert D.zero() == D.element(0) and D.zero().is_zero()
+    assert D.one() == D.element(1) and D.one() * x == x
+    assert (isinstance(D, Field) and D.is_finite()) == (name in ("GF(7)", "GF(16)"))
+    error, text = ((FieldError, "cannot embed element of {} into {!r}")
+                   if isinstance(D, Field) else
+                   (PolyRingError, "no image of an element of {} in {!r}"))
+    refused = [(repr(E), y) for other, (E, y) in domains.items()
+               if other != name and other not in _CONTRACT_BELOW.get(name, ())]
+    for source, y in refused + [("str", "1")]:
+        for entry in (D.element, D.const, D.from_int):
+            with pytest.raises(error) as exc:
+                entry(y)
+            assert str(exc.value) == text.format(source, D), (name, source)

@@ -11,6 +11,8 @@ import re
 import sys
 
 import nilalg3
+from nilalg3.fields import RATIONALS
+from nilalg3.polyring import RationalFunctionField
 
 
 def test_every_export_imports():
@@ -210,3 +212,57 @@ def test_scalar_ops_is_the_one_operator_set():
         found += [f"{name}:{stmt.lineno}" for stmt in classes[name].body
                   if isinstance(stmt, ast.Assign) and _delegates(stmt.value)]
     assert not found, found
+
+
+def _class_bindings() -> dict:
+    """Every class of the package, by name: (its bases' names, the names
+    its body binds by def or assignment)."""
+    out = {}
+    for path in sorted(pathlib.Path(nilalg3.__file__).parent.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, ast.ClassDef):
+                bases = {b.id for b in node.bases if isinstance(b, ast.Name)}
+                out[node.name] = bases, {n for stmt in node.body
+                                         for n in _defined_names(stmt)}
+    return out
+
+
+def _is_bare_not_implemented(function) -> bool:
+    """Whether a def's body, past its docstring, is only a raise of
+    NotImplementedError."""
+    body = function.body
+    if body and isinstance(body[0], ast.Expr) and isinstance(body[0].value, ast.Constant):
+        body = body[1:]
+    if len(body) != 1 or not isinstance(body[0], ast.Raise) or body[0].exc is None:
+        return False
+    exc = body[0].exc.func if isinstance(body[0].exc, ast.Call) else body[0].exc
+    return isinstance(exc, ast.Name) and exc.id == "NotImplementedError"
+
+
+def test_domain_is_the_one_entry_into_every_scalar_domain():
+    # fields.Domain alone defines element and its names const and from_int;
+    # only an extension's coefficient lists and F(t)'s num/den pair add a
+    # form of element, a field is finite exactly when char > 0, no hook is a
+    # stub, and a polynomial and an element of F(t) are their own rep
+    classes = _class_bindings()
+    fields = {"Field"}
+    while grown := {name for name, (bases, _) in classes.items()
+                    if bases & fields} - fields:
+        fields |= grown
+    assert {"Rationals", "PrimeField", "SimpleExtension", "FiniteField"} <= fields
+
+    def binding(name):
+        return {cls for cls, (_, names) in classes.items() if name in names}
+
+    assert binding("element") == {"Domain", "_Extension", "RationalFunctionField"}
+    assert binding("const") == binding("from_int") == {"Domain"}
+    assert not binding("is_finite") & (fields - {"Field"})
+    stubs = [f"{path.name}:{node.lineno}"
+             for path in sorted(pathlib.Path(nilalg3.__file__).parent.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.FunctionDef) and _is_bare_not_implemented(node)]
+    assert not stubs, stubs
+    K = RationalFunctionField(RATIONALS)
+    for domain, value in ((K.ring, K.ring.var("t")), (K, K.gen())):
+        assert isinstance(type(domain).__dict__["_elem"], staticmethod)
+        assert domain._elem != domain.element and domain._elem(value) is value
