@@ -8,13 +8,17 @@ as elements.  Associativity is the structure-constant identity
     sum_m c[i,j,m] c[m,k,l]  =  sum_m c[j,k,m] c[i,m,l]    (all i, j, k, l),
 
 the coefficients of (e_i e_j) e_k and e_i (e_j e_k) on e_l, with each side
-summed over the pairs of nonzero terms that meet in m.  The power chain
-(the square, the cube, ...) is built once per call and gives both the
-nilpotency class and the square.  The annihilator and the derivation
-algebra are nullspaces of rows read off the nonzero terms, reduced by the
-rep kernel of :mod:`linalg`.  Also here: commutativity, and membership in
-the closed set M** of structures whose generic square stays on the line of
-its argument.
+summed over the pairs of nonzero terms that meet in m, and compared one
+first index i at a time, so a non-associative vector is refused at the
+first i that differs.  The power chain (the square, the cube, ...) gives
+both the nilpotency class and the square.  The verdict and the chain are
+computed once per vector, on first use, and kept as reps in the vector's
+private ``_kept`` slot; every public function reads them there and wraps
+fresh elements.  The annihilator and the derivation algebra are nullspaces
+of rows read off the nonzero terms, reduced by the rep kernel of
+:mod:`linalg`; the derivation rows are placed through a table of cells per
+index triple.  Also here: commutativity, and membership in the closed set
+M** of structures whose generic square stays on the line of its argument.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass
 
 from . import linalg
-from .structspace import StructureVector
+from .structspace import _INDICES, StructureVector
 
 
 class NotNilpotentError(ValueError):
@@ -37,26 +41,56 @@ def _sums(pairs, add) -> dict:
     return out
 
 
+def _shared(vec: StructureVector, part: int, kernel):
+    """Part ``part`` of what vec keeps in its ``_kept`` slot (0: the
+    associativity verdict, 1: the power chain as rows of reps), computed by
+    ``kernel`` on first use."""
+    kept = vec._kept
+    if kept is None:
+        kept = [None, None]
+        object.__setattr__(vec, "_kept", kept)
+    value = kept[part]
+    if value is None:
+        value = kept[part] = kernel(vec)
+    return value
+
+
 def is_associative(vec: StructureVector) -> bool:
+    return _shared(vec, 0, _associative)
+
+
+def _associative(vec: StructureVector) -> bool:
+    """The associativity identity, one first index i at a time: the 27
+    slots 9j + 3k + l - 13 of (e_i e_j) e_k, from c[i,j,m] c[m,k,l], against
+    those of e_i (e_j e_k), from c[i,m,l] c[j,k,m]; False at the first i
+    whose slots differ."""
     add, mul, zero = vec.parent._add, vec.parent._mul, vec.parent._zero_rep
-    # the part of the slot 27i + 9j + 3k + l - 40 that the second factor
-    # fixes (3k + l of c[m,k,l], 27i + l of c[i,m,l]), grouped by m
-    by_first, by_second = ([], [], []), ([], [], [])
+    # c[m,k,l] at offset 3k + l - 13 by its first index m, c[j,k,m] at
+    # offset 9j + 3k by its last index m; each term c[i,x,y] of group i is
+    # one first factor on each side, with its base offset and its partners
+    by_first, by_last = ([], [], []), ([], [], [])
+    left, right = ([], [], []), ([], [], [])
     for i, j, k, c in vec.reps:
-        by_first[i - 1].append((3 * j + k, c))
-        by_second[j - 1].append((27 * i + k, c))
+        by_first[i - 1].append((3 * j + k - 13, c))
+        by_last[k - 1].append((9 * i + 3 * j, c))
+        left[i - 1].append((9 * j, by_first[k - 1], c))
+        right[i - 1].append((k - 13, by_last[j - 1], c))
 
-    def side(wx, wy, groups):       # an empty slot is the zero rep
-        out = [None] * 81
-        for x, y, m, a in vec.reps:
-            base = wx * x + wy * y - 40
-            for off, b in groups[m - 1]:
-                s = out[base + off]
-                out[base + off] = mul(a, b) if s is None else add(s, mul(a, b))
-        return [zero if s is None else s for s in out]
+    def side(terms):        # None for a slot no product reached
+        out = [None] * 27
+        for base, partners, a in terms:
+            for off, b in partners:
+                n = base + off
+                s = out[n]
+                out[n] = mul(a, b) if s is None else add(s, mul(a, b))
+        return out
 
-    # (e_i e_j) e_k: c[i,j,m] c[m,k,l]; e_i (e_j e_k): c[j,k,m] c[i,m,l]
-    return side(27, 9, by_first) == side(9, 3, by_second)
+    def same(lt, rt):       # a None slot equals a sum that cancelled
+        x, y = side(lt), side(rt)
+        return x == y or [zero if s is None else s for s in x] == \
+            [zero if s is None else s for s in y]
+
+    return all(map(same, left, right))
 
 
 def is_commutative(vec: StructureVector) -> bool:
@@ -81,10 +115,10 @@ def square_basis(vec: StructureVector) -> list:
     """Echelon basis (coordinate triples) of the span of all products.
 
     e_i e_j has the coordinates c[i,j,1..3], so the rows are read off the
-    vector.
+    vector; this is entry 0 of the power chain.
     """
     F = vec.parent
-    return [list(map(F._elem, u)) for u in _square(F, vec.reps)]
+    return [list(map(F._elem, u)) for u in _shared(vec, 1, _chain)[0]]
 
 
 def power_chain(vec: StructureVector) -> list:
@@ -95,6 +129,13 @@ def power_chain(vec: StructureVector) -> list:
     hits zero or the products of five factors were formed.  Each is spanned
     by the u e_j, (u e_j)_k = sum_i u_i c[i,j,k], for u in the one before.
     """
+    F = vec.parent
+    return [[list(map(F._elem, u)) for u in basis]
+            for basis in _shared(vec, 1, _chain)]
+
+
+def _chain(vec: StructureVector) -> list:
+    """:func:`power_chain` as rows of reps."""
     F = vec.parent
     add, mul, is_zero, zero = F._add, F._mul, F._is_zero, F._zero_rep
     chain = []
@@ -114,7 +155,7 @@ def power_chain(vec: StructureVector) -> list:
         current = _echelon(F, rows)
     else:
         chain.append(current)
-    return [[list(map(F._elem, u)) for u in basis] for basis in chain]
+    return chain
 
 
 def chain_class(chain: list) -> int:
@@ -144,7 +185,7 @@ def nilpotency_class(vec: StructureVector) -> int:
 
     Raises :class:`NotNilpotentError` as :func:`chain_class` does.
     """
-    return chain_class(power_chain(vec))
+    return chain_class(_shared(vec, 1, _chain))
 
 
 def square_dimension(vec: StructureVector) -> int:
@@ -171,6 +212,16 @@ def annihilator_dimension(vec: StructureVector) -> int:
     return len(annihilator_basis(vec))
 
 
+# the nine (equation, column, negated) cells of c[a,b,k], at 9a + 3b + k - 13;
+# equation (x, y, z) is row 9x + 3y + z - 13
+_DERIVATION_CELLS = tuple(
+    tuple(cell for n in (1, 2, 3) for cell in (
+        (9 * a + 3 * b + n - 13, 3 * n + k - 4, False),
+        (9 * n + 3 * b + k - 13, 3 * a + n - 4, True),
+        (9 * a + 3 * n + k - 13, 3 * b + n - 4, True)))
+    for a, b, k in _INDICES)
+
+
 def derivation_dimension(vec: StructureVector) -> int:
     """Dimension of the space of derivations d(xy) = d(x)y + x d(y).
 
@@ -181,23 +232,21 @@ def derivation_dimension(vec: StructureVector) -> int:
         sum_k c[i,j,k] D[m,k] - sum_p c[p,j,m] D[p,i] - sum_p c[i,p,m] D[p,j] = 0,
 
     so a nonzero c[a,b,k] enters the first sum of the equations (a, b, n),
-    the second of (n, b, k) and the third of (a, n, k), for n = 1, 2, 3.
+    the second of (n, b, k) and the third of (a, n, k), for n = 1, 2, 3:
+    the cells of ``_DERIVATION_CELLS``.
     """
     F = vec.parent
-
-    def entries():      # ((equation, column), rep)
-        for a, b, k, c in vec.reps:
-            minus = F._neg(c)
-            for n in (1, 2, 3):
-                yield ((a, b, n), 3 * n + k - 4), c
-                yield ((n, b, k), 3 * a + n - 4), minus
-                yield ((a, n, k), 3 * b + n - 4), minus
-
-    zero = F._zero_rep
-    rows = {}
-    for (row, col), v in _sums(entries(), F._add).items():
-        rows.setdefault(row, [zero] * 9)[col] = v
-    return 9 - len(linalg._gauss_jordan(list(rows.values()), F))
+    add, neg, zero = F._add, F._neg, F._zero_rep
+    rows = [None] * 27
+    for a, b, k, c in vec.reps:
+        minus = neg(c)
+        for eq, col, negated in _DERIVATION_CELLS[9 * a + 3 * b + k - 13]:
+            row = rows[eq]
+            if row is None:
+                row = rows[eq] = [zero] * 9
+            row[col] = add(row[col], minus if negated else c)
+    rows = [row for row in rows if row is not None]
+    return 9 - len(linalg._gauss_jordan(rows, F))
 
 
 def in_m_star_star(vec: StructureVector) -> bool:
@@ -236,7 +285,7 @@ class InvariantProfile:
 
 
 def invariant_profile(vec: StructureVector) -> InvariantProfile:
-    chain = power_chain(vec)
+    chain = _shared(vec, 1, _chain)
     try:
         ncls = chain_class(chain)
         nilp = True

@@ -269,7 +269,9 @@ def identify(vec: StructureVector) -> AlgebraId:
 
 def _power_chain(vec: StructureVector) -> list:
     """The power chain of vec, whose entry 0 is its square; refuses a
-    non-associative vec."""
+    non-associative vec.  Both are read from the pass that algprops keeps on
+    vec, so identify, identify_with_witness and invariant_profile on one
+    vector compute them once."""
     if not algprops.is_associative(vec):
         raise CatalogueError("structure is not associative")
     return algprops.power_chain(vec)

@@ -17,8 +17,11 @@ Field descriptors, structure vectors, and curve witnesses travel as JSON:
 min_poly lists are constant-first integers; a monic polynomial over Q with
 fractions is written as its integer multiple, [1, 0, 4] for r^2 + 1/4.
 Algebra ids are written a0, c1, c3, l1, c5, a(C), h(C), a3(C), rho, chat3,
-a2 with C a scalar.  A vector or witness payload parses each distinct text
-once.
+a2 with C a scalar.  A scalar is computed on the field's reps: each number
+term is coerced, each generator power formed by square-and-multiply on the
+product hook, and the signed sum wrapped as an element once.  A vector or
+witness payload parses each distinct text once; a vector adds the reps of
+its entries into its 27 coefficients.
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ from .degeneration import CurveWitness
 from .fields import (MAX_FINITE_ORDER, Field, FieldElement, FieldError,
                      _Extension, extend_with_root, prime_field, signed_sum)
 from .polyring import RationalFunctionField
-from .structspace import Matrix3, StructureVector
+from .structspace import Matrix3, StructureVector, _from_reps
 
 # the characteristics a field descriptor or a --char option may name
 CHARACTERISTICS = (0, 2, 3, 5, 7, 11, 13)
@@ -135,11 +138,11 @@ _TERM_RE = re.compile(
 
 @functools.lru_cache(maxsize=4)
 def _generator_table(field: Field) -> dict:
-    """Each generator name of the extension tower, embedded in ``field``."""
+    """The rep in ``field`` of each generator name of its extension tower."""
     names = {}
     level = field
     while isinstance(level, _Extension):
-        names[level.name] = field.embed(level.generator())
+        names[level.name] = field.embed(level.generator()).rep
         level = level.base
     return names
 
@@ -174,10 +177,10 @@ def _split_signed_terms(text: str):
     return out
 
 
-def _fraction(text: str, field: Field) -> FieldElement:
-    """The element of ``field`` that a decimal fraction names."""
+def _fraction(text: str, field: Field):
+    """The rep in ``field`` of the number a decimal integer or fraction names."""
     try:
-        return field.element(Fraction(text))
+        return field._coerce(Fraction(text) if "/" in text else int(text))
     except ZeroDivisionError:
         raise FormatError(f"zero denominator in {text!r}") from None
     except (FieldError, ValueError) as exc:
@@ -192,20 +195,34 @@ def _exponent(text) -> int:
         raise FormatError(f"bad exponent: {exc}") from None
 
 
+def _power(field: Field, r, e: int):
+    """The rep r^e, by square-and-multiply on the field's hooks."""
+    mul = field._mul
+    out = field._one_rep
+    while e:
+        if e & 1:
+            out = mul(out, r)
+        e >>= 1
+        if e:
+            r = mul(r, r)
+    return out
+
+
 def parse_scalar(text: str, field: Field) -> FieldElement:
+    """The element a scalar text names, its signed terms summed on reps."""
     if _is_int(text):
         return field.from_int(text)
     if not isinstance(text, str):
         raise FormatError(f"scalar must be text, got {text!r}")
     gens = _generator_table(field)
-    total = field.zero()
+    add, mul = field._add, field._mul
+    total = field._zero_rep
     for sign, term in _split_signed_terms(text):
         m = _TERM_RE.match(term)
         if not m or (m.group("num") is None and m.group("name") is None):
             raise FormatError(f"bad scalar term {term!r} in {text!r}")
-        value = _fraction(m.group("num"), field) if m.group("num") \
-            else field.one()
-        name = m.group("name")
+        num, name = m.group("num"), m.group("name")
+        value = _fraction(num, field) if num else field._one_rep
         if name is not None:
             if name not in gens:
                 raise FormatError(
@@ -216,9 +233,9 @@ def parse_scalar(text: str, field: Field) -> FieldElement:
                 # field's reps grow with the exponent
                 raise FormatError(f"generator exponent {e} in {text!r} is "
                                   f"above {MAX_FINITE_ORDER} in characteristic 0")
-            value = value * gens[name] ** e
-        total = total + (value if sign > 0 else -value)
-    return total
+            value = mul(value, _power(field, gens[name], e))
+        total = add(total, value if sign > 0 else field._neg(value))
+    return field._elem(total)
 
 
 def render_scalar(x: FieldElement) -> str:
@@ -256,7 +273,7 @@ def parse_poly_in_t(text: str, rff: RationalFunctionField):
         elif m.group("paren") is not None:
             value = parse_scalar(m.group("paren"), field)
         else:
-            value = _fraction(coef, field)
+            value = field._elem(_fraction(coef, field))
         e = _exponent(m.group("exp")) if m.group("t") else 0
         if sign < 0:
             value = -value
@@ -325,17 +342,20 @@ def parse_vector(payload) -> StructureVector:
     field = parse_field(payload.get("field", {"char": 0}))
     if not isinstance(payload["entries"], list):
         raise FormatError("vector 'entries' must be a list")
-    terms = []
+    add = field._add
+    reps = [field._zero_rep] * 27
     # each distinct text is parsed once; keyed on JSON values, 1 == true == 1.0
-    text = functools.cache(lambda c: parse_scalar(c, field))
+    text = functools.cache(lambda c: parse_scalar(c, field).rep)
     for entry in payload["entries"]:
-        if not isinstance(entry, dict) or not {"i", "j", "k", "c"} <= set(entry):
+        if not isinstance(entry, dict) or not {"i", "j", "k", "c"} <= entry.keys():
             raise FormatError(f"bad vector entry {entry!r}")
         i, j, k, c = entry["i"], entry["j"], entry["k"], entry["c"]
         if not all(_is_int(n) and 1 <= n <= 3 for n in (i, j, k)):
             raise FormatError(f"indices out of range in {entry!r}")
-        terms.append((i, j, k, text(c) if isinstance(c, str) else parse_scalar(c, field)))
-    return StructureVector.from_terms(field, terms)
+        n = 9 * i + 3 * j + k - 13     # entries add up
+        reps[n] = add(reps[n], text(c) if isinstance(c, str)
+                      else parse_scalar(c, field).rep)
+    return _from_reps(field, reps)
 
 
 def render_vector(vec: StructureVector) -> dict:

@@ -41,10 +41,14 @@ class StructureVector:
 
     Stored as ``reps``: (i, j, k, rep) for each nonzero coefficient, in
     index order, which is what every kernel reads.  ``coeffs``, ``terms()``
-    and ``[i, j, k]`` are read-only views on elements.
+    and ``[i, j, k]`` are read-only views on elements.  One private slot,
+    ``_kept``, is None until :mod:`algprops` keeps there what it derived
+    from ``reps`` (the associativity verdict and the power chain, as reps),
+    so a second question about the same vector does no work twice; it is
+    no part of ``==`` or the hash.
     """
 
-    __slots__ = ("parent", "reps")
+    __slots__ = ("parent", "reps", "_kept")
 
     def __init__(self, parent, coeffs):
         coeffs = tuple(coeffs)
@@ -160,6 +164,7 @@ def _from_reps(parent, reps, vec=None) -> StructureVector:
     object.__setattr__(vec, "parent", parent)
     object.__setattr__(vec, "reps", tuple(
         (*ijk, r) for ijk, r in zip(_INDICES, reps) if not is_zero(r)))
+    object.__setattr__(vec, "_kept", None)
     return vec
 
 

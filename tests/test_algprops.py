@@ -13,13 +13,17 @@ from fractions import Fraction
 
 import pytest
 
+import nilalg3.algprops
 from nilalg3.algprops import (NotNilpotentError, annihilator_basis,
                               annihilator_dimension, derivation_dimension,
                               in_m_star_star, invariant_profile,
                               is_associative, is_commutative,
-                              nilpotency_class, power_chain, square_dimension)
-from nilalg3.catalogue import AlgebraId, adelta, hbeta, structure_of
+                              nilpotency_class, power_chain, square_basis,
+                              square_dimension)
+from nilalg3.catalogue import (AlgebraId, CatalogueError, adelta, hbeta,
+                               identify, identify_with_witness, structure_of)
 from nilalg3.fields import PrimeField, RATIONALS, SimpleExtension, gf4, gf16
+from nilalg3.ioformats import parse_vector, render_vector
 from nilalg3.linalg import row_reduce
 from nilalg3.polyring import PolyRing, RationalFunctionField
 from nilalg3.structspace import Matrix3, StructureVector, act, basis_vector
@@ -86,6 +90,44 @@ def test_non_associative_detected():
     F = RATIONALS
     vec = basis_vector(F, 1, 1, 2) + basis_vector(F, 2, 2, 3)
     assert not is_associative(vec)
+
+
+class _CountingGF7(PrimeField):
+    """GF(7) whose product hook counts its calls."""
+
+    def __init__(self):
+        super().__init__(7)
+        self.products = 0
+
+    def _mul(self, a, b):
+        self.products += 1
+        return super()._mul(a, b)
+
+
+def _full_pass_products(vec):
+    """The products of a pass over every first index: each side pairs each
+    term c[x,y,m] with each term c[m,k,l]."""
+    return 2 * sum(sum(t[2] == m for t in vec.reps) * sum(t[0] == m for t in vec.reps)
+                   for m in (1, 2, 3))
+
+
+def test_associativity_stops_at_the_first_index_that_differs():
+    F = _CountingGF7()
+    g = Matrix3.from_rows(F, [[1, 2, 0], [0, 1, 3], [4, 0, 1]])
+    moved = act(_rep("c5", F), g)       # associative: every group is formed
+    F.products = 0
+    assert is_associative(moved)
+    assert F.products == _full_pass_products(moved) > 0
+    # (e1 e1) e1 = e2 e1 = e3, but e1 (e1 e1) = e1 e2 = 0: the group of
+    # i = 1 differs, and the terms of the other groups are never paired
+    vec = StructureVector.from_terms(F, [(1, 1, 2, 1), (2, 1, 3, 1), (2, 2, 2, 1),
+                                         (3, 3, 3, 1), (3, 1, 1, 1)])
+    F.products = 0
+    assert not is_associative(vec) and not _associative_by_products(vec)
+    assert 0 < F.products < _full_pass_products(vec)
+    F.products = 0
+    assert not is_associative(vec)      # the verdict is kept
+    assert F.products == 0
 
 
 def _associative_by_products(vec):
@@ -494,3 +536,74 @@ def test_profile_of_non_nilpotent():
     assert not p.nilpotent
     assert p.nilpotency_class is None
     assert p.associative
+
+
+# The associativity verdict and the power chain are kept on the vector.
+
+def _parsed(tag, F, g):
+    return parse_vector(render_vector(act(_rep(tag, F), g)))
+
+
+def test_identify_and_profile_share_one_pass(monkeypatch):
+    calls = {"_associative": 0, "_chain": 0}
+    for name in calls:
+        kernel = getattr(nilalg3.algprops, name)
+
+        def counted(vec, name=name, kernel=kernel):
+            calls[name] += 1
+            return kernel(vec)
+        monkeypatch.setattr(nilalg3.algprops, name, counted)
+    F = PrimeField(7)
+    g = Matrix3.from_rows(F, [[1, 2, 0], [0, 1, 3], [4, 0, 1]])
+    for tag in ("c1", "l1", "c5"):
+        vec = _parsed(tag, F, g)
+        assert identify(vec) == AlgebraId(tag)
+        assert invariant_profile(vec).associative
+        assert identify_with_witness(vec)[0] == AlgebraId(tag)
+        assert nilpotency_class(vec) == len(square_basis(vec)) + 1
+        assert calls == {"_associative": 1, "_chain": 1}, tag
+        calls.update(dict.fromkeys(calls, 0))
+
+
+def test_kept_bases_are_returned_as_fresh_lists():
+    F = PrimeField(7)
+    g = Matrix3.from_rows(F, [[1, 2, 0], [0, 1, 3], [4, 0, 1]])
+    vec, fresh = _parsed("c5", F, g), _parsed("c5", F, g)
+    chain, square = power_chain(vec), square_basis(vec)
+    chain[0][0][0] = F.element(5)
+    chain[1].clear()
+    chain.append([[F.one()] * 3])
+    square[0].reverse()
+    square.append(square[0])
+    assert power_chain(vec) == power_chain(fresh)
+    assert square_basis(vec) == square_basis(fresh)
+    assert nilpotency_class(vec) == nilpotency_class(fresh) == 3
+    assert invariant_profile(vec) == invariant_profile(fresh)
+
+
+def test_a_kept_pass_leaves_the_vector_immutable_and_equal():
+    F = PrimeField(7)
+    g = Matrix3.from_rows(F, [[1, 2, 0], [0, 1, 3], [4, 0, 1]])
+    vec, fresh = _parsed("c3", F, g), _parsed("c3", F, g)
+    invariant_profile(vec)
+    identify(vec)
+    for name in ("parent", "reps", "_kept", "other"):
+        with pytest.raises(AttributeError):
+            setattr(vec, name, None)
+    assert vec == fresh and hash(vec) == hash(fresh)
+    assert {fresh: 1}[vec] == 1
+
+
+def test_a_non_associative_vector_is_refused_in_either_order():
+    F = PrimeField(7)
+    payload = render_vector(basis_vector(F, 1, 1, 2) + basis_vector(F, 2, 2, 3))
+    vec = parse_vector(payload)
+    with pytest.raises(CatalogueError, match="not associative"):
+        identify(vec)
+    assert not invariant_profile(vec).associative
+    vec = parse_vector(payload)
+    assert not invariant_profile(vec).associative
+    with pytest.raises(CatalogueError, match="not associative"):
+        identify(vec)
+    with pytest.raises(CatalogueError, match="not associative"):
+        identify_with_witness(vec)

@@ -18,12 +18,14 @@ from nilalg3.cli import main
 from nilalg3.degeneration import (CurveWitness, compose_curves, known_witness,
                                   lift_witness_to_rationals, search_witness,
                                   verify_witness)
-from nilalg3.fields import PrimeField, RATIONALS, SimpleExtension, gf4
+from nilalg3.fields import (MAX_FINITE_ORDER, FieldError, PrimeField, RATIONALS,
+                            SimpleExtension, _Extension, gf4, gf16)
 from nilalg3.ioformats import (FormatError, describe_field, parse_algebra_id,
                                parse_field, parse_matrix, parse_poly_in_t,
                                parse_scalar, parse_vector, parse_witness,
                                render_algebra_id, render_vector,
                                render_witness)
+from nilalg3.ioformats import _TERM_RE, _exponent, _split_signed_terms
 from nilalg3.polyring import PolyRing, RationalFunctionField
 from nilalg3.structspace import Matrix3, StructureVector, basis_vector
 
@@ -118,6 +120,104 @@ def test_parse_scalar_errors():
         parse_scalar("1..2", RATIONALS)
     with pytest.raises(FormatError):
         parse_scalar("w", PrimeField(7))
+
+
+def _parse_scalar_by_elements(text, field):
+    """parse_scalar as it was before it summed on reps: each term an element,
+    the generator power by element ``**``, the sum by element ``+``."""
+    gens = {}
+    level = field
+    while isinstance(level, _Extension):
+        gens[level.name] = field.embed(level.generator())
+        level = level.base
+    total = field.zero()
+    for sign, term in _split_signed_terms(text):
+        m = _TERM_RE.match(term)
+        if not m or (m.group("num") is None and m.group("name") is None):
+            raise FormatError(f"bad scalar term {term!r} in {text!r}")
+        num = m.group("num")
+        if num:
+            try:
+                value = field.element(Fraction(num))
+            except ZeroDivisionError:
+                raise FormatError(f"zero denominator in {num!r}") from None
+            except (FieldError, ValueError) as exc:
+                raise FormatError(f"bad fraction {num!r}: {exc}") from None
+        else:
+            value = field.one()
+        name = m.group("name")
+        if name is not None:
+            if name not in gens:
+                raise FormatError(
+                    f"unknown generator {name!r} over {field!r}")
+            e = _exponent(m.group("exp"))
+            if e > MAX_FINITE_ORDER and field.char == 0:
+                raise FormatError(f"generator exponent {e} in {text!r} is "
+                                  f"above {MAX_FINITE_ORDER} in characteristic 0")
+            value = value * gens[name] ** e
+        total = total + (value if sign > 0 else -value)
+    return total
+
+
+def _scalar_texts(rng, names):
+    """Seeded scalar texts: signed sums of numbers, fractions (a few with a
+    zero denominator, or one the characteristic divides) and generator
+    powers up to 2^16, with repeated generators and cancelling terms."""
+    def term():
+        num = ""
+        if not names or rng.random() < 0.6:
+            num = str(rng.randrange(30))
+            if rng.random() < 0.4:
+                num += f"/{rng.randrange(15)}"
+        if names and (not num or rng.random() < 0.5):
+            e = rng.choice(("", "", 0, 1, 2, 3, rng.randrange(4, 60),
+                            rng.randrange(MAX_FINITE_ORDER), MAX_FINITE_ORDER))
+            num += rng.choice(names) + (f"^{e}" if e != "" else "")
+        return num
+
+    fixed = ["0", "-0", "+1", "0/5", "3/2-3/2", "1/0"]
+    for name in names:
+        fixed += [f"{name}+{name}", f"{name}-{name}", f"-{name}^2+{name}^2+1",
+                  f"2{name}+{name}^1-3{name}"]
+    for text in fixed:
+        yield text
+    for _ in range(200):
+        terms = [rng.choice("+-") + term() for _ in range(rng.randint(1, 5))]
+        if rng.random() < 0.3:          # a term and its negation cancel
+            terms.append(("-" if terms[0][0] == "+" else "+") + terms[0][1:])
+        text = "".join(terms)
+        yield text[1:] if text[0] == "+" and rng.random() < 0.5 else text
+
+
+def _scalar_oracle_fields():
+    yield "Q", RATIONALS, ()
+    yield "GF7", PrimeField(7), ()
+    yield "GF4", gf4(), ("w",)
+    yield "GF16", gf16(), ("w", "s")
+    yield "Qi", SimpleExtension(RATIONALS, [1, 0, 1], "i"), ("i",)
+    yield "Qg", SimpleExtension(RATIONALS, [-2, 0, 0, 1], "g"), ("g",)
+
+
+@pytest.mark.parametrize("name, field, names", list(_scalar_oracle_fields()),
+                         ids=[n for n, _, _ in _scalar_oracle_fields()])
+def test_parse_scalar_on_reps_matches_the_element_oracle(name, field, names):
+    def outcome(parse, text):
+        try:
+            return parse(text, field)
+        except FormatError as exc:
+            return str(exc)
+
+    refused = cancelled = 0
+    for text in _scalar_texts(random.Random(f"scalar-{name}"), names):
+        got = outcome(parse_scalar, text)
+        want = outcome(_parse_scalar_by_elements, text)
+        assert got == want, text
+        if isinstance(got, str):
+            refused += 1
+            continue
+        assert got.parent is field and type(got.rep) is type(want.rep), text
+        cancelled += got.is_zero()
+    assert refused and cancelled
 
 
 def test_parse_poly_tight_fraction_binding():
