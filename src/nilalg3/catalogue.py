@@ -34,7 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .fields import (Field, FieldElement, NeedsFieldExtension, ScalarOps,
-                     _tower_names, extend_with_root, square_roots)
+                     extend_with_root, square_roots)
 from . import algprops
 from .structspace import Matrix3, StructureVector, act
 
@@ -110,8 +110,6 @@ def structure_of(ident: AlgebraId, field) -> StructureVector:
     """The defining structure vector of a catalogue algebra over ``field``,
     which may be any scalar domain holding the parameter."""
     t = ident.tag
-    if t not in _STRUCTURES:
-        raise CatalogueError(f"unknown algebra tag {t!r}")
     param = field.element(ident.param) if t in PARAMETRIC_TAGS else None
     return StructureVector.from_terms(field, [
         (i, j, k, param if c is None else c) for i, j, k, c in _STRUCTURES[t]])
@@ -184,7 +182,7 @@ def quarter(field: Field) -> FieldElement:
 def _adjoin(field: Field, minpoly: list):
     """extend_with_root under the first of the names r, r1, r2, ... that
     the tower of ``field`` does not use yet."""
-    taken = _tower_names(field)
+    taken = field._gens
     names = ["r"] + [f"r{i}" for i in range(1, len(taken) + 1)]
     return extend_with_root(field, minpoly, next(n for n in names if n not in taken))
 
@@ -283,9 +281,7 @@ def _identify(vec: StructureVector, chain: list) -> AlgebraId:
         return AlgebraId("a0")
     if ncls == 3:
         return AlgebraId("c5")
-    if ncls != 2:
-        raise UnclassifiableError(f"nilpotency class {ncls} has no catalogue entry")
-    (p, q), (r, s) = _slice(vec, chain[0])[3]
+    (p, q), (r, s) = _slice(vec, chain[0])[3]     # chain_class gives 0, 2 or 3
     if p.is_zero() and s.is_zero() and (q + r).is_zero():
         return AlgebraId("l1")
     det = p * s - q * r
@@ -354,12 +350,9 @@ def _reduction_matrix(vec, ident, field, square, allow_extension) -> Matrix3:
         scaled = [p * c for c in f1]
         return Matrix3.from_columns(f2, [scaled, w2, w3])
 
-    if t == "a":
-        w3 = [(p / q) * c for c in w3]
-        scaled = [p * c for c in f1]
-        return Matrix3.from_columns(field, [scaled, w2, w3])
-
-    raise CatalogueError(f"no reduction routine for tag {t!r}")
+    w3 = [(p / q) * c for c in w3]     # t == "a", the last tag _identify yields
+    scaled = [p * c for c in f1]
+    return Matrix3.from_columns(field, [scaled, w2, w3])
 
 
 def _unit_candidates(field: Field) -> list:
@@ -383,9 +376,7 @@ def _orthogonal_frame(B, w2, w3):
             w2, w3, p, q, r, s = w3, w2, s, r, q, p
         else:                   # p = s = 0: w2 + w3 pairs to q + r with itself
             w2 = [a + b for a, b in zip(w2, w3)]
-            p = q + r
-    if p.is_zero():
-        raise UnclassifiableError("no anisotropic vector for the pairing")
+            p = q + r       # nonzero: an alternating pairing is l1's
     t = r / p
     w3 = [a - t * b for a, b in zip(w3, w2)]
     return w2, w3, (p, q - r, s - t * q)

@@ -32,6 +32,8 @@ Every scalar domain, the fields here and the polynomial rings and F(t) of
 ``from_int``), one ``zero`` and ``one``, and one hook contract.  One
 coercion rule serves the whole tower, polynomials included: ``_image``
 lifts a value into one domain, ``ScalarOps._common`` two operands into one.
+A field records when it is built the rep of each generator of its tower, by
+name (``_gens``), and ``_power`` is the one square-and-multiply on reps.
 """
 
 from __future__ import annotations
@@ -59,9 +61,10 @@ class Domain:
     coercion rule (``_image``) or is refused.  ``ScalarOps`` and the exact
     kernels run on the hook contract: ``_add``, ``_neg``, ``_mul``, ``_inv``,
     ``_is_zero`` and ``_eq`` on reps; ``_elem``, the value of a rep (the
-    identity where a value is its own rep); ``_zero_rep``; ``_up``, which
-    lifts a value of ``_below``, the domain one step down (None at the
-    bottom); and ``_refuse``, the layer's one error for a value with no image.
+    identity where a value is its own rep); ``_zero_rep`` and ``_one_rep``;
+    ``_up``, which lifts a value of ``_below``, the domain one step down
+    (None at the bottom); and ``_refuse``, the layer's one error for a value
+    with no image.
     """
 
     _below = None
@@ -85,10 +88,11 @@ class Domain:
 class Field(Domain):
     """One field of the tower, whose values are all ``FieldElement``s.
 
-    Beyond ``Domain``'s contract a field has ``_one_rep``, ``_coerce`` (the
-    rep of an int or a Fraction), ``_render`` (a rep's text) and
-    ``_rep_hash``.  It is finite exactly when its characteristic is
-    positive, and then ``elements()`` runs through the reps 0, ..., q - 1.
+    Beyond ``Domain``'s contract a field has ``_coerce`` (the rep of an int
+    or a Fraction), ``_render`` (a rep's text), ``_rep_hash`` and ``_gens``
+    (the rep here of each generator of the tower, by name).  It is finite
+    exactly when its characteristic is positive, and then ``elements()``
+    runs through the reps 0, ..., q - 1.
     """
 
     char: int = 0
@@ -96,6 +100,7 @@ class Field(Domain):
     # set per class or in __init__, since reading an instance's __dict__ (as
     # a cached_property does) slows every later attribute lookup on it
     _zero_rep, _one_rep = 0, 1
+    _gens: dict = {}    # Q and GF(p) have no generator; an extension its own map
     _rep_hash = staticmethod(hash)  # an extension steps down the tower first
     # reps are canonical, and an int or Fraction rep is 0 when it is falsy;
     # a builtin binds no self
@@ -130,7 +135,8 @@ def _image(dom, v):
     A value of dom, or of an equal domain, is v itself.  A value of a domain
     below dom (base or coefficient field, F[t] under F(t), on down
     ``_below``) is lifted one step at a time by each level's ``_up``; so is
-    an int or a Fraction, whose rep in a field is ``_coerce``'s.
+    an int or a Fraction, whose rep in a field is ``_coerce``'s.  An
+    extension also takes a list or tuple: the coefficients of 1, g, ...
     """
     below = dom._below
     if isinstance(v, ScalarOps):
@@ -140,6 +146,9 @@ def _image(dom, v):
         if below is None:
             return None
     elif not isinstance(v, (int, Fraction)):
+        if isinstance(v, (tuple, list)) and isinstance(dom, _Extension):
+            return dom._elem(dom._from_coefficients(
+                [below.element(c).rep for c in v]))
         return None
     elif isinstance(dom, Field):    # down a field's tower on reps alone
         return dom._elem(dom._coerce(v))
@@ -251,24 +260,26 @@ class ScalarOps:
     def is_zero(self) -> bool:
         return self.parent._is_zero(self.rep)
 
-    def _one(self):
-        return self.parent.one()
-
     def __pow__(self, n: int):
         if self._no_division is not None and not (isinstance(n, int) and n >= 0):
             raise self._no_division("powers must be nonnegative integers")
         if not isinstance(n, int):
             return NotImplemented
-        base = self if n >= 0 else self.inverse()
-        n = abs(n)
-        out = self._one()
-        while n:
-            if n & 1:
-                out = out * base
-            n >>= 1
-            if n:       # no square past the top bit: a polynomial's may overflow
-                base = base * base
-        return out
+        P = self.parent
+        return P._elem(_power(P, (self if n >= 0 else self.inverse()).rep, abs(n)))
+
+
+def _power(dom, r, e: int):
+    """The rep r^e in dom for an int e >= 0, by square-and-multiply."""
+    mul = dom._mul
+    out = dom._one_rep
+    while e:
+        if e & 1:
+            out = mul(out, r)
+        e >>= 1
+        if e:       # no square past the top bit: a polynomial's may overflow
+            r = mul(r, r)
+    return out
 
 
 class FieldElement(ScalarOps):
@@ -569,16 +580,17 @@ class _Extension(Field):
 
     The part shared by :class:`SimpleExtension` (characteristic 0) and
     :class:`FiniteField`: the normalised minimal polynomial, the refusal of
-    reducible ones and of a generator name the tower already uses, the step
-    up from the base (``_up``), coefficient lists in ``element``, rendering
-    and equality.  Each subclass supplies its representation through ``_lift`` (the rep of a base rep),
+    reducible ones and of a generator name the tower already uses, the map
+    of the tower's generators (``_record``), the step up from the base
+    (``_up``), rendering and equality.  Each subclass supplies its
+    representation through ``_lift`` (the rep of a base rep),
     ``_from_coefficients`` (the rep of a list of base reps, the coefficients
     of the powers of the generator, reduced modulo m) and ``_coefficients``
     (the base reps of the coefficients of a rep, constant first).
     """
 
     def __init__(self, base: Field, minpoly, name: str):
-        if name in _tower_names(base):
+        if name in base._gens:
             raise FieldError(f"generator name {name!r} is taken in {base!r}")
         m = _ptrim([base.element(c).rep for c in minpoly], base)
         if len(m) < 3:
@@ -626,15 +638,13 @@ class _Extension(Field):
                             f"minimal polynomial has the factor {factor} "
                             f"(constant first) over {base!r}")
 
-    def generator(self) -> FieldElement:
-        return self.element([0, 1])
+    def _record(self, gen):
+        """Set ``_gens``: the base's generators lifted, and this one's rep gen."""
+        self._gens = {n: self._lift(r) for n, r in self.base._gens.items()}
+        self._gens[self.name] = gen
 
-    def element(self, value) -> FieldElement:
-        """``Domain.element``; a list or tuple gives the coefficients of 1, g, ..."""
-        if isinstance(value, (tuple, list)):
-            return self._elem(self._from_coefficients(
-                [self.base.element(c).rep for c in value]))
-        return Domain.element(self, value)
+    def generator(self) -> FieldElement:
+        return self._elem(self._gens[self.name])
 
     def _up(self, x: FieldElement) -> FieldElement:
         return self._elem(self._lift(x.rep))
@@ -668,13 +678,6 @@ class _Extension(Field):
         return f"{self.base!r}({self.name})"
 
 
-def _tower_names(field: Field) -> set:
-    """The generator names of field and of every field below it."""
-    if isinstance(field, _Extension):
-        return {field.name} | _tower_names(field.base)
-    return set()
-
-
 class SimpleExtension(_Extension):
     """A number field F(g) over Q or over another characteristic-0 extension.
 
@@ -690,6 +693,7 @@ class SimpleExtension(_Extension):
         self._zero_rep = self._lift(base._zero_rep)
         self._one_rep = self._lift(base._one_rep)
         self._refuse_factors()
+        self._record(self._from_coefficients([base._zero_rep, base._one_rep]))
 
     def _lift(self, r):
         return (r,) + (self.base._zero_rep,) * (self.degree - 1)
@@ -751,6 +755,7 @@ class FiniteField(_Extension):
         self._shift = b ** (d - 1)          # the code of c is c * shift
         self._one_rep = self._lift(base._one_rep)
         self._x = base._one_rep * b ** (d - 2)
+        self._record(self._x)
         self._build_tables()
 
     def _build_tables(self):

@@ -17,11 +17,10 @@ Field descriptors, structure vectors, and curve witnesses travel as JSON:
 min_poly lists are constant-first integers; a monic polynomial over Q with
 fractions is written as its integer multiple, [1, 0, 4] for r^2 + 1/4.
 Algebra ids are written a0, c1, c3, l1, c5, a(C), h(C), a3(C), rho, chat3,
-a2 with C a scalar.  A scalar is computed on the field's reps: each number
-term is coerced, each generator power formed by square-and-multiply on the
-product hook, and the signed sum wrapped as an element once.  A vector or
-witness payload parses each distinct text once; a vector adds the reps of
-its entries into its 27 coefficients.
+a2 with C a scalar.  This module keeps the syntax: a scalar or polynomial
+is summed on the field's reps, its generators read from the field's map
+(``_gens``) and raised by ``fields._power``.  A payload parses each distinct
+text once, and a vector adds its entries' reps into its 27 coefficients.
 """
 
 from __future__ import annotations
@@ -35,8 +34,8 @@ from fractions import Fraction
 from .catalogue import AUXILIARY_TAGS, CANONICAL_TAGS, AlgebraId, CatalogueError
 from .degeneration import CurveWitness
 from .fields import (MAX_FINITE_ORDER, Field, FieldElement, FieldError,
-                     _Extension, extend_with_root, prime_field, signed_sum)
-from .polyring import RationalFunctionField
+                     _power, extend_with_root, prime_field, signed_sum)
+from .polyring import MultiPoly, RationalFunctionField
 from .structspace import Matrix3, StructureVector, _from_reps
 
 # the characteristics a field descriptor or a --char option may name
@@ -63,8 +62,7 @@ def parse_field(desc) -> Field:
     descriptor again gains.  A malformed descriptor raises FormatError on
     every call, since failures are not kept.
     """
-    if isinstance(desc, str):
-        desc = _load_json(desc)
+    desc = _decoded(desc)
     if not isinstance(desc, dict) or "char" not in desc:
         raise FormatError("field descriptor must be an object with 'char'")
     char = desc["char"]
@@ -109,14 +107,12 @@ def describe_field(field: Field) -> dict:
     if not isinstance(field, Field):
         raise FormatError(f"{field!r} has no JSON form: it is not Q, GF(p) "
                           "or an extension of one")
-    if isinstance(field, _Extension):
-        inner = describe_field(field.base)
-        if "ext" in inner:
-            raise FormatError("nested extensions have no JSON form")
-        inner["ext"] = {"name": field.name,
-                        "min_poly": _cleared(field.minpoly)}
-        return inner
-    return {"char": field.char}
+    if len(field._gens) > 1:
+        raise FormatError("nested extensions have no JSON form")
+    if not field._gens:
+        return {"char": field.char}
+    return {"char": field.char,
+            "ext": {"name": field.name, "min_poly": _cleared(field.minpoly)}}
 
 
 def _cleared(coeffs) -> list:
@@ -134,17 +130,6 @@ def _cleared(coeffs) -> list:
 
 _TERM_RE = re.compile(
     r"^(?P<num>\d+(?:/\d+)?)?(?:(?P<name>[A-Za-z]\w*)(?:\^(?P<exp>\d+))?)?$")
-
-
-@functools.lru_cache(maxsize=4)
-def _generator_table(field: Field) -> dict:
-    """The rep in ``field`` of each generator name of its extension tower."""
-    names = {}
-    level = field
-    while isinstance(level, _Extension):
-        names[level.name] = field.embed(level.generator()).rep
-        level = level.base
-    return names
 
 
 def _split_signed_terms(text: str):
@@ -195,26 +180,12 @@ def _exponent(text) -> int:
         raise FormatError(f"bad exponent: {exc}") from None
 
 
-def _power(field: Field, r, e: int):
-    """The rep r^e, by square-and-multiply on the field's hooks."""
-    mul = field._mul
-    out = field._one_rep
-    while e:
-        if e & 1:
-            out = mul(out, r)
-        e >>= 1
-        if e:
-            r = mul(r, r)
-    return out
-
-
 def parse_scalar(text: str, field: Field) -> FieldElement:
     """The element a scalar text names, its signed terms summed on reps."""
     if _is_int(text):
         return field.from_int(text)
     if not isinstance(text, str):
         raise FormatError(f"scalar must be text, got {text!r}")
-    gens = _generator_table(field)
     add, mul = field._add, field._mul
     total = field._zero_rep
     for sign, term in _split_signed_terms(text):
@@ -224,7 +195,7 @@ def parse_scalar(text: str, field: Field) -> FieldElement:
         num, name = m.group("num"), m.group("name")
         value = _fraction(num, field) if num else field._one_rep
         if name is not None:
-            if name not in gens:
+            if name not in field._gens:
                 raise FormatError(
                     f"unknown generator {name!r} over {field!r}")
             e = _exponent(m.group("exp"))
@@ -233,7 +204,7 @@ def parse_scalar(text: str, field: Field) -> FieldElement:
                 # field's reps grow with the exponent
                 raise FormatError(f"generator exponent {e} in {text!r} is "
                                   f"above {MAX_FINITE_ORDER} in characteristic 0")
-            value = mul(value, _power(field, gens[name], e))
+            value = mul(value, _power(field, field._gens[name], e))
         total = add(total, value if sign > 0 else field._neg(value))
     return field._elem(total)
 
@@ -253,9 +224,8 @@ _POLY_TERM_RE = re.compile(
 def parse_poly_in_t(text: str, rff: RationalFunctionField):
     """A polynomial entry of a curve matrix, as a rational function.
 
-    The signed terms are collected into one {exponent: coefficient} map,
-    coefficients of a repeated exponent added, and the polynomial is built
-    once from it.
+    The signed terms are summed on the field's reps into one {exponent:
+    rep} map, and the polynomial is built once from it.
     """
     if _is_int(text):
         return rff.from_int(text)
@@ -269,16 +239,16 @@ def parse_poly_in_t(text: str, rff: RationalFunctionField):
             raise FormatError(f"bad polynomial term {term!r} in {text!r}")
         coef = m.group("coef")
         if coef is None:
-            value = field.one()
+            value = field._one_rep
         elif m.group("paren") is not None:
-            value = parse_scalar(m.group("paren"), field)
+            value = parse_scalar(m.group("paren"), field).rep
         else:
-            value = field._elem(_fraction(coef, field))
+            value = _fraction(coef, field)
         e = _exponent(m.group("exp")) if m.group("t") else 0
         if sign < 0:
-            value = -value
-        coeffs[e] = coeffs[e] + value if e in coeffs else value
-    return rff.polynomial(coeffs)
+            value = field._neg(value)
+        coeffs[e] = field._add(coeffs[e], value) if e in coeffs else value
+    return rff._up(MultiPoly(rff.ring, coeffs))
 
 
 _PLAIN_RE = re.compile(r"-?\d+(?:/\d+)?")
@@ -325,18 +295,39 @@ def render_algebra_id(ident: AlgebraId) -> str:
 # -- vectors and witnesses ------------------------------------------------------
 
 
-def _load_json(text: str):
+def _decoded(payload):
+    """A payload given as JSON text, decoded; any other payload as it is."""
+    if not isinstance(payload, str):
+        return payload
     # a ValueError is a JSONDecodeError or an integer literal of more digits
     # than int() converts
     try:
-        return json.loads(text)
+        return json.loads(payload)
     except (ValueError, RecursionError) as exc:
         raise FormatError(f"invalid JSON: {exc}") from exc
 
 
+def _each_text_once(parse, domain):
+    """parse(c, domain); a text is parsed once, other values (1 == true) always."""
+    cached = functools.cache(lambda c: parse(c, domain))
+    return lambda c: cached(c) if isinstance(c, str) else parse(c, domain)
+
+
+def _matrix_reader(mat, what: str):
+    """The reader of a 3x3 JSON array, which refuses anything else as
+    ``what``: called with a parser and its domain, it builds the Matrix3."""
+    if (not isinstance(mat, list) or len(mat) != 3
+            or any(not isinstance(r, list) or len(r) != 3 for r in mat)):
+        raise FormatError(f"{what} must be a 3x3 array")
+
+    def read(parse, domain) -> Matrix3:
+        entry = _each_text_once(parse, domain)
+        return Matrix3.from_rows(domain, [[entry(c) for c in row] for row in mat])
+    return read
+
+
 def parse_vector(payload) -> StructureVector:
-    if isinstance(payload, str):
-        payload = _load_json(payload)
+    payload = _decoded(payload)
     if not isinstance(payload, dict) or "entries" not in payload:
         raise FormatError("vector payload must be an object with 'entries'")
     field = parse_field(payload.get("field", {"char": 0}))
@@ -344,8 +335,7 @@ def parse_vector(payload) -> StructureVector:
         raise FormatError("vector 'entries' must be a list")
     add = field._add
     reps = [field._zero_rep] * 27
-    # each distinct text is parsed once; keyed on JSON values, 1 == true == 1.0
-    text = functools.cache(lambda c: parse_scalar(c, field).rep)
+    scalar = _each_text_once(parse_scalar, field)
     for entry in payload["entries"]:
         if not isinstance(entry, dict) or not {"i", "j", "k", "c"} <= entry.keys():
             raise FormatError(f"bad vector entry {entry!r}")
@@ -353,8 +343,7 @@ def parse_vector(payload) -> StructureVector:
         if not all(_is_int(n) and 1 <= n <= 3 for n in (i, j, k)):
             raise FormatError(f"indices out of range in {entry!r}")
         n = 9 * i + 3 * j + k - 13     # entries add up
-        reps[n] = add(reps[n], text(c) if isinstance(c, str)
-                      else parse_scalar(c, field).rep)
+        reps[n] = add(reps[n], scalar(c).rep)
     return _from_reps(field, reps)
 
 
@@ -366,18 +355,11 @@ def render_vector(vec: StructureVector) -> dict:
 
 
 def parse_matrix(payload, field: Field) -> Matrix3:
-    if isinstance(payload, str):
-        payload = _load_json(payload)
-    if (not isinstance(payload, list) or len(payload) != 3
-            or any(not isinstance(r, list) or len(r) != 3 for r in payload)):
-        raise FormatError("matrix must be a 3x3 array")
-    rows = [[parse_scalar(c, field) for c in row] for row in payload]
-    return Matrix3.from_rows(field, rows)
+    return _matrix_reader(_decoded(payload), "matrix")(parse_scalar, field)
 
 
 def parse_witness(payload) -> CurveWitness:
-    if isinstance(payload, str):
-        payload = _load_json(payload)
+    payload = _decoded(payload)
     if not isinstance(payload, dict):
         raise FormatError("witness payload must be an object")
     missing = {"src", "dst", "matrix"} - set(payload)
@@ -390,19 +372,12 @@ def parse_witness(payload) -> CurveWitness:
     rff = RationalFunctionField(field, "t")
     src = parse_algebra_id(payload["src"], field)
     dst = parse_algebra_id(payload["dst"], field)
-    mat = payload["matrix"]
-    if (not isinstance(mat, list) or len(mat) != 3
-            or any(not isinstance(r, list) or len(r) != 3 for r in mat)):
-        raise FormatError("witness matrix must be a 3x3 array")
+    read = _matrix_reader(payload["matrix"], "witness matrix")
     up_to_iso = payload.get("up_to_iso", False)
     if not isinstance(up_to_iso, bool):
         raise FormatError(
             f"'up_to_iso' must be true or false, got {up_to_iso!r}")
-    # each distinct text is parsed once; keyed on JSON values, 1 == true
-    entry = functools.cache(lambda c: parse_poly_in_t(c, rff))
-    rows = [[entry(c) if isinstance(c, str) else parse_poly_in_t(c, rff) for c in row]
-            for row in mat]
-    return CurveWitness(src, dst, Matrix3.from_rows(rff, rows),
+    return CurveWitness(src, dst, read(parse_poly_in_t, rff),
                         up_to_iso=up_to_iso, note=str(payload.get("note", "")))
 
 

@@ -41,7 +41,7 @@ cross-checks it.
 from __future__ import annotations
 
 from .fields import (Domain, Field, FieldElement, ScalarOps, _bracket_sum,
-                     _pdivmod, _pgcd, _source, signed_sum)
+                     _pdivmod, _pgcd, _power, _source, signed_sum)
 
 
 _FIELD_BITS = 16    # a packed exponent field, guard bit included
@@ -109,7 +109,7 @@ class PolyRing(Domain):
     # -- the rep hooks of ScalarOps and the kernels: a polynomial is its own rep
 
     _elem = staticmethod(lambda p: p)
-    _zero_rep = property(zero)
+    _zero_rep, _one_rep = property(zero), property(one)
 
     def _add(self, a: "MultiPoly", b: "MultiPoly") -> "MultiPoly":
         add, is_zero = self.field._add, self.field._is_zero
@@ -216,8 +216,7 @@ class MultiPoly(ScalarOps):
         out = field._zero_rep
         for e, c in self.reps.items():
             for x, k in zip(point, self.ring._exponents(e)):
-                for _ in range(k):
-                    c = mul(c, x)
+                c = mul(c, _power(field, x, k))
             out = add(out, c)
         return field._elem(out)
 

@@ -10,8 +10,9 @@ from fractions import Fraction
 
 import pytest
 
-from nilalg3.catalogue import (AlgebraId, CatalogueError, IsoWitness,
-                               a3kappa, adelta, c3, canonicalize, hbeta, identify,
+from nilalg3.catalogue import (AUXILIARY_TAGS, CANONICAL_TAGS, AlgebraId,
+                               CatalogueError, IsoWitness, _STRUCTURES, a3kappa,
+                               adelta, c1, c3, canonicalize, hbeta, identify,
                                identify_with_witness, iso_witness, quarter,
                                structure_of)
 from nilalg3.algprops import (annihilator_dimension, in_m_star_star,
@@ -562,3 +563,12 @@ def test_square_roots_are_refused_over_the_generic_point():
         with pytest.raises(FieldError, match="^square roots are not "
                            "supported over QQ\\(d\\)$"):
             call()
+
+
+def test_every_tag_that_an_id_takes_has_a_structure():
+    # AlgebraId refuses every other tag, so structure_of needs no refusal
+    assert set(CANONICAL_TAGS + AUXILIARY_TAGS) == set(_STRUCTURES)
+
+
+def test_canonicalize_returns_a_canonical_id_with_no_chain():
+    assert canonicalize(c1(), RATIONALS) == (c1(), [])

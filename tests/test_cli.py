@@ -1,6 +1,7 @@
 """The command line interface: output shapes, exit codes, determinism."""
 
 import decimal
+import io
 import json
 import os
 import pathlib
@@ -476,3 +477,59 @@ def test_identify_witness_stdout_is_pinned(capsys, tmp_path, name):
                        "--allow-extension")
     assert code == 0
     assert out.splitlines() == lines
+
+
+# boundary paths that no other test runs
+
+
+def test_identify_witness_of_the_zero_vector_is_a0_by_the_identity(capsys, tmp_path):
+    path = tmp_path / "vec.json"
+    path.write_text(json.dumps(_vector(_GF7, ())))
+    code, out, _ = run(capsys, "identify", str(path), "--witness")
+    assert code == 0
+    assert out.splitlines() == [
+        "a0", '[["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]]']
+
+
+def test_identify_reads_its_payload_from_stdin(capsys, monkeypatch):
+    payload = json.dumps(_vector(_GF7, ((3, 3, 1, "1"),)))
+    monkeypatch.setattr(sys, "stdin", io.StringIO(payload))
+    code, out, _ = run(capsys, "identify", "-")
+    assert code == 0
+    assert out == "c1\n"
+
+
+_IDENTITY = [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]]
+
+
+@pytest.mark.parametrize("argv, payload, message", [
+    (("identify", "{file}"),
+     _vector({"char": 0, "ext": {"name": "r", "min_poly": [1, 0, 0]}}),
+     "bad extension: minimal polynomial must have degree at least 2"),
+    (("verify-witness", "{file}"), [1], "witness payload must be an object"),
+    (("verify-witness", "{file}"),
+     {"src": 5, "dst": "l1", "char": 0, "matrix": _IDENTITY},
+     "algebra id must be text, got 5"),
+], ids=["min-poly-of-degree-0", "witness-not-an-object", "witness-src-not-text"])
+def test_boundary_refusals_name_their_cause(capsys, tmp_path, argv, payload, message):
+    path = tmp_path / "payload.json"
+    path.write_text(json.dumps(payload))
+    code, _, err = run(capsys, *(a.format(file=path) for a in argv))
+    assert code == 2
+    assert err == f"error: {message}\n"
+
+
+def test_a_seed_from_the_environment_must_be_an_integer(capsys, monkeypatch):
+    monkeypatch.setenv("NILALG3_SEED", "x")
+    code, _, err = run(capsys, "search-witness", "c5", "c1", "--budget", "10")
+    assert code == 2
+    assert err == "error: NILALG3_SEED must be an integer, got 'x'\n"
+
+
+def test_search_in_characteristic_2_runs_over_gf4(capsys):
+    code, out, _ = run(capsys, "search-witness", "c5", "c1", "--char", "2",
+                       "--budget", "3000", "--seed", "5")
+    assert code == 0
+    head, payload = out.split("\n", 1)
+    assert head == "found after 338 candidates (seed 5):"
+    assert json.loads(payload)["field"] == _GF4

@@ -727,3 +727,12 @@ def test_seeded_search_hits_are_pinned():
         "src": "a3(2)", "dst": "l1", "field": {"char": 7},
         "matrix": [["t", "0", "0"], ["0", "6*t", "6"], ["0", "0", "1"]],
         "note": "search-seed1729"}
+
+
+def test_render_witness_refuses_an_entry_that_is_no_polynomial():
+    K = RationalFunctionField(RATIONALS)
+    entry = K.one() / (K.gen() + 1)
+    matrix = Matrix3.from_rows(K, [[entry, 0, 0], [0, 1, 0], [0, 0, 1]])
+    with pytest.raises(FormatError, match=r"^curve entry \(1\)/\(t\+1\) is not "
+                       "a polynomial in t$"):
+        render_witness(CurveWitness(AlgebraId("c1"), AlgebraId("c1"), matrix))

@@ -173,7 +173,7 @@ def test_the_base_obstruction_reads_no_node_name():
 # the operators of every scalar: ScalarOps defines them once, on the hooks
 _SCALAR_OPERATORS = {"__add__", "__radd__", "__neg__", "__sub__", "__rsub__",
                      "__mul__", "__rmul__", "__truediv__", "__rtruediv__",
-                     "__pow__", "inverse", "__eq__", "is_zero", "_one"}
+                     "__pow__", "inverse", "__eq__", "is_zero"}
 
 
 def _delegates(node) -> bool:
@@ -241,9 +241,10 @@ def _is_bare_not_implemented(function) -> bool:
 
 def test_domain_is_the_one_entry_into_every_scalar_domain():
     # fields.Domain alone defines element and its names const and from_int;
-    # only an extension's coefficient lists and F(t)'s num/den pair add a
-    # form of element, a field is finite exactly when char > 0, no hook is a
-    # stub, and a polynomial and an element of F(t) are their own rep
+    # only F(t)'s num/den pair adds a form of element (an extension's
+    # coefficient lists go through _image), a field is finite exactly when
+    # char > 0, no hook is a stub, and a polynomial and an element of F(t)
+    # are their own rep
     classes = _class_bindings()
     fields = {"Field"}
     while grown := {name for name, (bases, _) in classes.items()
@@ -254,7 +255,7 @@ def test_domain_is_the_one_entry_into_every_scalar_domain():
     def binding(name):
         return {cls for cls, (_, names) in classes.items() if name in names}
 
-    assert binding("element") == {"Domain", "_Extension", "RationalFunctionField"}
+    assert binding("element") == {"Domain", "RationalFunctionField"}
     assert binding("const") == binding("from_int") == {"Domain"}
     assert not binding("is_finite") & (fields - {"Field"})
     stubs = [f"{path.name}:{node.lineno}"
@@ -266,3 +267,29 @@ def test_domain_is_the_one_entry_into_every_scalar_domain():
     for domain, value in ((K.ring, K.ring.var("t")), (K, K.gen())):
         assert isinstance(type(domain).__dict__["_elem"], staticmethod)
         assert domain._elem != domain.element and domain._elem(value) is value
+
+
+def _halving_loops(tree) -> list:
+    """The lines of every loop that holds an ``x >>= 1``: a square-and-multiply."""
+    return [node.lineno for node in ast.walk(tree)
+            if isinstance(node, (ast.While, ast.For))
+            and any(isinstance(n, ast.AugAssign) and isinstance(n.op, ast.RShift)
+                    and isinstance(n.value, ast.Constant) and n.value.value == 1
+                    for n in ast.walk(node))]
+
+
+def test_the_field_tower_and_integer_powers_stay_in_fields():
+    # each field records the reps of its tower's generators (_gens) and
+    # fields._power is the one square-and-multiply, so no other module walks
+    # the tower or raises to a power by its own loop
+    found = []
+    for path in sorted(pathlib.Path(nilalg3.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        if path.name == "fields.py":
+            assert len(_halving_loops(tree)) == 1
+            continue
+        refs = _references(tree)
+        found += [f"{path.name} {name}" for name in ("_Extension", "_tower_names")
+                  if refs[name]]
+        found += [f"{path.name}:{line}" for line in _halving_loops(tree)]
+    assert not found, found
