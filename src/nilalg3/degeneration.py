@@ -114,6 +114,15 @@ def _adjugate_column(cells, s, ops) -> list:
     return column
 
 
+def _regular(p0, p1, p2, p3, p4, p5, p6, p7, p8) -> bool:
+    """Whether some term of det P meets no zero cell, given the truth values
+    of P's nine cells row by row; when none does, P is singular whatever
+    its nonzero cells hold.  The one structural test: _moved_limit asks it
+    of cells, search's mask table of bits."""
+    return bool(p0 and (p4 and p8 or p5 and p7) or p1 and (p3 and p8 or p5 and p6)
+                or p2 and (p3 and p7 or p4 and p6))
+
+
 def _moved_limit(support, cells, scale, ops, blocks):
     """The limit at t = 0 of a structure moved by g = P/L; None when P is
     singular.
@@ -133,11 +142,8 @@ def _moved_limit(support, cells, scale, ops, blocks):
     is likeliest to reject first and stop at the first one it does not want.
     """
     add, mul, _, is_zero, inverse = ops
-    p0, p1, p2, p3, p4, p5, p6, p7, p8 = cells
-    if not (p0 and (p4 and p8 or p5 and p7) or p1 and (p3 and p8 or p5 and p6)
-            or p2 and (p3 and p7 or p4 and p6)):
-        return None     # every term of det P meets a zero cell: cheap, and
-                        # that is how half of search's candidates end
+    if not _regular(*cells):
+        return None
     columns = {0: _adjugate_column(cells, 0, ops)}
     det = {}
     for p, q in zip(cells[:3], columns[0]):     # expansion along the first row
@@ -688,18 +694,22 @@ class SearchResult:
         return self.witness is not None
 
 
+_BITS = tuple(1 << k for k in range(9))     # cell k's bit in a candidate's mask
+
+
 def _candidates(rng, degree_bound: int, q: int):
-    """Search's candidates: nine cells each, a cell empty when rng.random()
-    < 0.5 and else one term (e, code), code among the nonzero element codes
-    range(1, q).  e and code - 1 are drawn by rejection on getrandbits(),
-    below degree_bound + 1 and q - 1, which takes from the stream exactly
-    what randrange() and choice() take."""
+    """Search's candidates, each as (mask, cells): nine cells, a cell empty
+    when rng.random() < 0.5 and else one term (e, code), code among the
+    nonzero element codes range(1, q), and the 9-bit mask of the nonzero
+    cells, bit k for cell k.  e and code - 1 are drawn by rejection on
+    getrandbits(), below degree_bound + 1 and q - 1, which takes from the
+    stream exactly what randrange() and choice() take."""
     rand, bits = rng.random, rng.getrandbits
     ne, nc = degree_bound + 1, q - 1
     ke, kc = ne.bit_length(), nc.bit_length()
     while True:
-        cells = []
-        for _ in range(9):
+        cells, mask = [], 0
+        for bit in _BITS:
             if rand() < 0.5:
                 cells.append(())
             else:
@@ -710,7 +720,35 @@ def _candidates(rng, degree_bound: int, q: int):
                 while r >= nc:
                     r = bits(kc)
                 cells.append(((e, r + 1),))
-        yield cells
+                mask |= bit
+        yield mask, cells
+
+
+@functools.cache
+def _mask_sets() -> tuple:
+    """Sets of 9-bit masks, each as a 512-bit int whose bit m says whether
+    mask m is in it: for each cell k the masks holding bit k, and the masks
+    of structurally regular P.  Built on the first search."""
+    has = [sum(1 << m for m in range(512) if m & bit) for bit in _BITS]
+    regular = sum(1 << m for m in range(512)
+                  if _regular(*(m & bit for bit in _BITS)))
+    return has, regular
+
+
+def _live_masks(support, needed) -> list:
+    """live[mask]: whether a candidate whose nonzero cells are ``mask`` can
+    still hit, judged from which cells are nonzero alone.  A hit needs P
+    structurally regular, and in each needed block (a, b), where the target
+    has a nonzero coefficient, a support term (i, j, k) with cells (i, a)
+    and (j, b) both nonzero: else _moved_limit finds no head there and
+    yields None for all three positions of the block."""
+    has, live = _mask_sets()
+    for a, b in needed:
+        heads = 0
+        for i, j, _, _ in support:
+            heads |= has[3 * i + a] & has[3 * j + b]
+        live &= heads
+    return [live >> m & 1 for m in range(512)]
 
 
 def search_witness(src: AlgebraId, dst: AlgebraId, field: Field,
@@ -722,9 +760,14 @@ def search_witness(src: AlgebraId, dst: AlgebraId, field: Field,
     by the seed through random() and getrandbits() alone, and judges each on
     element codes with _moved_limit and the field's own rep hooks: a
     candidate is accepted when the moved structure has a limit at t = 0 equal
-    to the target structure exactly.  The target's nonzero blocks, where most
-    candidates fail, are judged first, and the check stops at the first
-    mismatch.  A hit is re-verified by verify_witness() before being returned.
+    to the target structure exactly.  A candidate is first judged by its
+    mask of nonzero cells in a 512-entry table built per search
+    (_live_masks): a mask that leaves P structurally singular, or leaves a
+    block where the target is nonzero without a term, cannot hit, and its
+    candidate is counted in ``tried`` but reaches no arithmetic.  For the
+    rest the target's nonzero blocks, where most candidates fail, are
+    judged first, and the check stops at the first mismatch.  A hit is
+    re-verified by verify_witness() before being returned.
     """
     started = time.monotonic()
     for name, value in (("degree_bound", degree_bound), ("budget", budget)):
@@ -734,15 +777,19 @@ def search_witness(src: AlgebraId, dst: AlgebraId, field: Field,
         raise DegenerationError("search kernel needs a finite field")
     support = [(i - 1, j - 1, k - 1, c) for i, j, k, c in structure_of(src, field).reps]
     target = {(i - 1, j - 1, k - 1): c for i, j, k, c in structure_of(dst, field).reps}
-    blocks = sorted(_BLOCKS, key=lambda ab: all(ab + (c,) not in target for c in range(3)))
+    needed = {(a, b) for a, b, _ in target}
+    blocks = sorted(_BLOCKS, key=lambda ab: ab not in needed)
     wanted = [target.get((a, b, c)) for a, b in blocks for c in range(3)]
+    live = _live_masks(support, needed)
     ops = _hooks(field)
     unit = [(0, field.one().rep)]
     candidates = _candidates(random.Random(seed), degree_bound, field.order())
 
     hit = None
     tried = 0
-    for tried, cells in zip(range(1, budget + 1), candidates):
+    for tried, (mask, cells) in zip(range(1, budget + 1), candidates):
+        if not live[mask]:
+            continue
         limits = _moved_limit(support, cells, unit, ops, blocks)
         if limits is None:
             continue
@@ -756,8 +803,8 @@ def search_witness(src: AlgebraId, dst: AlgebraId, field: Field,
     witness = None
     if hit is not None:
         rff = _rff(field)
-        rows = [[rff.polynomial({e: field._elem(c) for e, c in cell})
-                 for cell in hit[3 * r:3 * r + 3]] for r in range(3)]
+        rows = [[rff.from_reps(dict(cell)) for cell in hit[3 * r:3 * r + 3]]
+                for r in range(3)]
         witness = CurveWitness(src, dst, Matrix3.from_rows(rff, rows),
                                note=f"search-seed{seed}")
         verify_witness(witness)

@@ -33,7 +33,8 @@ Every scalar domain, the fields here and the polynomial rings and F(t) of
 coercion rule serves the whole tower, polynomials included: ``_image``
 lifts a value into one domain, ``ScalarOps._common`` two operands into one.
 A field records when it is built the rep of each generator of its tower, by
-name (``_gens``), and ``_power`` is the one square-and-multiply on reps.
+name (``_gens``), and ``_power`` is the one square-and-multiply on reps,
+also of polynomials modulo m, over the small domain ``_Quotient``.
 """
 
 from __future__ import annotations
@@ -551,14 +552,15 @@ def _pgcd(a, b, F):
     return [mul(c, inv_lead) for c in a], [mul(c, inv_lead) for c in s0]
 
 
-def _powmod(u, e, m, F):
-    """u^e modulo m, for e >= 1 and u of lower degree than m."""
-    out = u
-    for bit in bin(e)[3:]:
-        out = _pdivmod(_pmul(out, out, F), m, F)[1]
-        if bit == "1":
-            out = _pdivmod(_pmul(out, u, F), m, F)[1]
-    return out
+class _Quotient:
+    """F[x]/(m) on coefficient lists reduced modulo m, as much of a domain as
+    ``_power`` reads: its 1 and a product followed by a remainder."""
+
+    def __init__(self, m, F):
+        self._m, self._F, self._one_rep = m, F, [F._one_rep]
+
+    def _mul(self, a, b):
+        return _pdivmod(_pmul(a, b, self._F), self._m, self._F)[1]
 
 
 def _peval(a, x, F):
@@ -625,9 +627,9 @@ class _Extension(Field):
                     f"minimal polynomial has root {roots[0]!r} in {base!r}")
         elif base.is_finite():
             x = [base._zero_rep, base._one_rep]
-            frob = x                    # x^(b^d) mod m
+            frob, ring = x, _Quotient(m, base)      # x^(b^d) mod m
             for d in range(1, self.degree // 2 + 1):
-                frob = _powmod(frob, base.order(), m, base)
+                frob = _power(ring, frob, base.order())
                 g = _pgcd(m, _psub(frob, x, base), base)[0]
                 if len(g) == 1:
                     continue
@@ -762,9 +764,10 @@ class FiniteField(_Extension):
         base, b, d, q, p = self.base, self._b, self.degree, self._q, self.char
         # the generator if it is primitive, else the first primitive code
         tests = [(q - 1) // r for r in _divisors(q - 1)[1:] if _is_prime(r)]
+        ring = _Quotient(self._m, base)
         for g in itertools.chain((self._x,), range(1, q)):
             gv = _ptrim(self._coefficients(g), base)
-            if all(_powmod(gv, e, self._m, base) != [base._one_rep] for e in tests):
+            if all(_power(ring, gv, e) != ring._one_rep for e in tests):
                 break
         # A code is also a base-p number whose digits are the coefficients
         # over GF(p), and a sum of elements adds those digits mod p.  So
@@ -950,7 +953,15 @@ def square_roots(x: FieldElement) -> list:
     each n with n^2 = N(x) and each nonzero s with s^2 = T(x) + 2n, and
     every such y is a root, since x (T(x) + 2n) = (x + n)^2.  A root of
     trace 0 is c (2g - f) for c in F, which squares to c^2 (f^2 + 4e).
+    A constant of F[d] or F(d) that is a square in F has F's roots.  Every
+    other value of those domains is refused, a constant that is no square
+    in F too: its roots would need an extension of F(d), which the tower
+    does not build.
     """
+    c = None if isinstance(x.parent, Field) else x.parent._constant(x)
+    roots = [] if c is None else square_roots(c)
+    if roots:
+        return [x.parent.element(y) for y in roots]
     field = _root_field(x)
     if field.is_finite():
         return _roots(field, [-x, field.zero(), field.one()])

@@ -35,7 +35,7 @@ from .catalogue import AUXILIARY_TAGS, CANONICAL_TAGS, AlgebraId, CatalogueError
 from .degeneration import CurveWitness
 from .fields import (MAX_FINITE_ORDER, Field, FieldElement, FieldError,
                      _power, extend_with_root, prime_field, signed_sum)
-from .polyring import MultiPoly, RationalFunctionField
+from .polyring import RationalFunctionField
 from .structspace import Matrix3, StructureVector, _from_reps
 
 # the characteristics a field descriptor or a --char option may name
@@ -248,7 +248,7 @@ def parse_poly_in_t(text: str, rff: RationalFunctionField):
         if sign < 0:
             value = field._neg(value)
         coeffs[e] = field._add(coeffs[e], value) if e in coeffs else value
-    return rff._up(MultiPoly(rff.ring, coeffs))
+    return rff.from_reps(coeffs)
 
 
 _PLAIN_RE = re.compile(r"-?\d+(?:/\d+)?")

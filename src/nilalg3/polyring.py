@@ -100,6 +100,12 @@ class PolyRing(Domain):
     def _up(self, c) -> "MultiPoly":
         return MultiPoly(self, {0: c.rep})
 
+    def _constant(self, p: "MultiPoly"):
+        """p as a value of the coefficient field when it is a constant, else None."""
+        if any(p.reps):     # a key other than 0 is a monomial of positive degree
+            return None
+        return self.field._elem(p.reps.get(0, self.field._zero_rep))
+
     def zero(self) -> "MultiPoly":
         return MultiPoly(self, {})
 
@@ -303,6 +309,10 @@ class RationalFunctionField(Domain):
     def _up(self, p: MultiPoly) -> "RationalFunction":
         return RationalFunction(self, p, self.poly_one)     # p/1 is canonical
 
+    def _constant(self, x: "RationalFunction"):
+        """x as a value of the field when it is a constant, else None."""
+        return self.ring._constant(x.num) if x.den is self.poly_one else None
+
     # -- the rep hooks of ScalarOps and the kernels (the polynomial kernel of
     # fields runs over F(d)(t) in RationalFunction._make): an element of F(t)
     # is its own rep.  Two entries of F[t], whose denominators are their
@@ -338,12 +348,16 @@ class RationalFunctionField(Domain):
     def _eq(self, a, b) -> bool:
         return a.num.reps == b.num.reps and a.den.reps == b.den.reps
 
-    def polynomial(self, coeffs: dict) -> "RationalFunction":
+    def from_reps(self, coeffs: dict) -> "RationalFunction":
         """The polynomial sum of c t^e over a map {e: c} from exponents to
-        elements of the field; zero coefficients drop out."""
+        reps of the field; zero reps drop out."""
+        return self._up(MultiPoly(self.ring, coeffs))
+
+    def polynomial(self, coeffs: dict) -> "RationalFunction":
+        """``from_reps`` of a map {e: c} from exponents to values that the
+        field's ``element`` takes."""
         F = self.field
-        return self._up(
-            MultiPoly(self.ring, {e: F.element(c).rep for e, c in coeffs.items()}))
+        return self.from_reps({e: F.element(c).rep for e, c in coeffs.items()})
 
     def zero(self) -> "RationalFunction":
         return self._up(self.ring.zero())

@@ -528,8 +528,8 @@ def test_identify_reads_b_as_the_invariants_decide(F):
 
 
 def test_identify_reads_b_over_the_generic_point():
-    # over Q(d) the family members keep d in their B; c3 and chat3 need a
-    # square root, which Q(d) refuses
+    # over Q(d) the family members keep d in their B; chat3 needs the square
+    # root of a constant that is no square in Q, which Q(d) refuses
     Qd = RationalFunctionField(RATIONALS, "d")
     d = Qd.gen()
     rng = random.Random(24)
@@ -540,7 +540,7 @@ def test_identify_reads_b_over_the_generic_point():
         moved = act(structure_of(ident, Qd), _basis_change(Qd, rng, pool, True))
         want = _invariant_decision(moved)
         assert identify(moved) == want, (ident, moved)
-        if want == AlgebraId("c3"):
+        if ident == AlgebraId("chat3"):
             with pytest.raises(FieldError, match="^square roots are not "
                                "supported over QQ\\(d\\)$"):
                 identify_with_witness(moved, allow_extension=True)
@@ -559,10 +559,23 @@ def test_square_roots_are_refused_over_the_generic_point():
                  lambda: quadratic_roots(Qd.one(), d, d),
                  lambda: canonicalize(AlgebraId("chat3"), Qd),
                  lambda: iso_witness(c3(), AlgebraId("chat3"), Qd),
-                 lambda: identify_with_witness(structure_of(c3(), Qd))):
+                 lambda: square_roots(Qd.element(2))):
         with pytest.raises(FieldError, match="^square roots are not "
                            "supported over QQ\\(d\\)$"):
             call()
+
+
+def test_c3_over_the_generic_point_takes_the_roots_of_its_constant_ratio():
+    # c3's ratio is 1, a constant of F(d), so the reduction takes F's roots
+    # of it and needs no extension
+    for F in (RATIONALS, gf16()):
+        Fd = RationalFunctionField(F, "d")
+        assert square_roots(Fd.element(4)) == [Fd.element(y)
+                                               for y in square_roots(F.element(4))]
+        vec = structure_of(c3(), Fd)
+        got, m = identify_with_witness(vec)
+        assert got == c3() and m.parent == Fd
+        assert act(vec, m) == structure_of(c3(), Fd)
 
 
 def test_every_tag_that_an_id_takes_has_a_structure():

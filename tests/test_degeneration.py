@@ -6,6 +6,7 @@ reason (a semicontinuous invariant, a verified polynomial identity, or
 transitivity through an already-settled pair).
 """
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -586,14 +587,62 @@ def _reference_candidates(rng, degree_bound, q, count):
     return out
 
 
+def _nonzero_mask(cells):
+    return sum(1 << k for k, cell in enumerate(cells) if cell)
+
+
 def test_candidate_draw_matches_randrange_and_choice():
     for q in (2, 3, 4, 5, 7, 16, 65521):
         for degree_bound in range(4):
             for seed in (0, 1729, 424242):
                 drawn = degeneration._candidates(random.Random(seed), degree_bound, q)
                 got = [next(drawn) for _ in range(500)]
-                assert got == _reference_candidates(random.Random(seed),
-                                                    degree_bound, q, 500)
+                assert [cells for _, cells in got] == _reference_candidates(
+                    random.Random(seed), degree_bound, q, 500)
+                assert [mask for mask, _ in got] == [_nonzero_mask(cells)
+                                                     for _, cells in got]
+
+
+@pytest.mark.parametrize("field", [GF5, GF7, gf4(), gf16()], ids=repr)
+def test_the_mask_prefilter_drops_only_misses(field):
+    # a dead mask must be one on which _moved_limit misses the target: P
+    # singular, or some limit that is not the target's; a live mask must at
+    # least leave P structurally regular
+    ops = degeneration._hooks(field)
+    unit = [(0, field.one().rep)]
+    seen = set()
+    for src, dst in ((C5, C1), (C5, A0), (C5, L1), (L1, C1), (C3, L1),
+                     (adelta(field, 1), C3), (adelta(field, 1), A0)):
+        support = [(i - 1, j - 1, k - 1, c)
+                   for i, j, k, c in structure_of(src, field).reps]
+        target = {(i - 1, j - 1, k - 1): c
+                  for i, j, k, c in structure_of(dst, field).reps}
+        needed = {(a, b) for a, b, _ in target}
+        live = degeneration._live_masks(support, needed)
+        # the table as its definition reads, mask by mask (for a0 there is
+        # no needed block, so only regularity counts)
+        assert live == [
+            degeneration._regular(*(m >> k & 1 for k in range(9)))
+            and all(any(m >> 3 * i + a & 1 and m >> 3 * j + b & 1
+                        for i, j, _, _ in support) for a, b in needed)
+            for m in range(512)]
+        wanted = [target.get(abc) for abc in itertools.product(range(3), repeat=3)]
+        for degree_bound in (1, 2, 3):
+            drawn = degeneration._candidates(
+                random.Random(f"{src}-{dst}-{degree_bound}"), degree_bound,
+                field.order())
+            for _ in range(120):
+                mask, cells = next(drawn)
+                regular = degeneration._regular(*cells)
+                if live[mask]:
+                    assert regular, cells
+                    seen.add("live")
+                    continue
+                limits = degeneration._moved_limit(support, cells, unit, ops,
+                                                   degeneration._BLOCKS)
+                assert limits is None or list(limits) != wanted, (src, dst, cells)
+                seen.add("dead, regular" if regular else "dead, singular")
+    assert seen == {"live", "dead, regular", "dead, singular"}
 
 
 def test_seeded_search_hits_at_other_degrees_and_fields():
@@ -628,7 +677,8 @@ def test_block_order_changes_no_limit():
                 drawn = degeneration._candidates(random.Random(f"{src}-{dst}"), 2,
                                                  field.order())
                 for _ in range(300):
-                    cells = next(drawn)
+                    mask, cells = next(drawn)
+                    assert mask == _nonzero_mask(cells)
                     moved = [degeneration._moved_limit(support, cells, unit, ops, blocks)
                              for blocks in (degeneration._BLOCKS, first)]
                     if moved[0] is None:

@@ -647,6 +647,23 @@ def test_tables_are_those_of_the_coefficient_walk():
         "b835f1615d7b5e8f4cc5ed0b35f70fb0d9923585812a9c89e888c3c0f6257884")
 
 
+def test_tables_pin_the_powers_of_the_primitive_element():
+    # entries taken from the construction that raised coefficient lists to
+    # powers modulo m by a square-and-multiply of its own; the primitive
+    # test and the refusal of reducible m now run fields._power instead
+    cases = [
+        (gf4(), [2, 1, 3], {3: 2}),
+        (gf16(), [8, 2, 6, 7], {2: 1, 3: 11, 5: 9}),
+        (_large("GF(2^16)"), [32768, 16384, 8192, 4096],
+         {3: 49608, 5: 33666, 40000: 18473}),
+        (_large("GF(2^16) x not primitive"), [32768, 3, 20631, 7015],
+         {2: 58188, 3: 1, 40000: 64151}),
+    ]
+    for F, exp, log in cases:
+        assert F._exp[:len(exp)] == exp
+        assert {v: F._log[v] for v in log} == log
+
+
 @pytest.mark.parametrize("name", sorted(LARGE))
 def test_large_field_exp_and_log_are_inverse_bijections(name):
     F = _large(name)

@@ -269,27 +269,64 @@ def test_domain_is_the_one_entry_into_every_scalar_domain():
         assert domain._elem != domain.element and domain._elem(value) is value
 
 
-def _halving_loops(tree) -> list:
-    """The lines of every loop that holds an ``x >>= 1``: a square-and-multiply."""
-    return [node.lineno for node in ast.walk(tree)
-            if isinstance(node, (ast.While, ast.For))
-            and any(isinstance(n, ast.AugAssign) and isinstance(n.op, ast.RShift)
-                    and isinstance(n.value, ast.Constant) and n.value.value == 1
-                    for n in ast.walk(node))]
+def _is_power_loop(node) -> bool:
+    """Whether node is a loop over an exponent's bits: one that halves it
+    (``x >>= 1``) or one that runs over its binary digits (``bin(...)``)."""
+    if not isinstance(node, (ast.While, ast.For)):
+        return False
+    if isinstance(node, ast.For) and any(
+            isinstance(n, ast.Call) and isinstance(n.func, ast.Name)
+            and n.func.id == "bin" for n in ast.walk(node.iter)):
+        return True
+    return any(isinstance(n, ast.AugAssign) and isinstance(n.op, ast.RShift)
+               and isinstance(n.value, ast.Constant) and n.value.value == 1
+               for n in ast.walk(node))
+
+
+def _innermost_functions(tree, holds) -> list:
+    """(line, name of the innermost enclosing def, or None) of every node
+    for which ``holds`` is true."""
+    found = {n.lineno: None for n in ast.walk(tree) if holds(n)}
+    for func in ast.walk(tree):     # breadth first: inner defs come later
+        if isinstance(func, ast.FunctionDef):
+            found.update((n.lineno, func.name) for n in ast.walk(func) if holds(n))
+    return sorted(found.items())
 
 
 def test_the_field_tower_and_integer_powers_stay_in_fields():
     # each field records the reps of its tower's generators (_gens) and
     # fields._power is the one square-and-multiply, so no other module walks
-    # the tower or raises to a power by its own loop
+    # the tower or raises to a power by its own loop, and inside fields no
+    # other function does
     found = []
     for path in sorted(pathlib.Path(nilalg3.__file__).parent.glob("*.py")):
         tree = ast.parse(path.read_text())
+        loops = _innermost_functions(tree, _is_power_loop)
         if path.name == "fields.py":
-            assert len(_halving_loops(tree)) == 1
+            assert [name for _, name in loops] == ["_power"], loops
             continue
         refs = _references(tree)
         found += [f"{path.name} {name}" for name in ("_Extension", "_tower_names")
                   if refs[name]]
-        found += [f"{path.name}:{line}" for line in _halving_loops(tree)]
+        found += [f"{path.name}:{line}" for line, _ in loops]
     assert not found, found
+
+
+def _boolean_leaves(node) -> int:
+    return sum(_boolean_leaves(v) if isinstance(v, ast.BoolOp) else 1
+               for v in node.values)
+
+
+def test_the_structural_singularity_test_is_written_once():
+    # whether some term of det P meets no zero cell is one boolean of 15
+    # truth values over the nine cells; _moved_limit and search's mask table
+    # both call degeneration._regular, so no other function spells it out
+    def is_long_boolean(node):
+        return isinstance(node, ast.BoolOp) and _boolean_leaves(node) >= 12
+
+    found = []
+    for path in sorted(pathlib.Path(nilalg3.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        found += [(path.name, name) for _, name
+                  in _innermost_functions(tree, is_long_boolean)]
+    assert found == [("degeneration.py", "_regular")], found
