@@ -36,7 +36,7 @@ from dataclasses import dataclass
 from .fields import (Field, FieldElement, NeedsFieldExtension, ScalarOps,
                      extend_with_root, square_roots)
 from . import algprops
-from .structspace import Matrix3, StructureVector, act
+from .structspace import Matrix3, StructureVector, _stored, act
 
 CANONICAL_TAGS = ("a0", "c1", "c3", "l1", "c5", "a")
 AUXILIARY_TAGS = ("h", "a3", "rho", "chat3", "a2")
@@ -108,11 +108,23 @@ _STRUCTURES = {
 
 def structure_of(ident: AlgebraId, field) -> StructureVector:
     """The defining structure vector of a catalogue algebra over ``field``,
-    which may be any scalar domain holding the parameter."""
+    which may be any scalar domain holding the parameter.
+
+    A field keeps the vector's reps (``Domain._once``), keyed by the tag
+    and the parameter's rep there, so each structure is built once per
+    field object and lives as long as it; every call returns a new vector
+    over ``field`` itself, with nothing kept in it.
+    """
     t = ident.tag
     param = field.element(ident.param) if t in PARAMETRIC_TAGS else None
-    return StructureVector.from_terms(field, [
-        (i, j, k, param if c is None else c) for i, j, k, c in _STRUCTURES[t]])
+
+    def build():
+        return StructureVector.from_terms(field, [
+            (i, j, k, param if c is None else c)
+            for i, j, k, c in _STRUCTURES[t]]).reps
+
+    return _stored(field, field._once(
+        ("structure", t, None if param is None else param.rep), build))
 
 
 @dataclass(frozen=True)

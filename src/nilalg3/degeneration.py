@@ -261,7 +261,9 @@ def verify_witness(witness: CurveWitness) -> StructureVector:
 
 
 def _rff(field: Field) -> RationalFunctionField:
-    return RationalFunctionField(field, "t")
+    """F(t) over field, built once per field object and kept in it
+    (``Domain._once``): every curve over one field object shares it."""
+    return field._once("F(t)", lambda: RationalFunctionField(field, "t"))
 
 
 # the library curves' monomial cells as {exponent: integer coefficient};

@@ -65,10 +65,19 @@ class Domain:
     identity where a value is its own rep); ``_zero_rep`` and ``_one_rep``;
     ``_up``, which lifts a value of ``_below``, the domain one step down
     (None at the bottom); and ``_refuse``, the layer's one error for a value
-    with no image.
+    with no image.  ``_once`` serves what another layer builds from a
+    domain (a catalogue structure's reps, F(t) over a field): a field keeps
+    it, so it lives exactly as long as the field.
     """
 
     _below = None
+
+    def _once(self, key, build):
+        """build(), on every call: a polynomial or an element of F(d) is its
+        own rep and holds its domain, so keeping what is built from a ring
+        or F(t) in it would tie the two in a cycle that only the cyclic
+        collector frees (the identity suite builds two rings per run)."""
+        return build()
 
     def element(self, value):
         """value's image in this domain, by the one coercion rule."""
@@ -91,9 +100,10 @@ class Field(Domain):
 
     Beyond ``Domain``'s contract a field has ``_coerce`` (the rep of an int
     or a Fraction), ``_render`` (a rep's text), ``_rep_hash`` and ``_gens``
-    (the rep here of each generator of the tower, by name).  It is finite
-    exactly when its characteristic is positive, and then ``elements()``
-    runs through the reps 0, ..., q - 1.
+    (the rep here of each generator of the tower, by name), and it keeps
+    what ``_once`` builds from it in ``_kept``.  It is finite exactly when
+    its characteristic is positive, and then ``elements()`` runs through
+    the reps 0, ..., q - 1.
     """
 
     char: int = 0
@@ -107,6 +117,18 @@ class Field(Domain):
     # a builtin binds no self
     _eq, _is_zero = operator.eq, operator.not_
     embed = Domain.element
+
+    def __init__(self):
+        self._kept = {}
+
+    def _once(self, key, build):
+        """build(), made on the first call with ``key`` and kept in this
+        field: its reps never hold the field."""
+        try:
+            return self._kept[key]
+        except KeyError:
+            x = self._kept[key] = build()
+            return x
 
     def _refuse(self, value):
         """The field layer's one refusal of a value with no image here."""
@@ -425,6 +447,7 @@ class PrimeField(Field):
     def __init__(self, p: int):
         if not _is_prime(p):
             raise FieldError(f"{p} is not prime")
+        super().__init__()
         self.p = p
         self.char = p
         if p <= MAX_FINITE_ORDER:
@@ -594,6 +617,7 @@ class _Extension(Field):
     def __init__(self, base: Field, minpoly, name: str):
         if name in base._gens:
             raise FieldError(f"generator name {name!r} is taken in {base!r}")
+        super().__init__()
         m = _ptrim([base.element(c).rep for c in minpoly], base)
         if len(m) < 3:
             raise FieldError("minimal polynomial must have degree at least 2")

@@ -32,7 +32,7 @@ import re
 from fractions import Fraction
 
 from .catalogue import AUXILIARY_TAGS, CANONICAL_TAGS, AlgebraId, CatalogueError
-from .degeneration import CurveWitness
+from .degeneration import CurveWitness, _rff
 from .fields import (MAX_FINITE_ORDER, Field, FieldElement, FieldError,
                      _power, extend_with_root, prime_field, signed_sum)
 from .polyring import RationalFunctionField
@@ -309,8 +309,16 @@ def _decoded(payload):
 
 def _each_text_once(parse, domain):
     """parse(c, domain); a text is parsed once, other values (1 == true) always."""
-    cached = functools.cache(lambda c: parse(c, domain))
-    return lambda c: cached(c) if isinstance(c, str) else parse(c, domain)
+    parsed = {}
+
+    def entry(c):
+        if not isinstance(c, str):
+            return parse(c, domain)
+        x = parsed.get(c)
+        if x is None:
+            x = parsed[c] = parse(c, domain)
+        return x
+    return entry
 
 
 def _matrix_reader(mat, what: str):
@@ -321,8 +329,9 @@ def _matrix_reader(mat, what: str):
         raise FormatError(f"{what} must be a 3x3 array")
 
     def read(parse, domain) -> Matrix3:
+        # the shape is checked and every parsed entry lies in domain
         entry = _each_text_once(parse, domain)
-        return Matrix3.from_rows(domain, [[entry(c) for c in row] for row in mat])
+        return Matrix3(domain, [entry(c) for row in mat for c in row])
     return read
 
 
@@ -369,7 +378,7 @@ def parse_witness(payload) -> CurveWitness:
         field = parse_field(payload["field"])
     else:
         field = parse_field({"char": payload.get("char", 0)})
-    rff = RationalFunctionField(field, "t")
+    rff = _rff(field)
     src = parse_algebra_id(payload["src"], field)
     dst = parse_algebra_id(payload["dst"], field)
     read = _matrix_reader(payload["matrix"], "witness matrix")

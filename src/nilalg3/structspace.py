@@ -14,8 +14,13 @@ function field: any parent with element/zero/one and the rep hooks that the
 action and the product run on (``_elem``, ``_add``, ``_mul``, ``_is_zero``,
 ``_zero_rep``; a polynomial or an element of F(d) is its own rep).  A vector
 stores only the reps of its nonzero coefficients, which the kernels read.  The
-action needs inverses, so over a polynomial ring use :func:`act_cleared`,
-which multiplies through by det(g) and stays division-free.
+3x3 matrices run on the same hooks: the product, det, adjugate and inverse
+read each entry's rep once, skip every product with a zero factor and wrap
+each result once, and det(g) is always the first row of g times the first
+column of adj(g).  The action needs inverses, so over a polynomial ring use
+:func:`act_cleared`, which multiplies through by det(g) and stays
+division-free.  The catalogue's structures are kept per field object, as
+reps (``catalogue.structure_of``), and handed out as new vectors.
 """
 
 from __future__ import annotations
@@ -159,11 +164,17 @@ class StructureVector:
 def _from_reps(parent, reps, vec=None) -> StructureVector:
     """The vector (``vec``, or a new one) whose 27 coefficients have the reps
     ``reps``, in index order; zero reps are dropped."""
-    vec = object.__new__(StructureVector) if vec is None else vec
     is_zero = parent._is_zero
+    return _stored(parent, tuple((*ijk, r) for ijk, r in zip(_INDICES, reps)
+                                 if not is_zero(r)), vec)
+
+
+def _stored(parent, terms: tuple, vec=None) -> StructureVector:
+    """The vector (``vec``, or a new one) over ``parent`` that stores
+    ``terms`` as its ``reps``, with nothing kept yet."""
+    vec = object.__new__(StructureVector) if vec is None else vec
     object.__setattr__(vec, "parent", parent)
-    object.__setattr__(vec, "reps", tuple(
-        (*ijk, r) for ijk, r in zip(_INDICES, reps) if not is_zero(r)))
+    object.__setattr__(vec, "reps", terms)
     object.__setattr__(vec, "_kept", None)
     return vec
 
@@ -224,47 +235,40 @@ class Matrix3:
         return [list(self.entries[3 * r:3 * r + 3]) for r in range(3)]
 
     def det(self):
-        a, b, c, d, e, f, g, h, i = self.entries
-        return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
+        P, g = self.parent, _sparse(self)
+        return _value(P, _det(P, g, _adjugate_column(P, g, 0)))
 
     def adjugate(self) -> "Matrix3":
-        a, b, c, d, e, f, g, h, i = self.entries
-        return Matrix3(self.parent, (
-            e * i - f * h, c * h - b * i, b * f - c * e,
-            f * g - d * i, a * i - c * g, c * d - a * f,
-            d * h - e * g, b * g - a * h, a * e - b * d,
-        ))
+        P, g = self.parent, _sparse(self)
+        return _matrix(P, _adjugate_rows(P, g))
 
     def adjugate_and_det(self) -> tuple:
-        """(adj(g), det(g)), the determinant read off the adjugate: the first
-        row of g times the first column of adj(g), three products."""
-        adj = self.adjugate()
-        a, b, c = self.entries[:3]
-        x = adj.entries
-        return adj, a * x[0] + b * x[3] + c * x[6]
+        """(adj(g), det(g)), the determinant read off the adjugate as det()
+        reads it: three products."""
+        P, g = self.parent, _sparse(self)
+        adj = _adjugate_rows(P, g)
+        return _matrix(P, adj), _value(P, _det(P, g, adj[::3]))
 
     def inverse(self) -> "Matrix3":
-        adj, d = self.adjugate_and_det()
-        if d.is_zero():
+        P, g = self.parent, _sparse(self)
+        adj = _adjugate_rows(P, g)
+        d = _det(P, g, adj[::3])
+        if d is None or P._is_zero(d):
             raise StructureError("matrix is singular")
-        if d._no_division is not None:
+        if P._elem(d)._no_division is not None:
             raise StructureError(
                 "entries do not support division; use the adjugate route")
-        di = d.inverse()
-        return Matrix3(self.parent, tuple(di * v for v in adj.entries))
+        di, mul = P._inv(d), P._mul
+        return _matrix(P, [None if x is None else mul(di, x) for x in adj])
 
     def __matmul__(self, other):
-        if not isinstance(other, Matrix3) or other.parent != self.parent:
+        P = self.parent
+        if not isinstance(other, Matrix3) or other.parent is not P and other.parent != P:
             raise StructureError("matrix product needs matching scalar domains")
-        a, b = self.entries, other.entries
-        out = []
-        for i in range(3):
-            for j in range(3):
-                s = self.parent.zero()
-                for k in range(3):
-                    s = s + a[3 * i + k] * b[3 * k + j]
-                out.append(s)
-        return Matrix3(self.parent, out)
+        a, b = _sparse(self), _sparse(other)
+        columns = [b[j::3] for j in range(3)]
+        return _matrix(P, [_dot(P, a[i:i + 3], column)
+                           for i in (0, 3, 6) for column in columns])
 
     def apply(self, v) -> list:
         """Matrix times coordinate column."""
@@ -291,6 +295,64 @@ class Matrix3:
         rows = ["[" + ", ".join(map(repr, r)) + "]"
                 for r in self.rows()]
         return "[" + ", ".join(rows) + "]"
+
+
+def _sparse(m: Matrix3) -> list:
+    """The reps of m's nine entries, row by row, None for each zero: the
+    matrix kernels skip every product with a zero factor."""
+    is_zero = m.parent._is_zero
+    return [None if is_zero(r) else r for r in (v.rep for v in m.entries)]
+
+
+def _dot(P, xs, ys):
+    """The sum of x y over pairs of sparse reps; None when every pair has a
+    zero, so a sum of products that cancel is a zero rep, not None."""
+    add, mul = P._add, P._mul
+    s = None
+    for x, y in zip(xs, ys):
+        if x is not None and y is not None:
+            s = mul(x, y) if s is None else add(s, mul(x, y))
+    return s
+
+
+def _adjugate_column(P, g, s) -> list:
+    """Column s of adj(g) on sparse reps: the cross product of rows s + 1
+    and s + 2 of g, entry r being p[r+1] q[r+2] - p[r+2] q[r+1]."""
+    add, mul, neg = P._add, P._mul, P._neg
+    o, w = 3 * ((s + 1) % 3), 3 * ((s + 2) % 3)
+    p, q = g[o:o + 3], g[w:w + 3]
+    column = []
+    for x, y in ((1, 2), (2, 0), (0, 1)):
+        a, b, c, d = p[x], q[y], p[y], q[x]
+        r = None if a is None or b is None else mul(a, b)
+        if c is not None and d is not None:
+            r = neg(mul(c, d)) if r is None else add(r, neg(mul(c, d)))
+        column.append(r)
+    return column
+
+
+def _det(P, g, column):
+    """det(g) on sparse reps, given the first column of adj(g): the first
+    row of g times that column, the one determinant formula."""
+    return _dot(P, g[:3], column)
+
+
+def _adjugate_rows(P, g) -> list:
+    """adj(g) on sparse reps, row by row."""
+    columns = [_adjugate_column(P, g, s) for s in range(3)]
+    return [columns[s][r] for r in range(3) for s in range(3)]
+
+
+def _value(P, r):
+    """The value of a sparse rep: None is zero."""
+    return P._elem(P._zero_rep if r is None else r)
+
+
+def _matrix(P, reps) -> Matrix3:
+    """The matrix over P of nine sparse reps, each wrapped once."""
+    zero = P._zero_rep
+    elem = P._elem
+    return Matrix3(P, [elem(zero if r is None else r) for r in reps])
 
 
 def _act_with(vec: StructureVector, g: Matrix3, h: Matrix3) -> StructureVector:

@@ -130,6 +130,29 @@ def test_associativity_stops_at_the_first_index_that_differs():
     assert F.products == 0
 
 
+def test_structure_of_gives_an_equal_domain_its_own_fresh_vector():
+    # each domain object keeps the reps of the structures built over it, but
+    # every call hands out a new vector over the caller's own domain with
+    # nothing kept: a verdict kept over GF(7) must not answer for an equal
+    # domain whose hooks differ, nor for a later call over GF(7) itself
+    F, G = PrimeField(7), _CountingGF7()
+    assert F == G and F is not G
+    for tag, param in (("c5", None), ("a", 3)):
+        u = _rep(tag, F, param)
+        assert is_associative(u) and u._kept is not None
+        v = _rep(tag, G, param)
+        assert v == u and v.parent is G and v._kept is None
+        w = _rep(tag, F, param)
+        assert w == u and w is not u and w.parent is F and w._kept is None
+        assert w.reps is u.reps         # built once per domain object
+        assert _rep(tag, G, param).reps is v.reps is not u.reps
+    # G's verdict is G's own work, on G's hooks
+    v = _rep("c5", G)
+    G.products = 0
+    assert is_associative(v)
+    assert G.products == _full_pass_products(v) > 0
+
+
 def _associative_by_products(vec):
     """The definition: (xy)z = x(yz) on the 27 unit triples, 90 products,
     each product the sum of c[i,j,k] x_i y_j over the nonzero coefficients."""

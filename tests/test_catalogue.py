@@ -5,7 +5,9 @@ variable of a rational function field, so one assertion covers every value
 at once; individual witnesses are then spot-checked over concrete fields.
 """
 
+import gc
 import random
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -64,6 +66,32 @@ def _generic_iso(src, dst):
         w = iso_witness(AlgebraId(s, p(b)), AlgebraId(d, q(b)), K)
         assert isinstance(w, IsoWitness) and w.field == K
         assert act(_sym_family(K, s, p(b)), w.matrix) == _sym_family(K, d, q(b))
+
+
+def test_a_ring_or_f_of_d_keeps_no_structure():
+    # a polynomial or an element of F(d) is its own rep and holds its
+    # domain, so a structure kept in the domain would tie the two in a cycle
+    # that only the cyclic collector frees; with the collector off, the
+    # domain goes as soon as the last reference does
+    def ring():
+        R = PolyRing(PrimeField(5), ("x", "y"))
+        return R, R.var("x")
+
+    def function_field():
+        K = RationalFunctionField(RATIONALS, "d")
+        return K, K.gen()
+
+    gc.disable()
+    try:
+        for build in (ring, function_field):
+            domain, gen = build()
+            vec = structure_of(hbeta(domain, gen), domain)
+            assert vec == structure_of(hbeta(domain, gen), domain)
+            ref = weakref.ref(domain)
+            del domain, gen, vec
+            assert ref() is None
+    finally:
+        gc.enable()
 
 
 def test_symbolic_swap_carries_h_to_reciprocal():

@@ -1,11 +1,13 @@
 """Text and JSON grammars for scalars, polynomials, ids, vectors, witnesses."""
 
 import functools
+import gc
 import itertools
 import json
 import random
 import re
 import time
+import weakref
 from fractions import Fraction
 from pathlib import Path
 
@@ -62,6 +64,24 @@ def test_parse_field_gives_one_field_per_descriptor():
               {"char": 2}]
     fields = [first] + [parse_field(d) for d in others]
     assert all(a != b for n, a in enumerate(fields) for b in fields[n + 1:])
+
+
+def test_what_a_field_keeps_dies_with_it():
+    # structures and F(t) are kept in the field object itself, so once the
+    # descriptor cache lets go of a GF(2^8) and no one else holds it, the
+    # collector frees it with all it kept
+    desc = {"char": 2, "ext": {"name": "u", "min_poly": [1, 0, 1, 1, 1, 0, 0, 0, 1]}}
+    F = parse_field(desc)
+    assert structure_of(AlgebraId("c3"), F).parent is F
+    witness = parse_witness({"src": "c3", "dst": "c1", "field": desc, "matrix":
+                             [["1", "0", "0"], ["0", "t", "0"], ["0", "0", "1"]]})
+    assert witness.base_field is F
+    assert verify_witness(witness) == structure_of(AlgebraId("c1"), F)
+    ref = weakref.ref(F)
+    del F, witness
+    nilalg3.ioformats._field.cache_clear()
+    gc.collect()
+    assert ref() is None
 
 
 def test_parse_field_decides_long_quadratics_and_cubics_over_q():

@@ -330,3 +330,32 @@ def test_the_structural_singularity_test_is_written_once():
         found += [(path.name, name) for _, name
                   in _innermost_functions(tree, is_long_boolean)]
     assert found == [("degeneration.py", "_regular")], found
+
+
+def _names_a_cache(node, imported) -> bool:
+    """Whether node names functools.cache or functools.lru_cache, also as a
+    name imported from functools."""
+    if isinstance(node, ast.Attribute):
+        return (node.attr in ("cache", "lru_cache") and isinstance(node.value, ast.Name)
+                and node.value.id == "functools")
+    return isinstance(node, ast.Name) and node.id in imported
+
+
+def test_caches_only_decorate_module_level_functions():
+    # a cache lives as long as what holds it: on a module-level function,
+    # the process; wrapped around a function inside a call, it is built
+    # again on every call, with its wrapper, for a memo a dict would give
+    found = []
+    for path in sorted(pathlib.Path(nilalg3.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        imported = {alias.asname or alias.name for node in ast.walk(tree)
+                    if isinstance(node, ast.ImportFrom) and node.module == "functools"
+                    for alias in node.names if alias.name in ("cache", "lru_cache")}
+        allowed = set()
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef):
+                for dec in node.decorator_list:
+                    allowed.add(dec.func if isinstance(dec, ast.Call) else dec)
+        found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                  if _names_a_cache(node, imported) and node not in allowed]
+    assert not found, found

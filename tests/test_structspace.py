@@ -464,3 +464,149 @@ def test_stored_form_matches_the_dense_element_oracle():
     for vec, dense in everything:
         h, H = hash(vec), hash(dense)
         assert by_oracle.setdefault(H, h) == h and by_vector.setdefault(h, H) == H
+
+
+# -- the matrix kernels on reps against the element formulas -------------------
+
+
+def _adjugate_by_elements(g) -> tuple:
+    a, b, c, d, e, f, h, i, k = g.entries
+    return (e * k - f * i, c * i - b * k, b * f - c * e,
+            f * h - d * k, a * k - c * h, c * d - a * f,
+            d * i - e * h, b * h - a * i, a * e - b * d)
+
+
+def _det_by_elements(g):
+    a, b, c, d, e, f, h, i, k = g.entries
+    return a * (e * k - f * i) - b * (d * k - f * h) + c * (d * i - e * h)
+
+
+def _product_by_elements(g, h) -> tuple:
+    x, y = g.entries, h.entries
+    out = []
+    for r in range(3):
+        for s in range(3):
+            total = g.parent.zero()
+            for m in range(3):
+                total = total + x[3 * r + m] * y[3 * m + s]
+            out.append(total)
+    return tuple(out)
+
+
+def _kernel_domains():
+    """(domain, scalars with zero first) for Q, GF(7), GF(16), a polynomial
+    ring in three variables, F(t) and F(d)."""
+    Q = RATIONALS
+    yield Q, [Q.zero()] + [Q.element(Fraction(n, d)) for n in range(-3, 4) if n
+                           for d in (1, 2, 5)]
+    yield PrimeField(7), list(PrimeField(7).elements())
+    yield gf16(), list(gf16().elements())
+    ring = PolyRing(PrimeField(5), ("x", "y", "z"))
+    x, y, z = ring.gens()
+    yield ring, [ring.zero(), ring.one(), ring.from_int(2), x, y, z, x + 1,
+                 y * z - 2, x * x]
+    Ft = RationalFunctionField(PrimeField(7), "t")
+    t = Ft.gen()
+    yield Ft, [Ft.zero(), Ft.one(), -t, t, t * t, t + 3, 1 / t, 1 / (t + 1)]
+    Qd = RationalFunctionField(Q, "d")
+    d = Qd.gen()
+    yield Qd, [Qd.zero(), Qd.one(), Qd.from_int(-2), d, d - 1, 1 / d, d / (d + 1)]
+
+
+def _kernel_matrices(domain, pool, rng):
+    """Random matrices about half of whose entries are zero, with a zero
+    row, a zero column, a repeated row, or nothing but zeros among them."""
+    def draw():
+        return [rng.choice(pool[1:]) if rng.random() < 0.5 else pool[0]
+                for _ in range(9)]
+
+    out = [Matrix3.identity(domain), Matrix3(domain, [domain.zero()] * 9)]
+    for n in range(12):
+        e = draw()
+        if n % 4 == 1:
+            e[3:6] = [pool[0]] * 3          # a zero row
+        elif n % 4 == 2:
+            e[1::3] = [pool[0]] * 3         # a zero column
+        elif n % 4 == 3:
+            e[6:] = e[:3]                   # a repeated row: det 0
+        out.append(Matrix3.from_rows(domain, [e[:3], e[3:6], e[6:]]))
+    return out
+
+
+def _assert_kernels_match_the_element_formulas(g, others):
+    P = g.parent
+    adj, d = g.adjugate_and_det()
+    assert adj.entries == g.adjugate().entries == _adjugate_by_elements(g)
+    assert d == g.det() == _det_by_elements(g)
+    results = [*adj.entries, d, g.det()]
+    if d.is_zero():
+        with pytest.raises(StructureError, match="^matrix is singular$"):
+            g.inverse()
+    elif d._no_division is not None:
+        with pytest.raises(StructureError, match="^entries do not support "
+                           "division; use the adjugate route$"):
+            g.inverse()
+    else:
+        inv = g.inverse()
+        di = _det_by_elements(g).inverse()
+        assert inv.entries == tuple(di * v for v in _adjugate_by_elements(g))
+        assert g @ inv == Matrix3.identity(P)
+        results += inv.entries
+    for h in others:
+        product = g @ h
+        assert product.entries == _product_by_elements(g, h)
+        results += product.entries
+    # every result is a value of the matrix's own domain
+    assert all(v.parent is P for v in results)
+
+
+def test_matrix_kernels_on_reps_match_the_element_formulas():
+    for domain, pool in _kernel_domains():
+        rng = random.Random(f"kernels-{domain!r}")
+        matrices = _kernel_matrices(domain, pool, rng)
+        for g in matrices:
+            _assert_kernels_match_the_element_formulas(g, matrices)
+
+
+def test_matrix_kernels_on_every_library_curve():
+    from nilalg3 import degeneration
+    from nilalg3.catalogue import AlgebraId, adelta, quarter
+
+    for field in (RATIONALS, PrimeField(7), gf4(), gf16()):
+        pool = [AlgebraId(tag) for tag in ("a0", "c1", "c3", "l1", "c5")]
+        pool += [adelta(field, 0), adelta(field, field.from_int(3))]
+        if field.char != 2:
+            pool.append(adelta(field, quarter(field)))
+        curves = [w.matrix for src in pool for dst in pool
+                  if (w := degeneration._library_curve(src, dst, field)) is not None]
+        assert len(curves) >= 12
+        for g in curves:
+            _assert_kernels_match_the_element_formulas(g, curves)
+
+
+class _CountingGF7(PrimeField):
+    """GF(7) whose product hook counts its calls."""
+
+    def __init__(self):
+        super().__init__(7)
+        self.products = 0
+
+    def _mul(self, a, b):
+        self.products += 1
+        return super()._mul(a, b)
+
+
+def test_a_matrix_product_multiplies_only_nonzero_pairs():
+    F = _CountingGF7()
+    rng = random.Random("sparse-products")
+    for _ in range(40):
+        a, b = ([F.element(rng.randrange(1, 7)) if rng.random() < 0.4 else 0
+                 for _ in range(9)] for _ in range(2))
+        g = Matrix3.from_rows(F, [a[:3], a[3:6], a[6:]])
+        h = Matrix3.from_rows(F, [b[:3], b[3:6], b[6:]])
+        pairs = sum(a[3 * r + m] != 0 and b[3 * m + s] != 0
+                    for r in range(3) for m in range(3) for s in range(3))
+        F.products = 0
+        product = g @ h
+        assert F.products == pairs
+        assert product.entries == _product_by_elements(g, h)
