@@ -26,7 +26,7 @@ from .fields import (FieldError, NeedsFieldExtension, PrimeField, gf4,
 from .hasse import HasseError, build_graph, compare_expected, emit
 from .ioformats import (CHARACTERISTICS, FormatError, parse_algebra_id,
                         parse_matrix, parse_vector, parse_witness,
-                        render_scalar, render_vector, render_witness)
+                        render_vector, render_witness)
 from .polyring import RationalFunctionField
 from .structspace import StructureVector, act
 
@@ -149,7 +149,7 @@ def _adjoined(field, base) -> list:
     out = []
     while field != base:
         out.append({"name": field.name,
-                    "min_poly": [render_scalar(c) for c in field.minpoly]})
+                    "min_poly": [repr(c) for c in field.minpoly]})
         field = field.base
     return out[::-1]
 

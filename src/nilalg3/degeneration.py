@@ -22,6 +22,7 @@ import math
 import random
 import time
 from dataclasses import dataclass
+from fractions import Fraction
 
 from . import algprops
 from .catalogue import (AlgebraId, _slice, adelta, hbeta, identify,
@@ -266,70 +267,65 @@ def _rff(field: Field) -> RationalFunctionField:
     return field._once("F(t)", lambda: RationalFunctionField(field, "t"))
 
 
-# the library curves' monomial cells as {exponent: integer coefficient};
-# every other cell is an integer constant
-_CELLS = {"t": {1: 1}, "t2": {2: 1}, "-t": {1: -1}}
+# Every library curve is C diag(t^d1, t^d2, t^d3): column j of a constant
+# integer matrix C times t^dj.  One row per curve: the source as (tag,
+# parameter), None matching any; the target tag; True for a curve of
+# characteristic 2 only, False for one outside it, None for any; the rows of
+# C; the weights d; up_to_iso; the note.
+_LIBRARY = (
+    ((None, None), "a0", None, ((1, 0, 0), (0, 1, 0), (0, 0, 1)), (1, 1, 1),
+     False, "scale-to-zero"),
+    (("a", None), "c1", None, ((1, 0, 0), (0, 0, 1), (0, 1, 0)), (0, 1, 0),
+     False, "pinch-family"),
+    (("c3", None), "c1", None, ((1, 0, 0), (0, 1, 0), (0, 0, 1)), (0, 1, 0),
+     False, "squeeze-e2"),
+    (("c5", None), "c1", None, ((0, 0, 1), (1, 0, 0), (0, 1, 0)), (2, 2, 1),
+     False, "cube-collapse"),
+    (("c5", None), "c3", True, ((0, 0, 1), (0, 1, 0), (1, 1, 0)), (2, 1, 1),
+     True, "rep-collapse"),
+    (("c5", None), "c3", False, ((1, 0, 0), (1, 1, 0), (0, 0, 1)), (1, 0, 1),
+     True, "triangle-collapse"),
+    (("a", Fraction(1, 4)), "l1", False, ((-1, 0, 0), (0, -1, 1), (0, 2, 0)),
+     (1, 0, 1), False, "quarter-pinch"),
+    (("c3", None), "l1", True, ((1, 0, 0), (0, 1, 0), (0, 1, 1)), (1, 0, 1),
+     False, "shear-pinch"),
+)
 
 
-def _curve(field: Field, rows, src, dst, up_to_iso=False, note="") -> CurveWitness:
-    rff = _rff(field)
-    resolved = [[rff.polynomial({e: field.from_int(n) for e, n in
-                                 _CELLS.get(c, {0: c}).items()})
-                 for c in row] for row in rows]
-    return CurveWitness(src, dst, Matrix3.from_rows(rff, resolved),
-                        up_to_iso=up_to_iso, note=note)
-
-
-@functools.cache
 def known_witness(src: AlgebraId, dst: AlgebraId, field: Field):
     """The library curve for a canonical pair, verified; None when absent.
 
-    Cached per argument triple, so a curve is verified once and every later
-    call returns the same object; ``known_witness.cache_clear()`` forgets
-    them.  A refused id raises and so is never cached.
+    Kept in the field (``Domain._once``), so over one field object a curve
+    is verified once and every later call returns the same object, while a
+    fresh field object starts afresh.  A refused id raises before anything
+    is kept.
     """
     if not (src.is_canonical() and dst.is_canonical()):
         raise DegenerationError("known_witness expects canonical ids")
-    witness = _library_curve(src, dst, field)
-    if witness is not None:
-        verify_witness(witness)
-    return witness
+
+    def build():
+        witness = _library_curve(src, dst, field)
+        if witness is not None:
+            verify_witness(witness)
+        return witness
+
+    return field._once(("curve", src, dst), build)
 
 
 def _library_curve(src: AlgebraId, dst: AlgebraId, field: Field):
-    """The unverified library curve for a canonical pair, or None."""
-    char2 = field.char == 2
-
+    """The unverified library curve for a canonical pair, or None: the
+    identity when src == dst, else the first row of _LIBRARY that takes the
+    pair, entry (i, j) being C[i][j] t^d[j]."""
     if src == dst:
-        rff = _rff(field)
-        return CurveWitness(src, dst, Matrix3.identity(rff), note="identity")
-
-    if dst.tag == "a0":
-        return _curve(field, [["t", 0, 0], [0, "t", 0], [0, 0, "t"]],
-                      src, dst, note="scale-to-zero")
-
-    pair = (src.tag, dst.tag)
-    if pair == ("a", "c1"):
-        return _curve(field, [[1, 0, 0], [0, 0, 1], [0, "t", 0]],
-                      src, dst, note="pinch-family")
-    if pair == ("c3", "c1"):
-        return _curve(field, [[1, 0, 0], [0, "t", 0], [0, 0, 1]],
-                      src, dst, note="squeeze-e2")
-    if pair == ("c5", "c1"):
-        return _curve(field, [[0, 0, "t"], ["t2", 0, 0], [0, "t2", 0]],
-                      src, dst, note="cube-collapse")
-    if pair == ("c5", "c3"):
-        if char2:
-            return _curve(field, [[0, 0, "t"], [0, "t", 0], ["t2", "t", 0]],
-                          src, dst, up_to_iso=True, note="rep-collapse")
-        return _curve(field, [["t", 0, 0], ["t", 1, 0], [0, 0, "t"]],
-                      src, dst, up_to_iso=True, note="triangle-collapse")
-    if pair == ("a", "l1") and not char2 and src.param == quarter(field):
-        return _curve(field, [["-t", 0, 0], [0, -1, "t"], [0, 2, 0]],
-                      src, dst, note="quarter-pinch")
-    if pair == ("c3", "l1") and char2:
-        return _curve(field, [["t", 0, 0], [0, 1, 0], [0, 1, "t"]],
-                      src, dst, note="shear-pinch")
+        return CurveWitness(src, dst, Matrix3.identity(_rff(field)), note="identity")
+    char2 = field.char == 2
+    for (tag, param), target, in_char2, c, d, up_to_iso, note in _LIBRARY:
+        if (target == dst.tag and in_char2 in (None, char2) and tag in (None, src.tag)
+                and (param is None or src.param == field.element(param))):
+            rff = _rff(field)
+            entries = [rff.polynomial({e: x}) for row in c for e, x in zip(d, row)]
+            return CurveWitness(src, dst, Matrix3(rff, entries),
+                                up_to_iso=up_to_iso, note=note)
     return None
 
 
@@ -452,7 +448,6 @@ def _require_lemma(characteristic: int):
 # -- obstructions -------------------------------------------------------------
 
 
-@functools.cache
 def _node_profile(ident: AlgebraId, field: Field):
     """(class, commutative, in M**, in family) of a catalogue node.
 
@@ -462,16 +457,20 @@ def _node_profile(ident: AlgebraId, field: Field):
     has two independent isotropic lines: it is 0 (B alternating) or its
     discriminant -det(B + B^T) is nonzero.  Outside it, a class-2 node has
     rank(B + B^T) <= 1; in characteristic 2, B + B^T is alternating, so its
-    rank is never 1 and the quarter class is empty.
+    rank is never 1 and the quarter class is empty.  Kept in the field
+    (``Domain._once``).
     """
-    vec = structure_of(ident, field)
-    chain = algprops.power_chain(vec)
-    cls, mss = algprops.chain_class(chain), algprops.in_m_star_star(vec)
-    family = False
-    if cls == 2:
-        (p, q), (r, s) = _slice(vec, chain[0])[3]
-        family = mss or not ((p + p) * (s + s) - (q + r) * (q + r)).is_zero()
-    return cls, algprops.is_commutative(vec), mss, family
+    def build():
+        vec = structure_of(ident, field)
+        chain = algprops.power_chain(vec)
+        cls, mss = algprops.chain_class(chain), algprops.in_m_star_star(vec)
+        family = False
+        if cls == 2:
+            (p, q), (r, s) = _slice(vec, chain[0])[3]
+            family = mss or not ((p + p) * (s + s) - (q + r) * (q + r)).is_zero()
+        return cls, algprops.is_commutative(vec), mss, family
+
+    return field._once(("profile", ident), build)
 
 
 def _base_obstruction(src: AlgebraId, dst: AlgebraId, field: Field):

@@ -66,8 +66,9 @@ class Domain:
     ``_up``, which lifts a value of ``_below``, the domain one step down
     (None at the bottom); and ``_refuse``, the layer's one error for a value
     with no image.  ``_once`` serves what another layer builds from a
-    domain (a catalogue structure's reps, F(t) over a field): a field keeps
-    it, so it lives exactly as long as the field.
+    domain (a catalogue structure's reps, F(t) over a field, a verified
+    library curve, a node profile): a field keeps it, so it lives exactly
+    as long as the field, and no module cache pins a field.
     """
 
     _below = None
@@ -123,7 +124,9 @@ class Field(Domain):
 
     def _once(self, key, build):
         """build(), made on the first call with ``key`` and kept in this
-        field: its reps never hold the field."""
+        field.  What it keeps and holds the field back (F(t), a curve over
+        it) is freed with the field by the cyclic collector, as the field's
+        own elements are."""
         try:
             return self._kept[key]
         except KeyError:

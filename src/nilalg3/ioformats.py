@@ -209,10 +209,6 @@ def parse_scalar(text: str, field: Field) -> FieldElement:
     return field._elem(total)
 
 
-def render_scalar(x: FieldElement) -> str:
-    return repr(x)
-
-
 # -- polynomials in t ----------------------------------------------------------
 
 
@@ -358,7 +354,7 @@ def parse_vector(payload) -> StructureVector:
 
 def render_vector(vec: StructureVector) -> dict:
     field = describe_field(vec.parent)
-    return {"entries": [{"i": i, "j": j, "k": k, "c": render_scalar(c)}
+    return {"entries": [{"i": i, "j": j, "k": k, "c": repr(c)}
                         for i, j, k, c in vec.terms()],
             "field": field}
 

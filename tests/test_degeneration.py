@@ -21,8 +21,8 @@ from nilalg3.degeneration import (CurveWitness, DegenerationError,
                                   known_witness, lift_witness_to_rationals,
                                   search_witness, verify_lemma_identities,
                                   verify_witness)
-from nilalg3.fields import (FieldError, PrimeField, RATIONALS, SimpleExtension,
-                            gf4, gf16)
+from nilalg3.fields import (FieldError, PrimeField, RATIONALS, Rationals,
+                            SimpleExtension, gf4, gf16)
 from nilalg3.polyring import PoleAtZero, RationalFunctionField, limit_at_zero
 from nilalg3.structspace import Matrix3, act, basis_vector
 
@@ -142,6 +142,31 @@ def test_library_curves_at_the_generic_point(base):
         w = degeneration._library_curve(src, dst, field)
         assert w.note == note
         assert verify_witness(w) == structure_of(dst, field)
+
+
+def test_every_library_row_is_a_small_invertible_matrix_times_weights():
+    # each row is C diag(t^d) with C over {-1, 0, 1, 2}, d in {0, 1, 2}^3
+    # and det C nonzero in every characteristic the row covers, and each
+    # row is the curve of some canonical pair over Q or GF(16)
+    covers = {True: (GF2, gf4(), gf16()), False: (Q, PrimeField(3), GF5, GF7)}
+    used = set()
+    for field in (Q, gf16()):
+        ids = [A0, C1, L1, C3, C5] + [adelta(field, x) for x in (0, 1, 2)]
+        if field.char != 2:
+            ids.append(adelta(field, quarter(field)))
+        for src, dst in itertools.product(ids, repeat=2):
+            if src != dst and (w := degeneration._library_curve(src, dst, field)):
+                used.add(w.note)
+    notes = [row[-1] for row in degeneration._LIBRARY]
+    assert len(set(notes)) == len(notes)
+    for _, _, char2, c, d, _, note in degeneration._LIBRARY:
+        assert len(c) == 3 and all(len(row) == 3 for row in c), note
+        assert {x for row in c for x in row} <= {-1, 0, 1, 2}, note
+        assert len(d) == 3 and set(d) <= {0, 1, 2}, note
+        fields = covers[True] + covers[False] if char2 is None else covers[char2]
+        for field in fields:
+            assert not Matrix3.from_rows(field, c).det().is_zero(), (note, field)
+        assert note in used, note
 
 
 def test_known_witness_returns_none_off_table():
@@ -406,10 +431,6 @@ def test_degenerates_reflexive():
 # -- memoisation -----------------------------------------------------------------
 
 
-_CACHES = (degeneration.known_witness, degeneration._node_profile,
-           degeneration._require_lemma)
-
-
 def _fact_key(fact):
     """What a fact states: direction, obstruction tag and reason, curve notes."""
     obs = fact.obstruction
@@ -419,22 +440,25 @@ def _fact_key(fact):
             tuple(w.note for w in curves))
 
 
-@pytest.mark.parametrize("field", [Q, gf16()], ids=["Q", "GF16"])
-def test_cleared_caches_give_the_same_facts(field):
-    nodes = [A0, C1, L1, C3, C5, adelta(field, 0), adelta(field, 2 if field.char == 0
-                                                            else field.generator())]
-    if field.char != 2:
-        nodes.append(adelta(field, quarter(field)))
-
-    def facts():
+@pytest.mark.parametrize("field, fresh", [(Q, Rationals), (gf16(), gf16)],
+                         ids=["Q", "GF16"])
+def test_cleared_caches_give_the_same_facts(field, fresh):
+    # curves and node profiles are kept in the field object, so a fresh
+    # equal field decides from nothing kept, as does a cleared lemma cache
+    def facts(field):
+        nodes = [A0, C1, L1, C3, C5, adelta(field, 0),
+                 adelta(field, 2 if field.char == 0 else field.generator())]
+        if field.char != 2:
+            nodes.append(adelta(field, quarter(field)))
         return [_fact_key(degenerates(s, d, field)) for s in nodes for d in nodes]
 
-    warm = facts()
-    for cache in _CACHES:
-        cache.cache_clear()
-    cold = facts()
+    warm = facts(field)
+    degeneration._require_lemma.cache_clear()
+    cold_field = fresh()
+    assert cold_field == field and not cold_field._kept
+    cold = facts(cold_field)
     assert cold == warm
-    assert facts() == cold
+    assert facts(cold_field) == cold
     assert {f[3][0] for f in cold if f[3]} >= {"family-separation",
                                                "transitivity-derived"}
 
@@ -464,13 +488,11 @@ def test_decisions_at_the_generic_point_match_every_sampled_member(base):
 
 
 def test_known_witness_refuses_non_canonical_ids_on_every_call():
-    before = known_witness.cache_info()
+    before = dict(Q._kept)
     for _ in range(3):
         with pytest.raises(DegenerationError, match="canonical"):
             known_witness(AlgebraId("rho"), C1, Q)
-    after = known_witness.cache_info()
-    assert after.currsize == before.currsize
-    assert after.hits == before.hits
+    assert Q._kept == before
 
 
 def test_identity_suite_leaves_the_lemma_cache_alone():
@@ -480,13 +502,16 @@ def test_identity_suite_leaves_the_lemma_cache_alone():
     assert degeneration._require_lemma.cache_info() == before
 
 
-def test_known_witness_returns_the_cached_curve():
+def test_known_witness_returns_the_cached_curve(monkeypatch):
     first = known_witness(C3, C1, GF5)
-    before = known_witness.cache_info()
+    verified = []
+    monkeypatch.setattr(degeneration, "verify_witness", verified.append)
     second = known_witness(C3, C1, GF5)
-    after = known_witness.cache_info()
     assert second is first
-    assert (after.hits, after.misses) == (before.hits + 1, before.misses)
+    assert verified == []
+    # a fresh field object keeps nothing, so its curve is verified anew
+    assert known_witness(C3, C1, PrimeField(5)) is not first
+    assert verified and verified[0].note == "squeeze-e2"
 
 
 # -- composition -----------------------------------------------------------------

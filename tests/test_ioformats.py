@@ -17,9 +17,9 @@ import nilalg3.ioformats
 from nilalg3.catalogue import (AUXILIARY_TAGS, CANONICAL_TAGS, PARAMETRIC_TAGS,
                                AlgebraId, adelta, quarter, structure_of)
 from nilalg3.cli import main
-from nilalg3.degeneration import (CurveWitness, compose_curves, known_witness,
-                                  lift_witness_to_rationals, search_witness,
-                                  verify_witness)
+from nilalg3.degeneration import (CurveWitness, check_obstruction, compose_curves,
+                                  known_witness, lift_witness_to_rationals,
+                                  search_witness, verify_witness)
 from nilalg3.fields import (MAX_FINITE_ORDER, FieldError, PrimeField, RATIONALS,
                             SimpleExtension, _Extension, gf4, gf16)
 from nilalg3.ioformats import (FormatError, describe_field, parse_algebra_id,
@@ -67,16 +67,19 @@ def test_parse_field_gives_one_field_per_descriptor():
 
 
 def test_what_a_field_keeps_dies_with_it():
-    # structures and F(t) are kept in the field object itself, so once the
-    # descriptor cache lets go of a GF(2^8) and no one else holds it, the
-    # collector frees it with all it kept
+    # structures, F(t), library curves and node profiles are kept in the
+    # field object itself, so once the descriptor cache lets go of a GF(2^8)
+    # and no one else holds it, the collector frees it with all it kept
     desc = {"char": 2, "ext": {"name": "u", "min_poly": [1, 0, 1, 1, 1, 0, 0, 0, 1]}}
     F = parse_field(desc)
-    assert structure_of(AlgebraId("c3"), F).parent is F
+    c1, c3, l1 = (AlgebraId(tag) for tag in ("c1", "c3", "l1"))
+    assert structure_of(c3, F).parent is F
     witness = parse_witness({"src": "c3", "dst": "c1", "field": desc, "matrix":
                              [["1", "0", "0"], ["0", "t", "0"], ["0", "0", "1"]]})
     assert witness.base_field is F
-    assert verify_witness(witness) == structure_of(AlgebraId("c1"), F)
+    assert verify_witness(witness) == structure_of(c1, F)
+    assert known_witness(c3, c1, F).matrix == witness.matrix
+    assert check_obstruction(l1, c1, F) is not None
     ref = weakref.ref(F)
     del F, witness
     nilalg3.ioformats._field.cache_clear()

@@ -332,6 +332,14 @@ def test_the_structural_singularity_test_is_written_once():
     assert found == [("degeneration.py", "_regular")], found
 
 
+def _cache_imports(tree) -> set:
+    """The names under which a module imports cache or lru_cache from
+    functools."""
+    return {alias.asname or alias.name for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and node.module == "functools"
+            for alias in node.names if alias.name in ("cache", "lru_cache")}
+
+
 def _names_a_cache(node, imported) -> bool:
     """Whether node names functools.cache or functools.lru_cache, also as a
     name imported from functools."""
@@ -348,9 +356,7 @@ def test_caches_only_decorate_module_level_functions():
     found = []
     for path in sorted(pathlib.Path(nilalg3.__file__).parent.glob("*.py")):
         tree = ast.parse(path.read_text())
-        imported = {alias.asname or alias.name for node in ast.walk(tree)
-                    if isinstance(node, ast.ImportFrom) and node.module == "functools"
-                    for alias in node.names if alias.name in ("cache", "lru_cache")}
+        imported = _cache_imports(tree)
         allowed = set()
         for node in tree.body:
             if isinstance(node, ast.FunctionDef):
@@ -358,4 +364,25 @@ def test_caches_only_decorate_module_level_functions():
                     allowed.add(dec.func if isinstance(dec, ast.Call) else dec)
         found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
                   if _names_a_cache(node, imported) and node not in allowed]
+    assert not found, found
+
+
+def test_no_cache_is_keyed_by_a_scalar_domain():
+    # what is derived from a field is kept in the field (Domain._once) and
+    # dies with it; a functools cache keyed by a field would pin it for the
+    # life of the process
+    found = []
+    for path in sorted(pathlib.Path(nilalg3.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        imported = _cache_imports(tree)
+        for node in ast.walk(tree):
+            if not (isinstance(node, ast.FunctionDef) and any(
+                    _names_a_cache(dec.func if isinstance(dec, ast.Call) else dec,
+                                   imported) for dec in node.decorator_list)):
+                continue
+            args = node.args
+            for arg in args.posonlyargs + args.args + args.kwonlyargs:
+                annotation = ast.unparse(arg.annotation) if arg.annotation else ""
+                if arg.arg == "field" or re.search(r"\b(Field|Domain)\b", annotation):
+                    found.append(f"{path.name}:{node.lineno} {node.name}({arg.arg})")
     assert not found, found
