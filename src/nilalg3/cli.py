@@ -1,7 +1,8 @@
 """Command line front end.
 
 Exit codes: 0 on success (and on every verified check), 1 when a
-verification fails or a search comes up empty, 2 on malformed input.
+verification fails, a search comes up empty or a valid input is one the
+toolkit cannot finish, 2 on malformed input.
 Output on stdout is byte-deterministic for a fixed command line and seed;
 timing goes to stderr.
 """
@@ -130,6 +131,9 @@ def _cmd_identify(args) -> int:
     except NeedsFieldExtension as exc:
         print(f"needs a quadratic extension: {exc} "
               "(rerun with --witness --allow-extension)", file=sys.stderr)
+        return 1
+    except FieldError as exc:
+        print(f"cannot finish over this field: {exc}", file=sys.stderr)
         return 1
     except UnclassifiableError as exc:
         print(f"unclassifiable over this field: {exc}", file=sys.stderr)

@@ -357,75 +357,57 @@ def _pin_down(prefix: str, cleared, expected: dict) -> list:
 def verify_lemma_identities(characteristic: int, mutate=None) -> IdentityReport:
     """Re-derive the family/quarter separation identities symbolically.
 
-    Expands the action of a generic matrix on the pinched product with a free
-    parameter, in denominator-cleared form, and compares every coefficient
-    with the closed formulas; likewise for an upper-triangular matrix, where
-    all 27 cleared coefficients are pinned down; likewise for the alternating
-    representative, together with its explicit membership in the orbit of the
-    parameter-2 structure.  ``mutate`` adds 1 to one structure coefficient
-    (a triple (i, j, k)) before expanding, so callers can confirm the suite
-    actually has teeth.
+    Expands the action of a generic matrix g on the pinched product with a
+    free parameter, in denominator-cleared form, and compares every
+    coefficient with the closed formulas; likewise for an upper-triangular
+    matrix, where all 27 cleared coefficients are pinned down; likewise for
+    the alternating representative, together with its explicit membership
+    in the orbit of the parameter-2 structure.  One polynomial ring in the
+    parameter and g's nine entries is enough: each matrix group the suite
+    uses is a specialisation of the one generic matrix (the upper-triangular
+    Borel subgroup is g21 = g31 = g32 = 0), so a further group, such as the
+    parabolic g21 = g31 = 0, is one more specialisation in the same ring.
+    ``mutate`` adds 1 to one structure coefficient (a triple (i, j, k))
+    before expanding, so callers can confirm the suite actually has teeth.
     """
     base = prime_field(characteristic)
-    entries = []
-
-    # generic matrix, ten symbols: the free parameter and nine entries
-    ring_g = PolyRing(base, ("xi", "g11", "g12", "g13", "g21", "g22", "g23",
-                             "g31", "g32", "g33"))
-    xi = ring_g.var("xi")
-    gv = {(i, j): ring_g.var(f"g{i}{j}") for i in (1, 2, 3) for j in (1, 2, 3)}
-    sigma = structure_of(hbeta(ring_g, xi), ring_g)
+    ring = PolyRing(base, ("xi", "g11", "g12", "g13", "g21", "g22", "g23",
+                           "g31", "g32", "g33"))
+    xi, g11, g12, g13, g21, g22, g23, g31, g32, g33 = ring.gens()
+    one = ring.one()
+    sigma = structure_of(hbeta(ring, xi), ring)
     if mutate is not None:
-        sigma = sigma + StructureVector.from_terms(ring_g, [(*mutate, ring_g.one())])
-    g = Matrix3.from_rows(ring_g, [[gv[(i, j)] for j in (1, 2, 3)] for i in (1, 2, 3)])
+        sigma = sigma + StructureVector.from_terms(ring, [(*mutate, one)])
+
+    # the generic matrix: four coefficients against their closed formulas
+    g = Matrix3.from_rows(ring, [[g11, g12, g13], [g21, g22, g23], [g31, g32, g33]])
     cleared, _ = act_cleared(sigma, g)
-    dpiv = gv[(2, 2)] * gv[(3, 3)] - gv[(2, 3)] * gv[(3, 2)]
-    one = ring_g.one()
-    entries.append(("moved-231",
-                    cleared[2, 3, 1] == dpiv * (gv[(2, 2)] * gv[(3, 3)] + xi * gv[(2, 3)] * gv[(3, 2)])))
-    entries.append(("moved-321",
-                    cleared[3, 2, 1] == dpiv * (gv[(2, 3)] * gv[(3, 2)] + xi * gv[(2, 2)] * gv[(3, 3)])))
-    entries.append(("moved-331",
-                    cleared[3, 3, 1] == dpiv * (one + xi) * gv[(2, 3)] * gv[(3, 3)]))
-    entries.append(("moved-221",
-                    cleared[2, 2, 1] == dpiv * (one + xi) * gv[(2, 2)] * gv[(3, 2)]))
+    dpiv = g22 * g33 - g23 * g32
+    entries = [
+        ("moved-231", cleared[2, 3, 1] == dpiv * (g22 * g33 + xi * g23 * g32)),
+        ("moved-321", cleared[3, 2, 1] == dpiv * (g23 * g32 + xi * g22 * g33)),
+        ("moved-331", cleared[3, 3, 1] == dpiv * (one + xi) * g23 * g33),
+        ("moved-221", cleared[2, 2, 1] == dpiv * (one + xi) * g22 * g32),
+    ]
 
-    # upper-triangular matrix, seven symbols; every coefficient is pinned
-    ring_b = PolyRing(base, ("be", "b11", "b12", "b13", "b22", "b23", "b33"))
-    be = ring_b.var("be")
-    bv = {k: ring_b.var(k) for k in ("b11", "b12", "b13", "b22", "b23", "b33")}
-    zero_b = ring_b.zero()
-    sigma_b = structure_of(hbeta(ring_b, be), ring_b)
-    if mutate is not None:
-        sigma_b = sigma_b + StructureVector.from_terms(ring_b, [(*mutate, ring_b.one())])
-    b = Matrix3.from_rows(ring_b, [
-        [bv["b11"], bv["b12"], bv["b13"]],
-        [zero_b, bv["b22"], bv["b23"]],
-        [zero_b, zero_b, bv["b33"]]])
-    # act_cleared twice, sharing adj(b): one adjugate per suite run
+    # its Borel specialisation b, every cleared coefficient pinned, for sigma
+    # and for the alternating representative: one adjugate serves both
+    b = Matrix3.from_rows(ring, [[g11, g12, g13], [0, g22, g23], [0, 0, g33]])
     adjb, detb = b.adjugate_and_det()
-    clb = _act_with(sigma_b, b, adjb)
-    entries.append(("triangular-det",
-                    detb == bv["b11"] * bv["b22"] * bv["b33"]))
-    m = bv["b22"] * bv["b33"]
-    oneb = ring_b.one()
-    expected_b = {
+    entries.append(("triangular-det", detb == g11 * g22 * g33))
+    m = g22 * g33
+    entries += _pin_down("triangular", _act_with(sigma, b, adjb), {
         (2, 3, 1): m * m,
-        (3, 2, 1): be * m * m,
-        (3, 3, 1): (oneb + be) * bv["b22"] * bv["b23"] * bv["b33"] * bv["b33"],
-    }
-    entries += _pin_down("triangular", clb, expected_b)
-
-    # alternating representative under the same triangular matrices
+        (3, 2, 1): xi * m * m,
+        (3, 3, 1): (one + xi) * m * g23 * g33,
+    })
     alternating = ((2, 3, 1, -1), (3, 2, 1, 1), (3, 3, 1, 1))
-    nu = StructureVector.from_terms(ring_b, alternating)
-    cln = _act_with(nu, b, adjb)
-    expected_n = {
+    nu = StructureVector.from_terms(ring, alternating)
+    entries += _pin_down("alternating", _act_with(nu, b, adjb), {
         (2, 3, 1): -(m * m),
         (3, 2, 1): m * m,
-        (3, 3, 1): bv["b22"] * bv["b33"] * bv["b33"] * bv["b33"],
-    }
-    entries += _pin_down("alternating", cln, expected_n)
+        (3, 3, 1): m * g33 * g33,
+    })
 
     # the alternating representative really sits in the parameter-2 orbit
     rho_vec = structure_of(AlgebraId("rho"), base)
@@ -653,20 +635,20 @@ def compose_curves(first: CurveWitness, second: CurveWitness) -> CurveWitness:
     def lift(rf):
         return _rf_map(rf, rff, lambda e, c: (e, target_field.element(c)))
 
-    bridge_m = None
     if bridge is None and first.matrix.parent == rff == second.matrix.parent:
         m1, m2 = first.matrix, second.matrix
     else:
         m1 = first.matrix.map_scalars(lift, rff)
         m2 = second.matrix.map_scalars(lift, rff)
         if bridge is not None:
-            bridge_m = bridge.map_scalars(rff.const, rff)
+            # a constant matrix commutes with t -> t^n: (g1 B)(t^n) = g1(t^n) B
+            m1 = m1 @ bridge.lift(rff)
 
     note = f"{first.note}+{second.note}" if first.note or second.note else ""
     for n in (1, 2, 4, 8):
         fast = m1 if n == 1 else m1.map_scalars(
             lambda rf: _rf_map(rf, rff, lambda e, c: (e * n, c)), rff)
-        total = fast @ bridge_m @ m2 if bridge_m is not None else fast @ m2
+        total = fast @ m2
         candidate = CurveWitness(first.src, second.dst, total,
                                  up_to_iso=second.up_to_iso, note=note)
         try:

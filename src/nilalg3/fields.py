@@ -1044,9 +1044,9 @@ def prime_field(char: int) -> Field:
     return RATIONALS if char == 0 else PrimeField(char)
 
 
-def gf4(name: str = "w") -> FiniteField:
+def gf4() -> FiniteField:
     """GF(4) as GF(2)(w) with w**2 + w + 1 = 0."""
-    return FiniteField(PrimeField(2), [1, 1, 1], name)
+    return FiniteField(PrimeField(2), [1, 1, 1], "w")
 
 
 def gf16() -> FiniteField:

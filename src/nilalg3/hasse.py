@@ -10,6 +10,7 @@ node order, so output is byte-for-byte reproducible.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
 
@@ -39,7 +40,10 @@ class HasseDiagram:
     full_relation: tuple  # every certified arrow between distinct nodes
 
 
+@functools.cache
 def _default_field(characteristic: int) -> Field:
+    """One field per characteristic for the life of the process, so the
+    library curves and node profiles kept in it are verified once."""
     if characteristic == 0:
         return RATIONALS
     if characteristic == 2:

@@ -150,6 +150,22 @@ def test_identify_over_a_cubic_field_adjoins_square_roots(capsys, tmp_path):
         [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "-1/2"]])]
 
 
+def test_identify_that_cannot_finish_over_a_cubic_field_exits_1(capsys, tmp_path):
+    # over Q(g), g^3 = 2, the class is found, but the witness needs the
+    # square root of g, which the toolkit cannot take: a valid input it
+    # cannot finish is no malformed input
+    field = {"char": 0, "ext": {"name": "g", "min_poly": [-2, 0, 0, 1]}}
+    path = tmp_path / "vec.json"
+    path.write_text(json.dumps(_vector(field, ((2, 2, 1, "1"), (3, 3, 1, "g")))))
+    code, out, _ = run(capsys, "identify", str(path))
+    assert (code, out) == (0, "c3\n")
+    for extra in ((), ("--allow-extension",)):
+        code, out, err = run(capsys, "identify", str(path), "--witness", *extra)
+        assert (code, out) == (1, "")
+        assert err.startswith("cannot finish over this field: ")
+        assert len(err.splitlines()) == 1
+
+
 # e2e2 = e1, e3e3 = -e1 over Q(name), name^2 = -1
 def _named_vector(name):
     return _vector({"char": 0, "ext": {"name": name, "min_poly": [1, 0, 1]}},

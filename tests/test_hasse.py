@@ -5,6 +5,7 @@ import pathlib
 
 import pytest
 
+from nilalg3 import degeneration
 from nilalg3.hasse import (HasseError, NODE_ORDER, build_graph,
                            compare_expected, emit)
 
@@ -95,3 +96,15 @@ def test_rejects_other_characteristics():
 def test_emit_rejects_unknown_format(char0):
     with pytest.raises(HasseError):
         emit(char0, "svg")
+
+
+def test_a_second_diagram_verifies_no_curve_again(monkeypatch):
+    # one field per characteristic keeps the verified library curves, so a
+    # second build_graph(2) in the process reuses them
+    first = build_graph(2)
+    calls = []
+    verify = degeneration.verify_witness
+    monkeypatch.setattr(degeneration, "verify_witness",
+                        lambda w: calls.append(w) or verify(w))
+    assert build_graph(2) == first
+    assert calls == []

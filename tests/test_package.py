@@ -386,3 +386,19 @@ def test_no_cache_is_keyed_by_a_scalar_domain():
                 if arg.arg == "field" or re.search(r"\b(Field|Domain)\b", annotation):
                     found.append(f"{path.name}:{node.lineno} {node.name}({arg.arg})")
     assert not found, found
+
+
+def test_the_identity_suite_builds_one_ring():
+    # every matrix group of the suite is a specialisation of one generic
+    # matrix, so it builds one polynomial ring, one pinched product and one
+    # mutation, and each group's identities are read in that ring
+    path = pathlib.Path(nilalg3.__file__).parent / "degeneration.py"
+    suite = next(node for node in ast.parse(path.read_text()).body
+                 if isinstance(node, ast.FunctionDef)
+                 and node.name == "verify_lemma_identities")
+    calls = collections.Counter(node.func.id for node in ast.walk(suite)
+                                if isinstance(node, ast.Call)
+                                and isinstance(node.func, ast.Name))
+    mutations = [node for node in ast.walk(suite) if isinstance(node, ast.Starred)
+                 and isinstance(node.value, ast.Name) and node.value.id == "mutate"]
+    assert (calls["PolyRing"], calls["hbeta"], len(mutations)) == (1, 1, 1)
