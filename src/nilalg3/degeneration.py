@@ -30,8 +30,7 @@ from .catalogue import (AlgebraId, _slice, adelta, hbeta, identify,
 from .fields import Field, FieldElement, PrimeField, RATIONALS, prime_field
 from .polyring import (MultiPoly, PolyRing, RationalFunction,
                        RationalFunctionField)
-from .structspace import (Matrix3, StructureVector, _act_with, _from_reps, act,
-                          act_cleared)
+from .structspace import Matrix3, StructureVector, _act_with, _from_reps, act
 
 OBSTRUCTION_TAGS = ("nilpotency-class", "commutativity", "m-star-star-closure",
                     "family-separation", "rho-separation",
@@ -358,31 +357,47 @@ def verify_lemma_identities(characteristic: int, mutate=None) -> IdentityReport:
     """Re-derive the family/quarter separation identities symbolically.
 
     Expands the action of a generic matrix g on the pinched product with a
-    free parameter, in denominator-cleared form, and compares every
-    coefficient with the closed formulas; likewise for an upper-triangular
-    matrix, where all 27 cleared coefficients are pinned down; likewise for
-    the alternating representative, together with its explicit membership
-    in the orbit of the parameter-2 structure.  One polynomial ring in the
+    free parameter, in denominator-cleared form, at the four coefficients
+    (2, 3, 1), (3, 2, 1), (3, 3, 1) and (2, 2, 1), and compares each with its
+    closed formula.  Coefficient (a, b, c) reads only columns a and b of g
+    and row c of adj(g), so these four are expanded from g with column 1
+    zeroed and from adj(g)'s first row, and no other coefficient is built.
+    Likewise for an upper-triangular matrix, where all 27 cleared
+    coefficients are pinned down; likewise for the alternating
+    representative, together with its explicit membership in the orbit of
+    the parameter-2 structure.  One polynomial ring in the
     parameter and g's nine entries is enough: each matrix group the suite
     uses is a specialisation of the one generic matrix (the upper-triangular
     Borel subgroup is g21 = g31 = g32 = 0), so a further group, such as the
     parabolic g21 = g31 = 0, is one more specialisation in the same ring.
     ``mutate`` adds 1 to one structure coefficient (a triple (i, j, k))
     before expanding, so callers can confirm the suite actually has teeth.
+    A characteristic that is not an int, or a ``mutate`` that is neither
+    None nor a triple of ints in 1..3, raises DegenerationError.
     """
+    if type(characteristic) is not int:
+        raise DegenerationError(
+            f"characteristic must be an int, got {characteristic!r}")
+    if mutate is not None and not (
+            isinstance(mutate, (tuple, list)) and len(mutate) == 3
+            and all(type(i) is int and 1 <= i <= 3 for i in mutate)):
+        raise DegenerationError(
+            f"mutate must be None or a triple of ints in 1..3, got {mutate!r}")
     base = prime_field(characteristic)
     ring = PolyRing(base, ("xi", "g11", "g12", "g13", "g21", "g22", "g23",
                            "g31", "g32", "g33"))
-    xi, g11, g12, g13, g21, g22, g23, g31, g32, g33 = ring.gens()
+    xi, g11, g12, g13, _g21, g22, g23, _g31, g32, g33 = ring.gens()
     one = ring.one()
     sigma = structure_of(hbeta(ring, xi), ring)
     if mutate is not None:
         sigma = sigma + StructureVector.from_terms(ring, [(*mutate, one)])
 
     # the generic matrix: four coefficients against their closed formulas
-    g = Matrix3.from_rows(ring, [[g11, g12, g13], [g21, g22, g23], [g31, g32, g33]])
-    cleared, _ = act_cleared(sigma, g)
     dpiv = g22 * g33 - g23 * g32
+    g = Matrix3.from_rows(ring, [[0, g12, g13], [0, g22, g23], [0, g32, g33]])
+    adj_row1 = Matrix3.from_rows(ring, [
+        [dpiv, g13 * g32 - g12 * g33, g12 * g23 - g13 * g22], [0, 0, 0], [0, 0, 0]])
+    cleared = _act_with(sigma, g, adj_row1)
     entries = [
         ("moved-231", cleared[2, 3, 1] == dpiv * (g22 * g33 + xi * g23 * g32)),
         ("moved-321", cleared[3, 2, 1] == dpiv * (g23 * g32 + xi * g22 * g33)),

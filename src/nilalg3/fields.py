@@ -77,7 +77,7 @@ class Domain:
         """build(), on every call: a polynomial or an element of F(d) is its
         own rep and holds its domain, so keeping what is built from a ring
         or F(t) in it would tie the two in a cycle that only the cyclic
-        collector frees (the identity suite builds two rings per run)."""
+        collector frees (the identity suite builds a ring on every run)."""
         return build()
 
     def element(self, value):

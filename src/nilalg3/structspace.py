@@ -361,6 +361,10 @@ def _act_with(vec: StructureVector, g: Matrix3, h: Matrix3) -> StructureVector:
     New coefficient (a, b, c) of the moved structure:
 
         sum over (i, j, k) of  c[i,j,k] * g[i,a] * g[j,b] * h[c,k] .
+
+    It reads only columns a and b of g and row c of h, and zero entries are
+    skipped, so a caller that needs a few coefficients may pass g zeroed
+    outside the columns and h outside the rows it reads.
     """
     if vec.parent != g.parent:
         vec = vec.lift(g.parent)

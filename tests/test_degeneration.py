@@ -23,7 +23,8 @@ from nilalg3.degeneration import (CurveWitness, DegenerationError,
                                   verify_witness)
 from nilalg3.fields import (FieldError, PrimeField, RATIONALS, Rationals,
                             SimpleExtension, gf4, gf16)
-from nilalg3.polyring import PoleAtZero, RationalFunctionField, limit_at_zero
+from nilalg3.polyring import (PoleAtZero, PolyRing, RationalFunctionField,
+                              limit_at_zero)
 from nilalg3.structspace import Matrix3, act, basis_vector
 
 Q = RATIONALS
@@ -274,6 +275,39 @@ def test_identity_suite_detects_mutations():
         assert not report.ok, f"mutation at {triple} went unnoticed"
     report = verify_lemma_identities(2, mutate=(2, 2, 1))
     assert not report.ok
+
+
+@pytest.mark.parametrize("char", [0, 2, 5])
+def test_identity_suite_expands_only_the_coefficients_it_checks(char, monkeypatch):
+    # the generic matrix's four moved-* coefficients are expanded alone;
+    # expanding all 27 of its cleared action takes 161 ring products a run
+    products = 0
+    mul = PolyRing._mul
+
+    def counting(self, x, y):
+        nonlocal products
+        products += 1
+        return mul(self, x, y)
+
+    monkeypatch.setattr(PolyRing, "_mul", counting)
+    assert verify_lemma_identities(char).ok
+    assert 0 < products <= 100, products
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"mutate": (True, 1, 1)}, {"mutate": (1, 1)}, {"mutate": "abc"},
+    {"mutate": (0, 1, 1)}, {"mutate": (1, 2, 4)}, {"mutate": (1.0, 2, 3)},
+    {"mutate": 231}, {"characteristic": 2.0}, {"characteristic": True},
+    {"characteristic": "2"}])
+def test_identity_suite_refuses_bad_arguments(kwargs):
+    kwargs = {"characteristic": 0, **kwargs}
+    with pytest.raises(DegenerationError, match="^(characteristic|mutate) must "):
+        verify_lemma_identities(**kwargs)
+
+
+def test_identity_suite_needs_a_prime_characteristic():
+    with pytest.raises(FieldError, match="^4 is not prime$"):
+        verify_lemma_identities(4)
 
 
 # -- obstructions ---------------------------------------------------------------

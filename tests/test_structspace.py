@@ -13,11 +13,13 @@ from fractions import Fraction
 
 import pytest
 
+from nilalg3.catalogue import hbeta, structure_of
 from nilalg3.fields import (PrimeField, RATIONALS, SimpleExtension, gf4, gf16,
-                            signed_sum)
+                            prime_field, signed_sum)
 from nilalg3.polyring import PolyRing, RationalFunctionField
 from nilalg3.structspace import (Matrix3, StructureError, StructureVector,
-                                 _bracket, act, act_cleared, basis_vector)
+                                 _act_with, _bracket, act, act_cleared,
+                                 basis_vector)
 
 
 def _random_vector(field, rng, pool=None):
@@ -232,6 +234,51 @@ def test_act_cleared_over_a_polynomial_ring():
         with pytest.raises(StructureError, match="^entries do not support "
                            "division; use the adjugate route$"):
             act(vec, g)
+
+
+def _zeroed(g, keep):
+    """g with every entry (r, c) for which keep(r, c) fails set to zero."""
+    zero = g.parent.zero()
+    return Matrix3.from_rows(g.parent, [
+        [v if keep(r, c) else zero for c, v in enumerate(row, 1)]
+        for r, row in enumerate(g.rows(), 1)])
+
+
+def _assert_each_coefficient_reads_two_columns_and_a_row(vec, g):
+    """Cleared coefficient (a, b, c) is _act_with on g zeroed outside
+    columns a and b and adj(g) zeroed outside row c; the full expansion of
+    act_cleared is the oracle."""
+    cleared, _ = act_cleared(vec, g)
+    adj = g.adjugate()
+    for a, b, c in itertools.product((1, 2, 3), repeat=3):
+        part = _act_with(vec, _zeroed(g, lambda r, s: s in (a, b)),
+                         _zeroed(adj, lambda r, s: r == c))
+        assert part[a, b, c] == cleared[a, b, c], (g.parent, a, b, c)
+
+
+def test_a_cleared_coefficient_reads_two_columns_of_g_and_one_row_of_adj():
+    for field, pool, cases in _oracle_domains():
+        if field not in (RATIONALS, PrimeField(7), gf16()):
+            continue
+        rng = random.Random(f"read-{field!r}")
+        for _ in range(cases):
+            _assert_each_coefficient_reads_two_columns_and_a_row(
+                _random_vector(field, rng, pool), _random_invertible(field, rng, pool))
+
+
+@pytest.mark.parametrize("char", [0, 2, 5])
+def test_the_suite_generic_matrix_reads_two_columns_and_a_row(char):
+    # the identity suite's ring, pinched product and generic matrix, under
+    # no mutation and under each of the 27
+    ring = PolyRing(prime_field(char), ("xi", "g11", "g12", "g13", "g21", "g22",
+                                        "g23", "g31", "g32", "g33"))
+    xi, *entries = ring.gens()
+    g = Matrix3.from_rows(ring, [entries[0:3], entries[3:6], entries[6:9]])
+    sigma = structure_of(hbeta(ring, xi), ring)
+    for mutate in (None, *itertools.product((1, 2, 3), repeat=3)):
+        vec = sigma if mutate is None else sigma + StructureVector.from_terms(
+            ring, [(*mutate, ring.one())])
+        _assert_each_coefficient_reads_two_columns_and_a_row(vec, g)
 
 
 def test_lift_and_map_scalars():
