@@ -12,7 +12,7 @@ from .algprops import (InvariantProfile, NotNilpotentError,
                        annihilator_basis, annihilator_dimension,
                        derivation_dimension, in_m_star_star, invariant_profile,
                        is_associative, is_commutative, nilpotency_class,
-                       square_basis, square_dimension)
+                       square_basis)
 from .catalogue import (AlgebraId, CatalogueError, IsoWitness,
                         UnclassifiableError, a0, a3kappa, adelta,
                         c1, c3, c5, canonicalize, hbeta, identify,
@@ -53,6 +53,6 @@ __all__ = [
     "invariant_profile", "is_associative", "is_commutative", "iso_witness",
     "known_witness", "l1", "lift_witness_to_rationals", "limit_at_zero",
     "nilpotency_class", "quarter", "search_witness",
-    "square_basis", "square_dimension", "structure_of", "t_valuation",
+    "square_basis", "structure_of", "t_valuation",
     "verify_lemma_identities", "verify_witness",
 ]

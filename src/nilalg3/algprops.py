@@ -188,10 +188,6 @@ def nilpotency_class(vec: StructureVector) -> int:
     return chain_class(_shared(vec, 1, _chain))
 
 
-def square_dimension(vec: StructureVector) -> int:
-    return len(square_basis(vec))
-
-
 def annihilator_basis(vec: StructureVector) -> list:
     """Basis of {u : u*x = 0 = x*u for all x}.
 

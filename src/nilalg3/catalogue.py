@@ -327,15 +327,13 @@ def _reduction_matrix(vec, ident, field, square, allow_extension) -> Matrix3:
         return Matrix3.identity(field)
 
     if t == "c5":
-        candidates = _unit_candidates(field)
-        candidates.append([field.one()] * 3)     # e1 + e2 + e3
-        for v1 in candidates:
-            v2 = vec.product(v1, v1)
-            v3 = vec.product(v1, v2)
-            m = Matrix3.from_columns(field, [v1, v2, v3])
-            if not m.det().is_zero():
-                return m
-        raise UnclassifiableError("no generator found for the class-3 algebra")
+        # Any v outside the plane A^2 generates: A = Fv + A^2 gives
+        # A^2 = Fv^2 + A^3 and A^3 = Fv^3, so v, v^2, v^3 is a basis.  A
+        # plane holds at most two of e1, e2, e3, and ``square`` is reduced,
+        # so a unit vector lies in it exactly when it is one of its rows.
+        v1 = next(e for e in Matrix3.identity(field).rows() if e not in square)
+        v2 = vec.product(v1, v1)
+        return Matrix3.from_columns(field, [v1, v2, vec.product(v1, v2)])
 
     f1, w2, w3, B = _slice(vec, square)
     if t == "l1":
@@ -365,13 +363,6 @@ def _reduction_matrix(vec, ident, field, square, allow_extension) -> Matrix3:
     w3 = [(p / q) * c for c in w3]     # t == "a", the last tag _identify yields
     scaled = [p * c for c in f1]
     return Matrix3.from_columns(field, [scaled, w2, w3])
-
-
-def _unit_candidates(field: Field) -> list:
-    """The unit vectors, then their pairwise sums e1+e2, e1+e3, e2+e3."""
-    e = Matrix3.identity(field).rows()
-    return e + [[a + b for a, b in zip(e[i], e[j])]
-                for i in range(3) for j in range(i + 1, 3)]
 
 
 def _orthogonal_frame(B, w2, w3):

@@ -3,15 +3,14 @@
 Exit codes: 0 on success (and on every verified check), 1 when a
 verification fails, a search comes up empty or a valid input is one the
 toolkit cannot finish, 2 on malformed input.
-Output on stdout is byte-deterministic for a fixed command line and seed;
-timing goes to stderr.
+Output on stdout is byte-deterministic for a fixed command line; timing
+goes to stderr.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 
@@ -31,13 +30,10 @@ from .ioformats import (CHARACTERISTICS, FormatError, parse_algebra_id,
 from .polyring import RationalFunctionField
 from .structspace import StructureVector, act
 
-_DEFAULT_SEED = 1729
 
-
-def _add_char(sub, default=0, choices=CHARACTERISTICS):
-    sub.add_argument("--char", type=int, default=default, choices=choices,
-                     metavar="C", help="field characteristic "
-                     f"(default {default})")
+def _add_char(sub, choices=CHARACTERISTICS):
+    sub.add_argument("--char", type=int, default=0, choices=choices,
+                     metavar="C", help="field characteristic (default 0)")
 
 
 def _read_payload(path: str):
@@ -48,18 +44,6 @@ def _read_payload(path: str):
             return fh.read()
     except UnicodeDecodeError as exc:
         raise FormatError(f"{path} is not UTF-8 text: {exc}") from exc
-
-
-def _seed_from(args) -> int:
-    if args.seed is not None:
-        return args.seed
-    env = os.environ.get("NILALG3_SEED")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            raise FormatError(f"NILALG3_SEED must be an integer, got {env!r}")
-    return _DEFAULT_SEED
 
 
 # -- subcommands ----------------------------------------------------------------
@@ -209,7 +193,7 @@ def _cmd_search_witness(args) -> int:
     src = parse_algebra_id(args.src, field)
     dst = parse_algebra_id(args.dst, field)
     result = search_witness(src, dst, field, degree_bound=args.degree,
-                            budget=args.budget, seed=_seed_from(args))
+                            budget=args.budget, seed=args.seed)
     print(f"elapsed {result.elapsed:.2f}s", file=sys.stderr)
     if not result.found:
         print(f"no witness after {result.tried} candidates "
@@ -280,8 +264,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--budget", type=int, default=100000)
     p.add_argument("--degree", type=int, default=2,
                    help="maximum t-degree of matrix entries (default 2)")
-    p.add_argument("--seed", type=int, default=None,
-                   help=f"RNG seed (default $NILALG3_SEED or {_DEFAULT_SEED})")
+    p.add_argument("--seed", type=int, default=1729,
+                   help="RNG seed (default 1729)")
     p.set_defaults(func=_cmd_search_witness)
 
     return parser

@@ -284,10 +284,6 @@ def parse_algebra_id(text: str, field: Field) -> AlgebraId:
         raise FormatError(str(exc)) from exc
 
 
-def render_algebra_id(ident: AlgebraId) -> str:
-    return str(ident)
-
-
 # -- vectors and witnesses ------------------------------------------------------
 
 
@@ -389,8 +385,8 @@ def parse_witness(payload) -> CurveWitness:
 def render_witness(witness: CurveWitness) -> dict:
     field = witness.base_field
     payload = {
-        "src": render_algebra_id(witness.src),
-        "dst": render_algebra_id(witness.dst),
+        "src": str(witness.src),
+        "dst": str(witness.dst),
         "field": describe_field(field),
         "matrix": [[_render_poly_in_t(witness.matrix.entry(i, j))
                     for j in (1, 2, 3)] for i in (1, 2, 3)],

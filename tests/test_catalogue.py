@@ -12,10 +12,12 @@ from fractions import Fraction
 
 import pytest
 
+from nilalg3 import catalogue
 from nilalg3.catalogue import (AUXILIARY_TAGS, CANONICAL_TAGS, AlgebraId,
-                               CatalogueError, IsoWitness, _STRUCTURES, a3kappa,
-                               adelta, c1, c3, canonicalize, hbeta, identify,
-                               identify_with_witness, iso_witness, quarter,
+                               CatalogueError, IsoWitness, UnclassifiableError,
+                               _STRUCTURES, a0, a3kappa, adelta, c1, c3, c5,
+                               canonicalize, hbeta, identify,
+                               identify_with_witness, iso_witness, l1, quarter,
                                structure_of)
 from nilalg3.algprops import (annihilator_dimension, in_m_star_star,
                               is_commutative, square_basis)
@@ -613,3 +615,49 @@ def test_every_tag_that_an_id_takes_has_a_structure():
 
 def test_canonicalize_returns_a_canonical_id_with_no_chain():
     assert canonicalize(c1(), RATIONALS) == (c1(), [])
+
+
+def test_the_named_ids_are_their_tags():
+    assert [a0(), c1(), c3(), l1(), c5()] == [
+        AlgebraId(t) for t in ("a0", "c1", "c3", "l1", "c5")]
+
+
+def test_a_singular_iso_witness_is_refused():
+    zero = Matrix3.from_rows(RATIONALS, [[0, 0, 0]] * 3)
+    with pytest.raises(CatalogueError,
+                       match="^isomorphism witness matrix is singular$"):
+        IsoWitness(c1(), c1(), zero)
+
+
+def test_a_reduction_that_fails_its_own_check_is_refused(monkeypatch):
+    monkeypatch.setattr(catalogue, "_reduction_matrix",
+                        lambda vec, ident, field, *_: Matrix3.identity(field))
+    vec = basis_vector(RATIONALS, 2, 2, 1)
+    assert identify(vec) == c1()
+    with pytest.raises(UnclassifiableError,
+                       match="^reduction to c1 failed verification$"):
+        identify_with_witness(vec)
+
+
+@pytest.mark.parametrize("field", [PrimeField(2), PrimeField(3), gf4(), RATIONALS],
+                         ids=["GF2", "GF3", "GF4", "Q"])
+def test_c5_is_generated_by_the_first_unit_vector_outside_its_square(field):
+    # A = Fv + A^2 for every v outside the square, so the reduction's first
+    # column is that unit vector, whichever of e1, e2, e3 it is
+    rng = random.Random(f"c5-generator-{field!r}")
+    pool = list(field.elements()) if field.is_finite() else [
+        field.element(Fraction(a, b)) for a in range(-2, 3) for b in (1, 2)]
+    seen = set()
+    while len(seen) < 3:
+        g = Matrix3.from_rows(field, [[rng.choice(pool) for _ in range(3)]
+                                      for _ in range(3)])
+        if g.det().is_zero():
+            continue
+        vec = act(structure_of(c5(), field), g)
+        ident, m = identify_with_witness(vec)
+        square = square_basis(vec)
+        units = Matrix3.identity(field).rows()
+        first = next(i for i, e in enumerate(units) if e not in square)
+        assert ident == c5()
+        assert [m.entry(r, 1) for r in (1, 2, 3)] == units[first]
+        seen.add(first)

@@ -12,7 +12,13 @@ import time
 import pytest
 
 import nilalg3
+from nilalg3 import catalogue, hasse
+from nilalg3.catalogue import c1, c3, c5
 from nilalg3.cli import main
+from nilalg3.degeneration import CurveWitness, known_witness
+from nilalg3.fields import RATIONALS
+from nilalg3.ioformats import render_witness
+from nilalg3.structspace import Matrix3
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
@@ -243,12 +249,12 @@ def test_search_witness_not_found(capsys):
     assert "no witness after 2000 candidates" in out
 
 
-def test_search_seed_env_override(capsys, monkeypatch):
+def test_the_search_seed_comes_from_the_command_line_alone(capsys, monkeypatch):
     monkeypatch.setenv("NILALG3_SEED", "42")
     code, out, _ = run(capsys, "search-witness", "l1", "c1",
                        "--char", "5", "--budget", "500")
     assert code == 1
-    assert "seed 42" in out
+    assert "seed 1729" in out
     code, out, _ = run(capsys, "search-witness", "l1", "c1",
                        "--char", "5", "--budget", "500", "--seed", "9")
     assert "seed 9" in out
@@ -535,13 +541,6 @@ def test_boundary_refusals_name_their_cause(capsys, tmp_path, argv, payload, mes
     assert err == f"error: {message}\n"
 
 
-def test_a_seed_from_the_environment_must_be_an_integer(capsys, monkeypatch):
-    monkeypatch.setenv("NILALG3_SEED", "x")
-    code, _, err = run(capsys, "search-witness", "c5", "c1", "--budget", "10")
-    assert code == 2
-    assert err == "error: NILALG3_SEED must be an integer, got 'x'\n"
-
-
 def test_search_in_characteristic_2_runs_over_gf4(capsys):
     code, out, _ = run(capsys, "search-witness", "c5", "c1", "--char", "2",
                        "--budget", "3000", "--seed", "5")
@@ -549,3 +548,37 @@ def test_search_in_characteristic_2_runs_over_gf4(capsys):
     head, payload = out.split("\n", 1)
     assert head == "found after 338 candidates (seed 5):"
     assert json.loads(payload)["field"] == _GF4
+
+
+def test_verify_witness_refuses_a_collapse_claimed_onto_another_class(capsys, tmp_path):
+    # the c5 -> c3 collapse curve limits onto a structure isomorphic to c3
+    w = known_witness(c5(), c3(), RATIONALS)
+    path = tmp_path / "claim.json"
+    path.write_text(json.dumps(render_witness(
+        CurveWitness(c5(), c1(), w.matrix, up_to_iso=True))))
+    code, out, err = run(capsys, "verify-witness", str(path))
+    assert code == 1 and out == ""
+    assert err == "FAIL: limit identifies as c3, expected c1\n"
+
+
+def test_hasse_exits_1_when_the_diagram_deviates_from_the_stored_picture(
+        capsys, monkeypatch):
+    monkeypatch.setitem(hasse.EXPECTED_EDGES, 0,
+                        hasse.EXPECTED_EDGES[0] + (("c5", "c1"),))
+    code, out, err = run(capsys, "hasse", "--char", "0")
+    assert code == 1
+    assert out == (GOLDEN / "hasse_char0.dot").read_text()
+    assert err.splitlines()[-1] == ("FAIL: diagram deviates from the expected "
+                                    "picture (missing [('c5', 'c1')], surplus [])")
+
+
+def test_identify_exits_1_on_a_reduction_that_fails_its_check(
+        capsys, tmp_path, monkeypatch):
+    monkeypatch.setattr(catalogue, "_reduction_matrix",
+                        lambda vec, ident, field, *_: Matrix3.identity(field))
+    path = tmp_path / "vec.json"
+    path.write_text(json.dumps(_vector({"char": 0}, ((2, 2, 1, "1"),))))
+    code, out, err = run(capsys, "identify", str(path), "--witness")
+    assert code == 1 and out == ""
+    assert err == ("unclassifiable over this field: "
+                   "reduction to c1 failed verification\n")

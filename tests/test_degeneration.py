@@ -782,3 +782,68 @@ def test_compose_a_generic_point_curve_with_a_rational_one():
     assert combined.src == adelta(Qd, Qd.gen()) and combined.dst == A0
     assert combined.base_field == Qd
     assert verify_witness(combined) == structure_of(A0, Qd)
+
+
+# -- refusals and fault detectors ------------------------------------------------
+
+
+def test_a_failing_identity_suite_refuses_every_family_separation(monkeypatch):
+    runs = []
+
+    def failing(characteristic, mutate=None):
+        runs.append(characteristic)
+        return degeneration.IdentityReport(characteristic, (("forced", False),))
+
+    degeneration._require_lemma.cache_clear()
+    monkeypatch.setattr(degeneration, "verify_lemma_identities", failing)
+    try:
+        for expected_runs in (1, 2):
+            with pytest.raises(DegenerationError,
+                               match=r"^identity suite failed: \('forced',\)$"):
+                degenerates(adelta(Q, 3), adelta(Q, 5), Q)
+            assert runs == [0] * expected_runs
+    finally:
+        degeneration._require_lemma.cache_clear()
+
+
+def _mislabelled_collapse():
+    # the c5 -> c3 collapse curve, whose limit is only isomorphic to c3,
+    # claimed as a curve onto c1
+    w = known_witness(C5, C3, Q)
+    assert w.up_to_iso
+    return CurveWitness(C5, C1, w.matrix, up_to_iso=True)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: verify_witness(_mislabelled_collapse()),
+     "limit identifies as c3, expected c1"),
+    (lambda: compose_curves(known_witness(C5, C1, Q), known_witness(C3, A0, Q)),
+     "curves do not chain: c1 versus c3"),
+    (lambda: compose_curves(known_witness(C5, C1, Q), CurveWitness(
+        C1, A0, Matrix3.identity(degeneration._rff(Q)))),
+     r"no power of t up to 8 makes cube-collapse\+ compose"),
+    (lambda: check_obstruction(AlgebraId("rho"), C1, Q),
+     "check_obstruction expects canonical ids"),
+    (lambda: search_witness(C5, C1, Q), "search kernel needs a finite field"),
+    (lambda: lift_witness_to_rationals(known_witness(C5, C1, gf4())),
+     "can only lift witnesses over prime fields"),
+    (lambda: curve_limit(CurveWitness(C5, C1, Matrix3.identity(Q))),
+     "curve matrix must live over rational functions"),
+    (lambda: degeneration.Obstruction("no-such-tag", "why"),
+     "unknown obstruction tag 'no-such-tag'"),
+], ids=["up-to-iso-onto-another-class", "curves-that-do-not-chain",
+        "second-curve-no-witness", "non-canonical-obstruction",
+        "search-over-Q", "lift-from-GF4", "limit-of-a-constant-matrix",
+        "unknown-obstruction-tag"])
+def test_the_decision_layer_refuses_with_its_reason(call, message):
+    with pytest.raises(DegenerationError, match=f"^{message}$"):
+        call()
+
+
+def test_a_pair_with_no_certificate_either_way_is_a_fault(monkeypatch):
+    # with no base obstruction, c1 -> c5 has neither a chain nor a refusal
+    monkeypatch.setattr(degeneration, "_base_obstruction", lambda *_: None)
+    assert degeneration._decide(C1, C5, Q) == (None, None)
+    with pytest.raises(DegenerationError,
+                       match=r"^no certificate either way for c1 -> c5 over "):
+        degenerates(C1, C5, Q)

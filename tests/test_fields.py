@@ -920,3 +920,47 @@ def test_every_domain_keeps_the_one_element_contract(name):
             with pytest.raises(error) as exc:
                 entry(y)
             assert str(exc.value) == text.format(source, D), (name, source)
+
+
+_QI = SimpleExtension(RATIONALS, [1, 0, 1], "i")
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: RATIONALS.order(), "QQ is not finite"),
+    (lambda: list(RATIONALS.elements()), "cannot enumerate the elements of QQ"),
+    (lambda: PrimeField(1), "1 is not prime"),
+    (lambda: FiniteField(RATIONALS, [1, 0, 1], "i"), "QQ is not a finite field"),
+    (lambda: quadratic_roots(RATIONALS.zero(), RATIONALS.one(), RATIONALS.one()),
+     "leading coefficient is zero"),
+], ids=["order-of-Q", "elements-of-Q", "one-is-no-prime", "finite-field-over-Q",
+        "linear-quadratic"])
+def test_the_field_layer_refuses_with_its_reason(call, message):
+    with pytest.raises(FieldError, match=f"^{message}$"):
+        call()
+
+
+def test_a_zero_divisor_of_a_trusted_quartic_modulus_has_no_inverse():
+    # degree 4 over Q is trusted irreducible; (x^2 - 2)(x^2 - 3) is not
+    K = SimpleExtension(RATIONALS, [6, 0, -5, 0, 1], "g")
+    g = K.generator()
+    assert (g * g - 2) * (g * g - 3) == 0
+    with pytest.raises(FieldError, match=r"^element is not invertible \(reducible modulus\?\)$"):
+        (g * g - 2).inverse()
+    assert (g * g - 1) * (g * g - 1).inverse() == 1
+
+
+def test_a_cubic_over_a_number_field_is_trusted():
+    # _roots searches no cubic over Q(i): x^3 - 2 is taken as irreducible
+    K, embed = extend_with_root(_QI, [-2, 0, 0, 1], "r")
+    r = K.generator()
+    assert K.degree == 3 and r ** 3 == 2
+    assert embed(_QI.generator()) ** 2 == -1
+
+
+def test_an_element_with_a_squared_generator_renders_and_parses_back():
+    K = SimpleExtension(RATIONALS, [-2, 0, 0, 1], "g")
+    g = K.generator()
+    for x, text in ((g * g, "g^2"), (1 - 3 * g * g, "1-3g^2"),
+                    (g * g / 2 + g, "g+1/2g^2")):
+        assert repr(x) == text
+        assert parse_scalar(text, K) == x

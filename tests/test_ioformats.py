@@ -25,8 +25,7 @@ from nilalg3.fields import (MAX_FINITE_ORDER, FieldError, PrimeField, RATIONALS,
 from nilalg3.ioformats import (FormatError, describe_field, parse_algebra_id,
                                parse_field, parse_matrix, parse_poly_in_t,
                                parse_scalar, parse_vector, parse_witness,
-                               render_algebra_id, render_vector,
-                               render_witness)
+                               render_vector, render_witness)
 from nilalg3.ioformats import _TERM_RE, _exponent, _split_signed_terms
 from nilalg3.polyring import PolyRing, RationalFunctionField
 from nilalg3.structspace import Matrix3, StructureVector, basis_vector
@@ -362,8 +361,8 @@ def test_parse_algebra_id_errors():
 def test_render_algebra_id_round_trip():
     for text in ("a0", "c1", "c3", "l1", "c5", "rho", "chat3", "a2"):
         ident = parse_algebra_id(text, RATIONALS)
-        assert render_algebra_id(ident) == text
-        assert parse_algebra_id(render_algebra_id(ident), RATIONALS) == ident
+        assert str(ident) == text
+        assert parse_algebra_id(str(ident), RATIONALS) == ident
 
 
 @pytest.mark.parametrize("tag", CANONICAL_TAGS + AUXILIARY_TAGS)

@@ -83,6 +83,22 @@ def _defined_names(node) -> list:
     return []
 
 
+def test_every_export_has_a_user():
+    # an exported name is used by a module of the package other than
+    # __init__, or named by the benchmark (read as text: some of its names
+    # sit in strings) or by README, which then says whom it serves
+    root = pathlib.Path(__file__).resolve().parent.parent
+    package = pathlib.Path(nilalg3.__file__).parent
+    refs = sum((_references(ast.parse(path.read_text()))
+                for path in sorted(package.glob("*.py"))
+                if path.name != "__init__.py"), collections.Counter())
+    text = "\n".join(path.read_text() for path in
+                     [*sorted((root / "bench").glob("*.py")), root / "README.md"])
+    unused = [name for name in nilalg3.__all__ if not refs[name]
+              and not re.search(rf"\b{re.escape(name)}\b", text)]
+    assert not unused, unused
+
+
 def test_no_dead_private_helpers():
     # a private top-level def, class or assigned name must be used somewhere
     # in the package outside its own statement, so a removed caller cannot

@@ -492,3 +492,39 @@ def test_function_field_scalars_enter_the_field_over_them():
     g = Matrix3.from_rows(L, [[d, 0, 0], [0, 1, 0], [0, 0, t]])
     assert g.entries[0] == dL and g == Matrix3.from_rows(
         L, [[dL, 0, 0], [0, 1, 0], [0, 0, t]])
+
+
+_QT = RationalFunctionField(RATIONALS)
+_XY = PolyRing(RATIONALS, ("x", "y"))
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: PolyRing(RATIONALS, ("x", "x")), PolyRingError,
+     "duplicate variable names"),
+    (lambda: _XY.var("z"), PolyRingError, "unknown variable 'z'"),
+    (lambda: _XY.var("x").evaluate({"x": 1}), PolyRingError,
+     "no value for variable 'y'"),
+    (lambda: t_valuation(_XY.var("x")), PolyRingError,
+     "operation requires a univariate polynomial"),
+    (lambda: polyring.poly_gcd(_XY.var("x"), _XY.var("y")), PolyRingError,
+     "operation requires a univariate polynomial"),
+    (lambda: _QT.element(1, 0), ZeroDivisionError,
+     "rational function with zero denominator"),
+    (lambda: (1 / _QT.gen()).evaluate(RATIONALS.zero()), ZeroDivisionError,
+     "denominator vanishes at 0"),
+], ids=["duplicate-variables", "unknown-variable", "missing-value",
+        "valuation-of-two-variables", "gcd-of-two-variables", "zero-denominator",
+        "evaluate-at-a-pole"])
+def test_the_polynomial_layer_refuses_with_its_reason(call, error, message):
+    with pytest.raises(error, match=f"^{message}$"):
+        call()
+
+
+@pytest.mark.parametrize("field", [RATIONALS, PrimeField(7), gf16()],
+                         ids=["Q", "GF7", "GF16"])
+def test_poly_gcd_is_the_monic_common_factor(field):
+    t = PolyRing(field, ("t",)).var("t")
+    a, b = 3 * (t - 1) * (t - 2), 5 * (t - 1) * (t + 3) * (t - 1)
+    assert polyring.poly_gcd(a, b) == t - 1
+    assert polyring.poly_gcd(a, a.ring.zero()) == (t - 1) * (t - 2)
+    assert polyring.poly_gcd(t + 1, t + 2) == 1

@@ -657,3 +657,38 @@ def test_a_matrix_product_multiplies_only_nonzero_pairs():
         product = g @ h
         assert F.products == pairs
         assert product.entries == _product_by_elements(g, h)
+
+
+_V = basis_vector(RATIONALS, 2, 3, 1)
+_M = Matrix3.identity(RATIONALS)
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: StructureVector.from_terms(RATIONALS, [(4, 1, 1, 1)]),
+     StructureError, r"indices out of range: \(4, 1, 1\)"),
+    (lambda: _V[0, 1, 1], StructureError, r"indices out of range: \(0, 1, 1\)"),
+    (lambda: StructureVector(RATIONALS, [0] * 26), StructureError,
+     "a structure vector has exactly 27 coefficients"),
+    (lambda: _V + 1, StructureError, "expected a structure vector"),
+    (lambda: _V - basis_vector(PrimeField(7), 2, 3, 1), StructureError,
+     "structure vectors over different scalars"),
+    (lambda: Matrix3(RATIONALS, [0] * 8), StructureError,
+     "a 3x3 matrix has nine entries"),
+    (lambda: setattr(_M, "parent", PrimeField(7)), AttributeError,
+     "Matrix3 is immutable"),
+    (lambda: Matrix3.from_columns(RATIONALS, [[1, 0, 0], [0, 1, 0]]),
+     StructureError, "expected three columns of three entries"),
+    (lambda: _M.entry(1, 4), StructureError,
+     r"entry index out of range: \(1, 4\)"),
+], ids=["term-index", "coefficient-index", "26-coefficients", "add-a-number",
+        "mixed-scalars", "eight-entries", "set-an-attribute", "two-columns",
+        "entry-index"])
+def test_the_structure_layer_refuses_with_its_reason(call, error, message):
+    with pytest.raises(error, match=f"^{message}$"):
+        call()
+
+
+def test_a_vector_or_matrix_equals_no_other_kind_of_value():
+    for value in (_V, _M):
+        assert value != 0 and value != _V.coeffs and value != _M.rows()
+    assert _V != _M and _M != _V
