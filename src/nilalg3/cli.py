@@ -15,15 +15,15 @@ import sys
 import time
 
 from .algprops import NotNilpotentError, invariant_profile
-from .catalogue import (AlgebraId, CatalogueError, UnclassifiableError,
-                        adelta, identify, identify_with_witness, quarter,
-                        structure_of)
+from .catalogue import (CatalogueError, UnclassifiableError, identify,
+                        identify_with_witness, structure_of)
 from .degeneration import (DegenerationError, lift_witness_to_rationals,
                            search_witness, verify_lemma_identities,
                            verify_witness)
 from .fields import (FieldError, NeedsFieldExtension, PrimeField, gf4,
                      prime_field)
-from .hasse import HasseError, build_graph, compare_expected, emit
+from .hasse import (HasseError, build_graph, compare_expected, emit,
+                    node_table)
 from .ioformats import (CHARACTERISTICS, FormatError, parse_algebra_id,
                         parse_matrix, parse_vector, parse_witness,
                         render_vector, render_witness)
@@ -57,19 +57,12 @@ def _profile_cells(vec: StructureVector):
 
 
 def _cmd_catalog(args) -> int:
-    field = prime_field(args.char)
+    generic = RationalFunctionField(prime_field(args.char), "d")
     rows = []
-    for tag in ("a0", "c1", "l1", "c3"):
-        vec = structure_of(AlgebraId(tag), field)
-        rows.append((tag, str(vec), _profile_cells(vec)))
-    generic = RationalFunctionField(field, "d")
-    family = structure_of(adelta(generic, generic.gen()), generic)
-    rows.append(("a(d)", str(family), _profile_cells(family)))
-    if args.char != 2:
-        vec = structure_of(adelta(field, quarter(field)), field)
-        rows.append(("a(1/4)", str(vec), _profile_cells(vec)))
-    vec = structure_of(AlgebraId("c5"), field)
-    rows.append(("c5", str(vec), _profile_cells(vec)))
+    for label, ident in node_table(generic).items():
+        vec = structure_of(ident, generic)
+        rows.append(("a(d)" if label == "a(*)" else label, str(vec),
+                     _profile_cells(vec)))
 
     print(f"characteristic {args.char}")
     header = ("label", "structure", "class", "comm", "square", "ann", "der",

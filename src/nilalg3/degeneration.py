@@ -816,7 +816,8 @@ def lift_witness_to_rationals(witness: CurveWitness) -> CurveWitness:
     Coefficients r of each matrix entry are replaced by the integer in
     (-p/2, p/2] congruent to r, and the lifted curve is re-verified over the
     rational function field, so the result is independent evidence rather
-    than a reinterpretation.
+    than a reinterpretation.  A lift that does not verify raises a
+    ``DegenerationError`` that names the lift and keeps the reason.
     """
     base = witness.base_field
     if not isinstance(base, PrimeField):
@@ -838,5 +839,10 @@ def lift_witness_to_rationals(witness: CurveWitness) -> CurveWitness:
     out = CurveWitness(lift_id(witness.src), lift_id(witness.dst), lifted,
                        up_to_iso=witness.up_to_iso,
                        note=f"{witness.note}-lifted")
-    verify_witness(out)
+    try:
+        verify_witness(out)
+    except DegenerationError as exc:
+        raise DegenerationError(
+            f"the centred lift of the GF({p}) curve to Q does not verify: "
+            f"{exc}") from exc
     return out

@@ -67,18 +67,26 @@ class Domain:
     (None at the bottom); and ``_refuse``, the layer's one error for a value
     with no image.  ``_once`` serves what another layer builds from a
     domain (a catalogue structure's reps, F(t) over a field, a verified
-    library curve, a node profile): a field keeps it, so it lives exactly
-    as long as the field, and no module cache pins a field.
+    library curve, a node profile): a field, F(d) among them, keeps it in
+    ``_kept``, so it lives exactly as long as the field, and no module
+    cache pins a field; a ``PolyRing`` builds it on every call.
     """
 
     _below = None
 
+    def __init__(self):
+        self._kept = {}
+
     def _once(self, key, build):
-        """build(), on every call: a polynomial or an element of F(d) is its
-        own rep and holds its domain, so keeping what is built from a ring
-        or F(t) in it would tie the two in a cycle that only the cyclic
-        collector frees (the identity suite builds a ring on every run)."""
-        return build()
+        """build(), made on the first call with ``key`` and kept in this
+        domain.  What it keeps and holds the domain back (F(t), a curve
+        over it) is freed with the domain by the cyclic collector, as the
+        domain's own elements are."""
+        try:
+            return self._kept[key]
+        except KeyError:
+            x = self._kept[key] = build()
+            return x
 
     def element(self, value):
         """value's image in this domain, by the one coercion rule."""
@@ -101,10 +109,9 @@ class Field(Domain):
 
     Beyond ``Domain``'s contract a field has ``_coerce`` (the rep of an int
     or a Fraction), ``_render`` (a rep's text), ``_rep_hash`` and ``_gens``
-    (the rep here of each generator of the tower, by name), and it keeps
-    what ``_once`` builds from it in ``_kept``.  It is finite exactly when
-    its characteristic is positive, and then ``elements()`` runs through
-    the reps 0, ..., q - 1.
+    (the rep here of each generator of the tower, by name).  It is finite
+    exactly when its characteristic is positive, and then ``elements()``
+    runs through the reps 0, ..., q - 1.
     """
 
     char: int = 0
@@ -118,20 +125,6 @@ class Field(Domain):
     # a builtin binds no self
     _eq, _is_zero = operator.eq, operator.not_
     embed = Domain.element
-
-    def __init__(self):
-        self._kept = {}
-
-    def _once(self, key, build):
-        """build(), made on the first call with ``key`` and kept in this
-        field.  What it keeps and holds the field back (F(t), a curve over
-        it) is freed with the field by the cyclic collector, as the field's
-        own elements are."""
-        try:
-            return self._kept[key]
-        except KeyError:
-            x = self._kept[key] = build()
-            return x
 
     def _refuse(self, value):
         """The field layer's one refusal of a value with no image here."""

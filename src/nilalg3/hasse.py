@@ -1,11 +1,13 @@
 """The two degeneration diagrams, computed rather than transcribed.
 
-build_graph() enumerates every ordered pair of class nodes, asks
-degeneration.degenerates() for a certificate, samples the one-parameter
-family at several parameter values so a family-level arrow means "for every
-sampled member", checks the result is acyclic, and performs the transitive
-reduction.  emit() renders the reduced diagram as DOT or JSON with a fixed
-node order, so output is byte-for-byte reproducible.
+Each node is one algebra over one field per diagram, F(d) over Q or over
+GF(16): a(*) is the generic member a(d) of the family, a(1/4) the member
+at the distinguished parameter, and every other node its catalogue id.
+build_graph() asks degeneration.degenerates() once for a certificate for
+every ordered pair of distinct nodes, checks the relation is acyclic, and
+performs the transitive reduction.  emit() renders the reduced diagram as
+DOT or JSON with a fixed node order, so output is byte-for-byte
+reproducible.
 """
 
 from __future__ import annotations
@@ -16,7 +18,8 @@ from dataclasses import dataclass
 
 from .catalogue import AlgebraId, adelta, quarter
 from .degeneration import degenerates
-from .fields import Field, RATIONALS, gf16
+from .fields import RATIONALS, gf16
+from .polyring import RationalFunctionField
 
 NODE_ORDER = ("a0", "c1", "l1", "c3", "a(*)", "a(1/4)", "c5")
 
@@ -41,30 +44,29 @@ class HasseDiagram:
 
 
 @functools.cache
-def _default_field(characteristic: int) -> Field:
-    """One field per characteristic for the life of the process, so the
-    library curves and node profiles kept in it are verified once."""
+def _default_field(characteristic: int) -> RationalFunctionField:
+    """F(d) over Q or over GF(16), one per characteristic for the life of
+    the process, so the library curves and node profiles kept in it are
+    verified once."""
     if characteristic == 0:
-        return RATIONALS
+        return RationalFunctionField(RATIONALS, "d")
     if characteristic == 2:
-        return gf16()
+        return RationalFunctionField(gf16(), "d")
     raise HasseError(f"no diagram is defined for characteristic {characteristic}")
 
 
-def _family_samples(field: Field):
-    """The ten sampled parameters of the a(*) family; none is 1/4, whose
-    algebra is a node of its own (and 1/4 does not exist in GF(16))."""
-    if field.char == 0:
-        return [field.from_int(v) for v in (0, 1, 2, 3, 5, 7, 11, 13, 17, 19)]
-    return list(field.elements())[:10]
+def node_table(field: RationalFunctionField) -> dict:
+    """Each node's algebra over F(d), by label in NODE_ORDER; there is no
+    a(1/4) node in characteristic 2, where 1/4 does not exist."""
+    def ident(label):
+        if label == "a(*)":
+            return adelta(field, field.gen())
+        if label == "a(1/4)":
+            return adelta(field, quarter(field))
+        return AlgebraId(label)
 
-
-def _node_members(label: str, field: Field, samples):
-    if label == "a(*)":
-        return [adelta(field, d) for d in samples]
-    if label == "a(1/4)":
-        return [adelta(field, quarter(field))]
-    return [AlgebraId(label)]
+    return {label: ident(label) for label in NODE_ORDER
+            if label != "a(1/4)" or field.char != 2}
 
 
 def _annotation(fact) -> str:
@@ -76,21 +78,16 @@ def _annotation(fact) -> str:
 def build_graph(characteristic: int) -> HasseDiagram:
     """Decide all node pairs and reduce; raises HasseError on any cycle."""
     field = _default_field(characteristic)
-    nodes = tuple(n for n in NODE_ORDER
-                  if n != "a(1/4)" or characteristic != 2)
-    deltas = _family_samples(field)
-    members = {label: _node_members(label, field, deltas) for label in nodes}
+    ids = node_table(field)
+    nodes = tuple(ids)
 
     relation = {}
     for u in nodes:
         for v in nodes:
-            if u == v:
-                continue
-            facts = (degenerates(s, d, field)
-                     for s in members[u] for d in members[v])
-            first = next(facts)
-            if first.holds and all(fact.holds for fact in facts):
-                relation[(u, v)] = _annotation(first)
+            if u != v:
+                fact = degenerates(ids[u], ids[v], field)
+                if fact.holds:
+                    relation[(u, v)] = _annotation(fact)
 
     _assert_acyclic(nodes, relation)
     reduced = []

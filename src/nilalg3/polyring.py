@@ -93,6 +93,13 @@ class PolyRing(Domain):
     def gens(self):
         return tuple(self.var(v) for v in self.vars)
 
+    def _once(self, key, build):
+        """build(), on every call: a polynomial is its own rep and holds
+        its ring, so keeping what is built from a ring in it would tie the
+        two in a cycle that only the cyclic collector frees, and the
+        identity suite builds a ring on every run."""
+        return build()
+
     def _refuse(self, v):
         """The polynomial layer's one refusal of a value with no image here."""
         raise PolyRingError(f"no image of an element of {_source(v)} in {self!r}")
@@ -282,12 +289,15 @@ def t_valuation(p: MultiPoly):
 class RationalFunctionField(Domain):
     """The fraction field of a univariate polynomial ring.
 
-    Its hooks are the arithmetic of its elements, on the ring's hooks for
+    A field, so it keeps what ``_once`` builds from it, as a field of the
+    tower does: the diagram's F(d) verifies each library curve once.  Its
+    hooks are the arithmetic of its elements, on the ring's hooks for
     numerators and denominators; a ``RationalFunction`` only stores, and
     ``RationalFunction._make`` puts num/den in canonical form.
     """
 
     def __init__(self, field: Field, varname: str = "t"):
+        super().__init__()
         self.field = field
         self.varname = varname
         self.char = field.char

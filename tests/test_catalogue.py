@@ -70,30 +70,33 @@ def _generic_iso(src, dst):
         assert act(_sym_family(K, s, p(b)), w.matrix) == _sym_family(K, d, q(b))
 
 
-def test_a_ring_or_f_of_d_keeps_no_structure():
-    # a polynomial or an element of F(d) is its own rep and holds its
-    # domain, so a structure kept in the domain would tie the two in a cycle
-    # that only the cyclic collector frees; with the collector off, the
-    # domain goes as soon as the last reference does
-    def ring():
-        R = PolyRing(PrimeField(5), ("x", "y"))
-        return R, R.var("x")
-
-    def function_field():
-        K = RationalFunctionField(RATIONALS, "d")
-        return K, K.gen()
-
+def test_a_ring_keeps_no_structure_and_f_of_d_keeps_its_own():
+    # a polynomial is its own rep and holds its ring, so a structure kept in
+    # the ring would tie the two in a cycle that only the cyclic collector
+    # frees; with the collector off, the ring goes as soon as the last
+    # reference does.  F(d) is a field and keeps its structures as one, so
+    # the collector frees it with them, as it frees a field of the tower
     gc.disable()
     try:
-        for build in (ring, function_field):
-            domain, gen = build()
-            vec = structure_of(hbeta(domain, gen), domain)
-            assert vec == structure_of(hbeta(domain, gen), domain)
-            ref = weakref.ref(domain)
-            del domain, gen, vec
-            assert ref() is None
+        R = PolyRing(PrimeField(5), ("x", "y"))
+        x = R.var("x")
+        vec = structure_of(hbeta(R, x), R)
+        assert vec == structure_of(hbeta(R, x), R)
+        ring = weakref.ref(R)
+        del R, x, vec
+        assert ring() is None
+
+        K = RationalFunctionField(RATIONALS, "d")
+        d = K.gen()
+        vec = structure_of(hbeta(K, d), K)
+        assert vec == structure_of(hbeta(K, d), K)
+        assert list(K._kept) == [("structure", "h", d)]
+        function_field = weakref.ref(K)
+        del K, d, vec
     finally:
         gc.enable()
+    gc.collect()
+    assert function_field() is None
 
 
 def test_symbolic_swap_carries_h_to_reciprocal():

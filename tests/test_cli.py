@@ -17,7 +17,7 @@ from nilalg3.catalogue import c1, c3, c5
 from nilalg3.cli import main
 from nilalg3.degeneration import CurveWitness, known_witness
 from nilalg3.fields import RATIONALS
-from nilalg3.ioformats import render_witness
+from nilalg3.ioformats import CHARACTERISTICS, render_witness
 from nilalg3.structspace import Matrix3
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
@@ -42,6 +42,15 @@ def test_catalog_char2_drops_quarter(capsys):
     code, out, _ = run(capsys, "catalog", "--char", "2")
     assert code == 0
     assert "a(1/4)" not in out
+
+
+@pytest.mark.parametrize("char", CHARACTERISTICS)
+def test_catalog_matches_its_golden(capsys, char):
+    # every row is read off the diagram's node table, over F(d) on the
+    # prime field of the characteristic
+    code, out, _ = run(capsys, "catalog", "--char", str(char))
+    assert code == 0
+    assert out == (GOLDEN / f"catalog_char{char}.txt").read_text()
 
 
 def test_invariants(capsys):
@@ -270,6 +279,20 @@ def test_console_script_entry_point():
                           capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert proc.stdout.startswith("characteristic 0")
+
+
+def test_search_char0_names_a_lift_that_fails(capsys):
+    # the GF(7) curve verifies and stays on stdout; its centred lift to Q
+    # does not, and the failure says so
+    code, out, err = run(capsys, "search-witness", "c3", "c1", "--char", "0",
+                         "--budget", "5000", "--seed", "3")
+    assert code == 1
+    assert out.startswith("found after 229 candidates (seed 3):\n")
+    assert json.loads(out.split("\n", 1)[1])["field"] == {"char": 7}
+    assert "lifted to the rationals" not in out
+    assert err.splitlines()[-1] == (
+        "FAIL: the centred lift of the GF(7) curve to Q does not verify: "
+        "limit -6*331 differs from the target structure 331")
 
 
 def test_search_char0_lifts(capsys):

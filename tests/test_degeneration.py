@@ -497,24 +497,29 @@ def test_cleared_caches_give_the_same_facts(field, fresh):
                                                "transitivity-derived"}
 
 
-@pytest.mark.parametrize("base", [Q, gf16()], ids=["Q", "GF16"])
+# ten members of the family over each base, none of them 1/4 (a node of its
+# own; 1/4 does not exist in GF(16)); over GF(16), its first ten elements
+GF16 = gf16()
+SAMPLED_PARAMETERS = {0: (0, 1, 2, 3, 5, 7, 11, 13, 17, 19),
+                      2: tuple(itertools.islice(GF16.elements(), 10))}
+
+
+@pytest.mark.parametrize("base", [Q, GF16], ids=["Q", "GF16"])
 def test_decisions_at_the_generic_point_match_every_sampled_member(base):
-    # the diagram's a(*) node stands for ten sampled members; a(d) over F(d)
-    # must be decided as each of them is, to and from every other node
+    # the diagram decides its a(*) node once, as a(d) over F(d); each
+    # sampled member must be decided as a(d) is, to and from every other node
     def key(fact):
         holds, obs, notes = _fact_key(fact)[2:]
         return holds, obs and obs[0], notes
 
     field = RationalFunctionField(base, "d")
-    generic = adelta(field, field.gen())
-    labels = [n for n in hasse.NODE_ORDER
-              if n != "a(*)" and (n != "a(1/4)" or base.char != 2)]
-    for label in labels:
-        [other] = hasse._node_members(label, field, ())
+    ids = hasse.node_table(field)
+    generic = ids.pop("a(*)")
+    for label, other in ids.items():
         want = (key(degenerates(generic, other, field)),
                 key(degenerates(other, generic, field)))
-        [node] = hasse._node_members(label, base, ())
-        for d in hasse._family_samples(base):
+        node = other if other.param is None else adelta(base, quarter(base))
+        for d in SAMPLED_PARAMETERS[base.char]:
             member = adelta(base, d)
             got = (key(degenerates(member, node, base)),
                    key(degenerates(node, member, base)))
@@ -546,6 +551,23 @@ def test_known_witness_returns_the_cached_curve(monkeypatch):
     # a fresh field object keeps nothing, so its curve is verified anew
     assert known_witness(C3, C1, PrimeField(5)) is not first
     assert verified and verified[0].note == "squeeze-e2"
+
+
+def test_f_of_d_keeps_its_verified_curves(monkeypatch):
+    # F(d) is a field and keeps its library curves as one; a fresh equal
+    # F(d) keeps nothing, so its curve is verified anew
+    verified = []
+    verify = degeneration.verify_witness
+    monkeypatch.setattr(degeneration, "verify_witness",
+                        lambda w: verified.append(w) or verify(w))
+    F = RationalFunctionField(Q, "d")
+    first = known_witness(adelta(F, F.gen()), C1, F)
+    assert known_witness(adelta(F, F.gen()), C1, F) is first
+    assert [w.note for w in verified] == ["pinch-family"]
+    fresh = RationalFunctionField(Q, "d")
+    assert fresh == F
+    assert known_witness(adelta(fresh, fresh.gen()), C1, fresh) is not first
+    assert [w.note for w in verified] == ["pinch-family"] * 2
 
 
 # -- composition -----------------------------------------------------------------

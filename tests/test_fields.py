@@ -573,7 +573,8 @@ def test_finite_field_embedding_preserves_sums_and_products(name):
 
 
 def test_gf16_elements_keep_their_order():
-    # hasse._family_samples takes the first ten elements in this order
+    # test_degeneration.SAMPLED_PARAMETERS takes the first ten elements in
+    # this order as its sampled members of the family over GF(16)
     assert [repr(x) for x in gf16().elements()] == [
         "0", "ws", "s", "(1+w)s", "w", "w+ws", "w+s", "w+(1+w)s",
         "1", "1+ws", "1+s", "1+(1+w)s", "1+w", "1+w+ws", "1+w+s",

@@ -1,11 +1,12 @@
 """The two degeneration diagrams, frozen as golden DOT and JSON files."""
 
+import collections
 import json
 import pathlib
 
 import pytest
 
-from nilalg3 import degeneration
+from nilalg3 import degeneration, hasse
 from nilalg3.hasse import (HasseError, NODE_ORDER, build_graph,
                            compare_expected, emit)
 
@@ -108,3 +109,22 @@ def test_a_second_diagram_verifies_no_curve_again(monkeypatch):
                         lambda w: calls.append(w) or verify(w))
     assert build_graph(2) == first
     assert calls == []
+
+
+@pytest.mark.parametrize("char, pairs", [(0, 42), (2, 30)])
+def test_each_ordered_pair_is_decided_once(monkeypatch, char, pairs):
+    # a node is one algebra over F(d), so each ordered pair of distinct
+    # nodes is one question to degenerates
+    calls = collections.Counter()
+    decide = hasse.degenerates
+
+    def counted(src, dst, field):
+        calls[(src, dst)] += 1
+        return decide(src, dst, field)
+
+    monkeypatch.setattr(hasse, "degenerates", counted)
+    diagram = build_graph(char)
+    ids = hasse.node_table(hasse._default_field(char))
+    assert tuple(ids) == diagram.nodes
+    assert calls == {(ids[u], ids[v]): 1 for u in ids for v in ids if u != v}
+    assert sum(calls.values()) == pairs
